@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linalg import RANK_RTOL, row_distances
+from .errors import InvalidInputError, decoding, integer, number
+from .linalg import _rank_tol, row_distances
 from .samplers import RowDistribution, SeedSpec, ShiftSpec, build_shift, sample_matrix
 
 Z_95 = 1.96
@@ -76,7 +76,7 @@ class Statistic:
         if self.kind == "distance_profile":
             if self.k is None or self.k < 1:
                 raise InvalidInputError("distance_profile needs a cardinality k >= 1")
-            if self.a is not None and self.a <= 0:
+            if self.a is not None and not self.a > 0:
                 raise InvalidInputError("distance threshold a must be positive")
         elif self.k is not None or self.a is not None:
             raise InvalidInputError(f"statistic {self.kind!r} takes no parameters")
@@ -118,7 +118,13 @@ class Statistic:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Statistic":
-        return cls(kind=d["kind"], k=d.get("k"), a=d.get("a"))
+        with decoding("statistic"):
+            k, a = d.get("k"), d.get("a")
+            return cls(
+                kind=d["kind"],
+                k=None if k is None else integer(k),
+                a=None if a is None else number(a),
+            )
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise InvalidInputError("trials must be a positive integer")
         grid = tuple(float(t) for t in self.t_grid)
+        if any(math.isnan(t) for t in grid):
+            raise InvalidInputError("grid thresholds must not be NaN")
         if any(t < 0 for t in grid):
             raise InvalidInputError("grid thresholds must be non-negative")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
@@ -158,22 +166,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            dist=RowDistribution.from_dict(d["dist"]),
-            shift=ShiftSpec.from_dict(d["shift"]),
-            n=int(d["n"]),
-            trials=int(d["trials"]),
-            t_grid=tuple(d["t_grid"]),
-            master_seed=int(d["master_seed"]),
-            statistic=Statistic.from_dict(d["statistic"]),
-        )
+        with decoding("experiment config"):
+            return cls(
+                dist=RowDistribution.from_dict(d["dist"]),
+                shift=ShiftSpec.from_dict(d["shift"]),
+                n=integer(d["n"]),
+                trials=integer(d["trials"]),
+                t_grid=tuple(number(t) for t in d["t_grid"]),
+                master_seed=integer(d["master_seed"]),
+                statistic=Statistic.from_dict(d["statistic"]),
+            )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        with decoding("experiment config"):
+            return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -216,15 +226,17 @@ class TailEstimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TailEstimate":
-        return cls(
-            config=ExperimentConfig.from_dict(d["config"]),
-            points=[GridPointEstimate(**p) for p in d["points"]],
-            wall_time=float(d["wall_time"]),
-        )
+        with decoding("tail estimate"):
+            return cls(
+                config=ExperimentConfig.from_dict(d["config"]),
+                points=[GridPointEstimate(**p) for p in d["points"]],
+                wall_time=number(d["wall_time"]),
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "TailEstimate":
-        return cls.from_dict(json.loads(text))
+        with decoding("tail estimate"):
+            return cls.from_dict(json.loads(text))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -236,12 +248,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, count)
 
 
-def _singular_values_with_floor(B: np.ndarray) -> tuple[np.ndarray, float]:
-    s = np.linalg.svd(B, compute_uv=False)
-    tol = RANK_RTOL * float(np.max(np.linalg.norm(B, axis=1)))
-    return s, tol
-
-
 def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index: int) -> float:
     A = sample_matrix(config.dist, config.n, SeedSpec(config.master_seed, trial_index))
     B = A + shift_matrix
@@ -251,8 +257,8 @@ def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index
             return math.inf
         d = np.sort(row_distances(B))
         return float(d[stat.k - 1])
-    s, tol = _singular_values_with_floor(B)
-    singular = s[-1] <= tol
+    s = np.linalg.svd(B, compute_uv=False)
+    singular = s[-1] <= _rank_tol(B)
     if stat.kind == "smin_scaled":
         return 0.0 if singular else float(s[-1]) * math.sqrt(config.n)
     hs = math.inf if singular else float(np.sqrt(np.sum(s**-2.0)))
@@ -400,8 +406,9 @@ def counterexample_experiment(
     def run_chunk(start: int, stop: int) -> None:
         for idx in range(start, stop):
             B = sample_matrix(dist, n, SeedSpec(master_seed, idx))
-            s, tol = _singular_values_with_floor(B + shift_matrix)
-            s_min[idx] = 0.0 if s[-1] <= tol else s[-1]
+            shifted = B + shift_matrix
+            s = np.linalg.svd(shifted, compute_uv=False)
+            s_min[idx] = 0.0 if s[-1] <= _rank_tol(shifted) else s[-1]
             s_max[idx] = s[0]
             corner[idx] = (B[n - 2, n - 2] + B[n - 2, n - 1] == 0.0) and (
                 B[n - 1, n - 2] + B[n - 1, n - 1] == 0.0

@@ -8,9 +8,12 @@ and to the Hilbert-Schmidt norm of the inverse:
 
     hs_inverse(B)**2 == sum(row_distances(B) ** -2)
 
-All distances are computed by orthogonalizing the spanning set (never
-by inverting the matrix), so every operation stays well defined for
-singular inputs.
+Distances to a general spanning set come from orthogonalizing that set
+with the rank-revealing SVD.  The full profile ``row_distances`` uses
+the duality instead: one QR factorization and a triangular inverse give
+every row at once, and the matrix falls back to the SVD primitive row by
+row when it is rank deficient at the tolerance, so every operation stays
+well defined for singular inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as _sla
+from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from .errors import InvalidInputError
 
@@ -90,31 +93,29 @@ def row_distances(B) -> np.ndarray:
     Entry ``i`` is ``dist_to_span(B[i], B without row i)``.  Entries may
     be zero when the matrix is singular.
 
-    Implementation: one QR factorization of the transpose is downdated
-    per row (Givens rotations), which keeps the whole profile at cubic
-    cost.  Whenever the downdated factor signals rank deficiency of the
-    remaining rows at the documented tolerance, that row falls back to
-    the rank-revealing SVD primitive, so singular matrices are handled
-    exactly as :func:`dist_to_span` would.
+    Implementation: one QR factorization ``B.T = Q R``, of which only
+    ``R`` is kept.  Column ``i`` of ``B^-1`` is ``Q`` times row ``i`` of
+    ``R^-1``, and the distance of row ``i`` is the reciprocal of that
+    column's norm, so when every ``|R_jj|`` exceeds the rank tolerance
+    (``RANK_RTOL`` times the largest row norm) the whole profile is
+    ``1 / norm(row i of R^-1)`` from one triangular inverse (LAPACK
+    ``trtri``), at cubic cost.  Otherwise the rows are linearly dependent
+    at the tolerance and every entry falls back to the rank-revealing SVD
+    primitive, so singular matrices are handled exactly as
+    :func:`dist_to_span` would.
     """
     A = as_matrix(B)
     n = A.shape[0]
-    idx = np.arange(n)
     if n == 1:
         return np.array([float(np.linalg.norm(A[0]))])
     scale = float(np.max(np.linalg.norm(A, axis=1)))
     if scale == 0.0:
         return np.zeros(n)
-    tol = RANK_RTOL * scale
-    out = np.empty(n)
-    Q, R = _sla.qr(A.T)
-    for i in range(n):
-        Q2, R2 = _sla.qr_delete(Q, R, i, which="col")
-        if np.min(np.abs(np.diagonal(R2))) > tol:
-            out[i] = abs(float(Q2[:, n - 1] @ A[i]))
-        else:
-            out[i] = dist_to_span(A[i], A[idx != i])
-    return out
+    R = np.triu(dgeqrf(A.T)[0])
+    if np.min(np.abs(np.diagonal(R))) > RANK_RTOL * scale:
+        return 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
+    idx = np.arange(n)
+    return np.array([dist_to_span(A[i], A[idx != i]) for i in range(n)])
 
 
 def complement_distances(B, S) -> dict[int, float]:

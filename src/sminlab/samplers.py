@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, decoding, number
 
 KINDS = (
     "gaussian",
@@ -103,8 +103,9 @@ class RowDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RowDistribution":
-        c2 = d.get("c2_params")
-        return cls(kind=d["kind"], c2_params=tuple(c2) if c2 is not None else None)
+        with decoding("row distribution"):
+            c2 = d.get("c2_params")
+            return cls(kind=d["kind"], c2_params=tuple(c2) if c2 is not None else None)
 
 
 def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:
@@ -197,18 +198,19 @@ class ShiftSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftSpec":
-        kind = d["kind"]
-        if kind == "zero":
-            return cls.zero()
-        if kind == "scaled_identity":
-            return cls.scaled_identity(d["tau"])
-        if kind == "diagonal":
-            return cls.diagonal(d["values"])
-        if kind == "explicit":
-            return cls.explicit(d["entries"])
-        if kind == "counterexample":
-            return cls.counterexample(d["tau"])
-        raise InvalidInputError(f"unknown shift kind {kind!r}")
+        with decoding("shift"):
+            kind = d["kind"]
+            if kind == "zero":
+                return cls.zero()
+            if kind == "scaled_identity":
+                return cls.scaled_identity(number(d["tau"]))
+            if kind == "diagonal":
+                return cls.diagonal(number(v) for v in d["values"])
+            if kind == "explicit":
+                return cls.explicit([[number(v) for v in row] for row in d["entries"]])
+            if kind == "counterexample":
+                return cls.counterexample(number(d["tau"]))
+            raise InvalidInputError(f"unknown shift kind {kind!r}")
 
 
 def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:

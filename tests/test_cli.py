@@ -104,6 +104,26 @@ class TestDispatch:
         assert doc["config"]["n"] == 6
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 5}',
+            '{"dist": {"kind": "gaussian"}, "shift": {"kind": "zero"}, "n": "five", '
+            '"trials": 10, "t_grid": [0.1], "master_seed": 1, "statistic": {"kind": "smin_scaled"}}',
+            '{"n": 5',
+        ],
+    )
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert cli.parse_and_dispatch(["tail", "--config", str(path)]) == 2
+        assert "error: experiment config" in capsys.readouterr().err
+
+    def test_nan_grid_threshold_is_usage_error(self, capsys):
+        code = cli.parse_and_dispatch(["tail", "--n", "4", "--trials", "2", "--t-grid", "nan,1"])
+        assert code == 2
+        assert "NaN" in capsys.readouterr().err
+
     def test_counterexample_runs(self, tmp_path, capsys):
         out = tmp_path / "ce.json"
         code = cli.parse_and_dispatch(

@@ -83,6 +83,16 @@ class TestStatistic:
         ):
             assert ex.Statistic.from_dict(s.to_dict()) == s
 
+    def test_nan_distance_threshold_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ex.Statistic.distance_profile(2, float("nan"))
+
+
+def config_dict(**overrides):
+    d = make_config(statistic=ex.Statistic.distance_profile(3, 0.4)).to_dict()
+    d.update(overrides)
+    return d
+
 
 class TestExperimentConfig:
     def test_grid_must_increase(self):
@@ -105,6 +115,45 @@ class TestExperimentConfig:
             statistic=ex.Statistic.distance_profile(3, 0.4),
         )
         assert ex.ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("grid", [(float("nan"), 1.0), (0.5, float("nan"))])
+    def test_nan_threshold_rejected(self, grid):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            make_config(t_grid=grid)
+
+    def test_missing_key_rejected(self):
+        d = config_dict()
+        del d["trials"]
+        with pytest.raises(InvalidInputError, match="missing key 'trials'"):
+            ex.ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": "10"},
+            {"n": 10.5},
+            {"master_seed": None},
+            {"t_grid": "0.1"},
+            {"t_grid": 0.1},
+            {"t_grid": ["0.1"]},
+            {"dist": "gaussian"},
+            {"dist": {"kind": "gaussian", "c2_params": [1.0]}},
+            {"shift": {"kind": "scaled_identity", "tau": "big"}},
+            {"shift": {"kind": "explicit", "entries": [[1.0, 2.0], [3.0]]}},
+            {"shift": {"kind": "diagonal"}},
+            {"statistic": {}},
+            {"statistic": {"kind": "distance_profile", "k": 2.5}},
+            {"statistic": ["smin_scaled"]},
+        ],
+    )
+    def test_wrong_type_rejected(self, overrides):
+        with pytest.raises(InvalidInputError):
+            ex.ExperimentConfig.from_dict(config_dict(**overrides))
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", "null", '{"n": 5}'])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(InvalidInputError):
+            ex.ExperimentConfig.from_json(text)
 
 
 class TestEstimateTail:
@@ -258,6 +307,16 @@ class TestEmitResults:
         with open(path) as fh:
             clone = ex.TailEstimate.from_json(fh.read())
         assert clone == est
+
+    def test_malformed_estimate_rejected(self):
+        d = ex.estimate_tail(make_config(trials=5)).to_dict()
+        del d["points"][0]["hits"]
+        with pytest.raises(InvalidInputError, match="hits"):
+            ex.TailEstimate.from_dict(d)
+        with pytest.raises(InvalidInputError):
+            ex.TailEstimate.from_json('{"config": {}, "points": [], "wall_time": 0.0}')
+        with pytest.raises(InvalidInputError):
+            ex.TailEstimate.from_json("")
 
     def test_bad_format(self, tmp_path):
         est = ex.estimate_tail(make_config(t_grid=()))

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -123,6 +124,122 @@ class TestRowDistances:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             la.row_distances([[1.0, np.nan], [0.0, 1.0]])
+
+
+def svd_profile(B):
+    """Per-row oracle: the SVD primitive applied to each row in turn."""
+    B = np.asarray(B, dtype=float)
+    idx = np.arange(B.shape[0])
+    return np.array([la.dist_to_span(B[i], B[idx != i]) for i in range(B.shape[0])])
+
+
+@contextmanager
+def counting_fallback():
+    """Collect one entry per SVD-primitive call made by ``row_distances``."""
+    calls = []
+    primitive = la.dist_to_span
+
+    def counting(x, rows):
+        calls.append(1)
+        return primitive(x, rows)
+
+    la.dist_to_span = counting
+    try:
+        yield calls
+    finally:
+        la.dist_to_span = primitive
+
+
+def near_singular(delta, n=5):
+    """Identity whose last row is ``e_0 + delta e_{n-1}``: the smallest
+    diagonal entry of ``R`` in ``B.T = QR`` is ``delta``, and the exact
+    distances are ``delta / sqrt(1 + delta^2)``, 1, ..., 1, ``delta``."""
+    B = np.eye(n)
+    B[-1, 0] = 1.0
+    B[-1, -1] = delta
+    exact = np.ones(n)
+    exact[0] = delta / math.sqrt(1.0 + delta**2)
+    exact[-1] = delta
+    return B, exact
+
+
+class TestRowDistancesOracle:
+    """The QR + triangular-inverse kernel against the per-row SVD primitive."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30])
+    def test_generic_matrices_take_the_triangular_path(self, n):
+        B = np.random.default_rng(300 + n).standard_normal((n, n))
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        assert not calls
+        np.testing.assert_allclose(d, svd_profile(B), rtol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=8),
+        spread=st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_graded_row_scales(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n)) * np.logspace(-spread, spread, n)[:, None]
+        np.testing.assert_allclose(la.row_distances(B), svd_profile(B), rtol=1e-7)
+
+    def test_graded_rows_beyond_the_tolerance_fall_back(self):
+        # norms 1e-6 .. 1e6: the smallest row is below RANK_RTOL * 1e6
+        B = RNG.standard_normal((6, 6)) * np.logspace(-6, 6, 6)[:, None]
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        assert len(calls) == 6
+        np.testing.assert_array_equal(d, svd_profile(B))
+
+    def test_repeated_row(self):
+        B = RNG.standard_normal((6, 6))
+        B[4] = B[1]
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        assert len(calls) == 6
+        np.testing.assert_array_equal(d, svd_profile(B))
+        assert d[1] <= 1e-12 and d[4] <= 1e-12
+
+    def test_rank_n_minus_two(self):
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((7, 5)) @ rng.standard_normal((5, 7))
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        assert len(calls) == 7
+        np.testing.assert_array_equal(d, svd_profile(B))
+        assert np.all(d <= 1e-10 * np.max(np.linalg.norm(B, axis=1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_small_sign_matrices(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        entries = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n, max_size=n * n))
+        B = np.array(entries).reshape(n, n)
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        # a nonsingular integer matrix has |det| >= 1, so every |R_jj| is far
+        # above the tolerance: the fallback runs exactly on the singular ones
+        assert bool(calls) == (np.linalg.matrix_rank(B) < n)
+        np.testing.assert_allclose(d, svd_profile(B), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    def test_near_singular_at_the_tolerance(self, factor):
+        # max row norm is 1 to double precision, so the tolerance is RANK_RTOL
+        B, exact = near_singular(factor * la.RANK_RTOL)
+        with counting_fallback() as calls:
+            d = la.row_distances(B)
+        assert bool(calls) == (factor < 1.0)
+        np.testing.assert_allclose(d, exact, rtol=1e-8)
+        np.testing.assert_allclose(d, svd_profile(B), rtol=1e-8)
+
+    def test_one_by_one_and_zero_matrix(self):
+        with counting_fallback() as calls:
+            np.testing.assert_array_equal(la.row_distances([[0.0]]), [0.0])
+            np.testing.assert_array_equal(la.row_distances([[3.0]]), [3.0])
+            np.testing.assert_array_equal(la.row_distances(np.zeros((4, 4))), np.zeros(4))
+        assert not calls
 
 
 class TestDistToComplement:

@@ -3,8 +3,13 @@
 One matrix realization per trial serves every grid point, which keeps
 hit counts monotone along the grid and reduces variance.  Trials are
 keyed by ``(master_seed, trial_index)`` so serial and parallel runs
-produce bit-identical results; the ``SMINLAB_THREADS`` environment
-variable caps the worker count.
+produce bit-identical results.  Every Monte Carlo verb runs its trials
+through :func:`map_trials`, one thread pool whose worker count the
+``SMINLAB_THREADS`` environment variable caps.  While a map runs, the
+OpenBLAS copies bundled with numpy and scipy are set to one thread each,
+so each worker computes on its own core instead of starting BLAS threads
+that compete with the other workers; the previous thread counts are
+restored when the map ends.
 
 Statistics (per realization ``B = A + M`` of dimension ``n``):
 
@@ -27,12 +32,19 @@ honest for proportions near zero where all the interesting claims live.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
+import importlib
 import json
 import math
 import os
+import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -43,6 +55,8 @@ from .samplers import RowDistribution, SeedSpec, ShiftSpec, build_shift, sample_
 Z_95 = 1.96
 
 STATISTIC_KINDS = ("smin_scaled", "hs_scaled_sqrt", "hs_scaled_n", "distance_profile")
+
+T = TypeVar("T")
 
 
 def wilson_interval(hits: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -241,11 +255,112 @@ class TailEstimate:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit request, capped by ``SMINLAB_THREADS`` when set."""
+    if workers is not None and workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     count = workers if workers is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("SMINLAB_THREADS")
-    if cap is not None:
-        count = min(count, max(1, int(cap)))
-    return max(1, count)
+    raw = os.environ.get("SMINLAB_THREADS")
+    if raw is not None:
+        try:
+            cap = int(raw)
+            if cap < 1:
+                raise ValueError
+        except ValueError:
+            raise InvalidInputError(
+                f"SMINLAB_THREADS must be an integer >= 1, got {raw!r}"
+            ) from None
+        count = min(count, cap)
+    return count
+
+
+# The OpenBLAS copies bundled with the numpy and scipy wheels: package,
+# sibling library directory, file pattern, thread-count getter and setter.
+# numpy's serves np.linalg (the SVDs); scipy's serves scipy.linalg.lapack
+# (the QR and triangular inverse of row_distances).
+_OPENBLAS = (
+    ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "scipy.libs", "libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """``(get, set)`` process-wide thread-count functions of every bundled
+    OpenBLAS found; empty under any other BLAS."""
+    controls = []
+    for package, libdir, pattern, getter, setter in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in sorted(glob.glob(os.path.join(site, libdir, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get, set_ = getattr(lib, getter), getattr(lib, setter)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+class _SingleThreadBlas:
+    """Context manager that runs every bundled OpenBLAS on one thread.
+
+    Trial workers already use every core, and a BLAS that starts threads
+    of its own inside each of them oversubscribes the machine.  BLAS
+    thread counts are process-wide, so this state is too: overlapping
+    uses (maps on several Python threads) are counted under a lock, the
+    first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved: tuple = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = tuple((set_, get()) for get, set_ in _openblas_thread_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = ()
+
+
+_single_thread_blas = _SingleThreadBlas()
+
+
+def map_trials(kernel: Callable[[int], T], trials: int, workers: int | None = None) -> list[T]:
+    """``[kernel(i) for i in range(trials)]`` on :func:`resolve_workers` threads.
+
+    Runs serially with one worker or fewer than four trials; otherwise
+    contiguous chunks of trial indices go to a thread pool (about eight
+    chunks per worker).  Results come back in trial-index order, so a
+    kernel keyed by the trial index gives the same list for any worker
+    count.  BLAS runs single-threaded for the whole map, serial or
+    parallel, and gets its previous thread count back afterwards, also
+    when a kernel raises.
+    """
+    nworkers = resolve_workers(workers)
+    with _single_thread_blas:
+        if nworkers == 1 or trials < 4:
+            return [kernel(idx) for idx in range(trials)]
+        chunk = max(1, math.ceil(trials / (nworkers * 8)))
+
+        def run_chunk(start: int) -> list[T]:
+            return [kernel(idx) for idx in range(start, min(start + chunk, trials))]
+
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            chunks = list(pool.map(run_chunk, range(0, trials, chunk)))
+    return [value for part in chunks for value in part]
 
 
 def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index: int) -> float:
@@ -269,24 +384,8 @@ def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index
 
 def _trial_values(config: ExperimentConfig, workers: int | None) -> np.ndarray:
     shift_matrix = build_shift(config.shift, config.n)
-    values = np.empty(config.trials)
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or config.trials < 4:
-        for idx in range(config.trials):
-            values[idx] = _trial_value(config, shift_matrix, idx)
-        return values
-
-    def run_chunk(start: int, stop: int) -> None:
-        for idx in range(start, stop):
-            values[idx] = _trial_value(config, shift_matrix, idx)
-
-    chunk = max(1, math.ceil(config.trials / (nworkers * 8)))
-    starts = range(0, config.trials, chunk)
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futures = [pool.submit(run_chunk, s, min(s + chunk, config.trials)) for s in starts]
-        for f in futures:
-            f.result()
-    return values
+    kernel = functools.partial(_trial_value, config, shift_matrix)
+    return np.array(map_trials(kernel, config.trials, workers))
 
 
 def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailEstimate:
@@ -393,40 +492,25 @@ def counterexample_experiment(
     """Monte Carlo study of sign matrices shifted by ``diag(tau, ..., tau, 0, 0)``."""
     if n < 8:
         raise InvalidInputError("n must be at least 8")
+    if not math.isfinite(tau):
+        raise InvalidInputError(f"tau must be finite, got {tau}")
     if tau < n:
         raise InvalidInputError(f"tau={tau} is outside the regime tau >= n={n}")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     dist = RowDistribution("bernoulli")
     shift_matrix = build_shift(ShiftSpec.counterexample(tau), n)
-    s_min = np.empty(trials)
-    s_max = np.empty(trials)
-    corner = np.empty(trials, dtype=bool)
 
-    def run_chunk(start: int, stop: int) -> None:
-        for idx in range(start, stop):
-            B = sample_matrix(dist, n, SeedSpec(master_seed, idx))
-            shifted = B + shift_matrix
-            s = np.linalg.svd(shifted, compute_uv=False)
-            s_min[idx] = 0.0 if s[-1] <= _rank_tol(shifted) else s[-1]
-            s_max[idx] = s[0]
-            corner[idx] = (B[n - 2, n - 2] + B[n - 2, n - 1] == 0.0) and (
-                B[n - 1, n - 2] + B[n - 1, n - 1] == 0.0
-            )
+    def trial(idx: int) -> tuple[float, float, bool]:
+        B = sample_matrix(dist, n, SeedSpec(master_seed, idx))
+        shifted = B + shift_matrix
+        s = np.linalg.svd(shifted, compute_uv=False)
+        corner = (B[n - 2, n - 2] + B[n - 2, n - 1] == 0.0) and (
+            B[n - 1, n - 2] + B[n - 1, n - 1] == 0.0
+        )
+        return (0.0 if s[-1] <= _rank_tol(shifted) else s[-1]), s[0], corner
 
-    nworkers = resolve_workers(workers)
-    chunk = max(1, math.ceil(trials / (nworkers * 8)))
-    if nworkers == 1:
-        run_chunk(0, trials)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [
-                pool.submit(run_chunk, s0, min(s0 + chunk, trials))
-                for s0 in range(0, trials, chunk)
-            ]
-            for f in futures:
-                f.result()
-
+    s_min, s_max, corner = (np.array(column) for column in zip(*map_trials(trial, trials, workers)))
     kappa = np.full(trials, np.inf)
     nonzero = s_min > 0
     kappa[nonzero] = s_max[nonzero] / s_min[nonzero]

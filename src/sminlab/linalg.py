@@ -13,11 +13,14 @@ with the rank-revealing SVD.  The full profile ``row_distances`` uses
 the duality instead: one QR factorization and a triangular inverse give
 every row at once, and the matrix falls back to the SVD primitive row by
 row when it is rank deficient at the tolerance, so every operation stays
-well defined for singular inputs.
+well defined for singular inputs.  Every kernel takes its rank scale
+from :func:`_scaled`, which also rescales a matrix whose row norms would
+overflow or underflow by an exact power of two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,13 @@ from .errors import InvalidInputError
 # declared singular iff its smallest singular value falls below the same
 # scale-aware threshold.
 RANK_RTOL = 1e-10
+
+# Row scales and norms inside this range are used as computed: their
+# squares neither overflow nor underflow, nor do those of the distances
+# and inverse entries derived from them.  Outside it the input is first
+# multiplied by a power of two, which is exact, and the result divided
+# by it again.
+_SAFE_RANGE = (2.0**-300, 2.0**300)
 
 
 def as_matrix(B) -> np.ndarray:
@@ -44,6 +54,33 @@ def as_matrix(B) -> np.ndarray:
     return A
 
 
+def _scaled(A: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """``(A * 2**-e, e, scale)``, ``scale`` being the largest row norm of
+    ``A * 2**-e``.
+
+    ``e`` is 0 and ``A`` is returned as is when its largest row norm
+    lies in ``_SAFE_RANGE``; otherwise (the norm overflowed, or
+    underflowed on a nonzero matrix) ``e`` brings the largest entry into
+    ``[1/2, 1)``, and is 0 for the zero matrix.
+    """
+    scale = float(np.max(np.linalg.norm(A, axis=1)))
+    if _SAFE_RANGE[0] <= scale <= _SAFE_RANGE[1]:
+        return A, 0, scale
+    e = math.frexp(float(np.max(np.abs(A))))[1]
+    A = np.ldexp(A, -e)
+    return A, e, float(np.max(np.linalg.norm(A, axis=1)))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, rescaled like :func:`_scaled` when it
+    falls outside ``_SAFE_RANGE``."""
+    d = float(np.linalg.norm(v))
+    if _SAFE_RANGE[0] <= d <= _SAFE_RANGE[1]:
+        return d
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+
+
 def span_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as rows) of the span of the given row vectors.
 
@@ -53,7 +90,7 @@ def span_basis(rows: np.ndarray) -> np.ndarray:
     R = np.atleast_2d(np.asarray(rows, dtype=float))
     if R.shape[0] == 0 or R.size == 0:
         return np.zeros((0, R.shape[1] if R.ndim == 2 else 0))
-    scale = float(np.max(np.linalg.norm(R, axis=1)))
+    R, _, scale = _scaled(R)
     if scale == 0.0:
         return np.zeros((0, R.shape[1]))
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
@@ -63,8 +100,8 @@ def span_basis(rows: np.ndarray) -> np.ndarray:
 def residual_norm(x: np.ndarray, basis: np.ndarray) -> float:
     """Norm of ``x`` minus its projection onto the span of ``basis`` rows."""
     if basis.shape[0] == 0:
-        return float(np.linalg.norm(x))
-    return float(np.linalg.norm(x - basis.T @ (basis @ x)))
+        return _norm(x)
+    return _norm(x - basis.T @ (basis @ x))
 
 
 def dist_to_span(x, rows) -> float:
@@ -78,7 +115,7 @@ def dist_to_span(x, rows) -> float:
         raise InvalidInputError(f"expected a vector, got shape {v.shape}")
     R = np.asarray(rows, dtype=float)
     if R.size == 0:
-        return float(np.linalg.norm(v))
+        return _norm(v)
     R = np.atleast_2d(R)
     if R.shape[1] != v.shape[0]:
         raise InvalidInputError(
@@ -107,15 +144,17 @@ def row_distances(B) -> np.ndarray:
     A = as_matrix(B)
     n = A.shape[0]
     if n == 1:
-        return np.array([float(np.linalg.norm(A[0]))])
-    scale = float(np.max(np.linalg.norm(A, axis=1)))
+        return np.array([_norm(A[0])])
+    A, e, scale = _scaled(A)
     if scale == 0.0:
         return np.zeros(n)
     R = np.triu(dgeqrf(A.T)[0])
     if np.min(np.abs(np.diagonal(R))) > RANK_RTOL * scale:
-        return 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
-    idx = np.arange(n)
-    return np.array([dist_to_span(A[i], A[idx != i]) for i in range(n)])
+        d = 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
+    else:
+        idx = np.arange(n)
+        d = np.array([dist_to_span(A[i], A[idx != i]) for i in range(n)])
+    return np.ldexp(d, e) if e else d
 
 
 def complement_distances(B, S) -> dict[int, float]:
@@ -152,7 +191,8 @@ def singular_values(B) -> np.ndarray:
 
 
 def _rank_tol(A: np.ndarray) -> float:
-    return RANK_RTOL * float(np.max(np.linalg.norm(A, axis=1)))
+    _, e, scale = _scaled(A)
+    return math.ldexp(RANK_RTOL * scale, e)
 
 
 def hs_inverse(B) -> float:

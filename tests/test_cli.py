@@ -124,6 +124,23 @@ class TestDispatch:
         assert code == 2
         assert "NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_bad_thread_cap_is_usage_error(self, monkeypatch, capsys, cap):
+        monkeypatch.setenv("SMINLAB_THREADS", cap)
+        code = cli.parse_and_dispatch(["tail", "--n", "4", "--trials", "8", "--t-grid", "0.5"])
+        assert code == 2
+        assert "error: SMINLAB_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_is_usage_error(self, capsys, tau):
+        code = cli.parse_and_dispatch(
+            ["counterexample", "--n", "10", "--tau", tau, "--trials", "4"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: tau must be finite" in captured.err
+        assert captured.out == ""
+
     def test_counterexample_runs(self, tmp_path, capsys):
         out = tmp_path / "ce.json"
         code = cli.parse_and_dispatch(

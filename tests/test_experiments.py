@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -185,6 +187,19 @@ class TestEstimateTail:
         monkeypatch.delenv("SMINLAB_THREADS")
         assert ex.resolve_workers(3) == 3
 
+    @pytest.mark.parametrize("cap", ["abc", "2.5", "", "0", "-1"])
+    def test_thread_cap_must_be_a_positive_integer(self, monkeypatch, cap):
+        monkeypatch.setenv("SMINLAB_THREADS", cap)
+        with pytest.raises(InvalidInputError, match="SMINLAB_THREADS"):
+            ex.resolve_workers(2)
+        with pytest.raises(InvalidInputError, match="SMINLAB_THREADS"):
+            ex.estimate_tail(make_config(trials=8))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_explicit_worker_count_must_be_positive(self, workers):
+        with pytest.raises(InvalidInputError, match="workers"):
+            ex.resolve_workers(workers)
+
     def test_empty_grid_short_circuits(self):
         est = ex.estimate_tail(make_config(t_grid=()))
         assert est.points == []
@@ -251,6 +266,15 @@ class TestCounterexampleExperiment:
         with pytest.raises(InvalidInputError):
             ex.counterexample_experiment(10, 5.0, 10, 0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected_before_sampling(self, monkeypatch, tau):
+        def no_sampling(*args):
+            raise AssertionError("sampled a matrix")
+
+        monkeypatch.setattr(ex, "sample_matrix", no_sampling)
+        with pytest.raises(InvalidInputError, match="tau"):
+            ex.counterexample_experiment(10, tau, 10, 0)
+
     def test_quick_run(self):
         rep = ex.counterexample_experiment(10, 50.0, 80, 3)
         assert 0.0 <= rep.corner_frequency <= 1.0
@@ -274,6 +298,114 @@ class TestCounterexampleExperiment:
         assert small.corner_frequency == large.corner_frequency  # same sign matrices
         ratio = small.corner_smin_median / large.corner_smin_median
         assert 50.0 <= ratio <= 200.0  # tau ratio is 100
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Both bundled OpenBLAS copies set to two threads for the test, then
+    put back as they were."""
+    controls = ex._openblas_thread_controls()
+    if len(controls) < 2:
+        pytest.skip("numpy's and scipy's bundled OpenBLAS not both found")
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+def blas_threads(controls) -> list[int]:
+    return [get() for get, _ in controls]
+
+
+class TestMapTrials:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 3, 4, 37])
+    def test_results_in_trial_order(self, trials, workers):
+        assert ex.map_trials(lambda idx: (idx, idx * idx), trials, workers) == [
+            (idx, idx * idx) for idx in range(trials)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_single_threaded_inside_and_restored_after(self, blas_at_two_threads, workers):
+        seen = ex.map_trials(lambda idx: blas_threads(blas_at_two_threads), 9, workers)
+        assert seen == [[1, 1]] * 9
+        assert blas_threads(blas_at_two_threads) == [2, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_restored_after_a_kernel_raises(self, blas_at_two_threads, workers):
+        def kernel(idx):
+            if idx == 5:
+                raise ValueError("trial 5 failed")
+            return idx
+
+        with pytest.raises(ValueError, match="trial 5"):
+            ex.map_trials(kernel, 9, workers)
+        assert blas_threads(blas_at_two_threads) == [2, 2]
+
+    def test_overlapping_maps_keep_blas_pinned_until_the_last_ends(
+        self, blas_at_two_threads, monkeypatch
+    ):
+        # Two estimate_tail calls on two Python threads, three workers each
+        # (more than the cores here): both start their first trial together,
+        # and the second's last trial runs only after the first call returned.
+        short = make_config(trials=8, master_seed=1)
+        long = make_config(trials=12, master_seed=2)
+        expected = {
+            cfg: [p.hits for p in ex.estimate_tail(cfg, workers=1).points] for cfg in (short, long)
+        }
+        both_started = threading.Barrier(2, timeout=30)
+        short_done = threading.Event()
+        seen = []
+        trial_value = ex._trial_value
+
+        def kernel(config, shift_matrix, idx):
+            if idx == 0:
+                both_started.wait()
+            if config is long and idx == long.trials - 1:
+                assert short_done.wait(timeout=30)
+            seen.append(blas_threads(blas_at_two_threads))
+            return trial_value(config, shift_matrix, idx)
+
+        monkeypatch.setattr(ex, "_trial_value", kernel)
+        hits = {}
+
+        def run(cfg):
+            hits[cfg] = [p.hits for p in ex.estimate_tail(cfg, workers=3).points]
+            if cfg is short:
+                short_done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(cfg,)) for cfg in (short, long)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert hits == expected
+        assert seen == [[1, 1]] * (short.trials + long.trials)
+        assert blas_threads(blas_at_two_threads) == [2, 2]
+
+    def test_runs_unpinned_when_no_openblas_is_found(self, monkeypatch):
+        cfg = make_config(trials=40)
+        expected = ex._trial_values(cfg, 2)
+        report = ex.counterexample_experiment(10, 40.0, 30, 9, workers=2).to_dict()
+        monkeypatch.setattr(
+            ex, "_OPENBLAS", tuple((pkg, libdir, "no-such-library-*.so", get, set_)
+                                   for pkg, libdir, _, get, set_ in ex._OPENBLAS)
+        )
+        lookup = ex._openblas_thread_controls.__wrapped__
+        assert lookup() == ()
+        monkeypatch.setattr(ex, "_openblas_thread_controls", lookup)
+        for workers in (1, 2):
+            np.testing.assert_array_equal(ex._trial_values(cfg, workers), expected)
+            rep = ex.counterexample_experiment(10, 40.0, 30, 9, workers=workers)
+            assert rep.to_dict() == report
 
 
 class TestEmitResults:

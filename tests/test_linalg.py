@@ -242,6 +242,55 @@ class TestRowDistancesOracle:
         assert not calls
 
 
+# scales whose squares overflow or underflow a double
+EXTREME_SCALES = (1e200, 1e-200, 2.0**600, 2.0**-600)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestExtremeScales:
+    B = np.random.default_rng(20).standard_normal((20, 20))
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_row_distances_are_homogeneous(self, c):
+        np.testing.assert_allclose(
+            la.row_distances(c * self.B), c * la.row_distances(self.B), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_fallback_is_homogeneous(self, c):
+        B = self.B.copy()
+        B[3] = B[7]
+        scale = float(np.max(np.linalg.norm(B, axis=1)))
+        with counting_fallback() as calls:
+            d = la.row_distances(c * B)
+        assert calls
+        np.testing.assert_allclose(d / c, la.row_distances(B), rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_dist_to_span_is_homogeneous(self, c):
+        x, rows = self.B[0], self.B[1:12]
+        expected = la.dist_to_span(x, rows)
+        assert la.dist_to_span(c * x, c * rows) == pytest.approx(c * expected, rel=1e-12)
+        assert la.dist_to_span(c * x, rows) == pytest.approx(c * expected, rel=1e-12)
+        assert la.dist_to_span(c * x, []) == pytest.approx(c * np.linalg.norm(x), rel=1e-12)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_rank_tolerance_is_homogeneous(self, c):
+        assert la._rank_tol(c * self.B) == pytest.approx(c * la._rank_tol(self.B), rel=1e-12)
+        assert la.span_basis(c * self.B[:5]).shape == (5, 20)
+
+    def test_zero_matrix(self):
+        np.testing.assert_array_equal(la.row_distances(np.zeros((5, 5))), np.zeros(5))
+        assert la.span_basis(np.zeros((3, 4))).shape == (0, 4)
+        assert la.dist_to_span(np.zeros(4), np.zeros((3, 4))) == 0.0
+        assert la._rank_tol(np.zeros((3, 3))) == 0.0
+
+    def test_ordinary_scale_is_used_as_computed(self):
+        A, e, scale = la._scaled(self.B)
+        assert A is self.B and e == 0
+        assert scale == float(np.max(np.linalg.norm(self.B, axis=1)))
+
+
 class TestDistToComplement:
     def test_identity(self):
         assert la.dist_to_complement(np.eye(4), 0, {0, 1}) == pytest.approx(1.0)

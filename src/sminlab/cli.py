@@ -60,6 +60,12 @@ def _echo(config_dict: dict) -> None:
     print(json.dumps(config_dict, indent=2))
 
 
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+    print(f"wrote {path}")
+
+
 def _print_points(estimate: experiments.TailEstimate) -> None:
     print(f"{'t':>12} {'hits':>8} {'p_hat':>10} {'ci_low':>10} {'ci_high':>10}")
     for p in estimate.points:
@@ -98,9 +104,7 @@ def _cmd_counterexample(args) -> int:
     _echo({k: doc[k] for k in ("n", "tau", "trials", "master_seed")})
     print(json.dumps(doc, indent=2))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, doc)
     return 0
 
 
@@ -136,9 +140,7 @@ def _cmd_lemma_check(args) -> int:
             "failures": result.failures,
             "messages": result.messages,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, doc)
     return 0 if result.passed else 1
 
 
@@ -170,9 +172,7 @@ def _cmd_alphaeta_demo(args) -> int:
             "bound": bound,
             "holds": ok,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, doc)
     return 0 if ok else 1
 
 
@@ -199,9 +199,7 @@ def _cmd_graph_decompose(args) -> int:
             "vertex_value": vl,
             "rho_size": len(rho),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, doc)
     return 0
 
 

@@ -7,9 +7,14 @@ only the edge-list text format (:meth:`Graph.to_edge_text`) is 1-based.
 
 The exact decomposition mode solves a sequence of minimum partial
 vertex-cover problems by exhaustive search and is therefore restricted
-to graphs on at most ``EXACT_MODE_MAX_N`` vertices.  The greedy mode
+to graphs on at most ``EXACT_MODE_MAX_N`` vertices; the same search,
+written once, gives :func:`min_half_cover_size`.  The greedy mode
 scales further but loses the minimality certificate, so verification
 suites that rely on minimality only accept exact mode.
+
+Every distance to the span of the rows outside an index set comes from
+the one complement primitive of :mod:`sminlab.linalg`, and full
+row-to-span distances from one ``row_distances`` factorization.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError
-from .linalg import as_matrix, dist_to_span, residual_norm, row_distances, span_basis
+from .linalg import _complement_basis, as_matrix, dist_to_span, residual_norm, row_distances
 
 EXACT_MODE_MAX_N = 16
 MODES = ("exact", "greedy")
@@ -119,25 +124,25 @@ def _surviving(edges: frozenset[Edge], vertices) -> frozenset[Edge]:
     return frozenset(e for e in edges if e[0] not in vs and e[1] not in vs)
 
 
-def _exact_step(base: frozenset[int], prev_edges: frozenset[Edge]) -> frozenset[int]:
-    """Minimum-cardinality superset of ``base`` leaving at most half of
-    ``prev_edges`` uncovered; lexicographic tie-break on the full set."""
-    if not prev_edges:
+def _exact_step(base: frozenset[int], edges) -> frozenset[int]:
+    """Minimum-cardinality superset of ``base`` incident to at least
+    ``ceil(len(edges) / 2)`` of ``edges`` (repeated edges counted);
+    lexicographic tie-break on the full set.  No edge may meet ``base``.
+
+    Exhaustive search over subsets of the incident vertices in increasing
+    cardinality, each cardinality in ``itertools.combinations`` order.
+    Since no candidate lies in ``base``, the first admissible subset is
+    also the lexicographic minimum of ``sorted(base | subset)``.
+    """
+    need = (len(edges) + 1) // 2
+    if need == 0:
         return base
-    candidates = sorted({v for e in prev_edges for v in e})
-    for extra in range(len(candidates) + 1):
-        best: tuple[int, ...] | None = None
-        for combo in itertools.combinations(candidates, extra):
-            remaining = sum(
-                1 for j, k in prev_edges if j not in combo and k not in combo
-            )
-            if 2 * remaining <= len(prev_edges):
-                key = tuple(sorted(base | set(combo)))
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return frozenset(best)
-    raise AssertionError("unreachable: removing all incident vertices empties the edge set")
+    candidates = sorted({v for e in edges for v in e})
+    for size in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if sum(1 for j, k in edges if j in combo or k in combo) >= need:
+                return base.union(combo)
+    raise AssertionError("unreachable: all incident vertices cover every edge")
 
 
 def _greedy_step(base: frozenset[int], prev_edges: frozenset[Edge]) -> frozenset[int]:
@@ -240,16 +245,11 @@ def build_graph_G(B, i: int) -> Graph:
     others = [v for v in range(n) if v != i]
     edges = []
     for j, k in itertools.combinations(others, 2):
-        d = _complement_distances_cached(A, (i, j, k))
-        if d[i] >= max(d[j], d[k]):
+        basis = _complement_basis(A, (i, j, k))
+        d_i, d_j, d_k = (residual_norm(A[m], basis) for m in (i, j, k))
+        if d_i >= max(d_j, d_k):
             edges.append((j, k))
     return Graph(n, frozenset(edges))
-
-
-def _complement_distances_cached(A: np.ndarray, S: tuple[int, ...]) -> dict[int, float]:
-    keep = np.setdiff1d(np.arange(A.shape[0]), S)
-    basis = span_basis(A[keep]) if keep.size else np.zeros((0, A.shape[1]))
-    return {m: residual_norm(A[m], basis) for m in S}
 
 
 def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
@@ -274,8 +274,7 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     others = [v for v in range(n) if v != i]
     edges = []
     for j, k in itertools.combinations(others, 2):
-        keep = np.setdiff1d(np.arange(n), (i, j, k))
-        basis = span_basis(B[keep]) if keep.size else np.zeros((0, n))
+        basis = _complement_basis(B, (i, j, k))
         lhs = residual_norm(M2[i], basis) + offset
         if lhs >= max(residual_norm(B[j], basis), residual_norm(B[k], basis)):
             edges.append((j, k))
@@ -297,22 +296,11 @@ def low_value_count(B, L: int, N: int, mode: str = "exact") -> int:
 def min_half_cover_size(edges) -> int:
     """Size of a smallest vertex set incident to at least half the edges.
 
-    Exhaustive search over subsets of the incident vertices, in
-    increasing cardinality; an empty edge set is covered by the empty
-    set.
+    Repeated edges count with their multiplicity.  This is the search of
+    one exact decomposition step, started from the empty set; an empty
+    edge set is covered by the empty set.
     """
-    es = [_norm_edge(e) for e in edges]
-    need = (len(es) + 1) // 2
-    if need == 0:
-        return 0
-    vertices = sorted({v for e in es for v in e})
-    for size in range(1, len(vertices) + 1):
-        for combo in itertools.combinations(vertices, size):
-            chosen = set(combo)
-            covered = sum(1 for j, k in es if j in chosen or k in chosen)
-            if covered >= need:
-                return size
-    raise AssertionError("unreachable: all incident vertices cover every edge")
+    return len(_exact_step(frozenset(), tuple(_norm_edge(e) for e in edges)))
 
 
 @dataclass
@@ -404,7 +392,8 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
         inside = I_set.intersection(S)
         if not inside:
             continue
-        d = _complement_distances_cached(A, S)
+        basis = _complement_basis(A, S)
+        d = {m: residual_norm(A[m], basis) for m in S}
         if any(d[j] <= tau for j in inside):
             q1.add(frozenset(S))
         if any(d[j] >= high for j in S if j not in inside):
@@ -466,10 +455,8 @@ def mindist(B, j: int, k: int) -> float:
         raise InvalidInputError("indices must differ")
     if not (0 <= j < n and 0 <= k < n):
         raise InvalidInputError(f"indices ({j},{k}) out of range for n={n}")
-    idx = np.arange(n)
-    dj = dist_to_span(A[j], A[idx != j])
-    dk = dist_to_span(A[k], A[idx != k])
-    return min(dj, dk)
+    d = row_distances(A)
+    return float(min(d[j], d[k]))
 
 
 def kmax(T, k: int) -> float:
@@ -557,16 +544,14 @@ def classify_lambda(A, M, i: int, params: StructureParams, mode: str = "exact"):
     n = B.shape[0]
     if not (0 <= i < n):
         raise InvalidInputError(f"row index {i} out of range for n={n}")
-    idx = np.arange(n)
-    d_i = dist_to_span(B[i], B[idx != i])
-    lam1 = _dyadic_index(d_i, params.t, params.L)
+    full = row_distances(B)
+    lam1 = _dyadic_index(float(full[i]), params.t, params.L)
 
     depth_L = max(1, math.ceil(params.L - 1e-9))
     g_tilde = build_graph_G_tilde(A2, M2, i, params.offset)
     rho = rho_set(g_tilde, i, depth_L, mode)
     if not rho:
         return lam1, -math.inf
-    full = row_distances(B)
     values = [min(full[j], full[k]) for j, k in rho]
     med = kmax(values, math.ceil(len(values) / 2))
     return lam1, _dyadic_index(med, params.t, params.L)

@@ -49,7 +49,7 @@ from typing import TypeVar
 import numpy as np
 
 from .errors import InvalidInputError, decoding, integer, number
-from .linalg import _rank_tol, row_distances
+from .linalg import _extremes, row_distances
 from .samplers import RowDistribution, SeedSpec, ShiftSpec, build_shift, sample_matrix
 
 Z_95 = 1.96
@@ -372,11 +372,9 @@ def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index
             return math.inf
         d = np.sort(row_distances(B))
         return float(d[stat.k - 1])
-    s = np.linalg.svd(B, compute_uv=False)
-    singular = s[-1] <= _rank_tol(B)
+    s_min, _, hs = _extremes(B)
     if stat.kind == "smin_scaled":
-        return 0.0 if singular else float(s[-1]) * math.sqrt(config.n)
-    hs = math.inf if singular else float(np.sqrt(np.sum(s**-2.0)))
+        return s_min * math.sqrt(config.n)
     if stat.kind == "hs_scaled_sqrt":
         return hs / math.sqrt(config.n)
     return hs / config.n
@@ -503,12 +501,11 @@ def counterexample_experiment(
 
     def trial(idx: int) -> tuple[float, float, bool]:
         B = sample_matrix(dist, n, SeedSpec(master_seed, idx))
-        shifted = B + shift_matrix
-        s = np.linalg.svd(shifted, compute_uv=False)
+        s_min, s_max, _ = _extremes(B + shift_matrix)
         corner = (B[n - 2, n - 2] + B[n - 2, n - 1] == 0.0) and (
             B[n - 1, n - 2] + B[n - 1, n - 1] == 0.0
         )
-        return (0.0 if s[-1] <= _rank_tol(shifted) else s[-1]), s[0], corner
+        return s_min, s_max, corner
 
     s_min, s_max, corner = (np.array(column) for column in zip(*map_trials(trial, trials, workers)))
     kappa = np.full(trials, np.inf)

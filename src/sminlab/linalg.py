@@ -9,13 +9,17 @@ and to the Hilbert-Schmidt norm of the inverse:
     hs_inverse(B)**2 == sum(row_distances(B) ** -2)
 
 Distances to a general spanning set come from orthogonalizing that set
-with the rank-revealing SVD.  The full profile ``row_distances`` uses
-the duality instead: one QR factorization and a triangular inverse give
-every row at once, and the matrix falls back to the SVD primitive row by
-row when it is rank deficient at the tolerance, so every operation stays
-well defined for singular inputs.  Every kernel takes its rank scale
-from :func:`_scaled`, which also rescales a matrix whose row norms would
-overflow or underflow by an exact power of two.
+with the rank-revealing SVD; distances to the span of the rows outside
+an index set all go through one primitive, :func:`_complement_basis`.
+The full profile ``row_distances`` uses the duality instead: one QR
+factorization and a triangular inverse give every row at once, and the
+matrix falls back to the SVD primitive row by row when it is rank
+deficient at the tolerance, so every operation stays well defined for
+singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
+from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
+Every kernel takes its rank scale from :func:`_scaled`, which also
+rescales a matrix whose row norms would overflow or underflow by an
+exact power of two.
 """
 
 from __future__ import annotations
@@ -169,9 +173,20 @@ def complement_distances(B, S) -> dict[int, float]:
         raise InvalidInputError("S must be non-empty")
     if sel[0] < 0 or sel[-1] >= n:
         raise InvalidInputError(f"S={sel} out of range for n={n}")
-    keep = np.setdiff1d(np.arange(n), sel)
-    basis = span_basis(A[keep]) if keep.size else np.zeros((0, n))
+    basis = _complement_basis(A, sel)
     return {i: residual_norm(A[i], basis) for i in sel}
+
+
+def _complement_basis(A: np.ndarray, S) -> np.ndarray:
+    """Orthonormal basis (as rows) of the span of the rows of ``A`` whose
+    indices are not in ``S``, those rows taken in ascending order.
+
+    The one source of complement distances: measure a vector against it
+    with :func:`residual_norm`.  Inputs are not checked; public callers
+    validate them once per call.
+    """
+    keep = np.setdiff1d(np.arange(A.shape[0]), S)
+    return span_basis(A[keep]) if keep.size else np.zeros((0, A.shape[1]))
 
 
 def dist_to_complement(B, i: int, S) -> float:
@@ -190,9 +205,22 @@ def singular_values(B) -> np.ndarray:
     return np.linalg.svd(as_matrix(B), compute_uv=False)
 
 
-def _rank_tol(A: np.ndarray) -> float:
-    _, e, scale = _scaled(A)
-    return math.ldexp(RANK_RTOL * scale, e)
+def _extremes(A: np.ndarray) -> tuple[float, float, float]:
+    """``(s_min, s_max, hs_inverse)`` of a square matrix from one SVD.
+
+    The SVD is taken of the matrix :func:`_scaled` returns and the
+    results are scaled back by the same power of two, so ``sigma ** -2``
+    neither overflows nor underflows at extreme scales; at ordinary
+    scales the matrix is used as given.  A matrix whose smallest singular
+    value is at or below the rank tolerance is singular: ``s_min`` is
+    then 0 and ``hs_inverse`` is ``+inf``.  Inputs are not checked.
+    """
+    A, e, scale = _scaled(A)
+    s = np.linalg.svd(A, compute_uv=False)
+    s_max = float(np.ldexp(s[0], e))
+    if s[-1] <= RANK_RTOL * scale:
+        return 0.0, s_max, math.inf
+    return float(np.ldexp(s[-1], e)), s_max, float(np.ldexp(np.sqrt(np.sum(s**-2.0)), -e))
 
 
 def hs_inverse(B) -> float:
@@ -201,11 +229,7 @@ def hs_inverse(B) -> float:
     Computed as ``sqrt(sum(sigma_i ** -2))`` from the singular values;
     singularity is decided at the rank tolerance.
     """
-    A = as_matrix(B)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= _rank_tol(A):
-        return float("inf")
-    return float(np.sqrt(np.sum(s**-2.0)))
+    return _extremes(as_matrix(B))[2]
 
 
 @dataclass
@@ -226,12 +250,5 @@ class SingularData:
 def singular_data(B) -> SingularData:
     """Compute :class:`SingularData` for a square matrix."""
     A = as_matrix(B)
-    s = np.linalg.svd(A, compute_uv=False)
-    tol = _rank_tol(A)
-    singular = s[-1] <= tol
-    return SingularData(
-        s_min=0.0 if singular else float(s[-1]),
-        s_max=float(s[0]),
-        hs_inverse=float("inf") if singular else float(np.sqrt(np.sum(s**-2.0))),
-        row_distances=row_distances(A),
-    )
+    s_min, s_max, hs = _extremes(A)
+    return SingularData(s_min=s_min, s_max=s_max, hs_inverse=hs, row_distances=row_distances(A))

@@ -74,38 +74,28 @@ class RowDistribution:
 
     ``density_bound`` is the closed-form bound on the one-dimensional
     marginal density when one is known (filled in automatically) and
-    ``None`` otherwise.  ``c2_params`` optionally records a
-    ``(K1, K2)`` pair describing polynomial decay of three-dimensional
-    projection densities; it is documentation carried by the object,
-    never verified at runtime.
+    ``None`` otherwise.
     """
 
     kind: str
     density_bound: float | None = None
-    c2_params: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
         if self.density_bound is None and self.kind in _M1_DENSITY_BOUND:
             object.__setattr__(self, "density_bound", _M1_DENSITY_BOUND[self.kind])
-        if self.c2_params is not None:
-            k1, k2 = self.c2_params
-            if k1 <= 0 or k2 <= 0:
-                raise InvalidInputError("c2_params entries must be positive")
-            object.__setattr__(self, "c2_params", (float(k1), float(k2)))
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.c2_params is not None:
-            d["c2_params"] = list(self.c2_params)
-        return d
+        return {"kind": self.kind}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RowDistribution":
         with decoding("row distribution"):
-            c2 = d.get("c2_params")
-            return cls(kind=d["kind"], c2_params=tuple(c2) if c2 is not None else None)
+            unknown = sorted(set(d.keys()) - {"kind"})
+            if unknown:
+                raise InvalidInputError(f"row distribution: unknown keys {unknown}")
+            return cls(kind=d["kind"])
 
 
 def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:

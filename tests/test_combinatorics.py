@@ -44,6 +44,18 @@ def brute_decomposition(G, i, depth):
     return s_seq, e_seq
 
 
+def brute_half_cover_size(edges):
+    """Size of the first vertex subset, by size, of all of [0, 9) incident
+    to at least half of ``edges`` (listed with repeats and either
+    orientation); shares no code with the implementation."""
+    for size in range(10):
+        for T in itertools.combinations(range(9), size):
+            covered = sum(1 for j, k in edges if j in T or k in T)
+            if 2 * covered >= len(edges):
+                return size
+    raise AssertionError("all nine vertices cover every edge")
+
+
 def brute_rho(G, i, L):
     s_seq, e_seq = brute_decomposition(G, i, 4 * L)
     increments = [len(s_seq[k]) - len(s_seq[k - 1]) for k in range(1, 4 * L + 1)]
@@ -321,6 +333,16 @@ class TestTwoGraphsDichotomy:
         # a perfect matching of 4 edges needs 2 vertices for half
         matching = [(0, 1), (2, 3), (4, 5), (6, 7)]
         assert comb.min_half_cover_size(matching) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1]),
+            max_size=14,
+        )
+    )
+    def test_min_half_cover_matches_brute_force(self, edges):
+        assert comb.min_half_cover_size(edges) == brute_half_cover_size(edges)
 
 
 class TestQSets:

@@ -217,6 +217,19 @@ class TestEstimateTail:
         v_hs = ex._trial_value(cfg_hs, np.zeros((10, 10)), 0)
         assert v_hs == pytest.approx(sd.hs_inverse / math.sqrt(10), rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    @pytest.mark.parametrize("kind", ["hs_scaled_sqrt", "hs_scaled_n"])
+    def test_hs_statistics_at_extreme_scales(self, monkeypatch, kind, c):
+        cfg = make_config(trials=3, statistic=ex.Statistic(kind))
+        shift = np.zeros((10, 10))
+        expected = [ex._trial_value(cfg, shift, idx) / c for idx in range(3)]
+        sample = ex.sample_matrix
+        monkeypatch.setattr(ex, "sample_matrix", lambda *args: c * sample(*args))
+        got = [ex._trial_value(cfg, shift, idx) for idx in range(3)]
+        assert all(math.isfinite(v) and v > 0.0 for v in got)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_scaling_identity_cross_check(self):
         B = np.random.default_rng(8).standard_normal((7, 7))
         assert singular_data(3.0 * B).s_min == pytest.approx(

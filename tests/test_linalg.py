@@ -242,6 +242,15 @@ class TestRowDistancesOracle:
         assert not calls
 
 
+def near_tolerance(B, factor):
+    """``diag(1, ..., 1, delta) Q`` with ``Q`` the orthogonal factor of
+    ``B``: every row norm is 1 up to ``delta``, and the singular values are
+    those of the diagonal, the smallest ``delta = factor * RANK_RTOL``."""
+    d = np.ones(B.shape[0])
+    d[-1] = factor * la.RANK_RTOL
+    return d[:, None] * np.linalg.qr(B)[0]
+
+
 # scales whose squares overflow or underflow a double
 EXTREME_SCALES = (1e200, 1e-200, 2.0**600, 2.0**-600)
 
@@ -276,14 +285,28 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("c", EXTREME_SCALES)
     def test_rank_tolerance_is_homogeneous(self, c):
-        assert la._rank_tol(c * self.B) == pytest.approx(c * la._rank_tol(self.B), rel=1e-12)
+        for factor in (0.99, 1.01):
+            assert (la._extremes(c * near_tolerance(self.B, factor))[0] == 0.0) == (factor < 1.0)
         assert la.span_basis(c * self.B[:5]).shape == (5, 20)
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_hs_inverse_is_homogeneous(self, c):
+        assert la.hs_inverse(c * self.B) == pytest.approx(
+            la.hs_inverse(self.B) / c, rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_singular_data_is_homogeneous(self, c):
+        got, ref = la.singular_data(c * self.B), la.singular_data(self.B)
+        assert got.s_min == pytest.approx(c * ref.s_min, rel=1e-12, abs=0.0)
+        assert got.s_max == pytest.approx(c * ref.s_max, rel=1e-12, abs=0.0)
+        assert got.hs_inverse == pytest.approx(ref.hs_inverse / c, rel=1e-12, abs=0.0)
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(la.row_distances(np.zeros((5, 5))), np.zeros(5))
         assert la.span_basis(np.zeros((3, 4))).shape == (0, 4)
         assert la.dist_to_span(np.zeros(4), np.zeros((3, 4))) == 0.0
-        assert la._rank_tol(np.zeros((3, 3))) == 0.0
+        assert la._extremes(np.zeros((3, 3))) == (0.0, 0.0, math.inf)
 
     def test_ordinary_scale_is_used_as_computed(self):
         A, e, scale = la._scaled(self.B)

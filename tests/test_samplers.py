@@ -61,8 +61,13 @@ class TestRowDistribution:
         assert RowDistribution("ball_uniform").density_bound is None
 
     def test_dict_round_trip(self):
-        d = RowDistribution("gaussian", c2_params=(1.0, 2000.0))
+        d = RowDistribution("gaussian")
         assert RowDistribution.from_dict(d.to_dict()) == d
+
+    @pytest.mark.parametrize("extra", [{"c2_params": [1.0, 2000.0]}, {"density_bound": 0.4}])
+    def test_unknown_keys_rejected(self, extra):
+        with pytest.raises(InvalidInputError, match="unknown keys"):
+            RowDistribution.from_dict({"kind": "gaussian", **extra})
 
 
 class TestSampleMatrix:

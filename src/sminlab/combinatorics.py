@@ -12,9 +12,11 @@ written once, gives :func:`min_half_cover_size`.  The greedy mode
 scales further but loses the minimality certificate, so verification
 suites that rely on minimality only accept exact mode.
 
-Every distance to the span of the rows outside an index set comes from
-the one complement primitive of :mod:`sminlab.linalg`, and full
-row-to-span distances from one ``row_distances`` factorization.
+Every distance a call needs comes from one factorization of its matrix:
+the complement distances of all the triples of a comparison graph and of
+all the r-subsets of :func:`q_sets` from one batched
+``sminlab.linalg._set_distances`` call, and the distances of a pivot
+vector family, or of the full rows, from one QR profile.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError
-from .linalg import _complement_basis, as_matrix, dist_to_span, residual_norm, row_distances
+from .linalg import _row_profile, _set_distances, as_matrix, row_distances
 
 EXACT_MODE_MAX_N = 16
 MODES = ("exact", "greedy")
@@ -227,6 +229,18 @@ def check_edge_interval(G: Graph, i: int, k: int, ell: int, mode: str = "exact")
     return lo <= mid <= lo + 2 ** (ell + 1) * G.n
 
 
+def _triples(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(j, k)``, ``j < k``, of vertices other than ``i`` in
+    ``itertools.combinations`` order, and each pair's set ``{i, j, k}``
+    in ascending order."""
+    pairs = np.array(list(itertools.combinations([v for v in range(n) if v != i], 2)))
+    return pairs, np.sort(np.column_stack([np.full(len(pairs), i), pairs]), axis=1)
+
+
+def _edges(n: int, pairs: np.ndarray, keep: np.ndarray) -> Graph:
+    return Graph(n, frozenset(map(tuple, pairs[keep].tolist())))
+
+
 def build_graph_G(B, i: int) -> Graph:
     """Comparison graph of matrix ``B`` seen from row ``i``.
 
@@ -235,6 +249,15 @@ def build_graph_G(B, i: int) -> Graph:
     corresponding distances for rows ``j`` and ``k``.  Comparisons use
     exact floating-point ``>=`` (ties produce an edge); vertex ``i`` is
     isolated by construction.
+
+    All the distances come from one factorization of ``B``
+    (:func:`sminlab.linalg._set_distances`), each triple taken in
+    ascending order, so the graphs of ``i``, ``j`` and ``k`` compare the
+    same three numbers and at least one of them has the edge opposite
+    its vertex.  Which edge that is at an exact mathematical tie, as
+    discrete (for example ±1) matrices often produce, depends on
+    rounding: a different but equally accurate kernel may break the tie
+    the other way.
     """
     A = as_matrix(B)
     n = A.shape[0]
@@ -242,14 +265,10 @@ def build_graph_G(B, i: int) -> Graph:
         raise InvalidInputError("comparison graph needs n >= 3")
     if not (0 <= i < n):
         raise InvalidInputError(f"row index {i} out of range for n={n}")
-    others = [v for v in range(n) if v != i]
-    edges = []
-    for j, k in itertools.combinations(others, 2):
-        basis = _complement_basis(A, (i, j, k))
-        d_i, d_j, d_k = (residual_norm(A[m], basis) for m in (i, j, k))
-        if d_i >= max(d_j, d_k):
-            edges.append((j, k))
-    return Graph(n, frozenset(edges))
+    pairs, sets = _triples(n, i)
+    d = _set_distances(A, sets)
+    at_i = sets == i
+    return _edges(n, pairs, d[at_i] >= np.where(at_i, -np.inf, d).max(axis=1))
 
 
 def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
@@ -270,15 +289,9 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
         raise InvalidInputError("comparison graph needs n >= 3")
     if not (0 <= i < n):
         raise InvalidInputError(f"row index {i} out of range for n={n}")
-    B = A2 + M2
-    others = [v for v in range(n) if v != i]
-    edges = []
-    for j, k in itertools.combinations(others, 2):
-        basis = _complement_basis(B, (i, j, k))
-        lhs = residual_norm(M2[i], basis) + offset
-        if lhs >= max(residual_norm(B[j], basis), residual_norm(B[k], basis)):
-            edges.append((j, k))
-    return Graph(n, frozenset(edges))
+    pairs, sets = _triples(n, i)
+    d, d_x = _set_distances(A2 + M2, sets, M2[i])
+    return _edges(n, pairs, d_x + offset >= np.where(sets == i, -np.inf, d).max(axis=1))
 
 
 def low_value_count(B, L: int, N: int, mode: str = "exact") -> int:
@@ -372,7 +385,8 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
     ``S`` with some ``j in S & I`` at distance at most ``tau`` from the
     span of the rows outside ``S``; ``Q2`` holds the subsets meeting
     ``I`` with some ``j in S - I`` at distance at least
-    ``tau * b / (2 a r)``.
+    ``tau * b / (2 a r)``.  The distances of every subset meeting ``I``
+    come from one factorization of ``B``.
     """
     A = as_matrix(B)
     n = A.shape[0]
@@ -386,19 +400,16 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
     if not all(0 <= v < n for v in I_set):
         raise InvalidInputError("I must be a subset of the row indices")
     high = tau * b / (2.0 * a * r)
-    q1: set[frozenset[int]] = set()
-    q2: set[frozenset[int]] = set()
-    for S in itertools.combinations(range(n), r):
-        inside = I_set.intersection(S)
-        if not inside:
-            continue
-        basis = _complement_basis(A, S)
-        d = {m: residual_norm(A[m], basis) for m in S}
-        if any(d[j] <= tau for j in inside):
-            q1.add(frozenset(S))
-        if any(d[j] >= high for j in S if j not in inside):
-            q2.add(frozenset(S))
-    return q1, q2
+    sets = np.array(list(itertools.combinations(range(n), r)))
+    inside = np.isin(sets, list(I_set))
+    meets = inside.any(axis=1)
+    if not meets.any():
+        return set(), set()
+    sets, inside = sets[meets], inside[meets]
+    d = _set_distances(A, sets)
+    q1 = ((d <= tau) & inside).any(axis=1)
+    q2 = ((d >= high) & ~inside).any(axis=1)
+    return {frozenset(S) for S in sets[q1].tolist()}, {frozenset(S) for S in sets[q2].tolist()}
 
 
 def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
@@ -406,7 +417,11 @@ def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
 
     Hypotheses (checked up to a relative tolerance of 1e-9): the first
     vector is within ``a`` of the span of the others, and every other
-    vector is at distance at least ``b`` from the span of the rest.
+    vector is at distance at least ``b`` from the span of the rest.  All
+    the distances come from one QR profile of the family, as in
+    :func:`sminlab.linalg.row_distances`, when the vectors are no more
+    than their dimension and independent at the rank tolerance, and from
+    one ``dist_to_span`` per vector otherwise.
     """
     xs = [np.asarray(v, dtype=float) for v in vectors]
     if len(xs) < 2:
@@ -416,14 +431,13 @@ def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
         raise InvalidInputError("vectors must share a common dimension")
     if a <= 0 or b <= 0:
         raise InvalidInputError("a and b must be positive")
-    d1 = dist_to_span(xs[0], np.array(xs[1:]))
-    if d1 > a * (1 + _FLOAT_SLACK) + 1e-12:
-        return f"dist(x1, span rest) = {d1:g} exceeds a = {a:g}"
-    for idx in range(1, len(xs)):
-        others = np.array([x for pos, x in enumerate(xs) if pos != idx])
-        d = dist_to_span(xs[idx], others)
-        if d < b * (1 - _FLOAT_SLACK) - 1e-12:
-            return f"dist(x{idx + 1}, span others) = {d:g} is below b = {b:g}"
+    d = _row_profile(np.array(xs))
+    if d[0] > a * (1 + _FLOAT_SLACK) + 1e-12:
+        return f"dist(x1, span rest) = {d[0]:g} exceeds a = {a:g}"
+    low = np.flatnonzero(d[1:] < b * (1 - _FLOAT_SLACK) - 1e-12)
+    if low.size:
+        idx = int(low[0]) + 1
+        return f"dist(x{idx + 1}, span others) = {d[idx]:g} is below b = {b:g}"
     return None
 
 

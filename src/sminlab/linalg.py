@@ -9,12 +9,13 @@ and to the Hilbert-Schmidt norm of the inverse:
     hs_inverse(B)**2 == sum(row_distances(B) ** -2)
 
 Distances to a general spanning set come from orthogonalizing that set
-with the rank-revealing SVD; distances to the span of the rows outside
-an index set all go through one primitive, :func:`_complement_basis`.
-The full profile ``row_distances`` uses the duality instead: one QR
-factorization and a triangular inverse give every row at once, and the
-matrix falls back to the SVD primitive row by row when it is rank
-deficient at the tolerance, so every operation stays well defined for
+with the rank-revealing SVD.  The full profile ``row_distances`` uses
+the duality instead: one QR factorization and a triangular inverse give
+every row at once.  Distances to the span of the rows outside an index
+set use it too, for a whole stack of sets from one factorization
+(:func:`_set_distances`).  A matrix that is rank deficient at the
+tolerance falls back to the SVD primitive, row by row or set by set
+(:func:`_complement_basis`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
 Every kernel takes its rank scale from :func:`_scaled`, which also
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtri
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri
 
 from .errors import InvalidInputError
 
@@ -146,25 +147,48 @@ def row_distances(B) -> np.ndarray:
     :func:`dist_to_span` would.
     """
     A = as_matrix(B)
-    n = A.shape[0]
-    if n == 1:
+    if A.shape[0] == 1:
         return np.array([_norm(A[0])])
-    A, e, scale = _scaled(A)
+    return _row_profile(A)
+
+
+def _factor(A: np.ndarray, scale: float):
+    """``(qr, tau, R^-1)`` of ``A.T = Q R`` for an ``m x d`` matrix with
+    ``m <= d``: LAPACK ``geqrf`` output, ``R`` being its leading ``m x m``
+    upper triangle, and ``trtri``.  ``R^-1`` is ``None`` when some
+    ``|R_jj|`` is at or below ``RANK_RTOL * scale``, that is when the rows
+    are linearly dependent at the tolerance.
+    """
+    qr, tau = dgeqrf(A.T)[:2]
+    R = np.triu(qr[: A.shape[0]])
+    if np.min(np.abs(np.diagonal(R))) <= RANK_RTOL * scale:
+        return qr, tau, None
+    return qr, tau, dtrtri(R, overwrite_c=1)[0]
+
+
+def _row_profile(X: np.ndarray) -> np.ndarray:
+    """Distance of each row of an ``m x d`` family (``m >= 2``) to the span
+    of the other rows: the :func:`row_distances` arithmetic when ``m <= d``
+    and the rows pass the rank tolerance, one :func:`dist_to_span` per row
+    otherwise.  Inputs are not checked.
+    """
+    m = X.shape[0]
+    X, e, scale = _scaled(X)
     if scale == 0.0:
-        return np.zeros(n)
-    R = np.triu(dgeqrf(A.T)[0])
-    if np.min(np.abs(np.diagonal(R))) > RANK_RTOL * scale:
-        d = 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
+        return np.zeros(m)
+    Rinv = _factor(X, scale)[2] if m <= X.shape[1] else None
+    if Rinv is not None:
+        d = 1.0 / np.linalg.norm(Rinv, axis=1)
     else:
-        idx = np.arange(n)
-        d = np.array([dist_to_span(A[i], A[idx != i]) for i in range(n)])
+        idx = np.arange(m)
+        d = np.array([dist_to_span(X[i], X[idx != i]) for i in range(m)])
     return np.ldexp(d, e) if e else d
 
 
 def complement_distances(B, S) -> dict[int, float]:
     """Distances of the rows indexed by ``S`` to the span of the rows outside ``S``.
 
-    One orthogonalization of the complement serves every row of ``S``.
+    All of them come from one factorization of ``B``, see :func:`_set_distances`.
     """
     A = as_matrix(B)
     n = A.shape[0]
@@ -173,17 +197,57 @@ def complement_distances(B, S) -> dict[int, float]:
         raise InvalidInputError("S must be non-empty")
     if sel[0] < 0 or sel[-1] >= n:
         raise InvalidInputError(f"S={sel} out of range for n={n}")
-    basis = _complement_basis(A, sel)
-    return {i: residual_norm(A[i], basis) for i in sel}
+    d = _set_distances(A, np.array([sel]))[0]
+    return {i: float(v) for i, v in zip(sel, d)}
+
+
+def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None):
+    """Complement distances of a stack of index sets from one factorization.
+
+    ``sets`` is an integer array of shape ``(N, k)`` whose rows are
+    strictly ascending row indices of the square matrix ``A``; entry
+    ``[s, p]`` of the result is the distance of row ``sets[s, p]`` to the
+    span of the rows outside ``sets[s]``.  With a vector ``x``, the ``N``
+    distances of ``x`` to the same spans are returned as well.
+
+    By duality the orthogonal complement of that span is spanned by
+    columns ``S`` of ``A^-1 = Q R^-T`` (``A.T = Q R``), that is by ``Q``
+    times ``P_S = (R^-1)[S, :].T``.  One batched QR ``P_S = U_S T_S`` then
+    gives the distance of row ``m`` as the norm of its row of ``T_S^-1``,
+    and that of ``x`` as ``norm(U_S.T Q.T x)``.  When the matrix is rank
+    deficient at the tolerance every set falls back to
+    :func:`_complement_basis` and :func:`residual_norm`.  Inputs are not
+    checked.
+    """
+    A, e, scale = _scaled(A)
+    qr, tau, Rinv = _factor(A, scale)
+    if Rinv is None:
+        bases = [_complement_basis(A, S) for S in sets]
+        d = np.array([[residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
+        if x is not None:
+            d_x = np.array([residual_norm(x, basis) for basis in bases])
+    else:
+        P = Rinv[sets].transpose(0, 2, 1)
+        if x is None:
+            T = np.linalg.qr(P, mode="r")
+        else:
+            U, T = np.linalg.qr(P)
+            xv, ex, _ = _scaled(np.asarray(x, dtype=float)[None, :])
+            y = dormqr("L", "T", qr, tau, xv.T, A.shape[0])[0][:, 0]
+            d_x = np.ldexp(np.linalg.norm(U.transpose(0, 2, 1) @ y, axis=1), ex)
+        d = np.linalg.norm(np.linalg.inv(T), axis=2)
+    d = np.ldexp(d, e) if e else d
+    return d if x is None else (d, d_x)
 
 
 def _complement_basis(A: np.ndarray, S) -> np.ndarray:
     """Orthonormal basis (as rows) of the span of the rows of ``A`` whose
     indices are not in ``S``, those rows taken in ascending order.
 
-    The one source of complement distances: measure a vector against it
-    with :func:`residual_norm`.  Inputs are not checked; public callers
-    validate them once per call.
+    The per-set path of complement distances, taken by
+    :func:`_set_distances` when the matrix is rank deficient at the
+    tolerance: measure a vector against it with :func:`residual_norm`.
+    Inputs are not checked; public callers validate them once per call.
     """
     keep = np.setdiff1d(np.arange(A.shape[0]), S)
     return span_basis(A[keep]) if keep.size else np.zeros((0, A.shape[1]))

@@ -71,9 +71,9 @@ def invert_by_elimination(B: np.ndarray) -> np.ndarray:
         if pivot != col:
             aug[[col, pivot]] = aug[[pivot, col]]
         aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
+        f = aug[:, col].copy()
+        f[col] = 0.0
+        aug -= np.outer(f, aug[col])
     return aug[:, n:]
 
 
@@ -98,23 +98,23 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
         B = None
         for attempt in range(200):
             candidate = sample_matrix(dist, n, SeedSpec(seed, idx * 1000 + attempt + 1))
-            s = np.linalg.svd(candidate, compute_uv=False)
+            sd = linalg.singular_data(candidate)
             # condition cutoff keeps float error well below the 1e-8 assertion
-            if s[-1] > 1e-6 * s[0]:
+            if sd.s_min > 1e-6 * sd.s_max:
                 B = candidate
                 break
         if B is None:
             _record(result, f"instance {idx}: could not draw an invertible {kind} matrix")
             continue
         inv = invert_by_elimination(B)
-        distances = linalg.row_distances(B)
+        distances = sd.row_distances
         col_norms = np.linalg.norm(inv, axis=0)
         products = col_norms * distances
         worst = float(np.max(np.abs(products - 1.0)))
         if worst > 1e-8:
             _record(result, f"instance {idx} (kind={kind}, n={n}): biorthogonality error {worst:g}")
             continue
-        hs = linalg.hs_inverse(B)
+        hs = sd.hs_inverse
         hs_from_distances = math.sqrt(float(np.sum(distances**-2.0)))
         rel = abs(hs**2 - hs_from_distances**2) / hs**2
         if rel > 1e-8:
@@ -134,14 +134,11 @@ def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
         delta = 10.0 ** rng.uniform(-3, 0)
         x1 = sum(c * x for c, x in zip(coeffs, xs)) + delta * rng.standard_normal(r)
         vectors = [x1] + xs
-        a = linalg.dist_to_span(x1, np.array(xs))
+        d = linalg.row_distances(np.array(vectors))
+        a = float(d[0])
         if a <= 0:
             a = 1e-12
-        b = min(
-            linalg.dist_to_span(v, np.array([w for j, w in enumerate(vectors) if j != pos]))
-            for pos, v in enumerate(vectors)
-            if pos >= 1
-        )
+        b = float(min(d[1:]))
         if b <= 0:
             continue  # degenerate draw; hypotheses require b > 0
         i0 = combinatorics.pivot_index(vectors, a, b)

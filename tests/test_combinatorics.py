@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sminlab.combinatorics as comb
+import sminlab.linalg as la
 from sminlab.errors import InvalidInputError, PreconditionError, UnsupportedSizeError
 from sminlab.linalg import dist_to_span
 
@@ -542,3 +543,142 @@ def test_deterministic_triple_property():
                 or (min(i, j), max(i, j)) in graphs[k].edges
             )
             assert holds
+
+
+def oracle_graph_G(B, i):
+    """``build_graph_G`` with one SVD per triple, the per-set path."""
+    n = B.shape[0]
+    edges = []
+    for j, k in itertools.combinations([v for v in range(n) if v != i], 2):
+        basis = la._complement_basis(B, (i, j, k))
+        d_i, d_j, d_k = (la.residual_norm(B[m], basis) for m in (i, j, k))
+        if d_i >= max(d_j, d_k):
+            edges.append((j, k))
+    return comb.Graph(n, frozenset(edges))
+
+
+def oracle_graph_G_tilde(A, M, i, offset):
+    B = A + M
+    n = B.shape[0]
+    edges = []
+    for j, k in itertools.combinations([v for v in range(n) if v != i], 2):
+        basis = la._complement_basis(B, (i, j, k))
+        lhs = la.residual_norm(M[i], basis) + offset
+        if lhs >= max(la.residual_norm(B[j], basis), la.residual_norm(B[k], basis)):
+            edges.append((j, k))
+    return comb.Graph(n, frozenset(edges))
+
+
+def oracle_q_sets(B, I, tau, a, b, r):
+    """``q_sets`` with one SVD per subset, the per-set path."""
+    high = tau * b / (2.0 * a * r)
+    q1, q2 = set(), set()
+    for S in itertools.combinations(range(B.shape[0]), r):
+        inside = set(I).intersection(S)
+        if not inside:
+            continue
+        basis = la._complement_basis(B, S)
+        d = {m: la.residual_norm(B[m], basis) for m in S}
+        if any(d[j] <= tau for j in inside):
+            q1.add(frozenset(S))
+        if any(d[j] >= high for j in S if j not in inside):
+            q2.add(frozenset(S))
+    return q1, q2
+
+
+class TestOneFactorizationOracle:
+    """Graphs and subset families from the one-factorization kernel against
+    the per-set SVD path on continuous inputs, where exact ties have
+    probability zero."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(3, 9))
+    def test_graphs_match(self, seed, n):
+        rng = np.random.default_rng(seed)
+        B, M = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        offset = float(rng.uniform(0.0, 1.0))
+        for i in range(n):
+            assert comb.build_graph_G(B, i) == oracle_graph_G(B, i)
+            assert comb.build_graph_G_tilde(B, M, i, offset) == oracle_graph_G_tilde(B, M, i, offset)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(4, 9))
+    def test_q_sets_match(self, seed, n):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n))
+        d = la.row_distances(B)
+        I = [int(v) for v in np.argsort(d)[: int(rng.integers(1, n // 2 + 1))]]
+        tau = float(np.quantile(d, rng.uniform(0.1, 0.9)))
+        r = int(rng.integers(2, 4))
+        args = (I, tau, float(d[I].max()), float(d.max()), r)
+        assert comb.q_sets(B, *args) == oracle_q_sets(B, *args)
+
+
+def test_triple_property_on_sign_matrices():
+    # exact ties are common here; each triple is measured in ascending order
+    # by one kernel, so the three graphs still compare the same numbers
+    rng = np.random.default_rng(174)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(4, 10))
+        B = rng.choice([-1.0, 1.0], size=(n, n))
+        if np.linalg.matrix_rank(B) < n:
+            continue
+        checked += 1
+        graphs = [comb.build_graph_G(B, i) for i in range(n)]
+        for i, j, k in itertools.combinations(range(n), 3):
+            assert (j, k) in graphs[i].edges or (i, k) in graphs[j].edges or (i, j) in graphs[k].edges
+
+
+def test_no_svd_per_subset(monkeypatch):
+    """Generic inputs take one factorization per call: the per-set SVD
+    (``span_basis``) is never reached."""
+    calls = []
+    primitive = la.span_basis
+
+    def counting(rows):
+        calls.append(1)
+        return primitive(rows)
+
+    monkeypatch.setattr(la, "span_basis", counting)
+    rng = np.random.default_rng(31)
+    B = rng.standard_normal((8, 8))
+    comb.q_sets(B, [0, 3], 0.5, 0.2, 1.0, 3)
+    for i in range(8):
+        comb.build_graph_G(B, i)
+        comb.build_graph_G_tilde(B, rng.standard_normal((8, 8)), i, 0.1)
+    xs = [rng.standard_normal(5) for _ in range(4)]
+    comb.pivot_index(xs, 10.0, 1e-3)
+    assert calls == []
+
+
+def reference_pivot_failure(vectors, a, b):
+    """``pivot_hypothesis_failure`` with one ``dist_to_span`` per vector."""
+    xs = [np.asarray(v, dtype=float) for v in vectors]
+    d1 = dist_to_span(xs[0], np.array(xs[1:]))
+    if d1 > a * (1 + comb._FLOAT_SLACK) + 1e-12:
+        return "a"
+    for idx in range(1, len(xs)):
+        others = np.array([x for pos, x in enumerate(xs) if pos != idx])
+        if dist_to_span(xs[idx], others) < b * (1 - comb._FLOAT_SLACK) - 1e-12:
+            return f"b{idx}"
+    return None
+
+
+@pytest.mark.parametrize("m,dim", [(3, 6), (4, 4), (6, 3), (2, 2), (5, 2)])
+def test_pivot_check_matches_dist_to_span(m, dim):
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, dim))
+        if seed % 4 == 0:
+            X[0] = X[1:].T @ rng.standard_normal(m - 1) + 1e-3 * rng.standard_normal(dim)
+        ref = np.array([dist_to_span(X[p], np.delete(X, p, axis=0)) for p in range(m)])
+        np.testing.assert_allclose(la._row_profile(X), ref, rtol=1e-9, atol=1e-12)
+        # thresholds a relative 1e-6 either side of the distances
+        for a_f, b_f in itertools.product((1 - 1e-6, 1 + 1e-6), repeat=2):
+            a, b = max(ref[0], 1e-3) * a_f, max(ref[1:].min(), 1e-3) * b_f
+            got = comb.pivot_hypothesis_failure(list(X), a, b)
+            want = reference_pivot_failure(list(X), a, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.startswith("dist(x1") == (want == "a")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -279,9 +280,11 @@ class TestExtremeScales:
     def test_dist_to_span_is_homogeneous(self, c):
         x, rows = self.B[0], self.B[1:12]
         expected = la.dist_to_span(x, rows)
-        assert la.dist_to_span(c * x, c * rows) == pytest.approx(c * expected, rel=1e-12)
-        assert la.dist_to_span(c * x, rows) == pytest.approx(c * expected, rel=1e-12)
-        assert la.dist_to_span(c * x, []) == pytest.approx(c * np.linalg.norm(x), rel=1e-12)
+        assert la.dist_to_span(c * x, c * rows) == pytest.approx(c * expected, rel=1e-12, abs=0)
+        assert la.dist_to_span(c * x, rows) == pytest.approx(c * expected, rel=1e-12, abs=0)
+        assert la.dist_to_span(c * x, []) == pytest.approx(
+            c * np.linalg.norm(x), rel=1e-12, abs=0
+        )
 
     @pytest.mark.parametrize("c", EXTREME_SCALES)
     def test_rank_tolerance_is_homogeneous(self, c):
@@ -312,6 +315,160 @@ class TestExtremeScales:
         A, e, scale = la._scaled(self.B)
         assert A is self.B and e == 0
         assert scale == float(np.max(np.linalg.norm(self.B, axis=1)))
+
+
+def old_row_distances(B):
+    """The triangular path of ``row_distances`` as first written, kept to pin
+    its arithmetic: the profile of a square matrix must not change bits."""
+    from scipy.linalg.lapack import dgeqrf, dtrtri
+
+    R = np.triu(dgeqrf(B.T)[0])
+    return 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 100])
+def test_row_distances_bits_are_pinned(n):
+    for seed in range(5):
+        B = np.random.default_rng(1000 * n + seed).standard_normal((n, n))
+        np.testing.assert_array_equal(la.row_distances(B), old_row_distances(B))
+
+
+def per_set_oracle(A, sets, x=None):
+    """Complement distances set by set, each from its own SVD of the rows
+    outside the set: the path every set took before the batched kernel."""
+    A = np.asarray(A, dtype=float)
+    bases = [la._complement_basis(A, S) for S in sets]
+    d = np.array([[la.residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
+    if x is None:
+        return d
+    return d, np.array([la.residual_norm(x, basis) for basis in bases])
+
+
+@contextmanager
+def counting_set_fallback():
+    """Collect one entry per set that ``_set_distances`` hands to the
+    per-set SVD path."""
+    calls = []
+    primitive = la._complement_basis
+
+    def counting(A, S):
+        calls.append(1)
+        return primitive(A, S)
+
+    la._complement_basis = counting
+    try:
+        yield calls
+    finally:
+        la._complement_basis = primitive
+
+
+def all_sets(n, k, limit=60):
+    return np.array(list(itertools.combinations(range(n), k))[:limit])
+
+
+class TestSetDistancesOracle:
+    """The one-factorization complement kernel against the per-set SVD path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=10),
+        data=st.data(),
+    )
+    def test_gaussian(self, seed, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        rng = np.random.default_rng(seed)
+        B, x = rng.standard_normal((n, n)), rng.standard_normal(n)
+        sets = all_sets(n, k)
+        with counting_set_fallback() as calls:
+            d, dx = la._set_distances(B, sets, x)
+        assert not calls
+        ref, ref_x = per_set_oracle(B, sets, x)
+        np.testing.assert_allclose(d, ref, rtol=1e-10)
+        np.testing.assert_allclose(dx, ref_x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(la._set_distances(B, sets), d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(3, 10))
+    def test_graded_rows(self, seed, n):
+        # row norms 1e-4 .. 1e4, in a random order; the per-set SVD loses up
+        # to about 2e-8 of relative accuracy here (measured against 60-digit
+        # arithmetic), the one-factorization kernel about 1e-14
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n)) * np.logspace(-4, 4, n)[rng.permutation(n)][:, None]
+        sets = all_sets(n, 3)
+        with counting_set_fallback() as calls:
+            d = la._set_distances(B, sets)
+        # a condition number past 1 / RANK_RTOL, possible at this grading,
+        # sends every set to the per-set path
+        assert len(calls) in (0, len(sets))
+        np.testing.assert_allclose(d, per_set_oracle(B, sets), rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_sign_matrices(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=6))
+        entries = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n, max_size=n * n))
+        B = np.array(entries).reshape(n, n)
+        sets = all_sets(n, 3)
+        with counting_set_fallback() as calls:
+            d = la._set_distances(B, sets)
+        # |det| >= 1 keeps every |R_jj| far above the tolerance
+        assert bool(calls) == (np.linalg.matrix_rank(B) < n)
+        np.testing.assert_allclose(d, per_set_oracle(B, sets), rtol=1e-9, atol=1e-12)
+
+    def test_rank_deficient_matrices_fall_back_set_by_set(self):
+        rng = np.random.default_rng(8)
+        repeated = rng.standard_normal((6, 6))
+        repeated[4] = repeated[1]
+        low_rank = rng.standard_normal((7, 5)) @ rng.standard_normal((5, 7))
+        for B in (repeated, low_rank, np.zeros((4, 4))):
+            sets = all_sets(B.shape[0], 3)
+            x = rng.standard_normal(B.shape[0])
+            with counting_set_fallback() as calls:
+                d, dx = la._set_distances(B, sets, x)
+            assert len(calls) == len(sets)
+            ref, ref_x = per_set_oracle(B, sets, x)
+            np.testing.assert_array_equal(d, ref)
+            np.testing.assert_array_equal(dx, ref_x)
+
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    def test_near_singular_at_the_tolerance(self, factor):
+        B, _ = near_singular(factor * la.RANK_RTOL, n=6)
+        sets = all_sets(6, 2)
+        with counting_set_fallback() as calls:
+            d = la._set_distances(B, sets)
+        assert bool(calls) == (factor < 1.0)
+        # rows 0 and 5 are parallel up to delta: the columns of B^-1 that span
+        # the complement of {0, 5} are too, and the kernel's relative error,
+        # about eps * cond(B), reaches a few 1e-7 at cond(B) ~ 1 / RANK_RTOL;
+        # the per-set SVD only sees the orthonormal rows outside the set
+        np.testing.assert_allclose(d, per_set_oracle(B, sets), rtol=1e-5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_homogeneous(self, c):
+        B = TestExtremeScales.B[:9, :9]
+        x = TestExtremeScales.B[9, :9]
+        sets = all_sets(9, 3)
+        d, dx = la._set_distances(B, sets, x)
+        got, got_x = la._set_distances(c * B, sets, c * x)
+        np.testing.assert_allclose(got, c * d, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_x, c * dx, rtol=1e-12, atol=0)
+        singular = B.copy()
+        singular[3] = singular[7]
+        with counting_set_fallback() as calls:
+            got = la._set_distances(c * singular, sets)
+        assert calls
+        scale = float(np.max(np.linalg.norm(singular, axis=1)))
+        np.testing.assert_allclose(
+            got / c, la._set_distances(singular, sets), rtol=1e-12, atol=1e-12 * scale
+        )
+
+    def test_whole_index_set_gives_row_norms(self):
+        B = RNG.standard_normal((5, 5))
+        d = la.complement_distances(B, range(5))
+        np.testing.assert_allclose([d[i] for i in range(5)], np.linalg.norm(B, axis=1), rtol=1e-12)
 
 
 class TestDistToComplement:

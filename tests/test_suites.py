@@ -13,6 +13,38 @@ def test_invert_by_elimination_matches_numpy():
         )
 
 
+def loop_elimination(B):
+    """Gauss-Jordan with the row updates written as a loop, the original
+    form of ``invert_by_elimination``."""
+    A = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    aug = np.hstack([A.copy(), np.eye(n)])
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[pivot, col]) < 1e-300:
+            raise InvalidInputError("matrix is numerically singular")
+        if pivot != col:
+            aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] /= aug[col, col]
+        for row in range(n):
+            if row != col and aug[row, col] != 0.0:
+                aug[row] -= aug[row, col] * aug[col]
+    return aug[:, n:]
+
+
+def test_invert_by_elimination_equals_row_loop():
+    rng = np.random.default_rng(574)
+    for n in range(2, 51, 3):
+        for B in (rng.standard_normal((n, n)), rng.choice([-1.0, 1.0], size=(n, n))):
+            try:
+                expected = loop_elimination(B)
+            except InvalidInputError:
+                with pytest.raises(InvalidInputError):
+                    suites.invert_by_elimination(B)
+                continue
+            np.testing.assert_array_equal(suites.invert_by_elimination(B), expected)
+
+
 def test_invert_by_elimination_rejects_singular():
     with pytest.raises(InvalidInputError):
         suites.invert_by_elimination(np.ones((3, 3)))

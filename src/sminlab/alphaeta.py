@@ -21,7 +21,10 @@ The headline inequality, checked exhaustively by
 
 Everything is exact finite summation; no sampling, no tolerances beyond
 float round-off.  Spaces are enumerated up to a configurable atom-count
-budget and larger requests are rejected rather than subsampled.
+budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
+and larger requests are rejected rather than subsampled.  Section
+quantities of coordinate ``i`` are computed on the section shape, with
+``size / shape[i]`` entries, and read only at the atoms that need them.
 """
 
 from __future__ import annotations
@@ -31,12 +34,17 @@ import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, decoding
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+
+# Atom cap of cube_example_structure: admits the 40**4 = 2.56 M-atom demo
+# of criterion 11 and rejects the next K=10 size, 80**4 = 41 M atoms.
+CUBE_ENUMERATION_BUDGET = 4 * 10**6
 
 _PROB_ATOL = 1e-12
 
@@ -56,6 +64,8 @@ class DiscreteProductSpace:
         for idx, p in enumerate(self.factors):
             if p.ndim != 1 or p.size == 0:
                 raise InvalidInputError(f"factor {idx} must be a non-empty probability vector")
+            if not np.all(np.isfinite(p)):
+                raise InvalidInputError(f"factor {idx} has non-finite probabilities")
             if np.any(p <= 0):
                 raise InvalidInputError(f"factor {idx} has non-positive probabilities")
             if abs(float(p.sum()) - 1.0) > _PROB_ATOL:
@@ -76,7 +86,10 @@ class DiscreteProductSpace:
         return len(self.factors)
 
     def atom_index(self, atom) -> int:
-        a = tuple(int(v) for v in atom)
+        try:
+            a = tuple(int(v) for v in atom)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"atom {atom!r} is not a sequence of integers") from None
         if len(a) != self.n or any(not (0 <= v < m) for v, m in zip(a, self.shape)):
             raise InvalidInputError(f"atom {atom!r} is not valid for shape {self.shape}")
         return int(np.dot(a, self._strides))
@@ -162,6 +175,10 @@ class AlphaEtaStructure:
             if event.shape not in ((N,), self.space.shape):
                 raise InvalidInputError("boolean event array has the wrong shape")
             return event.reshape(-1).copy()
+        if isinstance(event, np.ndarray) and event.ndim != 2:
+            raise InvalidInputError(
+                "an event array must be boolean, one entry per atom, or a 2-D array of atoms"
+            )
         mask = np.zeros(N, dtype=bool)
         for atom in event:
             mask[self.space.atom_index(atom)] = True
@@ -229,12 +246,40 @@ class AlphaEtaStructure:
         """
         pidx = self._label_index(psi_label, {v: p for p, v in enumerate(self.psi)})
         if pidx not in self._sharp_cache:
-            counts = (self._class_idx == pidx).sum(axis=0)
+            counts = np.zeros(self.space.size, dtype=np.int32)
+            for row in self._class_idx:
+                counts += row == pidx
             self._sharp_cache[pidx] = int(counts.max())
         return self._sharp_cache[pidx]
 
+    def _coordinate(self, i) -> int:
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < self.n:
+            raise InvalidInputError(f"coordinate {i!r} is not in 0..{self.n - 1}")
+        return int(i)
+
+    def _line(self, i, atom) -> tuple[int, int, np.ndarray]:
+        """``(i, flat, line)``: the checked coordinate, the atom's flat
+        index, and the flat indices of the ``shape[i]`` atoms that agree
+        with it off coordinate ``i``, in the order of coordinate ``i``."""
+        i = self._coordinate(i)
+        flat = self.space.atom_index(atom)
+        stride = int(self.space._strides[i])
+        m = self.space.shape[i]
+        base = flat - (flat // stride % m) * stride
+        return i, flat, base + np.arange(m) * stride
+
+    def _eta_section(self, i, atom) -> tuple[int, np.ndarray]:
+        """``(pos, section)``: the section probability of every ``psi``
+        label along coordinate ``i`` through ``atom`` and the position of
+        the largest, ties going to the latest label."""
+        i, _, line = self._line(i, atom)
+        section = np.bincount(
+            self._class_idx[i, line], weights=self.space.factors[i], minlength=len(self.psi)
+        )
+        return len(self.psi) - 1 - int(np.argmax(section[::-1])), section
+
     def class_label(self, i: int, atom) -> object:
-        return self.psi[self._class_idx[i, self.space.atom_index(atom)]]
+        return self.psi[self._class_idx[self._coordinate(i), self.space.atom_index(atom)]]
 
     def eta(self, i: int, atom):
         """Label of the class with the most probable section along coordinate ``i``.
@@ -242,31 +287,12 @@ class AlphaEtaStructure:
         Ties are broken towards the label occurring latest in the
         ``psi`` order; the result never depends on ``atom[i]``.
         """
-        flat = self.space.atom_index(atom)
-        probs_i = self.space.factors[i]
-        stride = int(self.space._strides[i])
-        base = flat - int(atom[i]) * stride
-        section = np.zeros(len(self.psi))
-        for a in range(self.space.shape[i]):
-            section[self._class_idx[i, base + a * stride]] += probs_i[a]
-        best = 0
-        for pos in range(1, len(self.psi)):
-            if section[pos] >= section[best]:
-                best = pos
-        return self.psi[best]
+        return self.psi[self._eta_section(i, atom)[0]]
 
     def eta_section_probability(self, i: int, atom) -> float:
         """Section probability of the class chosen by :meth:`eta` (>= 1/len(psi))."""
-        label = self.eta(i, atom)
-        pidx = list(self.psi).index(label)
-        flat = self.space.atom_index(atom)
-        stride = int(self.space._strides[i])
-        base = flat - int(atom[i]) * stride
-        total = 0.0
-        for a in range(self.space.shape[i]):
-            if self._class_idx[i, base + a * stride] == pidx:
-                total += self.space.factors[i][a]
-        return total
+        pos, section = self._eta_section(i, atom)
+        return float(section[pos])
 
     def alpha(self, i: int, atom) -> float:
         """Reciprocal section probability of the event cell containing ``atom``.
@@ -275,47 +301,27 @@ class AlphaEtaStructure:
         so the probability is positive on a discrete space.  Raises for
         atoms outside the event.
         """
-        flat = self.space.atom_index(atom)
+        i, flat, line = self._line(i, atom)
         if not self._event_mask[flat]:
             raise InvalidInputError(f"atom {atom!r} is not in the event")
-        cell = self._cell_idx[i, flat]
-        stride = int(self.space._strides[i])
-        base = flat - int(atom[i]) * stride
-        total = 0.0
-        for a in range(self.space.shape[i]):
-            pos = base + a * stride
-            if self._event_mask[pos] and self._cell_idx[i, pos] == cell:
-                total += self.space.factors[i][a]
-        return 1.0 / total
+        # cell labels are -1 off the event: shifted by one, those atoms fill bin 0
+        section = np.bincount(
+            self._cell_idx[i, line] + 1, weights=self.space.factors[i], minlength=len(self.lam) + 1
+        )
+        return float(1.0 / section[self._cell_idx[i, flat] + 1])
 
     # -- exhaustive verification ------------------------------------------
 
-    def _section_broadcast(self, i: int, member: np.ndarray) -> np.ndarray:
-        """Per-atom probability of the coordinate-``i`` section of ``member``."""
-        arr = member.reshape(self.space.shape)
-        sec = np.tensordot(arr, self.space.factors[i], axes=([i], [0]))
-        sec = np.expand_dims(sec, i)
-        return np.ravel(np.broadcast_to(sec, self.space.shape))
-
-    def _eta_indices(self, i: int) -> np.ndarray:
-        stacked = np.empty((len(self.psi), self.space.size))
-        for pidx in range(len(self.psi)):
-            stacked[pidx] = self._section_broadcast(
-                i, (self._class_idx[i] == pidx).astype(float)
-            )
-        # argmax with ties towards the largest index: scan reversed order
-        return len(self.psi) - 1 - np.argmax(stacked[::-1], axis=0)
-
-    def _alpha_values(self, i: int) -> np.ndarray:
-        """alpha(i, .) on event atoms (garbage elsewhere)."""
-        sections = np.empty((len(self.lam), self.space.size))
-        for lidx in range(len(self.lam)):
-            member = (self._event_mask & (self._cell_idx[i] == lidx)).astype(float)
-            sections[lidx] = self._section_broadcast(i, member)
-        cell = np.where(self._event_mask, self._cell_idx[i], 0)
-        chosen = sections[cell, np.arange(self.space.size)]
-        with np.errstate(divide="ignore"):
-            return 1.0 / chosen
+    def _section_table(self, i: int, labels: np.ndarray, count: int) -> np.ndarray:
+        """Row ``p``: for each point of the other coordinates (C order), the
+        probability of the atoms labelled ``p`` on the coordinate-``i`` line
+        through it.  Labels outside ``0..count-1`` count for no row."""
+        m = self.space.shape[i]
+        # one row per line along coordinate i, the (lines, shape[i]) layout that
+        # np.tensordot contracts: the same BLAS sums as a tensordot over axis i
+        lines = np.moveaxis(labels.reshape(self.space.shape), i, -1).reshape(-1, m)
+        f = self.space.factors[i]
+        return np.stack([np.dot(lines == p, f) for p in range(count)])
 
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
@@ -324,30 +330,39 @@ class AlphaEtaStructure:
         ``P(atom) * sum_i alpha / sharp(eta)``; the right-hand side is
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
-        kept as a guard).
+        kept as a guard).  ``eta`` and the cell sections are computed on the
+        section shape and read at the event atoms only.
         """
         sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
         rhs = float(len(self.psi) ** 2 * len(self.lam))
-        mask = self._event_mask
-        if not mask.any():
+        flat = np.flatnonzero(self._event_mask)
+        if not flat.size:
             return AlphaRhoReport(
                 lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
             )
-        ratio_sum = np.zeros(int(mask.sum()))
+        ratio_sum = np.zeros(flat.size)
         for i in range(self.n):
-            sharp_eta = sharp_vec[self._eta_indices(i)[mask]]
+            stride = int(self.space._strides[i])
+            # section index of each event atom: its flat index with coordinate i dropped
+            section = flat // (stride * self.space.shape[i]) * stride + flat % stride
+            eta_table = self._section_table(i, self._class_idx[i], len(self.psi))
+            # argmax with ties towards the largest index: scan reversed order
+            eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
+            sharp_eta = sharp_vec[eta_idx][section]
             if np.any(sharp_eta == 0):
                 raise InvalidInputError(
                     f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
                 )
-            ratio_sum += self._alpha_values(i)[mask] / sharp_eta
-        lhs = float(np.sum(self._probs[mask] * ratio_sum))
+            cell_table = self._section_table(i, self._cell_idx[i], len(self.lam))
+            ratio_sum += 1.0 / cell_table[self._cell_idx[i, flat], section] / sharp_eta
+        probs = self._probs[flat]
+        lhs = float(np.sum(probs * ratio_sum))
         return AlphaRhoReport(
             lhs=lhs,
             rhs=rhs,
             holds=bool(lhs <= rhs + 1e-9),
             min_ratio_sum=float(ratio_sum.min()),
-            event_probability=float(self._probs[mask].sum()),
+            event_probability=float(probs.sum()),
         )
 
     # -- serialization ----------------------------------------------------
@@ -378,13 +393,14 @@ class AlphaEtaStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "AlphaEtaStructure":
-        doc = json.loads(text)
-        space = DiscreteProductSpace(doc["factors"], budget=doc.get("budget", DEFAULT_ENUMERATION_BUDGET))
-        parse_key = lambda key: tuple(int(v) for v in key.split(","))
-        classes = [{parse_key(k): v for k, v in cmap.items()} for cmap in doc["classes"]]
-        cells = [{parse_key(k): v for k, v in emap.items()} for emap in doc["event_partition"]]
-        event = [tuple(a) for a in doc["event"]]
-        return cls(space, doc["psi"], doc["lambda"], classes, event, cells)
+        with decoding("alphaeta structure document"):
+            doc = json.loads(text)
+            space = DiscreteProductSpace(doc["factors"], budget=doc.get("budget", DEFAULT_ENUMERATION_BUDGET))
+            parse_key = lambda key: tuple(int(v) for v in key.split(","))
+            classes = [{parse_key(k): v for k, v in cmap.items()} for cmap in doc["classes"]]
+            cells = [{parse_key(k): v for k, v in emap.items()} for emap in doc["event_partition"]]
+            event = [tuple(a) for a in doc["event"]]
+            return cls(space, doc["psi"], doc["lambda"], classes, event, cells)
 
 
 def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) -> AlphaEtaStructure:
@@ -396,15 +412,17 @@ def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) 
     two-block assignment (label 1 on the first block of coordinates,
     label 2 on the rest), so ``sharp(1) = n - sqrt(n)`` and
     ``sharp(2) = sqrt(n)``; the event partition is trivial.  Requires
-    ``m`` to discretize both thresholds exactly.
+    ``m`` to discretize both thresholds exactly.  The space is capped at
+    ``budget`` atoms, :data:`CUBE_ENUMERATION_BUDGET` by default, and a
+    larger cube is rejected before anything is allocated.
     """
     if n < 4:
         raise InvalidInputError("n must be at least 4")
     s = math.isqrt(n)
     if s * s != n:
         raise InvalidInputError(f"n={n} must be a perfect square")
-    if K <= 1:
-        raise InvalidInputError("K must exceed 1")
+    if not math.isfinite(K) or K <= 1:
+        raise InvalidInputError("K must be finite and exceed 1")
     if m < 1:
         raise InvalidInputError("m must be a positive integer")
     q1 = m / (K * n)
@@ -414,9 +432,8 @@ def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) 
             f"m={m} does not discretize 1/(K n) and 1/(K sqrt(n)) exactly for K={K}, n={n}"
         )
     q1, q2 = int(round(q1)), int(round(q2))
-    total = m**n
     space = DiscreteProductSpace(
-        [np.full(m, 1.0 / m)] * n, budget=budget if budget is not None else max(total, DEFAULT_ENUMERATION_BUDGET)
+        [np.full(m, 1.0 / m)] * n, budget=CUBE_ENUMERATION_BUDGET if budget is None else budget
     )
     mask = np.zeros(space.shape, dtype=bool)
     for i in range(n):

@@ -98,23 +98,22 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
         B = None
         for attempt in range(200):
             candidate = sample_matrix(dist, n, SeedSpec(seed, idx * 1000 + attempt + 1))
-            sd = linalg.singular_data(candidate)
+            s_min, s_max, hs = linalg._extremes(candidate)
             # condition cutoff keeps float error well below the 1e-8 assertion
-            if sd.s_min > 1e-6 * sd.s_max:
+            if s_min > 1e-6 * s_max:
                 B = candidate
                 break
         if B is None:
             _record(result, f"instance {idx}: could not draw an invertible {kind} matrix")
             continue
         inv = invert_by_elimination(B)
-        distances = sd.row_distances
+        distances = linalg.row_distances(B)
         col_norms = np.linalg.norm(inv, axis=0)
         products = col_norms * distances
         worst = float(np.max(np.abs(products - 1.0)))
         if worst > 1e-8:
             _record(result, f"instance {idx} (kind={kind}, n={n}): biorthogonality error {worst:g}")
             continue
-        hs = sd.hs_inverse
         hs_from_distances = math.sqrt(float(np.sum(distances**-2.0)))
         rel = abs(hs**2 - hs_from_distances**2) / hs**2
         if rel > 1e-8:

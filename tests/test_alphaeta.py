@@ -1,10 +1,15 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sminlab.alphaeta as ae
+from sminlab import cli
 from sminlab.errors import InvalidInputError
 
 
@@ -51,12 +56,182 @@ def sharp_definitional(struct, psi_label):
     return n
 
 
+# -- the full-space evaluation and the per-atom loops, kept as oracles -----
+
+
+def full_space_report(struct):
+    """``verify_alpharho`` evaluated on the full space: every section
+    probability is broadcast back to all atoms before it is read."""
+    space = struct.space
+
+    def section_broadcast(i, member):
+        arr = member.reshape(space.shape)
+        sec = np.tensordot(arr, space.factors[i], axes=([i], [0]))
+        sec = np.expand_dims(sec, i)
+        return np.ravel(np.broadcast_to(sec, space.shape))
+
+    def eta_indices(i):
+        stacked = np.empty((len(struct.psi), space.size))
+        for pidx in range(len(struct.psi)):
+            stacked[pidx] = section_broadcast(i, (struct._class_idx[i] == pidx).astype(float))
+        return len(struct.psi) - 1 - np.argmax(stacked[::-1], axis=0)
+
+    def alpha_values(i):
+        sections = np.empty((len(struct.lam), space.size))
+        for lidx in range(len(struct.lam)):
+            member = (struct._event_mask & (struct._cell_idx[i] == lidx)).astype(float)
+            sections[lidx] = section_broadcast(i, member)
+        cell = np.where(struct._event_mask, struct._cell_idx[i], 0)
+        chosen = sections[cell, np.arange(space.size)]
+        with np.errstate(divide="ignore"):
+            return 1.0 / chosen
+
+    sharp_vec = np.array([struct.sharp(label) for label in struct.psi], dtype=float)
+    rhs = float(len(struct.psi) ** 2 * len(struct.lam))
+    mask = struct._event_mask
+    if not mask.any():
+        return ae.AlphaRhoReport(0.0, rhs, True, math.inf, 0.0)
+    ratio_sum = np.zeros(int(mask.sum()))
+    for i in range(struct.n):
+        sharp_eta = sharp_vec[eta_indices(i)[mask]]
+        assert not np.any(sharp_eta == 0)
+        ratio_sum += alpha_values(i)[mask] / sharp_eta
+    lhs = float(np.sum(struct._probs[mask] * ratio_sum))
+    return ae.AlphaRhoReport(
+        lhs, rhs, bool(lhs <= rhs + 1e-9), float(ratio_sum.min()), float(struct._probs[mask].sum())
+    )
+
+
+def _line_base(struct, i, atom):
+    flat = struct.space.atom_index(atom)
+    stride = int(struct.space._strides[i])
+    return flat, stride, flat - int(atom[i]) * stride
+
+
+def eta_loop(struct, i, atom):
+    _, stride, base = _line_base(struct, i, atom)
+    probs_i = struct.space.factors[i]
+    section = np.zeros(len(struct.psi))
+    for a in range(struct.space.shape[i]):
+        section[struct._class_idx[i, base + a * stride]] += probs_i[a]
+    best = 0
+    for pos in range(1, len(struct.psi)):
+        if section[pos] >= section[best]:
+            best = pos
+    return struct.psi[best]
+
+
+def eta_section_probability_loop(struct, i, atom):
+    pidx = list(struct.psi).index(eta_loop(struct, i, atom))
+    _, stride, base = _line_base(struct, i, atom)
+    total = 0.0
+    for a in range(struct.space.shape[i]):
+        if struct._class_idx[i, base + a * stride] == pidx:
+            total += struct.space.factors[i][a]
+    return total
+
+
+def alpha_loop(struct, i, atom):
+    flat, stride, base = _line_base(struct, i, atom)
+    cell = struct._cell_idx[i, flat]
+    total = 0.0
+    for a in range(struct.space.shape[i]):
+        pos = base + a * stride
+        if struct._event_mask[pos] and struct._cell_idx[i, pos] == cell:
+            total += struct.space.factors[i][a]
+    return 1.0 / total
+
+
+@st.composite
+def structures(draw, n_max=3, atoms_max=4):
+    """Structures with one-atom factors, n = 1, one-label lists, unused
+    (empty) cells, empty and full events, and uniform factors whose
+    section probabilities tie exactly."""
+    n = draw(st.integers(1, n_max))
+    shape = [draw(st.integers(1, atoms_max)) for _ in range(n)]
+    uniform = draw(st.booleans())
+    factors = []
+    for m in shape:
+        if uniform:
+            factors.append(np.full(m, 1.0 / m))
+        else:
+            raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+            factors.append(raw / raw.sum())
+    space = ae.DiscreteProductSpace(factors)
+    size = space.size
+
+    def labels(count):
+        return np.array(draw(st.lists(st.integers(1, count), min_size=size, max_size=size)))
+
+    psi = list(range(1, draw(st.integers(1, 3)) + 1))
+    lam = list(range(1, draw(st.integers(1, 3)) + 1))
+    classes = [labels(len(psi)) for _ in range(n)]
+    event = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    cells = [labels(len(lam)) for _ in range(n)]
+    return ae.AlphaEtaStructure(space, psi, lam, classes, event, cells)
+
+
+def assert_same_report(got, want):
+    assert got.lhs == want.lhs
+    assert got.min_ratio_sum == want.min_ratio_sum
+    assert got.event_probability == want.event_probability
+    assert got.rhs == want.rhs and got.holds == want.holds
+
+
+class TestSectionShapeOracle:
+    """The section-shape evaluation gives the full-space numbers bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(structures())
+    def test_verify_matches_full_space(self, struct):
+        assert_same_report(struct.verify_alpharho(), full_space_report(struct))
+
+    def test_verify_matches_full_space_on_suite_structures(self):
+        for seed in range(200):
+            struct = random_structure(seed + 2000, n_max=4, atoms_max=5)
+            assert_same_report(struct.verify_alpharho(), full_space_report(struct))
+
+    @pytest.mark.parametrize("args", [(4, 2.0, 8), (4, 10.0, 40)])
+    def test_verify_matches_full_space_on_the_cube(self, args):
+        cube = ae.cube_example_structure(*args)
+        assert_same_report(cube.verify_alpharho(), full_space_report(cube))
+
+    @settings(max_examples=100, deadline=None)
+    @given(structures())
+    def test_per_atom_queries_match_loops(self, struct):
+        for atom in struct.space.atoms():
+            for i in range(struct.n):
+                assert struct.eta(i, atom) == eta_loop(struct, i, atom)
+                assert struct.eta_section_probability(i, atom) == eta_section_probability_loop(
+                    struct, i, atom
+                )
+                if struct.contains(atom):
+                    assert struct.alpha(i, atom) == alpha_loop(struct, i, atom)
+
+    def test_cube_verify_stays_off_the_full_space(self):
+        # three float64 arrays of the full space; the full-space evaluation
+        # peaks at about five
+        cube = ae.cube_example_structure(4, 10.0, 40)
+        tracemalloc.start()
+        try:
+            cube.verify_alpharho()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * cube.space.size
+
+
 class TestDiscreteProductSpace:
     def test_validates_probabilities(self):
         with pytest.raises(InvalidInputError):
             ae.DiscreteProductSpace([[0.5, 0.4]])
         with pytest.raises(InvalidInputError):
             ae.DiscreteProductSpace([[1.0, 0.0]])
+
+    def test_rejects_non_finite_probabilities(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                ae.DiscreteProductSpace([[bad, 1.0]])
 
     def test_budget(self):
         with pytest.raises(InvalidInputError):
@@ -259,6 +434,25 @@ class TestCubeExample:
         with pytest.raises(InvalidInputError):
             ae.cube_example_structure(4, 0.5, 40)
 
+    def test_rejects_non_finite_k(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                ae.cube_example_structure(4, bad, 40)
+
+    def test_default_cap_admits_the_demo_only(self):
+        # 40**4 atoms is the criterion-11 demo, 80**4 the next K=10 size
+        assert 40**4 <= ae.CUBE_ENUMERATION_BUDGET < 80**4
+
+    def test_cap_rejects_before_building(self, monkeypatch, capsys):
+        monkeypatch.setattr(ae, "CUBE_ENUMERATION_BUDGET", 8**4 - 1)
+        with pytest.raises(InvalidInputError, match="budget"):
+            ae.cube_example_structure(4, 2.0, 8)
+        argv = ["alphaeta-demo", "--cube", "--n", "4", "--k", "2", "--atoms", "8"]
+        assert cli.parse_and_dispatch(argv) == 2
+        assert "budget" in capsys.readouterr().err
+        monkeypatch.setattr(ae, "CUBE_ENUMERATION_BUDGET", 8**4)
+        assert ae.cube_example_structure(4, 2.0, 8).space.size == 8**4
+
     def test_small_cube_eta(self):
         cube = ae.cube_example_structure(4, 2.0, 8)
         atom = (5, 5, 5, 0)  # in the event through the last coordinate
@@ -300,6 +494,33 @@ class TestStructureValidation:
                 event=np.ones(space.size, bool), event_partition=[1, 1],
             )
 
+    def test_non_boolean_event_array_rejected(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(InvalidInputError):
+            ae.AlphaEtaStructure(
+                space, psi=[1], lam=[1], classes=[1, 1],
+                event=np.array([1, 0, 0, 1]), event_partition=[1, 1],
+            )
+
+    def test_event_as_array_of_atoms(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1], lam=[1], classes=[1, 1],
+            event=np.array([[0, 1], [1, 0]]), event_partition=[1, 1],
+        )
+        assert list(struct.event_atoms()) == [(0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("query", ["eta", "eta_section_probability", "alpha", "class_label"])
+    @pytest.mark.parametrize("i", [2, -1, True, 0.0])
+    def test_coordinate_checked(self, query, i):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1], lam=[1], classes=[1, 1],
+            event=np.ones(space.size, bool), event_partition=[1, 1],
+        )
+        with pytest.raises(InvalidInputError, match="coordinate"):
+            getattr(struct, query)(i, (0, 1))
+
     def test_every_atom_in_exactly_one_class(self):
         # partition totality: assignments are functions, so each atom gets
         # exactly one label per coordinate; spot-check through the index arrays
@@ -321,3 +542,17 @@ class TestSerialization:
         )
         for label in struct.psi:
             assert clone.sharp(label) == struct.sharp(label)
+
+    @pytest.mark.parametrize(
+        "key", ["factors", "psi", "lambda", "classes", "event", "event_partition"]
+    )
+    def test_missing_key_rejected(self, key):
+        doc = json.loads(random_structure(777).to_json())
+        del doc[key]
+        with pytest.raises(InvalidInputError, match=key):
+            ae.AlphaEtaStructure.from_json(json.dumps(doc))
+
+    def test_malformed_document_rejected(self):
+        for text in ("{", "[]", '{"factors": 3}'):
+            with pytest.raises(InvalidInputError):
+                ae.AlphaEtaStructure.from_json(text)

@@ -38,7 +38,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding
+from .errors import InvalidInputError, decoding, integer
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -86,9 +86,11 @@ class DiscreteProductSpace:
         return len(self.factors)
 
     def atom_index(self, atom) -> int:
+        """Flat index of ``atom``, a sequence of one integer per factor;
+        floats, strings and booleans are rejected, not converted."""
         try:
-            a = tuple(int(v) for v in atom)
-        except (TypeError, ValueError):
+            a = tuple(integer(v) for v in atom)
+        except TypeError:
             raise InvalidInputError(f"atom {atom!r} is not a sequence of integers") from None
         if len(a) != self.n or any(not (0 <= v < m) for v, m in zip(a, self.shape)):
             raise InvalidInputError(f"atom {atom!r} is not valid for shape {self.shape}")
@@ -106,7 +108,7 @@ class DiscreteProductSpace:
         return out.reshape(-1)
 
     def prob(self, atom) -> float:
-        a = tuple(int(v) for v in atom)
+        a = np.unravel_index(self.atom_index(atom), self.shape)
         return float(np.prod([p[v] for p, v in zip(self.factors, a)]))
 
 

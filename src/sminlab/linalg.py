@@ -18,17 +18,23 @@ tolerance falls back to the SVD primitive, row by row or set by set
 (:func:`_complement_basis`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
-Every kernel takes its rank scale from :func:`_scaled`, which also
-rescales a matrix whose row norms would overflow or underflow by an
-exact power of two.
+The Monte Carlo statistics read ``s_min`` or the HS norm from the same
+QR factorization and triangular inverse instead (:func:`_certified`),
+with a certificate that every threshold comparison and singularity
+decision comes out as for the SVD, and take the SVD for any trial the
+certificate does not cover.  Every kernel takes its rank scale from
+:func:`_scaled`, which also rescales a matrix whose row norms would
+overflow or underflow by an exact power of two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri
 
 from .errors import InvalidInputError
@@ -38,6 +44,19 @@ from .errors import InvalidInputError
 # declared singular iff its smallest singular value falls below the same
 # scale-aware threshold.
 RANK_RTOL = 1e-10
+
+# The certified s_min of _certified: power steps allowed before the trial
+# falls back to the SVD (Gaussian matrices at n = 200 certify in 6 steps at
+# the median and 25 at the 99th percentile), and the relative width of the
+# bracket at which the iteration stops.
+_POWER_STEPS = 32
+_BRACKET_RTOL = 1e-13
+
+# c in the rounding margin c * n * eps * norm(A) of _certified: it covers the
+# backward errors of the QR factorization, the triangular inverse and the
+# SVD it stands in for, and the rounding of the sums it forms.
+_MARGIN = 8.0
+_EPS = float(np.finfo(float).eps)
 
 # Row scales and norms inside this range are used as computed: their
 # squares neither overflow nor underflow, nor do those of the distances
@@ -285,6 +304,102 @@ def _extremes(A: np.ndarray) -> tuple[float, float, float]:
     if s[-1] <= RANK_RTOL * scale:
         return 0.0, s_max, math.inf
     return float(np.ldexp(s[-1], e)), s_max, float(np.ldexp(np.sqrt(np.sum(s**-2.0)), -e))
+
+
+class _Certified(NamedTuple):
+    """Result of :func:`_certified`: the statistic, the power steps taken,
+    and why the trial fell back to :func:`_extremes` (``""`` when it did
+    not)."""
+
+    value: float
+    steps: int
+    fallback: str
+
+
+def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
+    """``s_min(A)`` when ``smin``, else ``hs_inverse(A)``, from the
+    ``A.T = Q R`` and ``W = R^-1`` of :func:`_factor`, on the same side of
+    every value in ``cuts`` and of the rank tolerance as :func:`_extremes`.
+
+    ``hs_inverse`` is ``norm(W, 'fro')``, the negative second moment
+    identity.  ``s_min`` is ``1 / sqrt(lambda_1)``, ``lambda_1`` the top
+    eigenvalue of ``W.T W``, found by power iteration.  With ``rho`` the
+    Rayleigh quotient of a unit vector and ``r`` its residual,
+    ``1 / sqrt(rho)`` bounds ``s_min`` from above; since the trace of
+    ``W.T W`` is ``norm(W, 'fro')**2``, ``alpha = trace - rho`` bounds
+    ``lambda_2``, and when ``alpha < rho`` the Kato-Temple inequality
+    ``lambda_1 <= rho + norm(r)**2 / (rho - alpha)`` bounds it from
+    below.  The iteration stops once that bracket is ``_BRACKET_RTOL``
+    tight and returns its upper end.  The bound needs ``rho > trace / 2``,
+    and ``rho <= lambda_1 <= norm(W, 1) * norm(W, inf)``: when that
+    product is at most half the trace no bracket can be certified, and
+    the SVD is taken at once.
+
+    The bracket, or for ``hs_inverse`` the interval that ``s_min >= 1 /
+    norm(W, 'fro')`` gives, is widened by the rounding margin
+    ``_MARGIN * n * eps * sqrt(n) * scale`` on ``s_min``, ``sqrt(n) *
+    scale`` bounding ``norm(A, 2)``.  The trial falls back to
+    :func:`_extremes`, and returns its value, when the rows are dependent
+    at the tolerance (``"rank"``), when certification is impossible
+    (``"early"``) or needs more than ``_POWER_STEPS`` steps (``"cap"``),
+    when the widened interval contains a cut (``"cut"``), or when its
+    lower end of ``s_min`` is at or below the rank tolerance
+    (``"tolerance"``).  Every comparison of the returned value with a cut
+    or with the tolerance therefore comes out as for the SVD value.
+    ``cuts`` are in the units of the statistic.  Inputs are not checked.
+    """
+    B, e, scale = _scaled(A)
+    W = _factor(B, scale)[2] if scale > 0.0 else None
+    if W is None:
+        return _fallback(A, smin, 0, "rank")
+    n = B.shape[0]
+    w = W.ravel(order="K")
+    trace = float(w @ w)
+    margin = _MARGIN * n * _EPS * math.sqrt(n) * scale
+    steps = 0
+    if smin:
+        absW = np.abs(W)
+        row_sums = absW.sum(axis=1)
+        top = int(np.argmax(row_sums))
+        if float(row_sums[top]) * float(absW.sum(axis=0).max()) <= trace / 2.0:
+            return _fallback(A, smin, 0, "early")
+        x = W[top] / np.linalg.norm(W[top])
+        for steps in range(1, _POWER_STEPS + 1):
+            y = dtrmv(W, x)
+            z = dtrmv(W, y, trans=1)
+            rho = float(y @ y)
+            alpha = trace - rho
+            if alpha < rho:
+                r = z - rho * x
+                high = 1.0 / math.sqrt(rho)
+                low = 1.0 / math.sqrt(rho + float(r @ r) / (rho - alpha))
+                if high - low <= _BRACKET_RTOL * low:
+                    break
+            x = z / math.sqrt(float(z @ z))
+        else:
+            return _fallback(A, smin, steps, "cap")
+        value, s_low = high, low - margin
+    else:
+        value = math.sqrt(trace)
+        s_low = 1.0 / value - margin
+    if s_low <= RANK_RTOL * scale:
+        return _fallback(A, smin, steps, "tolerance")
+    if smin:
+        low, high, exponent = s_low, value + margin, -e
+    else:
+        # s_min >= 1 / value > margin: moving every singular value by at most
+        # margin moves each sigma_i^-1, so hs_inverse, by a factor within
+        # 1 -+ margin * value
+        spread = margin * value
+        low, high, exponent = value / (1.0 + spread), value / (1.0 - spread), e
+    if any(low <= math.ldexp(c, exponent) <= high for c in cuts):
+        return _fallback(A, smin, steps, "cut")
+    return _Certified(math.ldexp(value, -exponent), steps, "")
+
+
+def _fallback(A: np.ndarray, smin: bool, steps: int, reason: str) -> _Certified:
+    s_min, _, hs = _extremes(A)
+    return _Certified(s_min if smin else hs, steps, reason)
 
 
 def hs_inverse(B) -> float:

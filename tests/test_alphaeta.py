@@ -246,6 +246,29 @@ class TestDiscreteProductSpace:
             assert probs[flat] == pytest.approx(space.prob(atom))
             assert space.atom_index(atom) == flat
 
+    def test_numpy_integer_coordinates(self):
+        space = ae.DiscreteProductSpace([[0.25, 0.75], [0.1, 0.2, 0.7]])
+        atom = (np.int64(1), np.int32(2))
+        assert space.atom_index(atom) == 5
+        assert space.prob(atom) == space.prob((1, 2)) == 0.75 * 0.7
+
+    @pytest.mark.parametrize(
+        "atom",
+        [(0.7, 1.9), (1.0, 0), (np.float64(1.0), 0), ("1", 0), (True, 0), (np.True_, 0), 3, None],
+    )
+    def test_non_integer_coordinates_rejected(self, atom):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        for query in (space.atom_index, space.prob):
+            with pytest.raises(InvalidInputError, match="not a sequence of integers"):
+                query(atom)
+
+    @pytest.mark.parametrize("atom", [(-1, 0), (2, 0), (0, 2), (0, 1, 7), (1,), ()])
+    def test_out_of_shape_atoms_rejected(self, atom):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        for query in (space.atom_index, space.prob):
+            with pytest.raises(InvalidInputError, match="not valid for shape"):
+                query(atom)
+
 
 class TestSharp:
     def test_whole_space_classes(self):

@@ -1,5 +1,7 @@
 import csv
+import functools
 import math
+import pickle
 import sys
 import threading
 
@@ -287,6 +289,39 @@ class TestCounterexampleExperiment:
         monkeypatch.setattr(ex, "sample_matrix", no_sampling)
         with pytest.raises(InvalidInputError, match="tau"):
             ex.counterexample_experiment(10, tau, 10, 0)
+
+    @pytest.mark.parametrize(
+        "smin_constants, kappa_constants",
+        [
+            ((math.nan, 1.0), (0.1,)),
+            ((1.0, -1.0), (0.1,)),
+            ((math.inf,), (0.1,)),
+            ((1.0,), (math.nan,)),
+            ((1.0,), (-0.01,)),
+            ((1.0,), (math.inf,)),
+            ((True,), (0.1,)),
+            (("5",), (0.1,)),
+        ],
+    )
+    def test_bad_constants_rejected_before_sampling(
+        self, monkeypatch, smin_constants, kappa_constants
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled a matrix")
+
+        monkeypatch.setattr(ex, "sample_matrix", no_sampling)
+        with pytest.raises(InvalidInputError, match="constants must be finite and non-negative"):
+            ex.counterexample_experiment(10, 50.0, 10, 0, smin_constants, kappa_constants)
+
+    def test_zero_and_numpy_constants_accepted(self):
+        rep = ex.counterexample_experiment(10, 50.0, 20, 3, (0.0, np.float64(5.0)), (np.float32(0.5),))
+        assert set(rep.smin_tail) == {0.0, 5.0} and set(rep.kappa_tail) == {0.5}
+
+    def test_trial_kernel_pickles(self):
+        shift = ex.build_shift(ShiftSpec.counterexample(40.0), 10)
+        kernel = functools.partial(ex._counterexample_trial, shift, 9)
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone(4) == kernel(4)
 
     def test_quick_run(self):
         rep = ex.counterexample_experiment(10, 50.0, 80, 3)

@@ -574,3 +574,204 @@ class TestInvariants:
         assert b.s_min == pytest.approx(a.s_min, rel=1e-8)
         assert b.s_max == pytest.approx(a.s_max, rel=1e-8)
         assert b.hs_inverse == pytest.approx(a.hs_inverse, rel=1e-8)
+
+
+def svd_statistics(B):
+    """``(s_min, hs_inverse)`` straight from ``np.linalg.svd``, singular at
+    the rank tolerance: the oracle of the certified QR kernel."""
+    s = np.linalg.svd(B, compute_uv=False)
+    if s[-1] <= la.RANK_RTOL * float(np.max(np.linalg.norm(B, axis=1))):
+        return 0.0, math.inf
+    return float(s[-1]), float(np.sqrt(np.sum(s**-2.0)))
+
+
+def rounding_margin(B):
+    """The margin on ``s_min`` that ``_certified`` documents: c n eps sqrt(n)
+    times the largest row norm, c = 8."""
+    n = B.shape[0]
+    return 8.0 * n * np.finfo(float).eps * math.sqrt(n) * float(np.max(np.linalg.norm(B, axis=1)))
+
+
+def planted(s, seed=0):
+    """``U diag(s) V^T`` with Haar-distributed orthogonal ``U`` and ``V``."""
+    rng = np.random.default_rng(seed)
+    n = len(s)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (U * np.asarray(s, dtype=float)) @ V.T
+
+
+# relative distances of the cuts placed on either side of the SVD value
+CUT_OFFSETS = (0.0, 1e-14, 1e-12, 1e-10, 1e-6, 1e-2)
+
+
+def assert_certified_matches_svd(B):
+    """Both statistics of ``_certified`` against the SVD: the value within
+    1e-12 relative plus the rounding margin, the same singularity decision
+    and the same side of every cut; a fallback returns ``_extremes`` bit
+    for bit."""
+    B = np.asarray(B, dtype=float)
+    margin = rounding_margin(B)
+    for pos, smin in ((0, True), (2, False)):
+        want = svd_statistics(B)[0 if smin else 1]
+        ref = la._extremes(B)[pos]
+        got = la._certified(B, smin, ())
+        if got.fallback:
+            assert got.value == ref
+        else:
+            assert 0.0 < got.value < math.inf and 0.0 < want < math.inf
+            bound = margin if smin else margin * want * want
+            assert abs(got.value - want) <= 1e-12 * want + bound
+        if not 0.0 < ref < math.inf:
+            assert got.value == ref
+            continue
+        for offset in CUT_OFFSETS:
+            cuts = (ref * (1.0 - offset), ref * (1.0 + offset))
+            got = la._certified(B, smin, cuts)
+            if got.fallback:
+                assert got.value == ref
+            else:
+                assert [got.value <= c for c in cuts] == [ref <= c for c in cuts]
+
+
+def uniform_plus_shift(rng, n):
+    """The clustered shape of criteria 03 and 04: uniform entries plus 10 sqrt(n) I."""
+    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n, n)) + 10.0 * math.sqrt(n) * np.eye(n)
+
+
+class TestCertifiedOracle:
+    """The QR kernel of the Monte Carlo statistics against the SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 40))
+    def test_gaussian(self, seed, n):
+        assert_certified_matches_svd(np.random.default_rng(seed).standard_normal((n, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sign_matrices(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        entries = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * n, max_size=n * n))
+        assert_certified_matches_svd(np.array(entries).reshape(n, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(3, 10),
+        factor=st.sampled_from([0.999, 1.001]),
+    )
+    def test_either_side_of_the_rank_tolerance(self, seed, n, factor):
+        s = np.ones(n)
+        s[-1] = 0.0
+        B0 = planted(s, seed)
+        s[-1] = factor * la.RANK_RTOL * float(np.max(np.linalg.norm(B0, axis=1)))
+        B = planted(s, seed)
+        assert (svd_statistics(B)[0] == 0.0) == (factor < 1.0)
+        assert_certified_matches_svd(B)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(2, 20),
+        spread=st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_graded_rows(self, seed, n, spread):
+        B = np.random.default_rng(seed).standard_normal((n, n)) * np.logspace(-spread, spread, n)[:, None]
+        assert_certified_matches_svd(B)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(2, 60))
+    def test_clustered_shift(self, seed, n):
+        assert_certified_matches_svd(uniform_plus_shift(np.random.default_rng(seed), n))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_extreme_scales(self, c):
+        rng = np.random.default_rng(21)
+        for B in (rng.standard_normal((20, 20)), uniform_plus_shift(rng, 20)):
+            for smin, power in ((True, 1), (False, -1)):
+                ref = la._certified(B, smin, ())
+                cuts = (ref.value * 0.5 * c**power, ref.value * 2.0 * c**power)
+                got = la._certified(c * B, smin, cuts)
+                assert got.fallback == ref.fallback
+                assert got.value == pytest.approx(ref.value * c**power, rel=1e-12, abs=0.0)
+                assert got.value == pytest.approx(la._extremes(c * B)[0 if smin else 2], rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 2e-12])
+    def test_planted_value_at_a_grid_threshold_falls_back(self, offset):
+        # s_min * sqrt(n) on the grid point t = 0.3 of the criterion-02 grid,
+        # or closer to it than the rounding margin (4e-12 relative here)
+        n, t = 20, 0.3
+        s = np.concatenate([[t / math.sqrt(n) * (1.0 + offset)], np.linspace(1.0, 2.0, n - 1)])
+        B = planted(s, 4)
+        assert rounding_margin(B) > 3e-12 * s[0]
+        grid = np.linspace(0.05, 0.5, 10)
+        got = la._certified(B, True, [g / math.sqrt(n) for g in grid])
+        assert got.fallback == "cut"
+        assert got.value == la._extremes(B)[0]
+        hs = la._extremes(B)[2]
+        got = la._certified(B, False, [hs * (1.0 + offset)])
+        assert got.fallback == "cut"
+        assert got.value == hs
+
+    def test_planted_value_off_the_grid_is_certified(self):
+        n, t = 20, 0.3
+        for offset in (-1e-8, 1e-8):
+            s = np.concatenate([[t / math.sqrt(n) * (1.0 + offset)], np.linspace(1.0, 2.0, n - 1)])
+            got = la._certified(planted(s, 4), True, [t / math.sqrt(n)])
+            assert got.fallback == "" and got.steps > 0
+            assert (got.value <= t / math.sqrt(n)) == (offset < 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_just_below_the_tolerance_is_singular_whatever_r_says(self, seed):
+        # every |R_jj| clears the tolerance, s_min is 0.1% below it
+        n = 6
+        s = np.ones(n)
+        s[-1] = 0.0
+        scale = float(np.max(np.linalg.norm(planted(s, seed), axis=1)))
+        s[-1] = 0.999 * la.RANK_RTOL * scale
+        B = planted(s, seed)
+        R = np.linalg.qr(B.T, mode="r")
+        assert np.min(np.abs(np.diagonal(R))) > la.RANK_RTOL * scale
+        assert la._certified(B, True, ()) == (0.0, 1, "tolerance")
+        assert la._certified(B, False, ()) == (math.inf, 0, "tolerance")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_identity(self, n):
+        # lambda_1 = lambda_2 = 1 (n >= 2) leaves nothing to certify; n = 1 is exact
+        got = la._certified(np.eye(n), True, ())
+        assert got == (1.0, 1, "") if n == 1 else got == (1.0, 0, "early")
+        assert la._certified(np.eye(n), False, ()).value == pytest.approx(math.sqrt(n), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_clustered_shift_exits_before_iterating(self, n):
+        B = uniform_plus_shift(np.random.default_rng(n), n)
+        assert la._certified(B, True, ()) == (la._extremes(B)[0], 0, "early")
+        assert la._certified(B, False, ()).fallback == ""
+
+    @pytest.mark.parametrize("d", [(1.0, 1.1), (1.0, 1.5), (2.0, 3.0, 5.0), (0.5, 0.9, 4.0, 4.0)])
+    def test_diagonal_with_a_dominant_direction_is_certified(self, d):
+        # W = diag(1 / d): norm(W, 1) * norm(W, inf) is lambda_1 itself, above
+        # trace / 2, and the starting row is the top eigenvector
+        got = la._certified(np.diag(d), True, ())
+        assert got == (min(d), 1, "")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(2, 30),
+        shape=st.sampled_from(["gaussian", "sign", "clustered", "diagonal"]),
+    )
+    def test_early_exit_only_when_certification_is_impossible(self, seed, n, shape):
+        rng = np.random.default_rng(seed)
+        if shape == "gaussian":
+            B = rng.standard_normal((n, n))
+        elif shape == "sign":
+            B = rng.choice([-1.0, 1.0], (n, n))
+        elif shape == "clustered":
+            B = uniform_plus_shift(rng, n)
+        else:
+            B = np.diag(rng.uniform(1.0, 3.0, n))
+        if la._certified(B, True, ()).fallback == "early":
+            # lambda_1 of W^T W is 1 / s_min^2, its trace sum(sigma^-2)
+            s = np.linalg.svd(B, compute_uv=False)
+            assert s[-1] ** -2.0 <= 0.5 * np.sum(s**-2.0) * (1.0 + 1e-9)

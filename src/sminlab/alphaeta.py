@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -133,11 +133,12 @@ class AlphaEtaStructure:
 
     ``classes[i]`` and ``event_partition[i]`` may each be given as a
     scalar label (constant assignment), a mapping from atom tuples to
-    labels, a callable, or an array of labels aligned with the flat
-    enumeration order.  ``event`` may be a set/iterable of atom tuples,
-    a callable predicate, or a boolean array.  Labels must be members of
-    ``psi`` (respectively ``lam``); the position in those lists is the
-    total order used for tie-breaking.
+    labels, or an array of labels aligned with the flat enumeration
+    order.  ``event`` may be a set/iterable of atom tuples or a boolean
+    array; any other form, a callable among them, is an
+    :class:`InvalidInputError`.  Labels must be members of ``psi``
+    (respectively ``lam``); the position in those lists is the total
+    order used for tie-breaking.
     """
 
     def __init__(self, space: DiscreteProductSpace, psi, lam, classes, event, event_partition):
@@ -168,11 +169,6 @@ class AlphaEtaStructure:
 
     def _normalize_event(self, event) -> np.ndarray:
         N = self.space.size
-        if callable(event):
-            mask = np.zeros(N, dtype=bool)
-            for flat, atom in enumerate(self.space.atoms()):
-                mask[flat] = bool(event(atom))
-            return mask
         if isinstance(event, np.ndarray) and event.dtype == bool:
             if event.shape not in ((N,), self.space.shape):
                 raise InvalidInputError("boolean event array has the wrong shape")
@@ -181,8 +177,14 @@ class AlphaEtaStructure:
             raise InvalidInputError(
                 "an event array must be boolean, one entry per atom, or a 2-D array of atoms"
             )
+        try:
+            atoms = iter(event)
+        except TypeError:
+            raise InvalidInputError(
+                f"an event must be a boolean array or a collection of atoms, not {type(event).__name__}"
+            ) from None
         mask = np.zeros(N, dtype=bool)
-        for atom in event:
+        for atom in atoms:
             mask[self.space.atom_index(atom)] = True
         return mask
 
@@ -198,11 +200,6 @@ class AlphaEtaStructure:
                 if atom not in spec:
                     raise InvalidInputError(f"assignment is missing atom {atom}")
                 out[flat] = self._label_index(spec[atom], lookup)
-            return out
-        if isinstance(spec, Callable):
-            for flat, atom in enumerate(self.space.atoms()):
-                if where[flat]:
-                    out[flat] = self._label_index(spec(atom), lookup)
             return out
         if np.isscalar(spec) or isinstance(spec, (str, tuple)):
             out[where] = self._label_index(spec, lookup)
@@ -405,7 +402,7 @@ class AlphaEtaStructure:
             return cls(space, doc["psi"], doc["lambda"], classes, event, cells)
 
 
-def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) -> AlphaEtaStructure:
+def cube_example_structure(n: int, K: float, m: int) -> AlphaEtaStructure:
     """Uniform discretized cube with a union-of-small-coordinates event.
 
     The event collects the atoms where one of the first ``n - sqrt(n)``
@@ -415,8 +412,8 @@ def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) 
     label 2 on the rest), so ``sharp(1) = n - sqrt(n)`` and
     ``sharp(2) = sqrt(n)``; the event partition is trivial.  Requires
     ``m`` to discretize both thresholds exactly.  The space is capped at
-    ``budget`` atoms, :data:`CUBE_ENUMERATION_BUDGET` by default, and a
-    larger cube is rejected before anything is allocated.
+    :data:`CUBE_ENUMERATION_BUDGET` atoms, and a larger cube is rejected
+    before anything is allocated.
     """
     if n < 4:
         raise InvalidInputError("n must be at least 4")
@@ -434,9 +431,7 @@ def cube_example_structure(n: int, K: float, m: int, budget: int | None = None) 
             f"m={m} does not discretize 1/(K n) and 1/(K sqrt(n)) exactly for K={K}, n={n}"
         )
     q1, q2 = int(round(q1)), int(round(q2))
-    space = DiscreteProductSpace(
-        [np.full(m, 1.0 / m)] * n, budget=CUBE_ENUMERATION_BUDGET if budget is None else budget
-    )
+    space = DiscreteProductSpace([np.full(m, 1.0 / m)] * n, budget=CUBE_ENUMERATION_BUDGET)
     mask = np.zeros(space.shape, dtype=bool)
     for i in range(n):
         threshold = q1 if i < n - s else q2

@@ -113,10 +113,6 @@ class GreedyDecomposition:
     smallest sorted vertex list.
     """
 
-    graph: Graph
-    vertex: int
-    mode: str
-    depth: int
     s_seq: list[frozenset[int]]
     e_seq: list[frozenset[Edge]]
 
@@ -189,7 +185,7 @@ def greedy_decomposition(G: Graph, i: int, depth: int, mode: str = "exact") -> G
         s_next = step(s_seq[-1], e_seq[-1])
         s_seq.append(s_next)
         e_seq.append(_surviving(G.edges, s_next))
-    return GreedyDecomposition(graph=G, vertex=i, mode=mode, depth=depth, s_seq=s_seq, e_seq=e_seq)
+    return GreedyDecomposition(s_seq, e_seq)
 
 
 def vertex_value(G: Graph, i: int, L: int, mode: str = "exact") -> float:
@@ -421,7 +417,8 @@ def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
     the distances come from one QR profile of the family, as in
     :func:`sminlab.linalg.row_distances`, when the vectors are no more
     than their dimension and independent at the rank tolerance, and from
-    one ``dist_to_span`` per vector otherwise.
+    one SVD of the other vectors per vector otherwise
+    (:func:`sminlab.linalg._svd_distances`).
     """
     xs = [np.asarray(v, dtype=float) for v in vectors]
     if len(xs) < 2:

@@ -32,15 +32,12 @@ when its rows are dependent at the rank tolerance, when the certificate
 is out of reach (the spectrum of ``B^-1`` has no dominant top) or takes
 more than 32 power steps, or when the certified value lies within the
 rounding margin of a grid threshold or of the rank tolerance, so every
-hit count and singularity decision is the SVD's.  Measured on a 2-vCPU
-Xeon at the acceptance configs: Gaussian n=200 ``smin_scaled`` falls
-back in 7% of trials (it certifies in 6 power steps at the median, 25
-at the 99th percentile) and its trials run in about 60% of the SVD's
-wall time; uniform rows plus ``10 sqrt(n) I`` fall back in every
-``smin_scaled`` trial (clustered spectrum), paying the QR and inverse on
-top of the SVD, about 30% more, and in no ``hs_scaled_*`` trial, about
-a third of the SVD's time.  The counterexample verb keeps the SVD: it
-reads ``s_max`` as well.
+hit count and singularity decision is the SVD's.  At the acceptance
+configs Gaussian n=200 ``smin_scaled`` falls back in 7% of trials (it
+certifies in 6 power steps at the median, 25 at the 99th percentile);
+uniform rows plus ``10 sqrt(n) I`` fall back in every ``smin_scaled``
+trial (clustered spectrum) and in no ``hs_scaled_*`` trial.  The
+counterexample verb keeps the SVD: it reads ``s_max`` as well.
 
 Confidence intervals are Wilson score intervals at z = 1.96, which stay
 honest for proportions near zero where all the interesting claims live.
@@ -60,7 +57,7 @@ import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import TypeVar
 
@@ -77,13 +74,15 @@ STATISTIC_KINDS = ("smin_scaled", "hs_scaled_sqrt", "hs_scaled_n", "distance_pro
 T = TypeVar("T")
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score confidence interval for a binomial proportion at ``z =
+    Z_95``."""
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     if not (0 <= hits <= trials):
         raise InvalidInputError("hits must lie in [0, trials]")
     p = hits / trials
+    z = Z_95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     margin = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
@@ -448,15 +447,7 @@ def distance_profile_tail(config: ExperimentConfig, workers: int | None = None) 
     if not config.t_grid:
         if stat.a is None:
             raise InvalidInputError("need a t_grid or a fixed distance threshold a")
-        config = ExperimentConfig(
-            dist=config.dist,
-            shift=config.shift,
-            n=config.n,
-            trials=config.trials,
-            t_grid=(stat.a,),
-            master_seed=config.master_seed,
-            statistic=stat,
-        )
+        config = replace(config, t_grid=(stat.a,))
     return estimate_tail(config, workers)
 
 

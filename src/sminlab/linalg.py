@@ -8,14 +8,15 @@ and to the Hilbert-Schmidt norm of the inverse:
 
     hs_inverse(B)**2 == sum(row_distances(B) ** -2)
 
-Distances to a general spanning set come from orthogonalizing that set
-with the rank-revealing SVD.  The full profile ``row_distances`` uses
-the duality instead: one QR factorization and a triangular inverse give
-every row at once.  Distances to the span of the rows outside an index
-set use it too, for a whole stack of sets from one factorization
-(:func:`_set_distances`).  A matrix that is rank deficient at the
-tolerance falls back to the SVD primitive, row by row or set by set
-(:func:`_complement_basis`), so every operation stays well defined for
+Distances to a general spanning set (:func:`dist_to_span`) come from
+orthogonalizing that set with the rank-revealing SVD.  The full profile
+``row_distances`` uses the duality instead: one QR factorization and a
+triangular inverse give every row at once.  Distances to the span of the
+rows outside an index set use it too, for a whole stack of sets from one
+factorization (:func:`_set_distances`).  Both take that factorization
+from :func:`_factor`.  A family that is rank deficient at the tolerance
+falls back to the SVD primitive set by set, a row being the singleton set
+(:func:`_svd_distances`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
 The Monte Carlo statistics read ``s_min`` or the HS norm from the same
@@ -171,53 +172,37 @@ def row_distances(B) -> np.ndarray:
     return _row_profile(A)
 
 
-def _factor(A: np.ndarray, scale: float):
-    """``(qr, tau, R^-1)`` of ``A.T = Q R`` for an ``m x d`` matrix with
-    ``m <= d``: LAPACK ``geqrf`` output, ``R`` being its leading ``m x m``
-    upper triangle, and ``trtri``.  ``R^-1`` is ``None`` when some
-    ``|R_jj|`` is at or below ``RANK_RTOL * scale``, that is when the rows
-    are linearly dependent at the tolerance.
+def _factor(X: np.ndarray):
+    """``(A, e, scale, qr, tau, W)`` for an ``m x d`` family ``X``: ``A, e,
+    scale`` from :func:`_scaled`, ``qr, tau`` the LAPACK ``geqrf`` output of
+    ``A.T = Q R``, and ``W = R^-1`` from ``trtri``.  ``W`` is ``None`` when
+    ``m > d`` (then ``qr`` and ``tau`` are too) or some ``|R_jj|`` is at or
+    below ``RANK_RTOL * scale``, that is when the rows are linearly
+    dependent at the tolerance.
     """
+    A, e, scale = _scaled(X)
+    m, d = A.shape
+    if m > d:
+        return A, e, scale, None, None, None
     qr, tau = dgeqrf(A.T)[:2]
-    R = np.triu(qr[: A.shape[0]])
+    R = np.triu(qr[:m])
     if np.min(np.abs(np.diagonal(R))) <= RANK_RTOL * scale:
-        return qr, tau, None
-    return qr, tau, dtrtri(R, overwrite_c=1)[0]
+        return A, e, scale, qr, tau, None
+    return A, e, scale, qr, tau, dtrtri(R, overwrite_c=1)[0]
 
 
 def _row_profile(X: np.ndarray) -> np.ndarray:
     """Distance of each row of an ``m x d`` family (``m >= 2``) to the span
-    of the other rows: the :func:`row_distances` arithmetic when ``m <= d``
-    and the rows pass the rank tolerance, one :func:`dist_to_span` per row
-    otherwise.  Inputs are not checked.
+    of the other rows: the :func:`row_distances` arithmetic when the rows
+    are independent at the rank tolerance, :func:`_svd_distances` with one
+    singleton set per row otherwise.  Inputs are not checked.
     """
-    m = X.shape[0]
-    X, e, scale = _scaled(X)
-    if scale == 0.0:
-        return np.zeros(m)
-    Rinv = _factor(X, scale)[2] if m <= X.shape[1] else None
-    if Rinv is not None:
-        d = 1.0 / np.linalg.norm(Rinv, axis=1)
+    A, e, _, _, _, W = _factor(X)
+    if W is not None:
+        d = 1.0 / np.linalg.norm(W, axis=1)
     else:
-        idx = np.arange(m)
-        d = np.array([dist_to_span(X[i], X[idx != i]) for i in range(m)])
+        d = _svd_distances(A, np.arange(A.shape[0])[:, None])[0][:, 0]
     return np.ldexp(d, e) if e else d
-
-
-def complement_distances(B, S) -> dict[int, float]:
-    """Distances of the rows indexed by ``S`` to the span of the rows outside ``S``.
-
-    All of them come from one factorization of ``B``, see :func:`_set_distances`.
-    """
-    A = as_matrix(B)
-    n = A.shape[0]
-    sel = sorted(set(int(i) for i in S))
-    if not sel:
-        raise InvalidInputError("S must be non-empty")
-    if sel[0] < 0 or sel[-1] >= n:
-        raise InvalidInputError(f"S={sel} out of range for n={n}")
-    d = _set_distances(A, np.array([sel]))[0]
-    return {i: float(v) for i, v in zip(sel, d)}
 
 
 def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None):
@@ -235,16 +220,11 @@ def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None)
     gives the distance of row ``m`` as the norm of its row of ``T_S^-1``,
     and that of ``x`` as ``norm(U_S.T Q.T x)``.  When the matrix is rank
     deficient at the tolerance every set falls back to
-    :func:`_complement_basis` and :func:`residual_norm`.  Inputs are not
-    checked.
+    :func:`_svd_distances`.  Inputs are not checked.
     """
-    A, e, scale = _scaled(A)
-    qr, tau, Rinv = _factor(A, scale)
+    A, e, _, qr, tau, Rinv = _factor(A)
     if Rinv is None:
-        bases = [_complement_basis(A, S) for S in sets]
-        d = np.array([[residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
-        if x is not None:
-            d_x = np.array([residual_norm(x, basis) for basis in bases])
+        d, d_x = _svd_distances(A, sets, x)
     else:
         P = Rinv[sets].transpose(0, 2, 1)
         if x is None:
@@ -259,17 +239,19 @@ def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None)
     return d if x is None else (d, d_x)
 
 
-def _complement_basis(A: np.ndarray, S) -> np.ndarray:
-    """Orthonormal basis (as rows) of the span of the rows of ``A`` whose
-    indices are not in ``S``, those rows taken in ascending order.
-
-    The per-set path of complement distances, taken by
-    :func:`_set_distances` when the matrix is rank deficient at the
-    tolerance: measure a vector against it with :func:`residual_norm`.
-    Inputs are not checked; public callers validate them once per call.
+def _svd_distances(A: np.ndarray, sets, x: np.ndarray | None = None):
+    """``(d, d_x)``, the complement distances of :func:`_set_distances`
+    set by set: one :func:`span_basis` of the rows of ``A`` outside each
+    set, those rows taken in ascending order, against which the rows of
+    the set and ``x`` are measured with :func:`residual_norm`.  ``d_x`` is
+    ``None`` without ``x``.  The SVD path of the rank-deficient families of
+    :func:`_row_profile` and :func:`_set_distances`; inputs are not
+    checked.
     """
-    keep = np.setdiff1d(np.arange(A.shape[0]), S)
-    return span_basis(A[keep]) if keep.size else np.zeros((0, A.shape[1]))
+    everything = np.arange(A.shape[0])
+    bases = [span_basis(A[np.setdiff1d(everything, S)]) for S in sets]
+    d = np.array([[residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
+    return d, None if x is None else np.array([residual_norm(x, basis) for basis in bases])
 
 
 def dist_to_complement(B, i: int, S) -> float:
@@ -277,10 +259,13 @@ def dist_to_complement(B, i: int, S) -> float:
 
     Requires ``i in S``; with ``S == {i}`` this is ``row_distances(B)[i]``.
     """
-    sel = set(int(j) for j in S)
+    sel = sorted(set(int(j) for j in S))
     if int(i) not in sel:
-        raise InvalidInputError(f"index i={i} must belong to S={sorted(sel)}")
-    return complement_distances(B, sel)[int(i)]
+        raise InvalidInputError(f"index i={i} must belong to S={sel}")
+    A = as_matrix(B)
+    if sel[0] < 0 or sel[-1] >= A.shape[0]:
+        raise InvalidInputError(f"S={sel} out of range for n={A.shape[0]}")
+    return float(_set_distances(A, np.array([sel]))[0][sel.index(int(i))])
 
 
 def singular_values(B) -> np.ndarray:
@@ -348,8 +333,7 @@ def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
     or with the tolerance therefore comes out as for the SVD value.
     ``cuts`` are in the units of the statistic.  Inputs are not checked.
     """
-    B, e, scale = _scaled(A)
-    W = _factor(B, scale)[2] if scale > 0.0 else None
+    B, e, scale, _, _, W = _factor(A)
     if W is None:
         return _fallback(A, smin, 0, "rank")
     n = B.shape[0]

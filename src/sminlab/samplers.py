@@ -70,21 +70,19 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class RowDistribution:
-    """Specification of the law of one matrix row.
-
-    ``density_bound`` is the closed-form bound on the one-dimensional
-    marginal density when one is known (filled in automatically) and
-    ``None`` otherwise.
-    """
+    """Specification of the law of one matrix row."""
 
     kind: str
-    density_bound: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
-        if self.density_bound is None and self.kind in _M1_DENSITY_BOUND:
-            object.__setattr__(self, "density_bound", _M1_DENSITY_BOUND[self.kind])
+
+    @property
+    def density_bound(self) -> float | None:
+        """Closed-form bound on the one-dimensional marginal density of
+        ``kind``, ``None`` where none is known."""
+        return _M1_DENSITY_BOUND.get(self.kind)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind}

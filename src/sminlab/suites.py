@@ -5,7 +5,10 @@ runs the corresponding library operation, and checks the guaranteed
 conclusion; a single failure is a bug (in the generator or the
 library), never sampling noise.  Generators draw from the same
 counter-based streams as the samplers, so a suite run is reproducible
-from ``(seed, instance_index)``.
+from ``(seed, instance_index)``.  Instance ``idx`` reads the stream
+``SeedSpec(seed, idx)``; a stream an instance draws beyond its own (a
+retried matrix, the separate triple matrices of the low-value suite) is
+keyed apart from every instance stream (:func:`_derived`).
 
 The biorthogonality suite keeps its matrix inverse deliberately
 independent of the distance computations: it uses plain Gauss-Jordan
@@ -33,6 +36,10 @@ class SuiteResult:
     failures: int
     messages: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.instances < 0:
+            raise InvalidInputError(f"instances must be non-negative, got {self.instances}")
+
     @property
     def passed(self) -> bool:
         return self.failures == 0
@@ -53,6 +60,13 @@ def _record(result: SuiteResult, message: str) -> None:
 
 def _rng(seed: int, index: int) -> np.random.Generator:
     return SeedSpec(seed, index).rng()
+
+
+def _derived(seed: int, idx: int, attempt: int = 0) -> SeedSpec:
+    """Stream ``attempt`` (below 256) of instance ``idx``, apart from every
+    instance stream: the top bit of its 64-bit trial index is set, and no
+    instance index of a run of fewer than 2**55 instances reaches it."""
+    return SeedSpec(seed, 1 << 63 | idx << 8 | attempt)
 
 
 def invert_by_elimination(B: np.ndarray) -> np.ndarray:
@@ -97,7 +111,7 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
         dist = RowDistribution(kind)
         B = None
         for attempt in range(200):
-            candidate = sample_matrix(dist, n, SeedSpec(seed, idx * 1000 + attempt + 1))
+            candidate = sample_matrix(dist, n, _derived(seed, idx, attempt))
             s_min, s_max, hs = linalg._extremes(candidate)
             # condition cutoff keeps float error well below the 1e-8 assertion
             if s_min > 1e-6 * s_max:
@@ -225,6 +239,10 @@ def run_low_value_suite(
     matrices: int = 100, seed: int = 0, triple_matrices: int = 50
 ) -> SuiteResult:
     """Vertex-value counting bound plus the deterministic triple property."""
+    if min(matrices, triple_matrices) < 0:
+        raise InvalidInputError(
+            f"matrices={matrices} and triple_matrices={triple_matrices} must be non-negative"
+        )
     result = SuiteResult("low-value", matrices + triple_matrices, 0)
     for idx in range(matrices):
         rng = _rng(seed, idx)
@@ -248,7 +266,7 @@ def run_low_value_suite(
         if combinatorics.low_value_count(B, L, N) > 16 * N:
             _record(result, f"matrix {idx}: low_value_count exceeds 16N (L={L}, N={N})")
     for idx in range(triple_matrices):
-        rng = _rng(seed, 10_000 + idx)
+        rng = _derived(seed, idx).rng()
         n = int(rng.integers(4, 10))
         B = rng.standard_normal((n, n))
         graphs = [combinatorics.build_graph_G(B, i) for i in range(n)]
@@ -336,6 +354,8 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> SuiteRe
     runner = SUITES[name]
     if instances is None:
         return runner(seed=seed)
+    if instances < 1:
+        raise InvalidInputError(f"instances must be at least 1, got {instances}")
     if name == "low-value":
         return runner(matrices=instances, seed=seed)
     return runner(instances, seed=seed)

@@ -525,6 +525,17 @@ class TestStructureValidation:
                 event=np.array([1, 0, 0, 1]), event_partition=[1, 1],
             )
 
+    @pytest.mark.parametrize("where", ["classes", "event", "event_partition"])
+    def test_callable_forms_rejected(self, where):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        args = dict(classes=[1, 1], event=np.ones(space.size, bool), event_partition=[1, 1])
+        if where == "event":
+            args["event"] = lambda atom: True
+        else:
+            args[where] = [1, lambda atom: 1]
+        with pytest.raises(InvalidInputError):
+            ae.AlphaEtaStructure(space, psi=[1], lam=[1], **args)
+
     def test_event_as_array_of_atoms(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
         struct = ae.AlphaEtaStructure(

@@ -190,6 +190,12 @@ class TestDispatch:
         assert doc["failures"] == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_lemma_check_rejects_a_count_below_one(self, capsys, count):
+        code = cli.parse_and_dispatch(["lemma-check", "--suite", "pivot", "--instances", count])
+        assert code == 2
+        assert "instances must be at least 1" in capsys.readouterr().err
+
     def test_alphaeta_demo(self, capsys):
         code = cli.parse_and_dispatch(
             ["alphaeta-demo", "--cube", "--n", "4", "--k", "10", "--atoms", "40"]

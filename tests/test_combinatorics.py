@@ -550,7 +550,7 @@ def oracle_graph_G(B, i):
     n = B.shape[0]
     edges = []
     for j, k in itertools.combinations([v for v in range(n) if v != i], 2):
-        basis = la._complement_basis(B, (i, j, k))
+        basis = la.span_basis(np.delete(B, (i, j, k), axis=0))
         d_i, d_j, d_k = (la.residual_norm(B[m], basis) for m in (i, j, k))
         if d_i >= max(d_j, d_k):
             edges.append((j, k))
@@ -562,7 +562,7 @@ def oracle_graph_G_tilde(A, M, i, offset):
     n = B.shape[0]
     edges = []
     for j, k in itertools.combinations([v for v in range(n) if v != i], 2):
-        basis = la._complement_basis(B, (i, j, k))
+        basis = la.span_basis(np.delete(B, (i, j, k), axis=0))
         lhs = la.residual_norm(M[i], basis) + offset
         if lhs >= max(la.residual_norm(B[j], basis), la.residual_norm(B[k], basis)):
             edges.append((j, k))
@@ -577,7 +577,7 @@ def oracle_q_sets(B, I, tau, a, b, r):
         inside = set(I).intersection(S)
         if not inside:
             continue
-        basis = la._complement_basis(B, S)
+        basis = la.span_basis(np.delete(B, S, axis=0))
         d = {m: la.residual_norm(B[m], basis) for m in S}
         if any(d[j] <= tau for j in inside):
             q1.add(frozenset(S))

@@ -136,19 +136,20 @@ def svd_profile(B):
 
 @contextmanager
 def counting_fallback():
-    """Collect one entry per SVD-primitive call made by ``row_distances``."""
+    """Collect one entry per SVD made by ``row_distances``: one per row on
+    the SVD path, where the rows outside it are not all zero."""
     calls = []
-    primitive = la.dist_to_span
+    primitive = np.linalg.svd
 
-    def counting(x, rows):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return primitive(x, rows)
+        return primitive(*args, **kwargs)
 
-    la.dist_to_span = counting
+    np.linalg.svd = counting
     try:
         yield calls
     finally:
-        la.dist_to_span = primitive
+        np.linalg.svd = primitive
 
 
 def near_singular(delta, n=5):
@@ -333,11 +334,39 @@ def test_row_distances_bits_are_pinned(n):
         np.testing.assert_array_equal(la.row_distances(B), old_row_distances(B))
 
 
+def fallback_families():
+    """Families that fail the rank tolerance of ``_factor``: a repeated row,
+    low rank, a row 1e-12 of the others, more rows than columns, zero."""
+    rng = np.random.default_rng(77)
+    repeated = rng.standard_normal((5, 5))
+    repeated[3] = repeated[0]
+    tiny_row = rng.standard_normal((5, 5))
+    tiny_row[2] *= 1e-12
+    return {
+        "repeated": repeated,
+        "low_rank": rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+        "tiny_row": tiny_row,
+        "wide": rng.standard_normal((6, 4)),
+        "zero": np.zeros((4, 4)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", (1.0,) + EXTREME_SCALES)
+@pytest.mark.parametrize("family", sorted(fallback_families()))
+def test_row_profile_fallback_is_dist_to_span(family, c):
+    X = c * fallback_families()[family]
+    assert la._factor(X)[-1] is None
+    ref = [la.dist_to_span(X[i], np.delete(X, i, axis=0)) for i in range(X.shape[0])]
+    np.testing.assert_array_equal(la._row_profile(X), ref)
+
+
 def per_set_oracle(A, sets, x=None):
     """Complement distances set by set, each from its own SVD of the rows
-    outside the set: the path every set took before the batched kernel."""
+    outside the set: the path every set took before the batched kernel,
+    written with the public primitives only."""
     A = np.asarray(A, dtype=float)
-    bases = [la._complement_basis(A, S) for S in sets]
+    bases = [la.span_basis(np.delete(A, S, axis=0)) for S in sets]
     d = np.array([[la.residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
     if x is None:
         return d
@@ -349,17 +378,17 @@ def counting_set_fallback():
     """Collect one entry per set that ``_set_distances`` hands to the
     per-set SVD path."""
     calls = []
-    primitive = la._complement_basis
+    primitive = la._svd_distances
 
-    def counting(A, S):
-        calls.append(1)
-        return primitive(A, S)
+    def counting(A, sets, x=None):
+        calls.extend(1 for _ in sets)
+        return primitive(A, sets, x)
 
-    la._complement_basis = counting
+    la._svd_distances = counting
     try:
         yield calls
     finally:
-        la._complement_basis = primitive
+        la._svd_distances = primitive
 
 
 def all_sets(n, k, limit=60):
@@ -467,8 +496,8 @@ class TestSetDistancesOracle:
 
     def test_whole_index_set_gives_row_norms(self):
         B = RNG.standard_normal((5, 5))
-        d = la.complement_distances(B, range(5))
-        np.testing.assert_allclose([d[i] for i in range(5)], np.linalg.norm(B, axis=1), rtol=1e-12)
+        d = [la.dist_to_complement(B, i, range(5)) for i in range(5)]
+        np.testing.assert_allclose(d, np.linalg.norm(B, axis=1), rtol=1e-12)
 
 
 class TestDistToComplement:

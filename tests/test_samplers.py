@@ -60,6 +60,11 @@ class TestRowDistribution:
         assert RowDistribution("bernoulli").density_bound is None
         assert RowDistribution("ball_uniform").density_bound is None
 
+    def test_density_bound_is_not_settable(self):
+        with pytest.raises(TypeError):
+            RowDistribution("gaussian", density_bound=0.4)
+        assert RowDistribution("gaussian").to_dict() == {"kind": "gaussian"}
+
     def test_dict_round_trip(self):
         d = RowDistribution("gaussian")
         assert RowDistribution.from_dict(d.to_dict()) == d

@@ -139,6 +139,7 @@ def _cmd_lemma_check(args) -> int:
             "instances": result.instances,
             "failures": result.failures,
             "messages": result.messages,
+            "failed_instances": result.failed_instances,
         }
         _write_json(args.out, doc)
     return 0 if result.passed else 1

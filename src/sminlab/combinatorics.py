@@ -16,7 +16,12 @@ Every distance a call needs comes from one factorization of its matrix:
 the complement distances of all the triples of a comparison graph and of
 all the r-subsets of :func:`q_sets` from one batched
 ``sminlab.linalg._set_distances`` call, and the distances of a pivot
-vector family, or of the full rows, from one QR profile.
+vector family, or of the full rows, from one QR profile.  The pivot
+check, :func:`q_sets` and the comparison graphs are thin per-call
+wrappers over stacked cores (``_pivot_indices``, ``_q_masks``,
+``_comparison_graphs``) that the verification suites call with every
+instance of one shape at once; the graphs of all the vertices of a
+matrix are read from one table of all its triples.
 """
 
 from __future__ import annotations
@@ -225,16 +230,47 @@ def check_edge_interval(G: Graph, i: int, k: int, ell: int, mode: str = "exact")
     return lo <= mid <= lo + 2 ** (ell + 1) * G.n
 
 
-def _triples(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(j, k)``, ``j < k``, of vertices other than ``i`` in
-    ``itertools.combinations`` order, and each pair's set ``{i, j, k}``
-    in ascending order."""
+def _triples(n: int, i: int) -> np.ndarray:
+    """The sets ``{i, j, k}`` in ascending order, for the pairs ``j < k`` of
+    vertices other than ``i`` in ``itertools.combinations`` order."""
     pairs = np.array(list(itertools.combinations([v for v in range(n) if v != i], 2)))
-    return pairs, np.sort(np.column_stack([np.full(len(pairs), i), pairs]), axis=1)
+    return np.sort(np.column_stack([np.full(len(pairs), i), pairs]), axis=1)
 
 
-def _edges(n: int, pairs: np.ndarray, keep: np.ndarray) -> Graph:
+def _compared(n: int, sets: np.ndarray, d: np.ndarray, i: int, lhs=None) -> Graph:
+    """Comparison graph of vertex ``i`` from the distances ``d`` of the
+    ascending triples ``sets`` (those without ``i`` are skipped): pair ``(j,
+    k)`` is an edge iff ``lhs`` of its triple, by default the distance of
+    row ``i``, is at least the distances of rows ``j`` and ``k``."""
+    at_i = sets == i
+    rows = at_i.any(axis=1)
+    sets, d, at_i = sets[rows], d[rows], at_i[rows]
+    lhs = d[at_i] if lhs is None else lhs[rows]
+    keep = lhs >= np.where(at_i, -np.inf, d).max(axis=1)
+    pairs = sets[~at_i].reshape(-1, 2)
     return Graph(n, frozenset(map(tuple, pairs[keep].tolist())))
+
+
+def _comparison_graphs(A: np.ndarray) -> list[list[Graph]]:
+    """Every vertex's comparison graph of every matrix of a stack ``A`` of
+    shape ``(N, n, n)``, ``n >= 3``, read from one table of the
+    complement distances of all the ``C(n, 3)`` triples per matrix."""
+    n = A.shape[1]
+    sets = np.array(list(itertools.combinations(range(n), 3)))
+    table = _set_distances(A, sets)
+    return [[_compared(n, sets, d, i) for i in range(n)] for d in table]
+
+
+def _graph_input(B, i: int) -> np.ndarray:
+    """``B`` as a checked square matrix of at least three rows, of which
+    ``i`` is one."""
+    A = as_matrix(B)
+    n = A.shape[0]
+    if n < 3:
+        raise InvalidInputError("comparison graph needs n >= 3")
+    if not (0 <= i < n):
+        raise InvalidInputError(f"row index {i} out of range for n={n}")
+    return A
 
 
 def build_graph_G(B, i: int) -> Graph:
@@ -250,21 +286,15 @@ def build_graph_G(B, i: int) -> Graph:
     (:func:`sminlab.linalg._set_distances`), each triple taken in
     ascending order, so the graphs of ``i``, ``j`` and ``k`` compare the
     same three numbers and at least one of them has the edge opposite
-    its vertex.  Which edge that is at an exact mathematical tie, as
-    discrete (for example ±1) matrices often produce, depends on
-    rounding: a different but equally accurate kernel may break the tie
-    the other way.
+    its vertex; the graphs of every vertex come from one table of all the
+    triples (:func:`low_value_count`).  Which edge that is at an exact
+    mathematical tie, as discrete (for example ±1) matrices often
+    produce, depends on rounding: a different but equally accurate kernel
+    may break the tie the other way.
     """
-    A = as_matrix(B)
-    n = A.shape[0]
-    if n < 3:
-        raise InvalidInputError("comparison graph needs n >= 3")
-    if not (0 <= i < n):
-        raise InvalidInputError(f"row index {i} out of range for n={n}")
-    pairs, sets = _triples(n, i)
-    d = _set_distances(A, sets)
-    at_i = sets == i
-    return _edges(n, pairs, d[at_i] >= np.where(at_i, -np.inf, d).max(axis=1))
+    A = _graph_input(B, i)
+    sets = _triples(A.shape[0], i)
+    return _compared(A.shape[0], sets, _set_distances(A[None], sets)[0], i)
 
 
 def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
@@ -280,14 +310,10 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     M2 = as_matrix(M)
     if A2.shape != M2.shape:
         raise InvalidInputError(f"shape mismatch: A is {A2.shape}, M is {M2.shape}")
-    n = A2.shape[0]
-    if n < 3:
-        raise InvalidInputError("comparison graph needs n >= 3")
-    if not (0 <= i < n):
-        raise InvalidInputError(f"row index {i} out of range for n={n}")
-    pairs, sets = _triples(n, i)
-    d, d_x = _set_distances(A2 + M2, sets, M2[i])
-    return _edges(n, pairs, d_x + offset >= np.where(sets == i, -np.inf, d).max(axis=1))
+    _graph_input(M2, i)
+    sets = _triples(A2.shape[0], i)
+    d, d_x = _set_distances((A2 + M2)[None], sets, M2[i][None])
+    return _compared(A2.shape[0], sets, d[0], i, d_x[0] + offset)
 
 
 def low_value_count(B, L: int, N: int, mode: str = "exact") -> int:
@@ -295,11 +321,9 @@ def low_value_count(B, L: int, N: int, mode: str = "exact") -> int:
     A = as_matrix(B)
     if N < 1:
         raise InvalidInputError("N must be a positive integer")
-    count = 0
-    for i in range(A.shape[0]):
-        if vertex_value(build_graph_G(A, i), i, L, mode) <= N:
-            count += 1
-    return count
+    _graph_input(A, 0)
+    graphs = _comparison_graphs(A[None])[0]
+    return sum(1 for i, G in enumerate(graphs) if vertex_value(G, i, L, mode) <= N)
 
 
 def min_half_cover_size(edges) -> int:
@@ -374,6 +398,26 @@ def two_graphs_dichotomy(G: Graph, G_tilde: Graph, i: int, L: int) -> DichotomyR
     )
 
 
+def _q_masks(A: np.ndarray, sets: np.ndarray, inside: np.ndarray, tau, high):
+    """The stacked core of :func:`q_sets`: ``(q1, q2)``, boolean ``(N, S)``
+    masks of the sets ``sets`` (``(S, r)``) that belong to ``Q1`` and
+    ``Q2`` of each matrix of the stack ``A`` (``(N, n, n)``).  ``inside``
+    (``(N, S, r)``) marks the members of each ``I``; ``tau`` and ``high``
+    are ``(N,)``.  Only the sets meeting some ``I`` are factored, all of
+    them from one factorization per matrix.
+    """
+    meets = inside.any(axis=2)
+    q1 = np.zeros(meets.shape, dtype=bool)
+    q2 = np.zeros(meets.shape, dtype=bool)
+    used = meets.any(axis=0)
+    if used.any():
+        d = _set_distances(A, sets[used])
+        inside = inside[:, used]
+        q1[:, used] = ((d <= tau[:, None, None]) & inside).any(axis=2)
+        q2[:, used] = ((d >= high[:, None, None]) & ~inside).any(axis=2)
+    return q1 & meets, q2 & meets
+
+
 def q_sets(B, I, tau: float, a: float, b: float, r: int):
     """Exhaustively classify all ``r``-subsets by their complement distances.
 
@@ -395,17 +439,54 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
     I_set = set(int(v) for v in I)
     if not all(0 <= v < n for v in I_set):
         raise InvalidInputError("I must be a subset of the row indices")
-    high = tau * b / (2.0 * a * r)
     sets = np.array(list(itertools.combinations(range(n), r)))
-    inside = np.isin(sets, list(I_set))
-    meets = inside.any(axis=1)
-    if not meets.any():
-        return set(), set()
-    sets, inside = sets[meets], inside[meets]
-    d = _set_distances(A, sets)
-    q1 = ((d <= tau) & inside).any(axis=1)
-    q2 = ((d >= high) & ~inside).any(axis=1)
-    return {frozenset(S) for S in sets[q1].tolist()}, {frozenset(S) for S in sets[q2].tolist()}
+    inside = np.isin(sets, list(I_set))[None]
+    q1, q2 = _q_masks(A[None], sets, inside, np.array([tau]), np.array([tau * b / (2.0 * a * r)]))
+    return tuple({frozenset(S) for S in sets[q[0]].tolist()} for q in (q1, q2))
+
+
+def _pivot_family(vectors, a: float, b: float) -> np.ndarray:
+    """The checked pivot family as an ``(r, dim)`` array."""
+    xs = [np.asarray(v, dtype=float) for v in vectors]
+    if len(xs) < 2:
+        raise InvalidInputError("need at least two vectors")
+    dim = xs[0].shape
+    if any(x.shape != dim or x.ndim != 1 for x in xs):
+        raise InvalidInputError("vectors must share a common dimension")
+    if a <= 0 or b <= 0:
+        raise InvalidInputError("a and b must be positive")
+    return np.array(xs)
+
+
+def _hypotheses(d: np.ndarray, a, b):
+    """``(far, low)`` for a stack of distance profiles ``d`` (``(N, r)``)
+    and bounds ``a``, ``b`` (``(N,)``): whether the first vector lies
+    beyond ``a``, and which of the others (``(N, r - 1)``) lie below
+    ``b``, each up to the relative tolerance of
+    :func:`pivot_hypothesis_failure`."""
+    far = d[:, 0] > a * (1 + _FLOAT_SLACK) + 1e-12
+    low = d[:, 1:] < (b * (1 - _FLOAT_SLACK) - 1e-12)[:, None]
+    return far, low
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a stack ``X``, each one a dot product
+    as :func:`numpy.linalg.norm` takes it of one vector."""
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+
+
+def _pivot_indices(X: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
+    """The stacked core of :func:`pivot_index`: for vector families ``X``
+    (``(N, r, dim)``) with distance profiles ``d`` (``(N, r)``, as
+    :func:`sminlab.linalg._row_profile` gives them) and bounds ``a``, ``b``
+    (``(N,)``), the pivot index of each family, 0 where a hypothesis fails
+    or no vector qualifies."""
+    far, low = _hypotheses(d, a, b)
+    norms = _row_norms(X)
+    threshold = b / (2.0 * a * X.shape[1]) * norms[:, 0]
+    hit = norms[:, 1:] >= (threshold * (1 - 1e-12))[:, None]
+    hit &= ~(far | low.any(axis=1))[:, None]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)
 
 
 def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
@@ -420,20 +501,13 @@ def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
     one SVD of the other vectors per vector otherwise
     (:func:`sminlab.linalg._svd_distances`).
     """
-    xs = [np.asarray(v, dtype=float) for v in vectors]
-    if len(xs) < 2:
-        raise InvalidInputError("need at least two vectors")
-    dim = xs[0].shape
-    if any(x.shape != dim or x.ndim != 1 for x in xs):
-        raise InvalidInputError("vectors must share a common dimension")
-    if a <= 0 or b <= 0:
-        raise InvalidInputError("a and b must be positive")
-    d = _row_profile(np.array(xs))
-    if d[0] > a * (1 + _FLOAT_SLACK) + 1e-12:
+    d = _row_profile(_pivot_family(vectors, a, b)[None])
+    far, low = _hypotheses(d, np.array([a]), np.array([b]))
+    d = d[0]
+    if far[0]:
         return f"dist(x1, span rest) = {d[0]:g} exceeds a = {a:g}"
-    low = np.flatnonzero(d[1:] < b * (1 - _FLOAT_SLACK) - 1e-12)
-    if low.size:
-        idx = int(low[0]) + 1
+    if low.any():
+        idx = int(np.argmax(low[0])) + 1
         return f"dist(x{idx + 1}, span others) = {d[idx]:g} is below b = {b:g}"
     return None
 
@@ -447,15 +521,8 @@ def pivot_index(vectors, a: float, b: float) -> int | None:
     available from that helper).  When they hold such an index exists,
     and the smallest one is returned.
     """
-    if pivot_hypothesis_failure(vectors, a, b) is not None:
-        return None
-    xs = [np.asarray(v, dtype=float) for v in vectors]
-    r = len(xs)
-    threshold = b / (2.0 * a * r) * float(np.linalg.norm(xs[0]))
-    for idx in range(1, r):
-        if np.linalg.norm(xs[idx]) >= threshold * (1 - 1e-12):
-            return idx
-    return None
+    X = _pivot_family(vectors, a, b)[None]
+    return int(_pivot_indices(X, _row_profile(X), np.array([a]), np.array([b]))[0]) or None
 
 
 def mindist(B, j: int, k: int) -> float:

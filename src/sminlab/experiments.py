@@ -173,6 +173,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("n must be a positive integer")
+        SeedSpec(self.master_seed)  # rejects a seed outside [0, 2**64)
         if self.trials < 1:
             raise InvalidInputError("trials must be a positive integer")
         grid = tuple(float(t) for t in self.t_grid)
@@ -518,6 +519,7 @@ def counterexample_experiment(
         raise InvalidInputError(f"tau={tau} is outside the regime tau >= n={n}")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
+    SeedSpec(master_seed)  # rejects a seed outside [0, 2**64) before any sampling
     for name, constants in (("smin_constants", smin_constants), ("kappa_constants", kappa_constants)):
         for c in constants:
             if isinstance(c, bool) or not isinstance(c, Real) or not (0.0 <= c < math.inf):

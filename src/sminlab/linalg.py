@@ -14,8 +14,11 @@ orthogonalizing that set with the rank-revealing SVD.  The full profile
 triangular inverse give every row at once.  Distances to the span of the
 rows outside an index set use it too, for a whole stack of sets from one
 factorization (:func:`_set_distances`).  Both take that factorization
-from :func:`_factor`.  A family that is rank deficient at the tolerance
-falls back to the SVD primitive set by set, a row being the singleton set
+from :func:`_factor`, which factors a stack of matrices of one shape, one
+LAPACK call and one rank test per member, a single matrix being a stack
+of one; the lemma suites hand it every instance of one shape at once.
+A family that is rank deficient at the tolerance falls back to the SVD
+primitive set by set, a row being the singleton set
 (:func:`_svd_distances`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
@@ -169,73 +172,123 @@ def row_distances(B) -> np.ndarray:
     A = as_matrix(B)
     if A.shape[0] == 1:
         return np.array([_norm(A[0])])
-    return _row_profile(A)
+    return _row_profile(A[None])[0]
 
 
-def _factor(X: np.ndarray):
-    """``(A, e, scale, qr, tau, W)`` for an ``m x d`` family ``X``: ``A, e,
-    scale`` from :func:`_scaled`, ``qr, tau`` the LAPACK ``geqrf`` output of
-    ``A.T = Q R``, and ``W = R^-1`` from ``trtri``.  ``W`` is ``None`` when
-    ``m > d`` (then ``qr`` and ``tau`` are too) or some ``|R_jj|`` is at or
-    below ``RANK_RTOL * scale``, that is when the rows are linearly
-    dependent at the tolerance.
+class _Factored(NamedTuple):
+    """Result of :func:`_factor` for a stack of ``N`` families of ``m``
+    rows in ``d`` dimensions."""
+
+    A: np.ndarray  # (N, m, d): each family times its own 2**-e
+    e: np.ndarray  # (N,) exponents of :func:`_scaled`
+    scale: np.ndarray  # (N,) largest row norm of each member of A
+    qr: list  # geqrf output of A[k].T per member, None when m > d
+    tau: list
+    W: np.ndarray  # (N, m, m): R^-1 where ok[k], else the identity; members Fortran-ordered
+    ok: np.ndarray  # (N,) whether the rows of the member are independent
+
+
+def _factor(X: np.ndarray) -> _Factored:
+    """Factor every family of a stack ``X`` of shape ``(N, m, d)``; a single
+    family is a stack of one.
+
+    Each member gets its own :func:`_scaled` exponent, its own LAPACK
+    ``geqrf`` of ``A[k].T = Q R`` and, when every ``|R_jj|`` exceeds
+    ``RANK_RTOL`` times its scale, its own ``W[k] = R^-1`` from ``trtri``.
+    ``ok[k]`` is false, and ``W[k]`` is the identity, when ``m > d`` (then
+    ``qr[k]`` and ``tau[k]`` are ``None``) or some ``|R_jj|`` is at or
+    below the tolerance, that is when the rows are linearly dependent at
+    the tolerance.  The members of ``W`` are Fortran-ordered, as the
+    ``trtri`` output for one family is, so row norms taken along its last
+    axis add in the same order as for one family.
     """
-    A, e, scale = _scaled(X)
-    m, d = A.shape
+    N, m, d = X.shape
+    scale = np.linalg.norm(X, axis=2).max(axis=1)
+    e = np.zeros(N, dtype=int)
+    wild = [k for k, s in enumerate(scale.tolist()) if not _SAFE_RANGE[0] <= s <= _SAFE_RANGE[1]]
+    if wild:
+        X = X.copy()
+        for k in wild:
+            X[k], e[k], scale[k] = _scaled(X[k])
     if m > d:
-        return A, e, scale, None, None, None
-    qr, tau = dgeqrf(A.T)[:2]
-    R = np.triu(qr[:m])
-    if np.min(np.abs(np.diagonal(R))) <= RANK_RTOL * scale:
-        return A, e, scale, qr, tau, None
-    return A, e, scale, qr, tau, dtrtri(R, overwrite_c=1)[0]
+        W = np.broadcast_to(np.eye(m), (N, m, m)).copy().transpose(0, 2, 1)
+        return _Factored(X, e, scale, [None] * N, [None] * N, W, np.zeros(N, dtype=bool))
+    qr, tau = [], []
+    Rt = np.empty((N, m, m))
+    for k in range(N):
+        q, t = dgeqrf(X[k].T)[:2]
+        qr.append(q)
+        tau.append(t)
+        Rt[k] = q[:m].T
+    # R^T is lower triangular, and the transpose of a C-ordered stack has
+    # Fortran-ordered members, which trtri inverts in place
+    W = np.tril(Rt).transpose(0, 2, 1)
+    ok = np.abs(np.diagonal(W, axis1=1, axis2=2)).min(axis=1) > RANK_RTOL * scale
+    for k, independent in enumerate(ok.tolist()):
+        if independent:
+            dtrtri(W[k], overwrite_c=1)  # in place: W[k] is Fortran-ordered
+        else:
+            W[k] = np.eye(m)
+    return _Factored(X, e, scale, qr, tau, W, ok)
 
 
 def _row_profile(X: np.ndarray) -> np.ndarray:
-    """Distance of each row of an ``m x d`` family (``m >= 2``) to the span
-    of the other rows: the :func:`row_distances` arithmetic when the rows
-    are independent at the rank tolerance, :func:`_svd_distances` with one
-    singleton set per row otherwise.  Inputs are not checked.
+    """Distance of each row of every family of a stack ``X`` of shape ``(N,
+    m, d)`` (``m >= 2``) to the span of the other rows of its family, as an
+    ``(N, m)`` array: the :func:`row_distances` arithmetic for the members
+    whose rows are independent at the rank tolerance,
+    :func:`_svd_distances` with one singleton set per row for the others.
+    Inputs are not checked.
     """
-    A, e, _, _, _, W = _factor(X)
-    if W is not None:
-        d = 1.0 / np.linalg.norm(W, axis=1)
-    else:
-        d = _svd_distances(A, np.arange(A.shape[0])[:, None])[0][:, 0]
-    return np.ldexp(d, e) if e else d
+    A, e, _, _, _, W, ok = _factor(X)
+    d = 1.0 / np.linalg.norm(W, axis=2)
+    for k, independent in enumerate(ok.tolist()):
+        if not independent:
+            d[k] = _svd_distances(A[k], np.arange(d.shape[1])[:, None])[0][:, 0]
+    return np.ldexp(d, e[:, None]) if e.any() else d
 
 
 def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None):
-    """Complement distances of a stack of index sets from one factorization.
+    """Complement distances of a stack of index sets, one factorization per
+    matrix of a stack.
 
-    ``sets`` is an integer array of shape ``(N, k)`` whose rows are
-    strictly ascending row indices of the square matrix ``A``; entry
-    ``[s, p]`` of the result is the distance of row ``sets[s, p]`` to the
-    span of the rows outside ``sets[s]``.  With a vector ``x``, the ``N``
-    distances of ``x`` to the same spans are returned as well.
+    ``A`` has shape ``(N, n, n)``, a single matrix being a stack of one.
+    ``sets`` is an integer array of shape ``(S, k)`` whose rows are
+    strictly ascending row indices; entry ``[j, s, p]`` of the result is
+    the distance of row ``sets[s, p]`` of ``A[j]`` to the span of the rows
+    of ``A[j]`` outside ``sets[s]``.  With vectors ``x`` of shape ``(N,
+    n)``, the ``(N, S)`` distances of ``x[j]`` to the same spans are
+    returned as well.
 
     By duality the orthogonal complement of that span is spanned by
     columns ``S`` of ``A^-1 = Q R^-T`` (``A.T = Q R``), that is by ``Q``
     times ``P_S = (R^-1)[S, :].T``.  One batched QR ``P_S = U_S T_S`` then
     gives the distance of row ``m`` as the norm of its row of ``T_S^-1``,
-    and that of ``x`` as ``norm(U_S.T Q.T x)``.  When the matrix is rank
-    deficient at the tolerance every set falls back to
+    and that of ``x`` as ``norm(U_S.T Q.T x)``.  Every set of a matrix that
+    is rank deficient at the tolerance falls back to
     :func:`_svd_distances`.  Inputs are not checked.
     """
-    A, e, _, qr, tau, Rinv = _factor(A)
-    if Rinv is None:
-        d, d_x = _svd_distances(A, sets, x)
-    else:
-        P = Rinv[sets].transpose(0, 2, 1)
+    f = _factor(A)
+    N, n = f.W.shape[:2]
+    d = np.empty((N,) + sets.shape)
+    d_x = None if x is None else np.empty((N, sets.shape[0]))
+    independent = f.ok.nonzero()[0]
+    if independent.size:
+        P = f.W[independent][:, sets].swapaxes(-1, -2)
         if x is None:
             T = np.linalg.qr(P, mode="r")
         else:
             U, T = np.linalg.qr(P)
-            xv, ex, _ = _scaled(np.asarray(x, dtype=float)[None, :])
-            y = dormqr("L", "T", qr, tau, xv.T, A.shape[0])[0][:, 0]
-            d_x = np.ldexp(np.linalg.norm(U.transpose(0, 2, 1) @ y, axis=1), ex)
-        d = np.linalg.norm(np.linalg.inv(T), axis=2)
-    d = np.ldexp(d, e) if e else d
+            for j, k in enumerate(independent):
+                xv, ex, _ = _scaled(x[k][None, :])
+                y = dormqr("L", "T", f.qr[k], f.tau[k], xv.T, n)[0][:, 0]
+                d_x[k] = np.ldexp(np.linalg.norm(U[j].transpose(0, 2, 1) @ y, axis=1), ex)
+        d[independent] = np.linalg.norm(np.linalg.inv(T), axis=-1)
+    for k in (~f.ok).nonzero()[0]:
+        d[k], dx = _svd_distances(f.A[k], sets, None if x is None else x[k])
+        if x is not None:
+            d_x[k] = dx
+    d = np.ldexp(d, f.e[:, None, None])
     return d if x is None else (d, d_x)
 
 
@@ -265,7 +318,7 @@ def dist_to_complement(B, i: int, S) -> float:
     A = as_matrix(B)
     if sel[0] < 0 or sel[-1] >= A.shape[0]:
         raise InvalidInputError(f"S={sel} out of range for n={A.shape[0]}")
-    return float(_set_distances(A, np.array([sel]))[0][sel.index(int(i))])
+    return float(_set_distances(A[None], np.array([sel]))[0, 0, sel.index(int(i))])
 
 
 def singular_values(B) -> np.ndarray:
@@ -333,10 +386,11 @@ def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
     or with the tolerance therefore comes out as for the SVD value.
     ``cuts`` are in the units of the statistic.  Inputs are not checked.
     """
-    B, e, scale, _, _, W = _factor(A)
-    if W is None:
+    _, e, scale, _, _, W, ok = _factor(A[None])
+    if not ok[0]:
         return _fallback(A, smin, 0, "rank")
-    n = B.shape[0]
+    W, e, scale = W[0], int(e[0]), float(scale[0])
+    n = W.shape[0]
     w = W.ravel(order="K")
     trace = float(w @ w)
     margin = _MARGIN * n * _EPS * math.sqrt(n) * scale

@@ -51,20 +51,22 @@ class SeedSpec:
 
     The stream is a pure function of ``(master_seed, trial_index)``:
     both integers key a Philox counter-based generator, so distinct
-    trials may be sampled concurrently in any order.
+    trials may be sampled concurrently in any order.  Each is one 64-bit
+    word of the key and must lie in ``[0, 2**64)``, so that no two
+    distinct pairs share a stream.
     """
 
     master_seed: int
     trial_index: int = 0
 
     def __post_init__(self):
-        if self.trial_index < 0:
-            raise InvalidInputError("trial_index must be non-negative")
+        for name in ("master_seed", "trial_index"):
+            value = getattr(self, name)
+            if not 0 <= value <= _MASK64:
+                raise InvalidInputError(f"{name} must lie in [0, 2**64), got {value}")
 
     def rng(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _MASK64, self.trial_index & _MASK64], dtype=np.uint64
-        )
+        key = np.array([self.master_seed, self.trial_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

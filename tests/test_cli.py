@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from sminlab import cli
+from sminlab import cli, combinatorics
+from sminlab import experiments as ex
 from sminlab.errors import InvalidInputError
-from sminlab.samplers import ShiftSpec
+from sminlab.samplers import RowDistribution, ShiftSpec
 
 
 class TestParsers:
@@ -188,7 +189,42 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["failures"] == 0
+        assert doc["failed_instances"] == []
         capsys.readouterr()
+
+    def test_lemma_check_writes_every_failing_instance(self, tmp_path, capsys, monkeypatch):
+        def fail_sizes_4_and_5(A, sets, inside, tau, high):
+            q1, q2 = masks(A, sets, inside, tau, high)
+            if A.shape[1] in (4, 5):
+                q1[:] = q2[:] = False
+            return q1, q2
+
+        masks = combinatorics._q_masks
+        monkeypatch.setattr(combinatorics, "_q_masks", fail_sizes_4_and_5)
+        out = tmp_path / "suite.json"
+        argv = ["lemma-check", "--suite", "q-sets", "--instances", "60", "--seed", "3"]
+        assert cli.parse_and_dispatch(argv + ["--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert len(doc["messages"]) == 10 < doc["failures"] == len(doc["failed_instances"])
+        assert doc["failed_instances"] == sorted(doc["failed_instances"])
+        assert [int(m.split()[1].rstrip(":")) for m in doc["messages"]] == doc["failed_instances"][:10]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551621"])
+    def test_lemma_check_rejects_a_seed_beyond_64_bits(self, capsys, seed):
+        code = cli.parse_and_dispatch(["lemma-check", "--suite", "pivot", "--seed", seed])
+        assert code == 2
+        assert "master_seed" in capsys.readouterr().err
+
+    def test_config_seed_beyond_64_bits_is_usage_error(self, tmp_path, capsys):
+        doc = ex.ExperimentConfig(
+            RowDistribution("gaussian"), ShiftSpec.zero(), 5, 3, (0.1,), 7
+        ).to_dict()
+        doc["master_seed"] = 2**64 + 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.parse_and_dispatch(["tail", "--config", str(path)]) == 2
+        assert "master_seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_lemma_check_rejects_a_count_below_one(self, capsys, count):

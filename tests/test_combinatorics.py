@@ -673,7 +673,7 @@ def test_pivot_check_matches_dist_to_span(m, dim):
         if seed % 4 == 0:
             X[0] = X[1:].T @ rng.standard_normal(m - 1) + 1e-3 * rng.standard_normal(dim)
         ref = np.array([dist_to_span(X[p], np.delete(X, p, axis=0)) for p in range(m)])
-        np.testing.assert_allclose(la._row_profile(X), ref, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(la._row_profile(X[None])[0], ref, rtol=1e-9, atol=1e-12)
         # thresholds a relative 1e-6 either side of the distances
         for a_f, b_f in itertools.product((1 - 1e-6, 1 + 1e-6), repeat=2):
             a, b = max(ref[0], 1e-3) * a_f, max(ref[1:].min(), 1e-3) * b_f
@@ -682,3 +682,13 @@ def test_pivot_check_matches_dist_to_span(m, dim):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.startswith("dist(x1") == (want == "a")
+
+
+def test_stacked_row_norms_are_the_per_vector_norms():
+    # the pivot suite compares these norms with the ones pivot_index takes,
+    # so they must agree to the bit
+    rng = np.random.default_rng(31)
+    for dim in range(1, 14):
+        X = rng.standard_normal((40, 5, dim)) * 10.0 ** rng.uniform(-150, 150, (40, 5, 1))
+        ref = np.array([[np.linalg.norm(x) for x in family] for family in X])
+        np.testing.assert_array_equal(comb._row_norms(X), ref)

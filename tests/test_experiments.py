@@ -125,6 +125,13 @@ class TestExperimentConfig:
         with pytest.raises(InvalidInputError, match="NaN"):
             make_config(t_grid=grid)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            make_config(master_seed=seed)
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            ex.ExperimentConfig.from_dict(config_dict(master_seed=seed))
+
     def test_missing_key_rejected(self):
         d = config_dict()
         del d["trials"]
@@ -280,6 +287,15 @@ class TestCounterexampleExperiment:
             ex.counterexample_experiment(4, 100.0, 10, 0)
         with pytest.raises(InvalidInputError):
             ex.counterexample_experiment(10, 5.0, 10, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected_before_sampling(self, monkeypatch, seed):
+        def no_sampling(*args):
+            raise AssertionError("sampled a matrix")
+
+        monkeypatch.setattr(ex, "sample_matrix", no_sampling)
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            ex.counterexample_experiment(10, 100.0, 10, seed)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected_before_sampling(self, monkeypatch, tau):

@@ -356,9 +356,75 @@ def fallback_families():
 @pytest.mark.parametrize("family", sorted(fallback_families()))
 def test_row_profile_fallback_is_dist_to_span(family, c):
     X = c * fallback_families()[family]
-    assert la._factor(X)[-1] is None
+    assert not la._factor(X[None]).ok[0]
     ref = [la.dist_to_span(X[i], np.delete(X, i, axis=0)) for i in range(X.shape[0])]
-    np.testing.assert_array_equal(la._row_profile(X), ref)
+    np.testing.assert_array_equal(la._row_profile(X[None])[0], ref)
+
+
+def set_distances(B, sets, x=None):
+    """``_set_distances`` of one matrix, a stack of one."""
+    out = la._set_distances(np.asarray(B)[None], sets, None if x is None else np.asarray(x)[None])
+    return out[0] if x is None else (out[0][0], out[1][0])
+
+
+def mixed_stack(n, seed=0):
+    """Members of one size the stacked kernels must treat one by one: a
+    repeated row, zero, +-1 (one of them singular for n >= 2), Gaussian
+    members at every ``EXTREME_SCALES`` value and a graded one."""
+    rng = np.random.default_rng(seed)
+    repeated = rng.standard_normal((n, n))
+    repeated[-1] = repeated[0]
+    signs = rng.choice([-1.0, 1.0], size=(n, n))
+    singular_signs = signs.copy()
+    singular_signs[1] = -singular_signs[0]
+    members = [repeated, np.zeros((n, n)), signs, singular_signs, rng.standard_normal((n, n))]
+    members += [c * rng.standard_normal((n, n)) for c in EXTREME_SCALES]
+    members.append(rng.standard_normal((n, n)) * np.logspace(-4, 4, n)[:, None])
+    return np.array(members)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStackedKernels:
+    """A stack gives every member the bits a stack of one gives it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
+    def test_row_profile(self, n):
+        stack = mixed_stack(n, n)
+        got = la._row_profile(stack)
+        assert not la._factor(stack).ok[[0, 1, 3]].any()
+        for member, d in zip(stack, got):
+            np.testing.assert_array_equal(d, la._row_profile(member[None])[0])
+            np.testing.assert_array_equal(d, la.row_distances(member))
+
+    def test_wide_families(self):
+        stack = np.random.default_rng(4).standard_normal((5, 6, 4))
+        stack[2] *= 1e-200
+        assert not la._factor(stack).ok.any()
+        for member, d in zip(stack, la._row_profile(stack)):
+            np.testing.assert_array_equal(d, la._row_profile(member[None])[0])
+
+    @pytest.mark.parametrize("n, k", [(3, 3), (6, 2), (9, 3), (12, 3)])
+    def test_set_distances(self, n, k):
+        stack = mixed_stack(n, 10 * n + k)
+        scales = np.logspace(-250, 250, len(stack))[:, None]
+        x = np.random.default_rng(n).standard_normal((len(stack), n)) * scales
+        sets = all_sets(n, k)
+        d = la._set_distances(stack, sets)
+        d_with, d_x = la._set_distances(stack, sets, x)
+        np.testing.assert_array_equal(d_with, d)
+        for member, v, got, got_x in zip(stack, x, d, d_x):
+            np.testing.assert_array_equal(got, set_distances(member, sets))
+            want, want_x = set_distances(member, sets, v)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_x, want_x)
+
+    def test_members_keep_their_own_scale(self):
+        stack = mixed_stack(5)
+        f = la._factor(stack)
+        for k, member in enumerate(stack):
+            A, e, scale = la._scaled(member)
+            assert (f.e[k], f.scale[k]) == (e, scale)
+            np.testing.assert_array_equal(f.A[k], A)
 
 
 def per_set_oracle(A, sets, x=None):
@@ -410,12 +476,12 @@ class TestSetDistancesOracle:
         B, x = rng.standard_normal((n, n)), rng.standard_normal(n)
         sets = all_sets(n, k)
         with counting_set_fallback() as calls:
-            d, dx = la._set_distances(B, sets, x)
+            d, dx = set_distances(B, sets, x)
         assert not calls
         ref, ref_x = per_set_oracle(B, sets, x)
         np.testing.assert_allclose(d, ref, rtol=1e-10)
         np.testing.assert_allclose(dx, ref_x, rtol=1e-10, atol=1e-12)
-        np.testing.assert_array_equal(la._set_distances(B, sets), d)
+        np.testing.assert_array_equal(set_distances(B, sets), d)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(3, 10))
@@ -427,7 +493,7 @@ class TestSetDistancesOracle:
         B = rng.standard_normal((n, n)) * np.logspace(-4, 4, n)[rng.permutation(n)][:, None]
         sets = all_sets(n, 3)
         with counting_set_fallback() as calls:
-            d = la._set_distances(B, sets)
+            d = set_distances(B, sets)
         # a condition number past 1 / RANK_RTOL, possible at this grading,
         # sends every set to the per-set path
         assert len(calls) in (0, len(sets))
@@ -441,7 +507,7 @@ class TestSetDistancesOracle:
         B = np.array(entries).reshape(n, n)
         sets = all_sets(n, 3)
         with counting_set_fallback() as calls:
-            d = la._set_distances(B, sets)
+            d = set_distances(B, sets)
         # |det| >= 1 keeps every |R_jj| far above the tolerance
         assert bool(calls) == (np.linalg.matrix_rank(B) < n)
         np.testing.assert_allclose(d, per_set_oracle(B, sets), rtol=1e-9, atol=1e-12)
@@ -455,7 +521,7 @@ class TestSetDistancesOracle:
             sets = all_sets(B.shape[0], 3)
             x = rng.standard_normal(B.shape[0])
             with counting_set_fallback() as calls:
-                d, dx = la._set_distances(B, sets, x)
+                d, dx = set_distances(B, sets, x)
             assert len(calls) == len(sets)
             ref, ref_x = per_set_oracle(B, sets, x)
             np.testing.assert_array_equal(d, ref)
@@ -466,7 +532,7 @@ class TestSetDistancesOracle:
         B, _ = near_singular(factor * la.RANK_RTOL, n=6)
         sets = all_sets(6, 2)
         with counting_set_fallback() as calls:
-            d = la._set_distances(B, sets)
+            d = set_distances(B, sets)
         assert bool(calls) == (factor < 1.0)
         # rows 0 and 5 are parallel up to delta: the columns of B^-1 that span
         # the complement of {0, 5} are too, and the kernel's relative error,
@@ -480,18 +546,18 @@ class TestSetDistancesOracle:
         B = TestExtremeScales.B[:9, :9]
         x = TestExtremeScales.B[9, :9]
         sets = all_sets(9, 3)
-        d, dx = la._set_distances(B, sets, x)
-        got, got_x = la._set_distances(c * B, sets, c * x)
+        d, dx = set_distances(B, sets, x)
+        got, got_x = set_distances(c * B, sets, c * x)
         np.testing.assert_allclose(got, c * d, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got_x, c * dx, rtol=1e-12, atol=0)
         singular = B.copy()
         singular[3] = singular[7]
         with counting_set_fallback() as calls:
-            got = la._set_distances(c * singular, sets)
+            got = set_distances(c * singular, sets)
         assert calls
         scale = float(np.max(np.linalg.norm(singular, axis=1)))
         np.testing.assert_allclose(
-            got / c, la._set_distances(singular, sets), rtol=1e-12, atol=1e-12 * scale
+            got / c, set_distances(singular, sets), rtol=1e-12, atol=1e-12 * scale
         )
 
     def test_whole_index_set_gives_row_norms(self):

@@ -41,6 +41,16 @@ class TestSeedSpec:
         with pytest.raises(InvalidInputError):
             SeedSpec(1, -1)
 
+    @pytest.mark.parametrize("args", [(1, 2**64 + 5), (1, 2**64), (-1,), (2**64 + 5, 3)])
+    def test_keys_beyond_64_bits_rejected(self, args):
+        # masking them to 64 bits would make SeedSpec(1, 2**64 + 5) the stream of SeedSpec(1, 5)
+        with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
+            SeedSpec(*args)
+
+    def test_largest_keys_accepted(self):
+        top = 2**64 - 1
+        assert SeedSpec(top, top).rng().standard_normal() != SeedSpec(top, top - 1).rng().standard_normal()
+
 
 class TestRowDistribution:
     def test_unknown_kind(self):

@@ -71,15 +71,14 @@ class DiscreteProductSpace:
             if abs(float(p.sum()) - 1.0) > _PROB_ATOL:
                 raise InvalidInputError(f"factor {idx} probabilities sum to {p.sum()!r}, not 1")
         self.shape = tuple(p.size for p in self.factors)
-        self.size = int(np.prod(self.shape, dtype=np.int64))
+        # Python integers: an int64 product wraps past 2**63
+        self.size = math.prod(self.shape)
         if self.size > budget:
             raise InvalidInputError(
                 f"product has {self.size} atoms, exceeding the enumeration budget {budget}"
             )
         self.budget = budget
-        self._strides = np.array(
-            [int(np.prod(self.shape[i + 1 :], dtype=np.int64)) for i in range(self.n)]
-        )
+        self._strides = tuple(math.prod(self.shape[i + 1 :]) for i in range(self.n))
 
     @property
     def n(self) -> int:
@@ -94,7 +93,7 @@ class DiscreteProductSpace:
             raise InvalidInputError(f"atom {atom!r} is not a sequence of integers") from None
         if len(a) != self.n or any(not (0 <= v < m) for v, m in zip(a, self.shape)):
             raise InvalidInputError(f"atom {atom!r} is not valid for shape {self.shape}")
-        return int(np.dot(a, self._strides))
+        return sum(v * stride for v, stride in zip(a, self._strides))
 
     def atoms(self):
         """Iterate all atoms in flat enumeration order."""
@@ -262,7 +261,7 @@ class AlphaEtaStructure:
         with it off coordinate ``i``, in the order of coordinate ``i``."""
         i = self._coordinate(i)
         flat = self.space.atom_index(atom)
-        stride = int(self.space._strides[i])
+        stride = self.space._strides[i]
         m = self.space.shape[i]
         base = flat - (flat // stride % m) * stride
         return i, flat, base + np.arange(m) * stride
@@ -341,7 +340,7 @@ class AlphaEtaStructure:
             )
         ratio_sum = np.zeros(flat.size)
         for i in range(self.n):
-            stride = int(self.space._strides[i])
+            stride = self.space._strides[i]
             # section index of each event atom: its flat index with coordinate i dropped
             section = flat // (stride * self.space.shape[i]) * stride + flat % stride
             eta_table = self._section_table(i, self._class_idx[i], len(self.psi))
@@ -431,6 +430,10 @@ def cube_example_structure(n: int, K: float, m: int) -> AlphaEtaStructure:
             f"m={m} does not discretize 1/(K n) and 1/(K sqrt(n)) exactly for K={K}, n={n}"
         )
     q1, q2 = int(round(q1)), int(round(q2))
+    if m**n > CUBE_ENUMERATION_BUDGET:
+        raise InvalidInputError(
+            f"cube has {m}**{n} atoms, exceeding the enumeration budget {CUBE_ENUMERATION_BUDGET}"
+        )
     space = DiscreteProductSpace([np.full(m, 1.0 / m)] * n, budget=CUBE_ENUMERATION_BUDGET)
     mask = np.zeros(space.shape, dtype=bool)
     for i in range(n):

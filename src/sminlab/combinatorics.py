@@ -9,8 +9,10 @@ The exact decomposition mode solves a sequence of minimum partial
 vertex-cover problems by exhaustive search and is therefore restricted
 to graphs on at most ``EXACT_MODE_MAX_N`` vertices; the same search,
 written once, gives :func:`min_half_cover_size`.  The greedy mode
-scales further but loses the minimality certificate, so verification
-suites that rely on minimality only accept exact mode.
+scales further but loses the minimality certificate, so the operations
+that rely on minimality (:func:`check_edge_interval`,
+:func:`low_value_count`, :func:`classify_lambda` and the dichotomy) take
+no mode and decompose exactly.
 
 Every distance a call needs comes from one factorization of its matrix:
 the complement distances of all the triples of a comparison graph and of
@@ -193,11 +195,21 @@ def greedy_decomposition(G: Graph, i: int, depth: int, mode: str = "exact") -> G
     return GreedyDecomposition(s_seq, e_seq)
 
 
+def _vertex_values(G: Graph, i: int, depth: int, mode: str = "exact") -> list[float]:
+    """:func:`vertex_value` at ``L = 1, ..., depth``, all read from one
+    decomposition of depth ``depth``, of which each shallower one is a
+    prefix."""
+    s_seq = greedy_decomposition(G, i, depth, mode).s_seq
+    root_e = math.sqrt(len(G.edges))
+    return [
+        min(max(2.0 ** (-L / 2.0) * root_e, float(len(s_seq[L]))), root_e)
+        for L in range(1, depth + 1)
+    ]
+
+
 def vertex_value(G: Graph, i: int, L: int, mode: str = "exact") -> float:
     """Robust size proxy ``min(max(2**(-L/2) sqrt(|E|), |S_L|), sqrt(|E|))``."""
-    dec = greedy_decomposition(G, i, L, mode)
-    root_e = math.sqrt(len(G.edges))
-    return min(max(2.0 ** (-L / 2.0) * root_e, float(len(dec.s_seq[L]))), root_e)
+    return _vertex_values(G, i, L, mode)[-1]
 
 
 def rho_set(G: Graph, i: int, L: int, mode: str = "exact") -> frozenset[Edge]:
@@ -214,20 +226,21 @@ def rho_set(G: Graph, i: int, L: int, mode: str = "exact") -> frozenset[Edge]:
     return dec.e_seq[k0 - 1]
 
 
-def check_edge_interval(G: Graph, i: int, k: int, ell: int, mode: str = "exact") -> bool:
-    """Check ``2**l |E_k| <= |E_{k-l}| <= 2**l |E_k| + 2**(l+1) n``.
+def _edge_interval_holds(e_seq, n: int, k: int, ell: int) -> bool:
+    """``2**l |E_k| <= |E_{k-l}| <= 2**l |E_k| + 2**(l+1) n`` for the
+    residual edge sets ``e_seq`` of a decomposition of a graph on ``n``
+    vertices."""
+    lo = 2**ell * len(e_seq[k])
+    return lo <= len(e_seq[k - ell]) <= lo + 2 ** (ell + 1) * n
 
-    Only exact-mode decompositions carry the minimality the bound
-    relies on, so other modes are rejected.
-    """
-    if mode != "exact":
-        raise InvalidInputError("edge-interval check requires exact mode")
+
+def check_edge_interval(G: Graph, i: int, k: int, ell: int) -> bool:
+    """Check ``2**l |E_k| <= |E_{k-l}| <= 2**l |E_k| + 2**(l+1) n`` along
+    the exact decomposition rooted at ``i``, whose minimality the bound
+    relies on."""
     if not (0 < ell <= k):
         raise InvalidInputError(f"need 0 < ell <= k, got k={k}, ell={ell}")
-    dec = greedy_decomposition(G, i, k, mode)
-    lo = 2**ell * len(dec.e_seq[k])
-    mid = len(dec.e_seq[k - ell])
-    return lo <= mid <= lo + 2 ** (ell + 1) * G.n
+    return _edge_interval_holds(greedy_decomposition(G, i, k).e_seq, G.n, k, ell)
 
 
 def _triples(n: int, i: int) -> np.ndarray:
@@ -316,14 +329,15 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     return _compared(A2.shape[0], sets, d[0], i, d_x[0] + offset)
 
 
-def low_value_count(B, L: int, N: int, mode: str = "exact") -> int:
-    """Number of rows whose comparison-graph vertex value is at most ``N``."""
+def low_value_count(B, L: int, N: int) -> int:
+    """Number of rows whose comparison-graph vertex value (exact mode) is
+    at most ``N``."""
     A = as_matrix(B)
     if N < 1:
         raise InvalidInputError("N must be a positive integer")
     _graph_input(A, 0)
     graphs = _comparison_graphs(A[None])[0]
-    return sum(1 for i, G in enumerate(graphs) if vertex_value(G, i, L, mode) <= N)
+    return sum(1 for i, G in enumerate(graphs) if vertex_value(G, i, L) <= N)
 
 
 def min_half_cover_size(edges) -> int:
@@ -605,7 +619,7 @@ def _dyadic_index(value: float, t: float, L: float) -> float | int:
     return max(-bound, min(bound, lam))
 
 
-def classify_lambda(A, M, i: int, params: StructureParams, mode: str = "exact"):
+def classify_lambda(A, M, i: int, params: StructureParams):
     """Dyadic class ``(lam1, lam2)`` of row ``i`` for the pair ``(A, M)``.
 
     ``lam1`` indexes the dyadic cell of ``dist(row i of A+M, span of the
@@ -627,7 +641,7 @@ def classify_lambda(A, M, i: int, params: StructureParams, mode: str = "exact"):
 
     depth_L = max(1, math.ceil(params.L - 1e-9))
     g_tilde = build_graph_G_tilde(A2, M2, i, params.offset)
-    rho = rho_set(g_tilde, i, depth_L, mode)
+    rho = rho_set(g_tilde, i, depth_L)
     if not rho:
         return lam1, -math.inf
     values = [min(full[j], full[k]) for j, k in rho]

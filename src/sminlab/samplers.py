@@ -207,6 +207,10 @@ def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:
     """Materialize the ``n x n`` shift matrix described by ``spec``."""
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
+    numbers = [spec.tau, *(spec.values or ()), *(v for row in spec.entries or () for v in row)]
+    bad = [float(v) for v in numbers if v is not None and not math.isfinite(v)]
+    if bad:
+        raise InvalidInputError(f"{spec.kind} shift has non-finite entries {bad}")
     if spec.kind == "zero":
         return np.zeros((n, n))
     if spec.kind == "scaled_identity":

@@ -10,9 +10,11 @@ from ``(seed, instance_index)``.  Instance ``idx`` reads the stream
 retried matrix, the separate triple matrices of the low-value suite) is
 keyed apart from every instance stream (:func:`_derived`).  A suite
 first draws every instance, then verifies the instances of one shape as
-one stack (one stacked factorization, one stacked elimination), then
-records the failures in instance order, so its result is that of
-verifying the instances one at a time.
+one stack (one stacked factorization, one stacked elimination).  Every
+suite collects its failures as ``(instance, message)`` pairs in whatever
+order it verifies and hands them to :func:`_result`, which records them
+in instance order, so its result is that of verifying the instances one
+at a time.  Each conclusion is checked once, by one implementation.
 
 The biorthogonality suite keeps its matrix inverse deliberately
 independent of the distance computations: it uses plain Gauss-Jordan
@@ -63,13 +65,23 @@ _MAX_MESSAGES = 10
 
 
 def _record(result: SuiteResult, idx: int, message: str) -> None:
-    """Count one failure of instance ``idx``; suites record in ascending
-    instance order."""
+    """Count one failure of instance ``idx``; failures are recorded in
+    ascending instance order."""
     result.failures += 1
     if not result.failed_instances or result.failed_instances[-1] != idx:
         result.failed_instances.append(idx)
     if len(result.messages) < _MAX_MESSAGES:
         result.messages.append(message)
+
+
+def _result(name: str, instances: int, failures) -> SuiteResult:
+    """The result of a suite of ``instances`` instances whose failures are
+    the ``(instance, message)`` pairs ``failures``, in any instance order;
+    the messages of one instance keep their order."""
+    result = SuiteResult(name, instances, 0)
+    for idx, message in sorted(failures, key=lambda failure: failure[0]):
+        _record(result, idx, message)
+    return result
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -136,51 +148,44 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
     ``i`` and the induced identity between the inverse's HS norm and
     the distance profile, both to relative error 1e-8.
     """
-    result = SuiteResult("biorthogonality", instances, 0)
-    drawn = []
+    failures = []
+    accepted = {}  # instance -> (kind, matrix, HS norm of its inverse)
     for idx in range(instances):
         rng = _rng(seed, idx)
         n = int(rng.integers(2, 51))
         kind = KINDS[idx % len(KINDS)]
         dist = RowDistribution(kind)
-        B = hs = None
         for attempt in range(200):
             candidate = sample_matrix(dist, n, _derived(seed, idx, attempt))
             s_min, s_max, hs = linalg._extremes(candidate)
             # condition cutoff keeps float error well below the 1e-8 assertion
             if s_min > 1e-6 * s_max:
-                B = candidate
                 break
-        drawn.append((kind, n, B, hs))
-    # the failure message of every instance that fails, checked one stack
-    # of a size at a time and recorded in instance order
-    failed = {}
-    accepted = ((idx, n) for idx, (_, n, B, _) in enumerate(drawn) if B is not None)
-    for group in _by_shape(accepted).values():
-        stack = np.array([drawn[idx][2] for idx in group])
+        else:
+            failures.append((idx, f"instance {idx}: could not draw an invertible {kind} matrix"))
+            continue
+        accepted[idx] = (kind, candidate, hs)
+    # the matrices of one size checked as one stack
+    for group in _by_shape((idx, B.shape[0]) for idx, (_, B, _) in accepted.items()).values():
+        stack = np.array([accepted[idx][1] for idx in group])
         for idx, inv, distances in zip(group, _gauss_jordan(stack), linalg._row_profile(stack)):
-            hs = drawn[idx][3]
+            kind, _, hs = accepted[idx]
+            where = f"instance {idx} (kind={kind}, n={len(inv)})"
             products = np.linalg.norm(inv, axis=0) * distances
             worst = float(np.max(np.abs(products - 1.0)))
             if worst > 1e-8:
-                failed[idx] = f"biorthogonality error {worst:g}"
+                failures.append((idx, f"{where}: biorthogonality error {worst:g}"))
                 continue
             hs_from_distances = math.sqrt(float(np.sum(distances**-2.0)))
             rel = abs(hs**2 - hs_from_distances**2) / hs**2
             if rel > 1e-8:
-                failed[idx] = f"HS identity error {rel:g}"
-    for idx, (kind, n, B, _) in enumerate(drawn):
-        if B is None:
-            _record(result, idx, f"instance {idx}: could not draw an invertible {kind} matrix")
-        elif idx in failed:
-            _record(result, idx, f"instance {idx} (kind={kind}, n={n}): {failed[idx]}")
-    return result
+                failures.append((idx, f"{where}: HS identity error {rel:g}"))
+    return _result("biorthogonality", instances, failures)
 
 
 def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
     """Construct vector families satisfying the pivot hypotheses and
     check that a valid pivot index is always produced."""
-    result = SuiteResult("pivot", instances, 0)
     drawn = []
     for idx in range(instances):
         rng = _rng(seed, idx)
@@ -189,32 +194,31 @@ def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
         coeffs = rng.standard_normal(r - 1) * 2.0
         delta = 10.0 ** rng.uniform(-3, 0)
         drawn.append((r, xs, coeffs, delta, rng.standard_normal(r)))
-    # per instance: the bounds a and b, the pivot index (0 for none) and the
-    # two norms the lemma compares
-    a, b, lhs, rhs = (np.zeros(instances) for _ in range(4))
-    i0 = np.zeros(instances, dtype=int)
+    failures = []
     for r, group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).items():
         _, xs, coeffs, delta, noise = map(np.array, zip(*(drawn[idx] for idx in group)))
         x1 = 0
         for j in range(r - 1):
             x1 = x1 + coeffs[:, j, None] * xs[:, j]
         X = np.concatenate([(x1 + delta[:, None] * noise)[:, None], xs], axis=1)
+        # per family: the bounds a and b, the pivot index (0 for none) and
+        # the two norms the lemma compares
         d = linalg._row_profile(X)
-        a[group] = np.where(d[:, 0] <= 0, 1e-12, d[:, 0])
-        b[group] = d[:, 1:].min(axis=1)
-        i0[group] = combinatorics._pivot_indices(X, d, a[group], b[group])
+        a = np.where(d[:, 0] <= 0, 1e-12, d[:, 0])
+        b = d[:, 1:].min(axis=1)
+        i0 = combinatorics._pivot_indices(X, d, a, b)
         norms = combinatorics._row_norms(X)
-        lhs[group] = np.take_along_axis(norms, i0[group][:, None], axis=1)[:, 0]
-        rhs[group] = b[group] / (2.0 * a[group] * r) * norms[:, 0]
-    # b <= 0 is a degenerate draw: the hypotheses require b > 0
-    failing = (b > 0) & ((i0 == 0) | (lhs < rhs * (1 - 1e-9)))
-    for idx in np.flatnonzero(failing).tolist():
-        if i0[idx] == 0:
-            message = f"no pivot index (r={drawn[idx][0]}, a={a[idx]:g}, b={b[idx]:g})"
-        else:
-            message = f"pivot {i0[idx]} has norm {lhs[idx]:g} < bound {rhs[idx]:g}"
-        _record(result, idx, f"instance {idx}: {message}")
-    return result
+        lhs = np.take_along_axis(norms, i0[:, None], axis=1)[:, 0]
+        rhs = b / (2.0 * a * r) * norms[:, 0]
+        # b <= 0 is a degenerate draw: the hypotheses require b > 0
+        failing = (b > 0) & ((i0 == 0) | (lhs < rhs * (1 - 1e-9)))
+        for row in np.flatnonzero(failing).tolist():
+            if i0[row] == 0:
+                message = f"no pivot index (r={r}, a={a[row]:g}, b={b[row]:g})"
+            else:
+                message = f"pivot {i0[row]} has norm {lhs[row]:g} < bound {rhs[row]:g}"
+            failures.append((group[row], f"instance {group[row]}: {message}"))
+    return _result("pivot", instances, failures)
 
 
 def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
@@ -225,7 +229,6 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     qualifying instances must satisfy
     ``|Q1 union Q2| >= |I| * C(ceil(n/2), r-1)``.
     """
-    result = SuiteResult("q-sets", instances, 0)
     drawn = []
     for idx in range(instances):
         rng = _rng(seed, idx)
@@ -250,7 +253,7 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
         a = float(d[I].max())
         if a < b:
             qualifying[idx] = (I, float(np.quantile(d, quantile)) * factor, a, b)
-    union = {}
+    failures = []
     for (n, r), group in _by_shape((idx, drawn[idx][:2]) for idx in qualifying).items():
         sets = np.array(list(combinations(range(n), r)))
         in_I = np.zeros((len(group), n), dtype=bool)
@@ -259,15 +262,13 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
         tau, a, b = (np.array([qualifying[idx][j] for idx in group]) for j in (1, 2, 3))
         stack = np.array([drawn[idx][2] for idx in group])
         q1, q2 = combinatorics._q_masks(stack, sets, in_I[:, sets], tau, tau * b / (2.0 * a * r))
-        union.update(zip(group, (q1 | q2).sum(axis=1).tolist()))
-    for idx in sorted(union):
-        n, r, _, i_count = drawn[idx][:4]
-        lower = i_count * math.comb((n + 1) // 2, r - 1)
-        if union[idx] < lower:
-            _record(
-                result, idx, f"instance {idx}: |Q1 u Q2| = {union[idx]} < {lower} (n={n}, r={r})"
-            )
-    return result
+        for idx, union in zip(group, (q1 | q2).sum(axis=1).tolist()):
+            lower = drawn[idx][3] * math.comb((n + 1) // 2, r - 1)
+            if union < lower:
+                failures.append(
+                    (idx, f"instance {idx}: |Q1 u Q2| = {union} < {lower} (n={n}, r={r})")
+                )
+    return _result("q-sets", instances, failures)
 
 
 def _random_graph_with_isolated(rng: np.random.Generator, n: int, p: float, i: int):
@@ -282,26 +283,19 @@ def _random_graph_with_isolated(rng: np.random.Generator, n: int, p: float, i: i
 
 def run_edge_interval_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Two-sided halving bounds along exact decompositions, all (k, l)."""
-    result = SuiteResult("edge-interval", instances, 0)
+    failures = []
     depth = 8
     for idx in range(instances):
         rng = _rng(seed, idx)
         n = int(rng.integers(4, 13))
         i = int(rng.integers(0, n))
         G = _random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
-        dec = combinatorics.greedy_decomposition(G, i, depth, mode="exact")
+        e_seq = combinatorics.greedy_decomposition(G, i, depth).e_seq
         for k in range(1, depth + 1):
             for ell in range(1, k + 1):
-                lo = 2**ell * len(dec.e_seq[k])
-                mid = len(dec.e_seq[k - ell])
-                if not (lo <= mid <= lo + 2 ** (ell + 1) * n):
-                    _record(result, idx, f"instance {idx}: bound fails at (k={k}, l={ell})")
-        # exercise the public operation on one pair
-        k = int(rng.integers(1, depth + 1))
-        ell = int(rng.integers(1, k + 1))
-        if not combinatorics.check_edge_interval(G, i, k, ell):
-            _record(result, idx, f"instance {idx}: check_edge_interval false at (k={k}, l={ell})")
-    return result
+                if not combinatorics._edge_interval_holds(e_seq, n, k, ell):
+                    failures.append((idx, f"instance {idx}: bound fails at (k={k}, l={ell})"))
+    return _result("edge-interval", instances, failures)
 
 
 def _graphs_by_size(matrices: list[np.ndarray]) -> list[list[combinatorics.Graph]]:
@@ -325,31 +319,23 @@ def run_low_value_suite(
         raise InvalidInputError(
             f"matrices={matrices} and triple_matrices={triple_matrices} must be non-negative"
         )
-    result = SuiteResult("low-value", matrices + triple_matrices, 0)
+    failures = []
     drawn = []
     for idx in range(matrices):
         rng = _rng(seed, idx)
         n = int(rng.integers(4, 13))
-        B = rng.standard_normal((n, n))
-        # the (L, N) at which the public counting operation is exercised
-        drawn.append((B, (int(rng.integers(1, 4)), int(rng.integers(1, n + 1)))))
-    for idx, ((B, spot), graphs) in enumerate(zip(drawn, _graphs_by_size([B for B, _ in drawn]))):
-        n = B.shape[0]
+        drawn.append(rng.standard_normal((n, n)))
+    for idx, graphs in enumerate(_graphs_by_size(drawn)):
+        n = len(graphs)
+        # values[i][L - 1]: the vertex value of row i at L
+        values = [combinatorics._vertex_values(G, i, 3) for i, G in enumerate(graphs)]
         for L in (1, 2, 3):
-            values = [
-                combinatorics.vertex_value(graphs[i], i, L, mode="exact") for i in range(n)
-            ]
             for N in range(1, n + 1):
-                count = sum(1 for v in values if v <= N)
+                count = sum(1 for v in values if v[L - 1] <= N)
                 if count > 16 * N:
-                    _record(
-                        result,
-                        idx,
-                        f"matrix {idx}: {count} low-value rows exceeds 16N={16 * N} (L={L}, N={N})",
+                    failures.append(
+                        (idx, f"matrix {idx}: {count} low-value rows exceeds 16N={16 * N} (L={L}, N={N})")
                     )
-        L, N = spot
-        if combinatorics.low_value_count(B, L, N) > 16 * N:
-            _record(result, idx, f"matrix {idx}: low_value_count exceeds 16N (L={L}, N={N})")
     triples = []
     for idx in range(triple_matrices):
         rng = _derived(seed, idx).rng()
@@ -361,17 +347,15 @@ def run_low_value_suite(
             ik = (min(i, k), max(i, k)) in graphs[j].edges
             ij = (min(i, j), max(i, j)) in graphs[k].edges
             if not (jk or ik or ij):
-                _record(
-                    result,
-                    matrices + idx,
-                    f"triple matrix {idx}: no membership for triple ({i},{j},{k})",
+                failures.append(
+                    (matrices + idx, f"triple matrix {idx}: no membership for triple ({i},{j},{k})")
                 )
-    return result
+    return _result("low-value", matrices + triple_matrices, failures)
 
 
 def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Graph pairs within the edge-difference hypothesis satisfy the dichotomy."""
-    result = SuiteResult("dichotomy", instances, 0)
+    failures = []
     for idx in range(instances):
         rng = _rng(seed, idx)
         n = int(rng.integers(4, 13))
@@ -390,18 +374,17 @@ def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
         G = combinatorics.Graph(n, kept | extra)
         report = combinatorics.two_graphs_dichotomy(G, G_tilde, i, L)
         if not report.holds:
-            _record(
-                result,
+            failures.append((
                 idx,
                 f"instance {idx}: both assertions fail (n={n}, L={L}, vl={report.vl:g}, "
                 f"cover={report.min_half_cover})",
-            )
-    return result
+            ))
+    return _result("dichotomy", instances, failures)
 
 
 def run_alpharho_suite(instances: int = 500, seed: int = 0) -> SuiteResult:
     """Random discrete structures satisfy the exhaustive structure inequality."""
-    result = SuiteResult("alpharho", instances, 0)
+    failures = []
     for idx in range(instances):
         rng = _rng(seed, idx)
         n = int(rng.integers(1, 5))
@@ -420,12 +403,10 @@ def run_alpharho_suite(instances: int = 500, seed: int = 0) -> SuiteResult:
         struct = alphaeta.AlphaEtaStructure(space, psi, lam, classes, event, cells)
         report = struct.verify_alpharho()
         if not report.holds:
-            _record(
-                result,
-                idx,
-                f"instance {idx}: lhs {report.lhs:g} exceeds rhs {report.rhs:g} (n={n})",
+            failures.append(
+                (idx, f"instance {idx}: lhs {report.lhs:g} exceeds rhs {report.rhs:g} (n={n})")
             )
-    return result
+    return _result("alpharho", instances, failures)
 
 
 SUITES = {
@@ -449,6 +430,4 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> SuiteRe
         return runner(seed=seed)
     if instances < 1:
         raise InvalidInputError(f"instances must be at least 1, got {instances}")
-    if name == "low-value":
-        return runner(matrices=instances, seed=seed)
     return runner(instances, seed=seed)

@@ -238,6 +238,17 @@ class TestDiscreteProductSpace:
             ae.DiscreteProductSpace([[0.5, 0.5]] * 4, budget=15)
         ae.DiscreteProductSpace([[0.5, 0.5]] * 4, budget=16)
 
+    @pytest.mark.parametrize("m, n", [(2**16, 4), (2**21, 3)])
+    def test_size_beyond_64_bits_is_over_budget(self, m, n):
+        # 2**64 and 2**63 atoms: an int64 product wraps to 0 and -2**63
+        with pytest.raises(InvalidInputError, match=f"{m**n} atoms, exceeding the enumeration budget"):
+            ae.DiscreteProductSpace([np.full(m, 1.0 / m)] * n)
+
+    def test_size_and_strides_are_python_integers(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25] * 4, [1.0]])
+        assert (space.size, space._strides) == (8, (4, 1, 1))
+        assert all(type(v) is int for v in (space.size, *space._strides))
+
     def test_atom_probabilities_order(self):
         space = ae.DiscreteProductSpace([[0.25, 0.75], [0.1, 0.2, 0.7]])
         probs = space.atom_probabilities()
@@ -475,6 +486,17 @@ class TestCubeExample:
         assert "budget" in capsys.readouterr().err
         monkeypatch.setattr(ae, "CUBE_ENUMERATION_BUDGET", 8**4)
         assert ae.cube_example_structure(4, 2.0, 8).space.size == 8**4
+
+    def test_cap_rejects_before_a_factor_is_built(self, monkeypatch, capsys):
+        def sentinel(*args, **kwargs):
+            raise AssertionError("a cube factor was built")
+
+        monkeypatch.setattr(ae.np, "full", sentinel)
+        with pytest.raises(InvalidInputError, match="budget"):
+            ae.cube_example_structure(4, 10.0, 10**9)
+        argv = ["alphaeta-demo", "--cube", "--atoms", str(10**9)]
+        assert cli.parse_and_dispatch(argv) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_small_cube_eta(self):
         cube = ae.cube_example_structure(4, 2.0, 8)

@@ -9,6 +9,10 @@ from sminlab.errors import InvalidInputError
 from sminlab.samplers import RowDistribution, ShiftSpec
 
 
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("a trial was sampled")
+
+
 class TestParsers:
     def test_linear_grid(self):
         grid = cli.parse_grid("0.05:0.5:10")
@@ -119,6 +123,26 @@ class TestDispatch:
         path.write_text(text)
         assert cli.parse_and_dispatch(["tail", "--config", str(path)]) == 2
         assert "error: experiment config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shift", ["scaled-identity:nan", "scaled-identity:inf", "diagonal:1,nan,2"]
+    )
+    def test_non_finite_shift_is_usage_error_before_sampling(self, monkeypatch, capsys, shift):
+        monkeypatch.setattr(ex, "sample_matrix", refuse_sampling)
+        code = cli.parse_and_dispatch(["tail", "--n", "3", "--trials", "4", "--shift", shift])
+        assert code == 2
+        assert "non-finite entries" in capsys.readouterr().err
+
+    def test_non_finite_config_shift_is_usage_error(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ex, "sample_matrix", refuse_sampling)
+        doc = ex.ExperimentConfig(
+            RowDistribution("gaussian"), ShiftSpec.explicit([[1.0, 0.0], [0.0, 1.0]]), 2, 4, (0.1,), 7
+        ).to_dict()
+        doc["shift"]["entries"][1][0] = float("nan")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.parse_and_dispatch(["tail", "--config", str(path)]) == 2
+        assert "non-finite entries" in capsys.readouterr().err
 
     def test_nan_grid_threshold_is_usage_error(self, capsys):
         code = cli.parse_and_dispatch(["tail", "--n", "4", "--trials", "2", "--t-grid", "nan,1"])

@@ -200,6 +200,16 @@ class TestVertexValue:
         g = comb.Graph.complete(6, exclude=(0,))
         assert comb.vertex_value(g, 0, 1) == pytest.approx(math.sqrt(5.0))
 
+    @pytest.mark.parametrize("mode", comb.MODES)
+    def test_every_depth_from_one_decomposition(self, mode):
+        for seed in range(12):
+            rng = np.random.default_rng(700 + seed)
+            n = int(rng.integers(4, 12))
+            i = int(rng.integers(0, n))
+            g = random_graph(rng, n, rng.uniform(0.1, 0.7), i)
+            expected = [comb.vertex_value(g, i, L, mode) for L in (1, 2, 3)]
+            assert comb._vertex_values(g, i, 3, mode) == expected
+
 
 class TestRhoSet:
     def test_empty_graph(self):
@@ -229,9 +239,14 @@ class TestCheckEdgeInterval:
         with pytest.raises(InvalidInputError):
             comb.check_edge_interval(STAR, 0, 1, 2)
 
-    def test_requires_exact_mode(self):
-        with pytest.raises(InvalidInputError):
-            comb.check_edge_interval(STAR, 0, 1, 1, mode="greedy")
+    def test_predicate_checks_both_sides(self):
+        # |E_0| = 10 against |E_1| = 1: 2 <= 10, and 10 <= 2 + 4 n holds
+        # for n = 2 but not for n = 1
+        e_seq = [frozenset((0, v) for v in range(1, 11)), frozenset({(1, 2)})]
+        assert not comb._edge_interval_holds(e_seq, 1, 1, 1)
+        assert comb._edge_interval_holds(e_seq, 2, 1, 1)
+        # |E_0| = 1 against |E_1| = 1: 2 > 1
+        assert not comb._edge_interval_holds([e_seq[1], e_seq[1]], 5, 1, 1)
 
 
 class TestBuildGraphs:

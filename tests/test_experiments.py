@@ -246,6 +246,24 @@ class TestEstimateTail:
         )
 
 
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            ShiftSpec.scaled_identity(math.nan),
+            ShiftSpec.diagonal([1.0, math.inf, 2.0]),
+            ShiftSpec.explicit([[1.0, math.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+        ids=lambda shift: shift.kind,
+    )
+    def test_non_finite_shift_rejected_before_sampling(self, monkeypatch, shift):
+        def sentinel(*args, **kwargs):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(ex, "sample_matrix", sentinel)
+        with pytest.raises(InvalidInputError, match="non-finite entries"):
+            ex.estimate_tail(make_config(shift=shift, n=3))
+
+
 class TestDistanceProfile:
     def test_huge_threshold_always_hits(self):
         cfg = make_config(

@@ -153,6 +153,22 @@ class TestBuildShift:
         M0 = np.arange(4.0).reshape(2, 2)
         np.testing.assert_allclose(build_shift(ShiftSpec.explicit(M0), 2), M0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ShiftSpec.scaled_identity(math.nan),
+            ShiftSpec.scaled_identity(-math.inf),
+            ShiftSpec.diagonal([1.0, math.nan, 2.0]),
+            ShiftSpec.explicit([[1.0, 0.0], [math.inf, 1.0]]),
+            ShiftSpec.counterexample(math.inf),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_non_finite_entries_rejected(self, spec):
+        n = len(spec.values or spec.entries or "abc")
+        with pytest.raises(InvalidInputError, match="non-finite entries"):
+            build_shift(spec, n)
+
     def test_counterexample_needs_three(self):
         with pytest.raises(InvalidInputError):
             build_shift(ShiftSpec.counterexample(5.0), 2)

@@ -151,6 +151,20 @@ def oracle_q_sets(instances, seed):
     return result
 
 
+def oracle_edge_interval(instances, seed):
+    result = suites.SuiteResult("edge-interval", instances, 0)
+    for idx in range(instances):
+        rng = SeedSpec(seed, idx).rng()
+        n = int(rng.integers(4, 13))
+        i = int(rng.integers(0, n))
+        G = suites._random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
+        for k in range(1, 9):
+            for ell in range(1, k + 1):
+                if not combinatorics.check_edge_interval(G, i, k, ell):
+                    suites._record(result, idx, f"instance {idx}: bound fails at (k={k}, l={ell})")
+    return result
+
+
 def oracle_low_value(matrices, seed, triple_matrices):
     result = suites.SuiteResult("low-value", matrices + triple_matrices, 0)
     for idx in range(matrices):
@@ -159,7 +173,7 @@ def oracle_low_value(matrices, seed, triple_matrices):
         B = rng.standard_normal((n, n))
         graphs = [combinatorics.build_graph_G(B, i) for i in range(n)]
         for L in (1, 2, 3):
-            values = [combinatorics.vertex_value(graphs[i], i, L, mode="exact") for i in range(n)]
+            values = [combinatorics.vertex_value(graphs[i], i, L) for i in range(n)]
             for N in range(1, n + 1):
                 count = sum(1 for v in values if v <= N)
                 if count > 16 * N:
@@ -168,10 +182,6 @@ def oracle_low_value(matrices, seed, triple_matrices):
                         idx,
                         f"matrix {idx}: {count} low-value rows exceeds 16N={16 * N} (L={L}, N={N})",
                     )
-        L = int(rng.integers(1, 4))
-        N = int(rng.integers(1, n + 1))
-        if combinatorics.low_value_count(B, L, N) > 16 * N:
-            suites._record(result, idx, f"matrix {idx}: low_value_count exceeds 16N (L={L}, N={N})")
     for idx in range(triple_matrices):
         rng = suites._derived(seed, idx).rng()
         n = int(rng.integers(4, 10))
@@ -223,6 +233,7 @@ def oracle_biorthogonality(instances, seed):
 ORACLES = {
     "pivot": (oracle_pivot, 400),
     "q-sets": (oracle_q_sets, 80),
+    "edge-interval": (oracle_edge_interval, 40),
     "low-value": (oracle_low_value, 5),
     "biorthogonality": (oracle_biorthogonality, 40),
 }
@@ -273,6 +284,15 @@ def fail_graphs_of_odd_n(monkeypatch):
     monkeypatch.setattr(combinatorics, "_compared", chosen)
 
 
+def fail_edge_interval_of_even_n(monkeypatch):
+    # two failures per instance: an inner pair and the last pair checked
+    def chosen(e_seq, n, k, ell):
+        return holds(e_seq, n, k, ell) and not (n % 2 == 0 and (k, ell) in ((3, 2), (8, 8)))
+
+    holds = combinatorics._edge_interval_holds
+    monkeypatch.setattr(combinatorics, "_edge_interval_holds", chosen)
+
+
 def fail_biorthogonality_of_chosen_draws(monkeypatch):
     # instances 1, 4, 7, ... draw only singular matrices; rows of sizes
     # divisible by 4 get distances 1.5 times too large
@@ -294,6 +314,7 @@ def fail_biorthogonality_of_chosen_draws(monkeypatch):
     [
         ("pivot", fail_pivots_of_r_4_and_5),
         ("q-sets", fail_q_sets_of_even_n),
+        ("edge-interval", fail_edge_interval_of_even_n),
         ("low-value", fail_graphs_of_odd_n),
         ("biorthogonality", fail_biorthogonality_of_chosen_draws),
     ],
@@ -304,9 +325,29 @@ def test_batched_suite_reports_failures_as_its_instance_loop(monkeypatch, name, 
     assert got == want
     assert len(got.messages) == suites._MAX_MESSAGES < got.failures
     assert got.failed_instances == sorted(set(got.failed_instances))
-    if name != "low-value":  # one message per failing instance
+    if name not in ("low-value", "edge-interval"):  # one message per failing instance
         assert len(got.failed_instances) == got.failures
         assert [int(m.split()[1].rstrip(":")) for m in got.messages] == got.failed_instances[:10]
+
+
+def test_result_orders_failures_by_instance():
+    failures = [
+        (7, "seven a"),
+        (2, "two a"),
+        (7, "seven b"),
+        (0, "zero"),
+        (2, "two b"),
+        (2, "two c"),
+    ]
+    result = suites._result("demo", 9, failures)
+    assert result == suites.SuiteResult(
+        "demo",
+        9,
+        6,
+        ["zero", "two a", "two b", "two c", "seven a", "seven b"],
+        [0, 2, 7],
+    )
+    assert suites._result("demo", 3, []) == suites.SuiteResult("demo", 3, 0)
 
 
 @pytest.mark.parametrize(

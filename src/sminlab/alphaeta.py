@@ -25,6 +25,19 @@ budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
 and larger requests are rejected rather than subsampled.  Section
 quantities of coordinate ``i`` are computed on the section shape, with
 ``size / shape[i]`` entries, and read only at the atoms that need them.
+
+A structure keeps each assignment in the form it was given.  A constant
+class label is one integer for its coordinate, and so is a constant cell
+label, which means "this label on the event, none off it".  Any other
+assignment (an array or a mapping) is kept as one label position per atom,
+in the smallest integer dtype that holds the positions, with ``-1`` for
+cells off the event.  Atom probabilities are not stored: they are gathered
+from the factors at the atoms that need them.  So the only per-atom array
+of a structure with constant assignments, such as the cube example, is its
+one-byte event mask, and :meth:`AlphaEtaStructure.verify_alpharho` needs no
+section table for a constant class (its label wins every section, since
+factor probabilities are positive) and the event mask's table for a
+constant cell.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding, integer
+from .errors import InvalidInputError, decoding, integer, number
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -47,6 +60,13 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 CUBE_ENUMERATION_BUDGET = 4 * 10**6
 
 _PROB_ATOL = 1e-12
+
+# Lines per section-table chunk.  OpenBLAS's dgemv sums lines four at a time
+# and the remainder one at a time, with other bits; a multiple of 64 keeps
+# every line in the group it has in one dgemv over the whole table, so the
+# chunks give that call's bits on one BLAS thread, and on two wherever the
+# call splits at a multiple of four lines (the cube's 64,000, say).
+_CHUNK_LINES = 4096
 
 
 class DiscreteProductSpace:
@@ -58,11 +78,17 @@ class DiscreteProductSpace:
     """
 
     def __init__(self, factors, budget: int = DEFAULT_ENUMERATION_BUDGET):
-        self.factors = [np.asarray(p, dtype=float) for p in factors]
+        try:
+            budget = integer(budget)
+            self.factors = [np.array([number(v) for v in p], dtype=float) for p in factors]
+        except TypeError as exc:
+            raise InvalidInputError(
+                f"factors must be sequences of probabilities and the budget an integer: {exc}"
+            ) from None
         if not self.factors:
             raise InvalidInputError("need at least one factor")
         for idx, p in enumerate(self.factors):
-            if p.ndim != 1 or p.size == 0:
+            if p.size == 0:
                 raise InvalidInputError(f"factor {idx} must be a non-empty probability vector")
             if not np.all(np.isfinite(p)):
                 raise InvalidInputError(f"factor {idx} has non-finite probabilities")
@@ -110,6 +136,14 @@ class DiscreteProductSpace:
         a = np.unravel_index(self.atom_index(atom), self.shape)
         return float(np.prod([p[v] for p, v in zip(self.factors, a)]))
 
+    def _probabilities(self, flat: np.ndarray) -> np.ndarray:
+        """P(atom) at the flat indices ``flat``, multiplied from the factors
+        left to right as :meth:`atom_probabilities` does: the same bits."""
+        out = np.ones(flat.size)
+        for p, stride, m in zip(self.factors, self._strides, self.shape):
+            out *= p[flat // stride % m]
+        return out
+
 
 @dataclass
 class AlphaRhoReport:
@@ -142,29 +176,37 @@ class AlphaEtaStructure:
 
     def __init__(self, space: DiscreteProductSpace, psi, lam, classes, event, event_partition):
         self.space = space
-        self.psi = tuple(psi)
-        self.lam = tuple(lam)
+        try:
+            self.psi = tuple(psi)
+            self.lam = tuple(lam)
+            self._psi_pos = {label: pos for pos, label in enumerate(self.psi)}
+            self._lam_pos = {label: pos for pos, label in enumerate(self.lam)}
+        except TypeError:
+            raise InvalidInputError("psi and lam must be sequences of hashable labels") from None
         if not self.psi or not self.lam:
             raise InvalidInputError("psi and lam must be non-empty")
-        if len(set(self.psi)) != len(self.psi) or len(set(self.lam)) != len(self.lam):
+        if len(self._psi_pos) != len(self.psi) or len(self._lam_pos) != len(self.lam):
             raise InvalidInputError("psi and lam labels must be distinct")
-        n, N = space.n, space.size
-        if len(classes) != n:
-            raise InvalidInputError(f"need one class assignment per coordinate ({n})")
-        if len(event_partition) != n:
-            raise InvalidInputError(f"need one event partition per coordinate ({n})")
+        classes = self._per_coordinate(classes, "class assignment")
+        event_partition = self._per_coordinate(event_partition, "event partition")
         self._event_mask = self._normalize_event(event)
-        self._class_idx = np.empty((n, N), dtype=np.int32)
-        self._cell_idx = np.full((n, N), -1, dtype=np.int32)
-        for i in range(n):
-            self._class_idx[i] = self._normalize_assignment(classes[i], self.psi, mask=None)
-            self._cell_idx[i] = self._normalize_assignment(
-                event_partition[i], self.lam, mask=self._event_mask
-            )
-        self._probs = space.atom_probabilities()
+        # per coordinate: an int for a constant label, else one label position per atom
+        self._classes = [self._assignment(spec, self._psi_pos) for spec in classes]
+        self._cells = [
+            self._assignment(spec, self._lam_pos, self._event_mask) for spec in event_partition
+        ]
         self._sharp_cache: dict[int, int] = {}
 
     # -- normalization -------------------------------------------------
+
+    def _per_coordinate(self, specs, what: str) -> list:
+        try:
+            specs = list(specs)
+        except TypeError:
+            raise InvalidInputError(f"need one {what} per coordinate, not {specs!r}") from None
+        if len(specs) != self.n:
+            raise InvalidInputError(f"need one {what} per coordinate ({self.n})")
+        return specs
 
     def _normalize_event(self, event) -> np.ndarray:
         N = self.space.size
@@ -187,29 +229,40 @@ class AlphaEtaStructure:
             mask[self.space.atom_index(atom)] = True
         return mask
 
-    def _normalize_assignment(self, spec, domain, mask) -> np.ndarray:
-        """Return per-atom label indices; atoms outside ``mask`` get -1."""
-        N = self.space.size
-        lookup = {label: pos for pos, label in enumerate(domain)}
-        out = np.full(N, -1, dtype=np.int32)
-        where = np.ones(N, dtype=bool) if mask is None else mask
+    def _assignment(self, spec, lookup, mask=None) -> int | np.ndarray:
+        """The label position of a constant ``spec``, else the position of
+        every atom's label (``-1`` off ``mask``) in the smallest integer
+        dtype that holds them."""
+        if np.isscalar(spec) or isinstance(spec, (str, tuple)):
+            return self._label_index(spec, lookup)
+        N, shape = self.space.size, self.space.shape
+        if mask is None:
+            out = np.empty(N, np.min_scalar_type(len(lookup) - 1))
+            where = slice(None)
+        else:
+            out = np.full(N, -1, np.min_scalar_type(-len(lookup)))
+            where = mask
         if isinstance(spec, Mapping):
-            for flat in np.nonzero(where)[0]:
-                atom = tuple(np.unravel_index(int(flat), self.space.shape))
+            for flat in np.arange(N)[where]:
+                atom = tuple(np.unravel_index(int(flat), shape))
                 if atom not in spec:
                     raise InvalidInputError(f"assignment is missing atom {atom}")
                 out[flat] = self._label_index(spec[atom], lookup)
             return out
-        if np.isscalar(spec) or isinstance(spec, (str, tuple)):
-            out[where] = self._label_index(spec, lookup)
-            return out
-        arr = np.asarray(spec)
-        if arr.shape not in ((N,), self.space.shape):
+        try:
+            arr = np.asarray(spec)
+        except ValueError:
+            raise InvalidInputError("assignment array has the wrong shape") from None
+        if arr.shape not in ((N,), shape):
             raise InvalidInputError("assignment array has the wrong shape")
-        flatarr = arr.reshape(-1)
-        uniq, inverse = np.unique(flatarr, return_inverse=True)
-        mapped = np.array([self._label_index(v, lookup) for v in uniq], dtype=np.int32)
-        out[where] = mapped[inverse][where]
+        try:
+            uniq, inverse = np.unique(arr.reshape(-1), return_inverse=True)
+        except TypeError:
+            raise InvalidInputError(
+                "the labels of an assignment array cannot be ordered; give them as a mapping"
+            ) from None
+        mapped = np.array([self._label_index(v, lookup) for v in uniq], dtype=out.dtype)
+        out[where] = mapped[inverse[where]]
         return out
 
     @staticmethod
@@ -219,6 +272,16 @@ class AlphaEtaStructure:
         except (KeyError, TypeError):
             raise InvalidInputError(f"label {label!r} is not in the index list") from None
 
+    def _class_at(self, i: int, flat):
+        """Class label positions of coordinate ``i`` at the flat indices ``flat``."""
+        c = self._classes[i]
+        return c[flat] if isinstance(c, np.ndarray) else np.full(np.shape(flat), c)
+
+    def _cell_at(self, i: int, flat):
+        """Cell label positions of coordinate ``i`` at ``flat``, -1 off the event."""
+        c = self._cells[i]
+        return c[flat] if isinstance(c, np.ndarray) else np.where(self._event_mask[flat], c, -1)
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -226,7 +289,7 @@ class AlphaEtaStructure:
         return self.space.n
 
     def event_probability(self) -> float:
-        return float(self._probs[self._event_mask].sum())
+        return float(self.space._probabilities(np.flatnonzero(self._event_mask)).sum())
 
     def event_atoms(self):
         """Iterate the event's atoms in enumeration order."""
@@ -240,14 +303,19 @@ class AlphaEtaStructure:
         """Largest number of coordinates whose ``psi_label`` classes share an atom.
 
         Equals 0 when the class is empty for every coordinate, and ``n``
-        when some atom lies in all of them.
+        when some atom lies in all of them.  Constant coordinates add the
+        same count at every atom, so only the per-atom ones are counted.
         """
-        pidx = self._label_index(psi_label, {v: p for p, v in enumerate(self.psi)})
+        pidx = self._label_index(psi_label, self._psi_pos)
         if pidx not in self._sharp_cache:
-            counts = np.zeros(self.space.size, dtype=np.int32)
-            for row in self._class_idx:
-                counts += row == pidx
-            self._sharp_cache[pidx] = int(counts.max())
+            rows = [c for c in self._classes if isinstance(c, np.ndarray)]
+            count = sum(1 for c in self._classes if not isinstance(c, np.ndarray) and c == pidx)
+            if rows:
+                counts = np.zeros(self.space.size, dtype=np.min_scalar_type(len(rows)))
+                for row in rows:
+                    counts += row == pidx
+                count += int(counts.max())
+            self._sharp_cache[pidx] = count
         return self._sharp_cache[pidx]
 
     def _coordinate(self, i) -> int:
@@ -272,12 +340,13 @@ class AlphaEtaStructure:
         the largest, ties going to the latest label."""
         i, _, line = self._line(i, atom)
         section = np.bincount(
-            self._class_idx[i, line], weights=self.space.factors[i], minlength=len(self.psi)
+            self._class_at(i, line), weights=self.space.factors[i], minlength=len(self.psi)
         )
         return len(self.psi) - 1 - int(np.argmax(section[::-1])), section
 
     def class_label(self, i: int, atom) -> object:
-        return self.psi[self._class_idx[self._coordinate(i), self.space.atom_index(atom)]]
+        i = self._coordinate(i)
+        return self.psi[self._class_at(i, self.space.atom_index(atom))]
 
     def eta(self, i: int, atom):
         """Label of the class with the most probable section along coordinate ``i``.
@@ -302,24 +371,33 @@ class AlphaEtaStructure:
         i, flat, line = self._line(i, atom)
         if not self._event_mask[flat]:
             raise InvalidInputError(f"atom {atom!r} is not in the event")
-        # cell labels are -1 off the event: shifted by one, those atoms fill bin 0
+        cells = self._cell_at(i, line)
+        on = cells >= 0
         section = np.bincount(
-            self._cell_idx[i, line] + 1, weights=self.space.factors[i], minlength=len(self.lam) + 1
+            cells[on], weights=self.space.factors[i][on], minlength=len(self.lam)
         )
-        return float(1.0 / section[self._cell_idx[i, flat] + 1])
+        return float(1.0 / section[self._cell_at(i, flat)])
 
     # -- exhaustive verification ------------------------------------------
 
-    def _section_table(self, i: int, labels: np.ndarray, count: int) -> np.ndarray:
-        """Row ``p``: for each point of the other coordinates (C order), the
-        probability of the atoms labelled ``p`` on the coordinate-``i`` line
-        through it.  Labels outside ``0..count-1`` count for no row."""
+    def _section_table(self, i: int, labels: np.ndarray, values) -> np.ndarray:
+        """Row ``k``: for each point of the other coordinates (C order), the
+        probability of the atoms labelled ``values[k]`` on the coordinate-``i``
+        line through it."""
         m = self.space.shape[i]
         # one row per line along coordinate i, the (lines, shape[i]) layout that
         # np.tensordot contracts: the same BLAS sums as a tensordot over axis i
         lines = np.moveaxis(labels.reshape(self.space.shape), i, -1).reshape(-1, m)
         f = self.space.factors[i]
-        return np.stack([np.dot(lines == p, f) for p in range(count)])
+        table = np.empty((len(values), len(lines)))
+        start = 0
+        while start < len(lines):
+            # a one-line chunk would go to ddot, not dgemv: the last chunk takes it
+            stop = start + _CHUNK_LINES if len(lines) - start > _CHUNK_LINES + 1 else len(lines)
+            for row, value in zip(table, values):
+                row[start:stop] = np.dot(lines[start:stop] == value, f)
+            start = stop
+        return table
 
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
@@ -343,17 +421,28 @@ class AlphaEtaStructure:
             stride = self.space._strides[i]
             # section index of each event atom: its flat index with coordinate i dropped
             section = flat // (stride * self.space.shape[i]) * stride + flat % stride
-            eta_table = self._section_table(i, self._class_idx[i], len(self.psi))
-            # argmax with ties towards the largest index: scan reversed order
-            eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
-            sharp_eta = sharp_vec[eta_idx][section]
+            classes = self._classes[i]
+            if isinstance(classes, np.ndarray):
+                eta_table = self._section_table(i, classes, range(len(self.psi)))
+                # argmax with ties towards the largest index: scan reversed order
+                eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
+                sharp_eta = sharp_vec[eta_idx][section]
+            else:
+                # the constant label's section is the whole line, every other one is empty
+                sharp_eta = sharp_vec[classes]
             if np.any(sharp_eta == 0):
                 raise InvalidInputError(
                     f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
                 )
-            cell_table = self._section_table(i, self._cell_idx[i], len(self.lam))
-            ratio_sum += 1.0 / cell_table[self._cell_idx[i, flat], section] / sharp_eta
-        probs = self._probs[flat]
+            cells = self._cells[i]
+            if isinstance(cells, np.ndarray):
+                cell_table = self._section_table(i, cells, range(len(self.lam)))
+                cell_section = cell_table[cells[flat], section]
+            else:
+                # the constant cell is the event: its table is the event mask's
+                cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
+            ratio_sum += 1.0 / cell_section / sharp_eta
+        probs = self.space._probabilities(flat)
         lhs = float(np.sum(probs * ratio_sum))
         return AlphaRhoReport(
             lhs=lhs,
@@ -368,14 +457,16 @@ class AlphaEtaStructure:
     def to_json(self) -> str:
         """Serialize the structure for fixture exchange (small spaces only)."""
         atom_key = lambda atom: ",".join(str(v) for v in atom)
+        everywhere = np.arange(self.space.size)
         classes = []
         cells = []
         for i in range(self.n):
+            class_pos, cell_pos = self._class_at(i, everywhere), self._cell_at(i, everywhere)
             cmap, emap = {}, {}
             for flat, atom in enumerate(self.space.atoms()):
-                cmap[atom_key(atom)] = self.psi[self._class_idx[i, flat]]
+                cmap[atom_key(atom)] = self.psi[class_pos[flat]]
                 if self._event_mask[flat]:
-                    emap[atom_key(atom)] = self.lam[self._cell_idx[i, flat]]
+                    emap[atom_key(atom)] = self.lam[cell_pos[flat]]
             classes.append(cmap)
             cells.append(emap)
         doc = {
@@ -414,6 +505,10 @@ def cube_example_structure(n: int, K: float, m: int) -> AlphaEtaStructure:
     :data:`CUBE_ENUMERATION_BUDGET` atoms, and a larger cube is rejected
     before anything is allocated.
     """
+    try:
+        n, K, m = integer(n), number(K), integer(m)
+    except TypeError as exc:
+        raise InvalidInputError(f"n and m must be integers and K a number: {exc}") from None
     if n < 4:
         raise InvalidInputError("n must be at least 4")
     s = math.isqrt(n)

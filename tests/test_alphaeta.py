@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections.abc import Mapping
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sminlab.alphaeta as ae
-from sminlab import cli
+from sminlab import cli, experiments, suites
 from sminlab.errors import InvalidInputError
 
 
-def random_structure(seed, n_max=3, atoms_max=3):
+def random_inputs(seed, n_max=3, atoms_max=3):
+    """Constructor inputs ``(space, psi, lam, classes, event, event_partition)``
+    of a random structure with one label array per assignment."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, n_max + 1))
     factors = []
@@ -27,18 +32,98 @@ def random_structure(seed, n_max=3, atoms_max=3):
     classes = [rng.integers(1, len(psi) + 1, size=space.size) for _ in range(n)]
     event = rng.random(space.size) < 0.5
     cells = [rng.integers(1, len(lam) + 1, size=space.size) for _ in range(n)]
-    return ae.AlphaEtaStructure(space, psi, lam, classes, event, cells)
+    return space, psi, lam, classes, event, cells
 
 
-def sharp_definitional(struct, psi_label):
+def random_structure(seed, n_max=3, atoms_max=3):
+    return ae.AlphaEtaStructure(*random_inputs(seed, n_max, atoms_max))
+
+
+# -- per-atom arrays of the inputs, and the oracles that read them ----------
+
+
+class Full(NamedTuple):
+    """A structure's inputs as full per-atom arrays: ``(n, size)`` class and
+    cell positions (cells -1 off the event), the event mask and the atom
+    probabilities."""
+
+    space: ae.DiscreteProductSpace
+    psi: list
+    lam: list
+    class_idx: np.ndarray
+    cell_idx: np.ndarray
+    mask: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def n(self):
+        return self.space.n
+
+
+def full_arrays(space, psi, lam, classes, event, event_partition):
+    """The per-atom arrays of a structure, built from its constructor's
+    inputs alone, so that the oracles never read the structure's storage."""
+    N = space.size
+    if isinstance(event, np.ndarray) and event.dtype == bool:
+        mask = event.reshape(-1).copy()
+    else:
+        mask = np.zeros(N, dtype=bool)
+        for atom in event:
+            mask[np.ravel_multi_index(tuple(atom), space.shape)] = True
+
+    def positions(spec, labels, where):
+        labels = list(labels)
+        out = np.full(N, -1, dtype=np.int16)
+        if isinstance(spec, Mapping):
+            for flat, atom in enumerate(space.atoms()):
+                if where[flat]:
+                    out[flat] = labels.index(spec[atom])
+        elif np.ndim(spec) == 0 or isinstance(spec, tuple):
+            out[where] = labels.index(spec)
+        else:
+            per_atom = np.asarray(spec).reshape(-1)
+            for pos, label in enumerate(labels):
+                out[where & (per_atom == label)] = pos
+        return out
+
+    everywhere = np.ones(N, dtype=bool)
+    class_idx = np.stack([positions(spec, psi, everywhere) for spec in classes])
+    cell_idx = np.stack([positions(spec, lam, mask) for spec in event_partition])
+    return Full(space, list(psi), list(lam), class_idx, cell_idx, mask, space.atom_probabilities())
+
+
+def build(inputs):
+    """The structure of ``inputs`` and their per-atom arrays."""
+    return ae.AlphaEtaStructure(*inputs), full_arrays(*inputs)
+
+
+def built_with_full(factory, *args):
+    """``factory(*args)`` and, for each structure it built, the structure
+    and the per-atom arrays of the inputs passed to its constructor."""
+    built = []
+    constructor = ae.AlphaEtaStructure
+
+    def recording(*a, **kw):
+        built.append((constructor(*a, **kw), full_arrays(*a, **kw)))
+        return built[-1][0]
+
+    with mock.patch.object(ae, "AlphaEtaStructure", recording):
+        result = factory(*args)
+    return result, built
+
+
+def sharp_full(full, pidx):
+    """Largest count of coordinates whose class is ``pidx`` at one atom."""
+    return int((full.class_idx == pidx).sum(axis=0).max())
+
+
+def sharp_definitional(full, psi_label):
     """Minimal s such that every index set larger than s has empty
     class intersection; brute force over all subsets."""
-    n = struct.n
-    atoms = list(struct.space.atoms())
-    members = [
-        {atom for atom in atoms if struct.class_label(i, atom) == psi_label}
-        for i in range(n)
-    ]
+    n = full.n
+    pidx = full.psi.index(psi_label)
+    atoms = set(range(full.space.size))
+    members = [set(np.flatnonzero(full.class_idx[i] == pidx).tolist()) for i in range(n)]
     for s in range(n + 1):
         empty_beyond = True
         for size in range(s + 1, n + 1):
@@ -56,13 +141,10 @@ def sharp_definitional(struct, psi_label):
     return n
 
 
-# -- the full-space evaluation and the per-atom loops, kept as oracles -----
-
-
-def full_space_report(struct):
+def full_space_report(full):
     """``verify_alpharho`` evaluated on the full space: every section
     probability is broadcast back to all atoms before it is read."""
-    space = struct.space
+    space = full.space
 
     def section_broadcast(i, member):
         arr = member.reshape(space.shape)
@@ -71,82 +153,96 @@ def full_space_report(struct):
         return np.ravel(np.broadcast_to(sec, space.shape))
 
     def eta_indices(i):
-        stacked = np.empty((len(struct.psi), space.size))
-        for pidx in range(len(struct.psi)):
-            stacked[pidx] = section_broadcast(i, (struct._class_idx[i] == pidx).astype(float))
-        return len(struct.psi) - 1 - np.argmax(stacked[::-1], axis=0)
+        stacked = np.empty((len(full.psi), space.size))
+        for pidx in range(len(full.psi)):
+            stacked[pidx] = section_broadcast(i, (full.class_idx[i] == pidx).astype(float))
+        return len(full.psi) - 1 - np.argmax(stacked[::-1], axis=0)
 
     def alpha_values(i):
-        sections = np.empty((len(struct.lam), space.size))
-        for lidx in range(len(struct.lam)):
-            member = (struct._event_mask & (struct._cell_idx[i] == lidx)).astype(float)
+        sections = np.empty((len(full.lam), space.size))
+        for lidx in range(len(full.lam)):
+            member = (full.mask & (full.cell_idx[i] == lidx)).astype(float)
             sections[lidx] = section_broadcast(i, member)
-        cell = np.where(struct._event_mask, struct._cell_idx[i], 0)
+        cell = np.where(full.mask, full.cell_idx[i], 0)
         chosen = sections[cell, np.arange(space.size)]
         with np.errstate(divide="ignore"):
             return 1.0 / chosen
 
-    sharp_vec = np.array([struct.sharp(label) for label in struct.psi], dtype=float)
-    rhs = float(len(struct.psi) ** 2 * len(struct.lam))
-    mask = struct._event_mask
+    sharp_vec = np.array([sharp_full(full, p) for p in range(len(full.psi))], dtype=float)
+    rhs = float(len(full.psi) ** 2 * len(full.lam))
+    mask = full.mask
     if not mask.any():
         return ae.AlphaRhoReport(0.0, rhs, True, math.inf, 0.0)
     ratio_sum = np.zeros(int(mask.sum()))
-    for i in range(struct.n):
+    for i in range(full.n):
         sharp_eta = sharp_vec[eta_indices(i)[mask]]
         assert not np.any(sharp_eta == 0)
         ratio_sum += alpha_values(i)[mask] / sharp_eta
-    lhs = float(np.sum(struct._probs[mask] * ratio_sum))
+    lhs = float(np.sum(full.probs[mask] * ratio_sum))
     return ae.AlphaRhoReport(
-        lhs, rhs, bool(lhs <= rhs + 1e-9), float(ratio_sum.min()), float(struct._probs[mask].sum())
+        lhs, rhs, bool(lhs <= rhs + 1e-9), float(ratio_sum.min()), float(full.probs[mask].sum())
     )
 
 
-def _line_base(struct, i, atom):
-    flat = struct.space.atom_index(atom)
-    stride = int(struct.space._strides[i])
+def _line_base(full, i, atom):
+    flat = int(np.ravel_multi_index(tuple(atom), full.space.shape))
+    stride = int(full.space._strides[i])
     return flat, stride, flat - int(atom[i]) * stride
 
 
-def eta_loop(struct, i, atom):
-    _, stride, base = _line_base(struct, i, atom)
-    probs_i = struct.space.factors[i]
-    section = np.zeros(len(struct.psi))
-    for a in range(struct.space.shape[i]):
-        section[struct._class_idx[i, base + a * stride]] += probs_i[a]
+def eta_loop(full, i, atom):
+    _, stride, base = _line_base(full, i, atom)
+    probs_i = full.space.factors[i]
+    section = np.zeros(len(full.psi))
+    for a in range(full.space.shape[i]):
+        section[full.class_idx[i, base + a * stride]] += probs_i[a]
     best = 0
-    for pos in range(1, len(struct.psi)):
+    for pos in range(1, len(full.psi)):
         if section[pos] >= section[best]:
             best = pos
-    return struct.psi[best]
+    return full.psi[best]
 
 
-def eta_section_probability_loop(struct, i, atom):
-    pidx = list(struct.psi).index(eta_loop(struct, i, atom))
-    _, stride, base = _line_base(struct, i, atom)
+def eta_section_probability_loop(full, i, atom):
+    pidx = full.psi.index(eta_loop(full, i, atom))
+    _, stride, base = _line_base(full, i, atom)
     total = 0.0
-    for a in range(struct.space.shape[i]):
-        if struct._class_idx[i, base + a * stride] == pidx:
-            total += struct.space.factors[i][a]
+    for a in range(full.space.shape[i]):
+        if full.class_idx[i, base + a * stride] == pidx:
+            total += full.space.factors[i][a]
     return total
 
 
-def alpha_loop(struct, i, atom):
-    flat, stride, base = _line_base(struct, i, atom)
-    cell = struct._cell_idx[i, flat]
+def alpha_loop(full, i, atom):
+    flat, stride, base = _line_base(full, i, atom)
+    cell = full.cell_idx[i, flat]
     total = 0.0
-    for a in range(struct.space.shape[i]):
+    for a in range(full.space.shape[i]):
         pos = base + a * stride
-        if struct._event_mask[pos] and struct._cell_idx[i, pos] == cell:
-            total += struct.space.factors[i][a]
+        if full.mask[pos] and full.cell_idx[i, pos] == cell:
+            total += full.space.factors[i][a]
     return 1.0 / total
 
 
+def assert_queries_match_loops(struct, full, atoms):
+    for atom in atoms:
+        flat = int(np.ravel_multi_index(tuple(atom), full.space.shape))
+        assert struct.contains(atom) == full.mask[flat]
+        for i in range(full.n):
+            assert struct.class_label(i, atom) == full.psi[full.class_idx[i, flat]]
+            assert struct.eta(i, atom) == eta_loop(full, i, atom)
+            assert struct.eta_section_probability(i, atom) == eta_section_probability_loop(
+                full, i, atom
+            )
+            if full.mask[flat]:
+                assert struct.alpha(i, atom) == alpha_loop(full, i, atom)
+
+
 @st.composite
-def structures(draw, n_max=3, atoms_max=4):
-    """Structures with one-atom factors, n = 1, one-label lists, unused
-    (empty) cells, empty and full events, and uniform factors whose
-    section probabilities tie exactly."""
+def structure_inputs(draw, n_max=3, atoms_max=4):
+    """Inputs with one-atom factors, n = 1, one-label lists, unused
+    (empty) cells, empty and full events, uniform factors whose section
+    probabilities tie exactly, and constant assignments among arrays."""
     n = draw(st.integers(1, n_max))
     shape = [draw(st.integers(1, atoms_max)) for _ in range(n)]
     uniform = draw(st.booleans())
@@ -161,6 +257,8 @@ def structures(draw, n_max=3, atoms_max=4):
     size = space.size
 
     def labels(count):
+        if draw(st.booleans()):
+            return draw(st.integers(1, count))
         return np.array(draw(st.lists(st.integers(1, count), min_size=size, max_size=size)))
 
     psi = list(range(1, draw(st.integers(1, 3)) + 1))
@@ -168,7 +266,7 @@ def structures(draw, n_max=3, atoms_max=4):
     classes = [labels(len(psi)) for _ in range(n)]
     event = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
     cells = [labels(len(lam)) for _ in range(n)]
-    return ae.AlphaEtaStructure(space, psi, lam, classes, event, cells)
+    return space, psi, lam, classes, event, cells
 
 
 def assert_same_report(got, want):
@@ -182,31 +280,26 @@ class TestSectionShapeOracle:
     """The section-shape evaluation gives the full-space numbers bit for bit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(structures())
-    def test_verify_matches_full_space(self, struct):
-        assert_same_report(struct.verify_alpharho(), full_space_report(struct))
+    @given(structure_inputs())
+    def test_verify_matches_full_space(self, inputs):
+        struct, full = build(inputs)
+        assert_same_report(struct.verify_alpharho(), full_space_report(full))
 
     def test_verify_matches_full_space_on_suite_structures(self):
         for seed in range(200):
-            struct = random_structure(seed + 2000, n_max=4, atoms_max=5)
-            assert_same_report(struct.verify_alpharho(), full_space_report(struct))
+            struct, full = build(random_inputs(seed + 2000, n_max=4, atoms_max=5))
+            assert_same_report(struct.verify_alpharho(), full_space_report(full))
 
     @pytest.mark.parametrize("args", [(4, 2.0, 8), (4, 10.0, 40)])
     def test_verify_matches_full_space_on_the_cube(self, args):
-        cube = ae.cube_example_structure(*args)
-        assert_same_report(cube.verify_alpharho(), full_space_report(cube))
+        cube, [(_, full)] = built_with_full(ae.cube_example_structure, *args)
+        assert_same_report(cube.verify_alpharho(), full_space_report(full))
 
     @settings(max_examples=100, deadline=None)
-    @given(structures())
-    def test_per_atom_queries_match_loops(self, struct):
-        for atom in struct.space.atoms():
-            for i in range(struct.n):
-                assert struct.eta(i, atom) == eta_loop(struct, i, atom)
-                assert struct.eta_section_probability(i, atom) == eta_section_probability_loop(
-                    struct, i, atom
-                )
-                if struct.contains(atom):
-                    assert struct.alpha(i, atom) == alpha_loop(struct, i, atom)
+    @given(structure_inputs())
+    def test_per_atom_queries_match_loops(self, inputs):
+        struct, full = build(inputs)
+        assert_queries_match_loops(struct, full, struct.space.atoms())
 
     def test_cube_verify_stays_off_the_full_space(self):
         # three float64 arrays of the full space; the full-space evaluation
@@ -221,6 +314,114 @@ class TestSectionShapeOracle:
         assert peak < 3 * 8 * cube.space.size
 
 
+class TestCompactForms:
+    """Constant and per-atom assignments, and the label dtypes, against the
+    full-space oracle bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_assignments_match_full_space(self, seed):
+        rng = np.random.default_rng(seed + 6000)
+        factors = []
+        for m in (3, 2, 4):
+            raw = rng.random(m) + 0.1
+            factors.append(raw / raw.sum())
+        space = ae.DiscreteProductSpace(factors)
+        psi, lam = ["a", "b", "c"], [10, 20]
+        atoms = list(space.atoms())
+        classes = [
+            "b",
+            rng.choice(psi, size=space.size),
+            {atom: psi[int(rng.integers(3))] for atom in atoms},
+        ]
+        event = rng.random(space.size) < 0.6
+        cells = [
+            {atom: lam[int(rng.integers(2))] for atom in atoms},
+            20,
+            rng.choice(lam, size=space.size),
+        ]
+        struct, full = build((space, psi, lam, classes, event, cells))
+        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+        assert_queries_match_loops(struct, full, atoms)
+        for label in psi:
+            assert struct.sharp(label) == sharp_definitional(full, label)
+
+    def test_constant_cells_on_a_sparse_event(self):
+        rng = np.random.default_rng(61)
+        factors = [np.full(5, 0.2), rng.random(6) + 0.1, np.full(4, 0.25)]
+        space = ae.DiscreteProductSpace([p / p.sum() for p in factors])
+        event = {(0, 1, 2), (4, 1, 2), (2, 5, 0)}
+        inputs = (space, [1, 2], [7], [2, np.ones(space.size, int), 1], event, [7, 7, 7])
+        struct, full = build(inputs)
+        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+        assert_queries_match_loops(struct, full, space.atoms())
+
+    @pytest.mark.parametrize(
+        "labels, class_dtype, cell_dtype",
+        [(128, np.uint8, np.int8), (300, np.uint16, np.int16)],
+    )
+    def test_long_label_lists(self, labels, class_dtype, cell_dtype):
+        # 128 labels fill int8 with the off-event -1; 300 overflow uint8
+        rng = np.random.default_rng(labels)
+        space = ae.DiscreteProductSpace([np.full(20, 0.05), np.full(16, 1 / 16)])
+        psi = list(range(labels))
+        lam = [f"cell{k}" for k in range(labels)]
+        classes = [rng.permutation(np.arange(space.size) % labels) for _ in range(2)]
+        event = rng.random(space.size) < 0.7
+        cells = [np.array(lam)[rng.permutation(np.arange(space.size) % labels)], lam[-1]]
+        struct, full = build((space, psi, lam, classes, event, cells))
+        assert [c.dtype for c in struct._classes] == [class_dtype] * 2
+        assert struct._cells[0].dtype == cell_dtype
+        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+        assert_queries_match_loops(struct, full, space.atoms())
+
+    def test_tables_of_many_lines_match_full_space(self):
+        # 2 * 4096 + 1 lines along coordinate 1: the chunks are 4096 and 4097
+        # lines, never a last one of one line, for which np.dot calls ddot,
+        # whose bits differ.  One BLAS thread: a whole-table dgemv split
+        # between threads at an odd line has other bits at the split.
+        rng = np.random.default_rng(5)
+        raw = rng.random(40) + 0.1
+        space = ae.DiscreteProductSpace([np.full(8193, 1 / 8193), raw / raw.sum()])
+        classes = [rng.integers(1, 3, space.size), 1]
+        event = rng.random(space.size) < 0.5
+        cells = [1, rng.integers(1, 3, space.size)]
+        struct, full = build((space, [1, 2], [1, 2], classes, event, cells))
+        with experiments._single_thread_blas:
+            table = struct._section_table(1, struct._cells[1], range(2))
+            for lidx in range(2):
+                member = (full.cell_idx[1] == lidx).reshape(space.shape).astype(float)
+                assert np.array_equal(table[lidx], np.tensordot(member, space.factors[1], axes=([1], [0])))
+            assert_same_report(struct.verify_alpharho(), full_space_report(full))
+
+    def test_queries_at_sampled_cube_atoms(self):
+        cube, [(_, full)] = built_with_full(ae.cube_example_structure, 4, 10.0, 40)
+        rng = np.random.default_rng(11)
+        flats = np.concatenate([
+            rng.choice(cube.space.size, 100, replace=False),
+            rng.choice(np.flatnonzero(full.mask), 100, replace=False),
+        ])
+        atoms = [tuple(int(v) for v in np.unravel_index(f, cube.space.shape)) for f in flats]
+        assert_queries_match_loops(cube, full, atoms)
+
+    def test_alpharho_suite_structures_match_full_space(self):
+        result, built = built_with_full(suites.run_alpharho_suite, 100, 1111)
+        assert result.instances == len(built) == 100
+        for struct, full in built:
+            assert_same_report(struct.verify_alpharho(), full_space_report(full))
+
+    def test_cube_build_and_verify_bytes_per_atom(self):
+        # the one-byte event mask is the cube's only per-atom array; storing
+        # class and cell labels and probabilities per atom took about 57
+        tracemalloc.start()
+        try:
+            cube = ae.cube_example_structure(4, 10.0, 40)
+            cube.verify_alpharho()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cube.space.size
+
+
 class TestDiscreteProductSpace:
     def test_validates_probabilities(self):
         with pytest.raises(InvalidInputError):
@@ -232,6 +433,16 @@ class TestDiscreteProductSpace:
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidInputError):
                 ae.DiscreteProductSpace([[bad, 1.0]])
+
+    def test_budget_must_be_an_integer(self):
+        for bad in ("x", 16.0):
+            with pytest.raises(InvalidInputError, match="budget"):
+                ae.DiscreteProductSpace([[0.5, 0.5]], budget=bad)
+
+    def test_factor_entries_must_be_numbers(self):
+        for bad in (["a", "b"], ["0.5", "0.5"], [True]):
+            with pytest.raises(InvalidInputError, match="expected a number"):
+                ae.DiscreteProductSpace([bad])
 
     def test_budget(self):
         with pytest.raises(InvalidInputError):
@@ -300,9 +511,9 @@ class TestSharp:
 
     def test_matches_definitional_oracle(self):
         for seed in range(25):
-            struct = random_structure(seed)
+            struct, full = build(random_inputs(seed))
             for label in struct.psi:
-                assert struct.sharp(label) == sharp_definitional(struct, label)
+                assert struct.sharp(label) == sharp_definitional(full, label)
 
 
 class TestEta:
@@ -375,17 +586,17 @@ class TestAlpha:
 
     def test_independent_of_own_coordinate_within_cell(self):
         for seed in range(10):
-            struct = random_structure(seed + 300)
+            struct, full = build(random_inputs(seed + 300))
             for atom in struct.event_atoms():
                 for i in range(struct.n):
                     expected = struct.alpha(i, atom)
-                    cell = struct._cell_idx[i, struct.space.atom_index(atom)]
+                    cell = full.cell_idx[i, struct.space.atom_index(atom)]
                     for replacement in range(struct.space.shape[i]):
                         other = list(atom)
                         other[i] = replacement
                         other = tuple(other)
                         flat = struct.space.atom_index(other)
-                        if struct._event_mask[flat] and struct._cell_idx[i, flat] == cell:
+                        if full.mask[flat] and full.cell_idx[i, flat] == cell:
                             assert struct.alpha(i, other) == pytest.approx(expected)
 
 
@@ -472,6 +683,15 @@ class TestCubeExample:
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidInputError):
                 ae.cube_example_structure(4, bad, 40)
+
+    @pytest.mark.parametrize("args", [(4, 10.0, 40.0), (4.0, 10.0, 40), (4, "10", 40)])
+    def test_parameter_types_checked_before_a_factor_is_built(self, monkeypatch, args):
+        def sentinel(*a, **kw):
+            raise AssertionError("a cube factor was built")
+
+        monkeypatch.setattr(ae.np, "full", sentinel)
+        with pytest.raises(InvalidInputError, match="must be integers and K a number"):
+            ae.cube_example_structure(*args)
 
     def test_default_cap_admits_the_demo_only(self):
         # 40**4 atoms is the criterion-11 demo, 80**4 the next K=10 size
@@ -577,15 +797,40 @@ class TestStructureValidation:
         with pytest.raises(InvalidInputError, match="coordinate"):
             getattr(struct, query)(i, (0, 1))
 
+    def test_unhashable_labels_rejected(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="hashable"):
+            ae.AlphaEtaStructure(
+                space, psi=[[1], [2]], lam=[1], classes=[{(0,): [1], (1,): [2]}],
+                event=np.ones(space.size, bool), event_partition=[1],
+            )
+
+    def test_missing_class_assignments_rejected(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="class assignment"):
+            ae.AlphaEtaStructure(
+                space, psi=[1], lam=[1], classes=None,
+                event=np.ones(space.size, bool), event_partition=[1],
+            )
+
+    def test_object_labels_holding_none_rejected(self):
+        space = ae.DiscreteProductSpace([[0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="cannot be ordered"):
+            ae.AlphaEtaStructure(
+                space, psi=[1, 2], lam=[1], classes=[np.array([1, None], dtype=object)],
+                event=np.ones(space.size, bool), event_partition=[1],
+            )
+
     def test_every_atom_in_exactly_one_class(self):
         # partition totality: assignments are functions, so each atom gets
-        # exactly one label per coordinate; spot-check through the index arrays
-        struct = random_structure(999)
-        for i in range(struct.n):
-            assert np.all(struct._class_idx[i] >= 0)
-            assert np.all(struct._class_idx[i] < len(struct.psi))
-            on_event = struct._cell_idx[i][struct._event_mask]
-            assert np.all(on_event >= 0) and np.all(on_event < len(struct.lam))
+        # exactly one label per coordinate, the one its input gave it, and
+        # each event atom lies in a cell of positive section probability
+        struct, full = build(random_inputs(999))
+        for flat, atom in enumerate(struct.space.atoms()):
+            for i in range(struct.n):
+                assert struct.class_label(i, atom) == full.psi[full.class_idx[i, flat]]
+                if full.mask[flat]:
+                    assert 1.0 <= struct.alpha(i, atom) < math.inf
 
 
 class TestSerialization:
@@ -598,6 +843,18 @@ class TestSerialization:
         )
         for label in struct.psi:
             assert clone.sharp(label) == struct.sharp(label)
+
+    def test_json_round_trip_of_constant_assignments(self):
+        # the document lists every atom's labels, so the clone's assignments
+        # are mappings, kept per atom, and give the constants' numbers
+        cube = ae.cube_example_structure(4, 2.0, 8)
+        text = cube.to_json()
+        clone = ae.AlphaEtaStructure.from_json(text)
+        assert all(isinstance(c, np.ndarray) for c in clone._classes + clone._cells)
+        assert clone.to_json() == text
+        assert_same_report(clone.verify_alpharho(), cube.verify_alpharho())
+        assert [clone.sharp(label) for label in cube.psi] == [2, 2]
+        assert clone.event_probability() == cube.event_probability()
 
     @pytest.mark.parametrize(
         "key", ["factors", "psi", "lambda", "classes", "event", "event_partition"]

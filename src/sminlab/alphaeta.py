@@ -52,6 +52,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InvalidInputError, decoding, integer, number
+from .linalg import _single_thread_blas
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -64,8 +65,7 @@ _PROB_ATOL = 1e-12
 # Lines per section-table chunk.  OpenBLAS's dgemv sums lines four at a time
 # and the remainder one at a time, with other bits; a multiple of 64 keeps
 # every line in the group it has in one dgemv over the whole table, so the
-# chunks give that call's bits on one BLAS thread, and on two wherever the
-# call splits at a multiple of four lines (the cube's 64,000, say).
+# chunks give that call's bits on one BLAS thread.
 _CHUNK_LINES = 4096
 
 
@@ -407,50 +407,51 @@ class AlphaEtaStructure:
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
         kept as a guard).  ``eta`` and the cell sections are computed on the
-        section shape and read at the event atoms only.
+        section shape, on one BLAS thread, and read at the event atoms only.
         """
-        sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
-        rhs = float(len(self.psi) ** 2 * len(self.lam))
-        flat = np.flatnonzero(self._event_mask)
-        if not flat.size:
-            return AlphaRhoReport(
-                lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
-            )
-        ratio_sum = np.zeros(flat.size)
-        for i in range(self.n):
-            stride = self.space._strides[i]
-            # section index of each event atom: its flat index with coordinate i dropped
-            section = flat // (stride * self.space.shape[i]) * stride + flat % stride
-            classes = self._classes[i]
-            if isinstance(classes, np.ndarray):
-                eta_table = self._section_table(i, classes, range(len(self.psi)))
-                # argmax with ties towards the largest index: scan reversed order
-                eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
-                sharp_eta = sharp_vec[eta_idx][section]
-            else:
-                # the constant label's section is the whole line, every other one is empty
-                sharp_eta = sharp_vec[classes]
-            if np.any(sharp_eta == 0):
-                raise InvalidInputError(
-                    f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
+        with _single_thread_blas:
+            sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
+            rhs = float(len(self.psi) ** 2 * len(self.lam))
+            flat = np.flatnonzero(self._event_mask)
+            if not flat.size:
+                return AlphaRhoReport(
+                    lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
                 )
-            cells = self._cells[i]
-            if isinstance(cells, np.ndarray):
-                cell_table = self._section_table(i, cells, range(len(self.lam)))
-                cell_section = cell_table[cells[flat], section]
-            else:
-                # the constant cell is the event: its table is the event mask's
-                cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
-            ratio_sum += 1.0 / cell_section / sharp_eta
-        probs = self.space._probabilities(flat)
-        lhs = float(np.sum(probs * ratio_sum))
-        return AlphaRhoReport(
-            lhs=lhs,
-            rhs=rhs,
-            holds=bool(lhs <= rhs + 1e-9),
-            min_ratio_sum=float(ratio_sum.min()),
-            event_probability=float(probs.sum()),
-        )
+            ratio_sum = np.zeros(flat.size)
+            for i in range(self.n):
+                stride = self.space._strides[i]
+                # section index of each event atom: its flat index with coordinate i dropped
+                section = flat // (stride * self.space.shape[i]) * stride + flat % stride
+                classes = self._classes[i]
+                if isinstance(classes, np.ndarray):
+                    eta_table = self._section_table(i, classes, range(len(self.psi)))
+                    # argmax with ties towards the largest index: scan reversed order
+                    eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
+                    sharp_eta = sharp_vec[eta_idx][section]
+                else:
+                    # the constant label's section is the whole line, every other one is empty
+                    sharp_eta = sharp_vec[classes]
+                if np.any(sharp_eta == 0):
+                    raise InvalidInputError(
+                        f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
+                    )
+                cells = self._cells[i]
+                if isinstance(cells, np.ndarray):
+                    cell_table = self._section_table(i, cells, range(len(self.lam)))
+                    cell_section = cell_table[cells[flat], section]
+                else:
+                    # the constant cell is the event: its table is the event mask's
+                    cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
+                ratio_sum += 1.0 / cell_section / sharp_eta
+            probs = self.space._probabilities(flat)
+            lhs = float(np.sum(probs * ratio_sum))
+            return AlphaRhoReport(
+                lhs=lhs,
+                rhs=rhs,
+                holds=bool(lhs <= rhs + 1e-9),
+                min_ratio_sum=float(ratio_sum.min()),
+                event_probability=float(probs.sum()),
+            )
 
     # -- serialization ----------------------------------------------------
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import alphaeta, combinatorics, experiments, suites
-from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError
+from .errors import InvalidInputError
 from .samplers import KINDS, RowDistribution, ShiftSpec
 
 
@@ -288,7 +288,7 @@ def parse_and_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidInputError, UnsupportedSizeError, PreconditionError, OSError, ValueError) as exc:
+    except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,14 @@ that rely on minimality (:func:`check_edge_interval`,
 :func:`low_value_count`, :func:`classify_lambda` and the dichotomy) take
 no mode and decompose exactly.
 
-Every distance a call needs comes from one factorization of its matrix:
-the complement distances of all the triples of a comparison graph and of
-all the r-subsets of :func:`q_sets` from one batched
+Each kind of distance a call needs comes from one factorization of its
+matrix: the complement distances of all the triples of a comparison
+graph and of all the r-subsets of :func:`q_sets` from one batched
 ``sminlab.linalg._set_distances`` call, and the distances of a pivot
-vector family, or of the full rows, from one QR profile.  The pivot
-check, :func:`q_sets` and the comparison graphs are thin per-call
-wrappers over stacked cores (``_pivot_indices``, ``_q_masks``,
+vector family, or of the full rows, from one QR profile.
+:func:`classify_lambda` needs both kinds, so it factors ``A + M`` twice.
+The pivot check, :func:`q_sets` and the comparison graphs are thin
+per-call wrappers over stacked cores (``_pivot_indices``, ``_q_masks``,
 ``_comparison_graphs``) that the verification suites call with every
 instance of one shape at once; the graphs of all the vertices of a
 matrix are read from one table of all its triples.
@@ -567,9 +568,9 @@ class StructureParams:
 
     ``L`` and ``offset`` follow the fixed formulas
     ``L = 8 (floor(log2 n) + 1 - u) + 2 log2(1 + K1)`` and
-    ``offset = 2**(L / 192)``; ``epsilon`` is the constant 1/24 and
-    ``K2`` the constant 2000.  ``t`` is the distance threshold the
-    dyadic intervals are measured against.
+    ``offset = 2**(L / 192)``; the constants ``epsilon = 1/24`` and
+    ``K2 = 2000`` enter no computation here.  ``t`` is the distance
+    threshold the dyadic intervals are measured against.
     """
 
     n: int
@@ -578,8 +579,6 @@ class StructureParams:
     t: float
     L: float
     offset: float
-    epsilon: float = 1.0 / 24.0
-    K2: float = 2000.0
 
 
 def structure_params(n: int, u: int, K1: float, t: float = 1.0) -> StructureParams:

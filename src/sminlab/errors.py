@@ -9,11 +9,11 @@ class InvalidInputError(ValueError):
     """An argument violates an operation's contract."""
 
 
-class UnsupportedSizeError(ValueError):
+class UnsupportedSizeError(InvalidInputError):
     """An exhaustive-search operation was asked to exceed its size bound."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InvalidInputError):
     """A verification routine's hypothesis fails.
 
     Distinct from a failed conclusion: raising this means the check was

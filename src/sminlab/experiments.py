@@ -5,11 +5,7 @@ hit counts monotone along the grid and reduces variance.  Trials are
 keyed by ``(master_seed, trial_index)`` so serial and parallel runs
 produce bit-identical results.  Every Monte Carlo verb runs its trials
 through :func:`map_trials`, one thread pool whose worker count the
-``SMINLAB_THREADS`` environment variable caps.  While a map runs, the
-OpenBLAS copies bundled with numpy and scipy are set to one thread each,
-so each worker computes on its own core instead of starting BLAS threads
-that compete with the other workers; the previous thread counts are
-restored when the map ends.
+``SMINLAB_THREADS`` environment variable caps.
 
 Statistics (per realization ``B = A + M`` of dimension ``n``):
 
@@ -46,28 +42,25 @@ honest for proportions near zero where all the interesting claims live.
 from __future__ import annotations
 
 import csv
-import ctypes
 import functools
-import glob
-import importlib
 import json
 import math
 import os
-import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from typing import TypeVar
 
 import numpy as np
 
 from .errors import InvalidInputError, decoding, integer, number
-from .linalg import _certified, _extremes, row_distances
+from .linalg import _certified, _extremes, _single_thread_blas, row_distances
 from .samplers import RowDistribution, SeedSpec, ShiftSpec, build_shift, sample_matrix
 
 Z_95 = 1.96
+SMIN_CONSTANTS = (1.0, 5.0, 10.0)
+KAPPA_CONSTANTS = (0.01, 0.1)
 
 STATISTIC_KINDS = ("smin_scaled", "hs_scaled_sqrt", "hs_scaled_n", "distance_profile")
 
@@ -290,72 +283,6 @@ def resolve_workers(workers: int | None = None) -> int:
     return count
 
 
-# The OpenBLAS copies bundled with the numpy and scipy wheels: package,
-# sibling library directory, file pattern, thread-count getter and setter.
-# numpy's serves np.linalg (the SVDs); scipy's serves scipy.linalg.lapack
-# (the QR and triangular inverse of row_distances).
-_OPENBLAS = (
-    ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "scipy.libs", "libscipy_openblas-*.so",
-     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """``(get, set)`` process-wide thread-count functions of every bundled
-    OpenBLAS found; empty under any other BLAS."""
-    controls = []
-    for package, libdir, pattern, getter, setter in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in sorted(glob.glob(os.path.join(site, libdir, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-                get, set_ = getattr(lib, getter), getattr(lib, setter)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-class _SingleThreadBlas:
-    """Context manager that runs every bundled OpenBLAS on one thread.
-
-    Trial workers already use every core, and a BLAS that starts threads
-    of its own inside each of them oversubscribes the machine.  BLAS
-    thread counts are process-wide, so this state is too: overlapping
-    uses (maps on several Python threads) are counted under a lock, the
-    first to enter saves the counts and the last to leave restores them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._active = 0
-        self._saved: tuple = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._active == 0:
-                self._saved = tuple((set_, get()) for get, set_ in _openblas_thread_controls())
-                for set_, _ in self._saved:
-                    set_(1)
-            self._active += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._active -= 1
-            if self._active == 0:
-                for set_, count in self._saved:
-                    set_(count)
-                self._saved = ()
-
-
-_single_thread_blas = _SingleThreadBlas()
-
-
 def map_trials(kernel: Callable[[int], T], trials: int, workers: int | None = None) -> list[T]:
     """``[kernel(i) for i in range(trials)]`` on :func:`resolve_workers` threads.
 
@@ -459,8 +386,9 @@ class CounterexampleReport:
     ``corner_frequency`` estimates the probability that the bottom-right
     2x2 block of the sign matrix has both row sums of its last two
     columns equal to zero (expected 1/4).  ``smin_tail[C]`` estimates
-    ``P(s_min <= C n / tau)`` and ``kappa_tail[c]`` estimates
-    ``P(condition number >= c tau^2 / n)``.
+    ``P(s_min <= C n / tau)`` for each ``C`` in :data:`SMIN_CONSTANTS` and
+    ``kappa_tail[c]`` estimates ``P(condition number >= c tau^2 / n)``
+    for each ``c`` in :data:`KAPPA_CONSTANTS`.
     """
 
     n: int
@@ -502,13 +430,7 @@ def _counterexample_trial(
 
 
 def counterexample_experiment(
-    n: int,
-    tau: float,
-    trials: int,
-    master_seed: int,
-    smin_constants: tuple[float, ...] = (1.0, 5.0, 10.0),
-    kappa_constants: tuple[float, ...] = (0.01, 0.1),
-    workers: int | None = None,
+    n: int, tau: float, trials: int, master_seed: int, workers: int | None = None
 ) -> CounterexampleReport:
     """Monte Carlo study of sign matrices shifted by ``diag(tau, ..., tau, 0, 0)``."""
     if n < 8:
@@ -520,10 +442,6 @@ def counterexample_experiment(
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     SeedSpec(master_seed)  # rejects a seed outside [0, 2**64) before any sampling
-    for name, constants in (("smin_constants", smin_constants), ("kappa_constants", kappa_constants)):
-        for c in constants:
-            if isinstance(c, bool) or not isinstance(c, Real) or not (0.0 <= c < math.inf):
-                raise InvalidInputError(f"{name} must be finite and non-negative, got {c!r}")
     shift_matrix = build_shift(ShiftSpec.counterexample(tau), n)
     kernel = functools.partial(_counterexample_trial, shift_matrix, master_seed)
     s_min, s_max, corner = (np.array(column) for column in zip(*map_trials(kernel, trials, workers)))
@@ -540,12 +458,12 @@ def counterexample_experiment(
         corner_frequency=corner_hits / trials,
         corner_ci=wilson_interval(corner_hits, trials),
         smin_tail={
-            float(C): float(np.count_nonzero(s_min <= C * n / tau)) / trials
-            for C in smin_constants
+            C: float(np.count_nonzero(s_min <= C * n / tau)) / trials
+            for C in SMIN_CONSTANTS
         },
         kappa_tail={
-            float(c): float(np.count_nonzero(kappa >= c * tau * tau / n)) / trials
-            for c in kappa_constants
+            c: float(np.count_nonzero(kappa >= c * tau * tau / n)) / trials
+            for c in KAPPA_CONSTANTS
         },
         corner_smin_median=float(np.median(corner_smin)) if corner_smin.size else None,
     )

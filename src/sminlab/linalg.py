@@ -29,11 +29,25 @@ decision comes out as for the SVD, and take the SVD for any trial the
 certificate does not cover.  Every kernel takes its rank scale from
 :func:`_scaled`, which also rescales a matrix whose row norms would
 overflow or underflow by an exact power of two.
+
+BLAS thread counts are process-wide.  ``_single_thread_blas`` runs the
+OpenBLAS copies bundled with numpy and scipy on one thread, then restores
+their counts.  ``experiments.map_trials`` runs under it so that trial
+workers do not compete with BLAS threads, and ``alphaeta`` runs
+``verify_alpharho`` under it because a ``dgemv`` split between threads
+sums in another order, which changes the report's last bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import importlib
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -469,3 +483,69 @@ def singular_data(B) -> SingularData:
     A = as_matrix(B)
     s_min, s_max, hs = _extremes(A)
     return SingularData(s_min=s_min, s_max=s_max, hs_inverse=hs, row_distances=row_distances(A))
+
+
+# The OpenBLAS copies bundled with the numpy and scipy wheels: package,
+# sibling library directory, file pattern, thread-count getter and setter.
+# numpy's serves np.linalg (the SVDs); scipy's serves scipy.linalg.lapack
+# (the QR and triangular inverse of row_distances).
+_OPENBLAS = (
+    ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "scipy.libs", "libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """``(get, set)`` process-wide thread-count functions of every bundled
+    OpenBLAS found; empty under any other BLAS."""
+    controls = []
+    for package, libdir, pattern, getter, setter in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in sorted(glob.glob(os.path.join(site, libdir, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+                get, set_ = getattr(lib, getter), getattr(lib, setter)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+class _SingleThreadBlas:
+    """Context manager that runs every bundled OpenBLAS on one thread.
+
+    Trial workers already use every core, and a BLAS that starts threads
+    of its own inside each of them oversubscribes the machine.  BLAS
+    thread counts are process-wide, so this state is too: overlapping
+    uses (maps on several Python threads) are counted under a lock, the
+    first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved: tuple = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = tuple((set_, get()) for get, set_ in _openblas_thread_controls())
+                for set_, _ in self._saved:
+                    set_(1)
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = ()
+
+
+_single_thread_blas = _SingleThreadBlas()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sminlab.alphaeta as ae
-from sminlab import cli, experiments, suites
+from sminlab import cli, linalg, suites
 from sminlab.errors import InvalidInputError
 
 
@@ -143,7 +143,13 @@ def sharp_definitional(full, psi_label):
 
 def full_space_report(full):
     """``verify_alpharho`` evaluated on the full space: every section
-    probability is broadcast back to all atoms before it is read."""
+    probability is broadcast back to all atoms before it is read.  BLAS
+    runs on one thread, as in ``verify_alpharho``."""
+    with linalg._single_thread_blas:
+        return _full_space_report(full)
+
+
+def _full_space_report(full):
     space = full.space
 
     def section_broadcast(i, member):
@@ -386,12 +392,30 @@ class TestCompactForms:
         event = rng.random(space.size) < 0.5
         cells = [1, rng.integers(1, 3, space.size)]
         struct, full = build((space, [1, 2], [1, 2], classes, event, cells))
-        with experiments._single_thread_blas:
+        with linalg._single_thread_blas:
             table = struct._section_table(1, struct._cells[1], range(2))
             for lidx in range(2):
                 member = (full.cell_idx[1] == lidx).reshape(space.shape).astype(float)
                 assert np.array_equal(table[lidx], np.tensordot(member, space.factors[1], axes=([1], [0])))
-            assert_same_report(struct.verify_alpharho(), full_space_report(full))
+        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+
+    def test_report_independent_of_the_callers_blas_threads(self, blas_at_two_threads):
+        # 10804 lines of 196 entries: on two threads OpenBLAS splits the last
+        # chunk's dgemv at a line that is not a multiple of four, and the
+        # lines at the split are summed in another order
+        rng = np.random.default_rng(0)
+        raw = rng.random(196) + 0.05
+        space = ae.DiscreteProductSpace(
+            [np.full(10804, 1 / 10804), raw / raw.sum()], budget=4 * 10**6
+        )
+        cells = [1, rng.integers(1, 3, space.size)]
+        struct = ae.AlphaEtaStructure(space, [1], [1, 2], [1, 1], np.ones(space.size, bool), cells)
+        at_two = struct.verify_alpharho()
+        assert [get() for get, _ in blas_at_two_threads] == [2, 2]
+        with linalg._single_thread_blas:
+            at_one = struct.verify_alpharho()
+        assert [get() for get, _ in blas_at_two_threads] == [2, 2]
+        assert_same_report(at_two, at_one)
 
     def test_queries_at_sampled_cube_atoms(self):
         cube, [(_, full)] = built_with_full(ae.cube_example_structure, 4, 10.0, 40)

@@ -290,6 +290,16 @@ class TestDispatch:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_graph_decompose_exact_mode_past_its_size_is_usage_error(self, tmp_path, capsys):
+        # a path on vertices 2..17 and the isolated root 1: 17 vertices
+        graph_file = tmp_path / "path17.txt"
+        graph_file.write_text("".join(f"{j} {j + 1}\n" for j in range(2, 17)))
+        code = cli.parse_and_dispatch(
+            ["graph-decompose", "--graph", str(graph_file), "--vertex", "1", "--mode", "exact"]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_graph_file(self, capsys):
         code = cli.parse_and_dispatch(
             ["graph-decompose", "--graph", "/nonexistent/g.txt", "--vertex", "1"]

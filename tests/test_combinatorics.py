@@ -458,6 +458,18 @@ class TestMindistKmax:
         assert all(results[i] >= results[i + 1] for i in range(len(results) - 1))
 
 
+class TestErrorContract:
+    def test_size_and_precondition_errors_are_invalid_input(self):
+        with pytest.raises(InvalidInputError) as size:
+            comb.greedy_decomposition(comb.Graph.empty(17), 0, 1, "exact")
+        assert type(size.value) is UnsupportedSizeError
+        with pytest.raises(InvalidInputError) as precondition:
+            comb.two_graphs_dichotomy(
+                comb.Graph.complete(8, exclude=(0,)), comb.Graph.empty(8), 0, 2
+            )
+        assert type(precondition.value) is PreconditionError
+
+
 class TestStructureParams:
     def test_formulas(self):
         p = comb.structure_params(1024, 0, 1.0)
@@ -466,12 +478,6 @@ class TestStructureParams:
         p10 = comb.structure_params(1024, 10, 1.0)
         assert p10.L == pytest.approx(10.0)
         assert p10.offset == pytest.approx(2.0 ** (10.0 / 192.0), rel=1e-12)
-
-    def test_constants(self):
-        for n, u in ((8, 0), (100, 3), (1024, 5)):
-            p = comb.structure_params(n, u, 2.5)
-            assert p.epsilon == pytest.approx(1.0 / 24.0)
-            assert p.K2 == 2000.0
 
     def test_u_out_of_range(self):
         with pytest.raises(InvalidInputError):

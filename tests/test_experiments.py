@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sminlab.experiments as ex
+from sminlab import linalg
 from sminlab.errors import InvalidInputError
 from sminlab.linalg import singular_data
 from sminlab.samplers import RowDistribution, ShiftSpec
@@ -324,33 +325,6 @@ class TestCounterexampleExperiment:
         with pytest.raises(InvalidInputError, match="tau"):
             ex.counterexample_experiment(10, tau, 10, 0)
 
-    @pytest.mark.parametrize(
-        "smin_constants, kappa_constants",
-        [
-            ((math.nan, 1.0), (0.1,)),
-            ((1.0, -1.0), (0.1,)),
-            ((math.inf,), (0.1,)),
-            ((1.0,), (math.nan,)),
-            ((1.0,), (-0.01,)),
-            ((1.0,), (math.inf,)),
-            ((True,), (0.1,)),
-            (("5",), (0.1,)),
-        ],
-    )
-    def test_bad_constants_rejected_before_sampling(
-        self, monkeypatch, smin_constants, kappa_constants
-    ):
-        def no_sampling(*args):
-            raise AssertionError("sampled a matrix")
-
-        monkeypatch.setattr(ex, "sample_matrix", no_sampling)
-        with pytest.raises(InvalidInputError, match="constants must be finite and non-negative"):
-            ex.counterexample_experiment(10, 50.0, 10, 0, smin_constants, kappa_constants)
-
-    def test_zero_and_numpy_constants_accepted(self):
-        rep = ex.counterexample_experiment(10, 50.0, 20, 3, (0.0, np.float64(5.0)), (np.float32(0.5),))
-        assert set(rep.smin_tail) == {0.0, 5.0} and set(rep.kappa_tail) == {0.5}
-
     def test_trial_kernel_pickles(self):
         shift = ex.build_shift(ShiftSpec.counterexample(40.0), 10)
         kernel = functools.partial(ex._counterexample_trial, shift, 9)
@@ -380,21 +354,6 @@ class TestCounterexampleExperiment:
         assert small.corner_frequency == large.corner_frequency  # same sign matrices
         ratio = small.corner_smin_median / large.corner_smin_median
         assert 50.0 <= ratio <= 200.0  # tau ratio is 100
-
-
-@pytest.fixture
-def blas_at_two_threads():
-    """Both bundled OpenBLAS copies set to two threads for the test, then
-    put back as they were."""
-    controls = ex._openblas_thread_controls()
-    if len(controls) < 2:
-        pytest.skip("numpy's and scipy's bundled OpenBLAS not both found")
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
-    yield controls
-    for (_, set_), count in zip(controls, before):
-        set_(count)
 
 
 def blas_threads(controls) -> list[int]:
@@ -478,12 +437,12 @@ class TestMapTrials:
         expected = ex._trial_values(cfg, 2)
         report = ex.counterexample_experiment(10, 40.0, 30, 9, workers=2).to_dict()
         monkeypatch.setattr(
-            ex, "_OPENBLAS", tuple((pkg, libdir, "no-such-library-*.so", get, set_)
-                                   for pkg, libdir, _, get, set_ in ex._OPENBLAS)
+            linalg, "_OPENBLAS", tuple((pkg, libdir, "no-such-library-*.so", get, set_)
+                                       for pkg, libdir, _, get, set_ in linalg._OPENBLAS)
         )
-        lookup = ex._openblas_thread_controls.__wrapped__
+        lookup = linalg._openblas_thread_controls.__wrapped__
         assert lookup() == ()
-        monkeypatch.setattr(ex, "_openblas_thread_controls", lookup)
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lookup)
         for workers in (1, 2):
             np.testing.assert_array_equal(ex._trial_values(cfg, workers), expected)
             rep = ex.counterexample_experiment(10, 40.0, 30, 9, workers=workers)

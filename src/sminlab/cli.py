@@ -146,8 +146,6 @@ def _cmd_lemma_check(args) -> int:
 
 
 def _cmd_alphaeta_demo(args) -> int:
-    if not args.cube:
-        raise InvalidInputError("only the --cube demo is available")
     _echo({"demo": "cube", "n": args.n, "K": args.k, "atoms": args.atoms})
     struct = alphaeta.cube_example_structure(args.n, args.k, args.atoms)
     report = struct.verify_alpharho()
@@ -261,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lemma_check)
 
     p = sub.add_parser("alphaeta-demo", formatter_class=fmt, help="exhaustive partition-structure demo")
-    p.add_argument("--cube", action="store_true", help="run the discretized-cube demo")
+    p.add_argument("--cube", action="store_true", help="run the discretized-cube demo, the only one and the default")
     p.add_argument("--n", type=int, default=4, help="number of coordinates (perfect square)")
     p.add_argument("--k", type=float, default=10.0, help="threshold parameter K (> 1)")
     p.add_argument("--atoms", type=int, default=40, help="atoms per factor")

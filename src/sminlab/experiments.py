@@ -21,18 +21,26 @@ Statistics (per realization ``B = A + M`` of dimension ``n``):
   grid supplies the thresholds; the statistic's own ``a`` serves as a
   single-point grid for :func:`distance_profile_tail`.
 
-The first three take their value from the certified QR kernel
-``linalg._certified``: one ``B^T = QR`` and triangular inverse per
-trial, power iteration for ``s_min``.  A trial falls back to the SVD
-when its rows are dependent at the rank tolerance, when the certificate
-is out of reach (the spectrum of ``B^-1`` has no dominant top) or takes
-more than 32 power steps, or when the certified value lies within the
-rounding margin of a grid threshold or of the rank tolerance, so every
-hit count and singularity decision is the SVD's.  At the acceptance
-configs Gaussian n=200 ``smin_scaled`` falls back in 7% of trials (it
-certifies in 6 power steps at the median, 25 at the 99th percentile);
-uniform rows plus ``10 sqrt(n) I`` fall back in every ``smin_scaled``
-trial (clustered spectrum) and in no ``hs_scaled_*`` trial.  The
+Each trial reports how many grid points it hits, not its value.  The
+grid ascends, so the points a trial hits are the last ones of the grid
+for the statistics that hit below and the first ones for the others, and
+a grid point's count is the number of trials that hit enough points to
+reach it.  The first three statistics take their counts from the
+certified QR kernel ``linalg._certified``: one ``B^T = QR`` and
+triangular inverse per trial, and a bracket of ``s_min`` from norms of
+the inverse and, when they do not decide, power iteration.  Only the
+trial's position among the grid thresholds and the rank tolerance is
+certified.  A trial falls back to the SVD when its rows are dependent
+at the rank tolerance, when a threshold or the tolerance lies within
+the rounding margin of every value in the bracket, when no Kato-Temple
+bound is possible (the spectrum of ``B^-1`` has no dominant top) and
+the bracket before the first power step does not decide, or when 32
+power steps do not decide, so every hit count and singularity decision
+is the SVD's.  At the acceptance configs (5000 trials each) Gaussian
+n=200 ``smin_scaled`` falls back in one trial and decides before the
+first power step at the median (2 steps at the 99th percentile);
+uniform rows plus ``10 sqrt(n) I`` decide every ``smin_scaled`` and
+``hs_scaled_*`` trial without a power step or a fallback.  The
 counterexample verb keeps the SVD: it reads ``s_max`` as well.
 
 Confidence intervals are Wilson score intervals at z = 1.96, which stay
@@ -308,26 +316,27 @@ def map_trials(kernel: Callable[[int], T], trials: int, workers: int | None = No
     return [value for part in chunks for value in part]
 
 
-def _trial_value(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index: int) -> float:
+def _trial_hits(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index: int) -> int:
+    """How many grid points trial ``trial_index`` hits.  The hit points are
+    the last ones of the grid when the statistic hits below, the first
+    ones otherwise, since the grid ascends."""
     A = sample_matrix(config.dist, config.n, SeedSpec(config.master_seed, trial_index))
     B = A + shift_matrix
     stat = config.statistic
     if stat.kind == "distance_profile":
-        if stat.k > config.n:
-            return math.inf
-        d = np.sort(row_distances(B))
-        return float(d[stat.k - 1])
+        value = math.inf if stat.k > config.n else float(np.sort(row_distances(B))[stat.k - 1])
+        return sum(value <= t for t in config.t_grid)
     root = math.sqrt(config.n)
     if stat.kind == "smin_scaled":
-        return _certified(B, True, [t / root for t in config.t_grid]).value * root
+        return _certified(B, True, [t / root for t in config.t_grid]).hits
     unit = root if stat.kind == "hs_scaled_sqrt" else config.n
-    return _certified(B, False, [t * unit for t in config.t_grid]).value / unit
+    return _certified(B, False, [t * unit for t in config.t_grid]).hits
 
 
-def _trial_values(config: ExperimentConfig, workers: int | None) -> np.ndarray:
+def _hits_per_trial(config: ExperimentConfig, workers: int | None) -> np.ndarray:
     shift_matrix = build_shift(config.shift, config.n)
-    kernel = functools.partial(_trial_value, config, shift_matrix)
-    return np.array(map_trials(kernel, config.trials, workers))
+    kernel = functools.partial(_trial_hits, config, shift_matrix)
+    return np.array(map_trials(kernel, config.trials, workers), dtype=int)
 
 
 def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailEstimate:
@@ -341,13 +350,12 @@ def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailE
     start = time.perf_counter()
     if not config.t_grid:
         return TailEstimate(config=config, points=[], wall_time=time.perf_counter() - start)
-    values = _trial_values(config, workers)
+    size = len(config.t_grid)
+    counts = np.bincount(_hits_per_trial(config, workers), minlength=size + 1)
+    at_least = np.cumsum(counts[::-1])[::-1]  # [h]: trials that hit h or more points
     points = []
-    for t in config.t_grid:
-        if config.statistic.hit_when_below:
-            hits = int(np.count_nonzero(values <= t))
-        else:
-            hits = int(np.count_nonzero(values >= t))
+    for j, t in enumerate(config.t_grid):
+        hits = int(at_least[size - j] if config.statistic.hit_when_below else at_least[j + 1])
         low, high = wilson_interval(hits, config.trials)
         points.append(
             GridPointEstimate(

@@ -22,13 +22,13 @@ primitive set by set, a row being the singleton set
 (:func:`_svd_distances`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
-The Monte Carlo statistics read ``s_min`` or the HS norm from the same
-QR factorization and triangular inverse instead (:func:`_certified`),
-with a certificate that every threshold comparison and singularity
-decision comes out as for the SVD, and take the SVD for any trial the
-certificate does not cover.  Every kernel takes its rank scale from
-:func:`_scaled`, which also rescales a matrix whose row norms would
-overflow or underflow by an exact power of two.
+The Monte Carlo statistics place ``s_min`` or the HS norm among their
+grid thresholds from the same QR factorization and triangular inverse
+instead (:func:`_certified`), with a certificate that every threshold
+comparison and singularity decision comes out as for the SVD, and take
+the SVD for any trial the certificate does not cover.  Every kernel
+takes its rank scale from :func:`_scaled`, which also rescales a matrix
+whose row norms would overflow or underflow by an exact power of two.
 
 BLAS thread counts are process-wide.  ``_single_thread_blas`` runs the
 OpenBLAS copies bundled with numpy and scipy on one thread, then restores
@@ -63,12 +63,12 @@ from .errors import InvalidInputError
 # scale-aware threshold.
 RANK_RTOL = 1e-10
 
-# The certified s_min of _certified: power steps allowed before the trial
-# falls back to the SVD (Gaussian matrices at n = 200 certify in 6 steps at
-# the median and 25 at the 99th percentile), and the relative width of the
-# bracket at which the iteration stops.
+# Power steps _certified may take on s_min before the trial falls back to the
+# SVD.  At criterion 02 (Gaussian n = 200, 5000 trials) the bracket before
+# the first step decides at the median and 2 steps decide at the 99th
+# percentile; one trial, whose two smallest singular values lie within 1.4%
+# of each other, reaches the cap.
 _POWER_STEPS = 32
-_BRACKET_RTOL = 1e-13
 
 # c in the rounding margin c * n * eps * norm(A) of _certified: it covers the
 # backward errors of the QR factorization, the triangular inverse and the
@@ -359,99 +359,111 @@ def _extremes(A: np.ndarray) -> tuple[float, float, float]:
 
 
 class _Certified(NamedTuple):
-    """Result of :func:`_certified`: the statistic, the power steps taken,
-    and why the trial fell back to :func:`_extremes` (``""`` when it did
-    not)."""
+    """Result of :func:`_certified`: how many cuts the trial hits, the power
+    steps taken, and why the trial fell back to :func:`_extremes` (``""``
+    when it did not)."""
 
-    value: float
+    hits: int
     steps: int
     fallback: str
 
 
 def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
-    """``s_min(A)`` when ``smin``, else ``hs_inverse(A)``, from the
-    ``A.T = Q R`` and ``W = R^-1`` of :func:`_factor`, on the same side of
-    every value in ``cuts`` and of the rank tolerance as :func:`_extremes`.
+    """How many values in ``cuts`` the trial ``A`` hits, ``s_min(A) <= c``
+    when ``smin``, else ``hs_inverse(A) >= c``, counted as for the value
+    :func:`_extremes` gives, from the ``A.T = Q R`` and ``W = R^-1`` of
+    :func:`_factor`.
 
-    ``hs_inverse`` is ``norm(W, 'fro')``, the negative second moment
-    identity.  ``s_min`` is ``1 / sqrt(lambda_1)``, ``lambda_1`` the top
-    eigenvalue of ``W.T W``, found by power iteration.  With ``rho`` the
-    Rayleigh quotient of a unit vector and ``r`` its residual,
-    ``1 / sqrt(rho)`` bounds ``s_min`` from above; since the trace of
-    ``W.T W`` is ``norm(W, 'fro')**2``, ``alpha = trace - rho`` bounds
-    ``lambda_2``, and when ``alpha < rho`` the Kato-Temple inequality
-    ``lambda_1 <= rho + norm(r)**2 / (rho - alpha)`` bounds it from
-    below.  The iteration stops once that bracket is ``_BRACKET_RTOL``
-    tight and returns its upper end.  The bound needs ``rho > trace / 2``,
-    and ``rho <= lambda_1 <= norm(W, 1) * norm(W, inf)``: when that
-    product is at most half the trace no bracket can be certified, and
-    the SVD is taken at once.
+    Only the position of the statistic among the cuts and the rank
+    tolerance is certified, not its value.  ``hs_inverse`` is ``norm(W,
+    'fro')``, the negative second moment identity.  ``s_min`` is ``1 /
+    sqrt(lambda_1)``, ``lambda_1`` the top eigenvalue of ``W.T W``, which
+    is bracketed by bounds at hand.  From above by the trace ``norm(W,
+    'fro')**2``, by ``norm(W, 1) * norm(W, inf)`` and, once power
+    iteration gives a unit vector whose Rayleigh quotient ``rho`` exceeds
+    ``alpha = trace - rho`` (a bound on ``lambda_2``), by the Kato-Temple
+    bound ``rho + norm(r)**2 / (rho - alpha)``, ``r`` the residual.  From
+    below by the largest squared row or column norm of ``W`` and by every
+    ``rho``.  The iteration starts at the row of largest norm and stops as
+    soon as the bracket of ``s_min``, widened by the rounding margin
+    ``_MARGIN * n * eps * sqrt(n) * scale`` (``sqrt(n) * scale`` bounds
+    ``norm(A, 2)``), contains no cut and its lower end is above the rank
+    tolerance; on the clustered spectra of a large shift that is before
+    the first step.
 
-    The bracket, or for ``hs_inverse`` the interval that ``s_min >= 1 /
-    norm(W, 'fro')`` gives, is widened by the rounding margin
-    ``_MARGIN * n * eps * sqrt(n) * scale`` on ``s_min``, ``sqrt(n) *
-    scale`` bounding ``norm(A, 2)``.  The trial falls back to
-    :func:`_extremes`, and returns its value, when the rows are dependent
-    at the tolerance (``"rank"``), when certification is impossible
-    (``"early"``) or needs more than ``_POWER_STEPS`` steps (``"cap"``),
-    when the widened interval contains a cut (``"cut"``), or when its
-    lower end of ``s_min`` is at or below the rank tolerance
-    (``"tolerance"``).  Every comparison of the returned value with a cut
-    or with the tolerance therefore comes out as for the SVD value.
-    ``cuts`` are in the units of the statistic.  Inputs are not checked.
+    The trial falls back to :func:`_extremes` and counts its value, for
+    the first of these reasons that applies: the rows are dependent at the
+    tolerance (``"rank"``), the bracket shows that its lower end can never
+    clear the tolerance (``"tolerance"``) or that a cut lies within the
+    margin of every value in it (``"cut"``), no Kato-Temple bound is
+    possible because ``norm(W, 1) * norm(W, inf) <= trace / 2`` and the
+    bracket before the first step does not decide (``"early"``), or
+    ``_POWER_STEPS`` steps do not decide (``"cap"``).  ``hs_inverse`` falls back with
+    ``"tolerance"`` when ``1 / norm(W, 'fro')``, widened likewise, does not
+    clear the tolerance, and with ``"cut"`` when its widened interval
+    contains a cut.  Every hit therefore comes out as for the SVD value.
+    ``cuts`` are in the units of the statistic; ascending cuts are hit in
+    a suffix for ``s_min`` and in a prefix for ``hs_inverse``.  Inputs are
+    not checked.
     """
     _, e, scale, _, _, W, ok = _factor(A[None])
     if not ok[0]:
-        return _fallback(A, smin, 0, "rank")
+        return _fallback(A, smin, cuts, 0, "rank")
     W, e, scale = W[0], int(e[0]), float(scale[0])
     n = W.shape[0]
     w = W.ravel(order="K")
     trace = float(w @ w)
     margin = _MARGIN * n * _EPS * math.sqrt(n) * scale
-    steps = 0
-    if smin:
-        absW = np.abs(W)
-        row_sums = absW.sum(axis=1)
-        top = int(np.argmax(row_sums))
-        if float(row_sums[top]) * float(absW.sum(axis=0).max()) <= trace / 2.0:
-            return _fallback(A, smin, 0, "early")
-        x = W[top] / np.linalg.norm(W[top])
-        for steps in range(1, _POWER_STEPS + 1):
-            y = dtrmv(W, x)
-            z = dtrmv(W, y, trans=1)
-            rho = float(y @ y)
-            alpha = trace - rho
-            if alpha < rho:
-                r = z - rho * x
-                high = 1.0 / math.sqrt(rho)
-                low = 1.0 / math.sqrt(rho + float(r @ r) / (rho - alpha))
-                if high - low <= _BRACKET_RTOL * low:
-                    break
-            x = z / math.sqrt(float(z @ z))
-        else:
-            return _fallback(A, smin, steps, "cap")
-        value, s_low = high, low - margin
-    else:
+    tolerance = RANK_RTOL * scale
+    scaled = [math.ldexp(c, -e if smin else e) for c in cuts]
+    if not smin:
         value = math.sqrt(trace)
-        s_low = 1.0 / value - margin
-    if s_low <= RANK_RTOL * scale:
-        return _fallback(A, smin, steps, "tolerance")
-    if smin:
-        low, high, exponent = s_low, value + margin, -e
-    else:
+        if 1.0 / value - margin <= tolerance:
+            return _fallback(A, smin, cuts, 0, "tolerance")
         # s_min >= 1 / value > margin: moving every singular value by at most
         # margin moves each sigma_i^-1, so hs_inverse, by a factor within
         # 1 -+ margin * value
         spread = margin * value
-        low, high, exponent = value / (1.0 + spread), value / (1.0 - spread), e
-    if any(low <= math.ldexp(c, exponent) <= high for c in cuts):
-        return _fallback(A, smin, steps, "cut")
-    return _Certified(math.ldexp(value, -exponent), steps, "")
+        low, high = value / (1.0 + spread), value / (1.0 - spread)
+        if any(low <= c <= high for c in scaled):
+            return _fallback(A, smin, cuts, 0, "cut")
+        return _Certified(sum(c < low for c in scaled), 0, "")
+    absW = np.abs(W)
+    squares = absW * absW
+    rows = squares.sum(axis=1)
+    top = int(np.argmax(rows))
+    lam_high = min(trace, float(absW.sum(axis=1).max()) * float(absW.sum(axis=0).max()))
+    lam_low = max(float(rows[top]), float(squares.sum(axis=0).max()))
+    kato_temple = lam_high > trace / 2.0
+    x = W[top] / math.sqrt(float(rows[top]))
+    for steps in range(_POWER_STEPS + 1):
+        if steps:
+            y = dtrmv(W, x)
+            z = dtrmv(W, y, trans=1)
+            rho = float(y @ y)
+            lam_low = max(lam_low, rho)
+            if trace - rho < rho:
+                r = z - rho * x
+                lam_high = min(lam_high, rho + float(r @ r) / (2.0 * rho - trace))
+            x = z / math.sqrt(float(z @ z))
+        low, high = 1.0 / math.sqrt(lam_high), 1.0 / math.sqrt(lam_low)
+        if low - margin > tolerance and not any(low - margin <= c <= high + margin for c in scaled):
+            return _Certified(sum(c > high for c in scaled), steps, "")
+        # s_min of the computed W lies in [low, high], and the bracket can
+        # shrink to no less than that value -+ margin
+        if high - margin <= tolerance:
+            return _fallback(A, smin, cuts, steps, "tolerance")
+        if any(high - margin <= c <= low + margin for c in scaled):
+            return _fallback(A, smin, cuts, steps, "cut")
+        if not kato_temple:
+            return _fallback(A, smin, cuts, steps, "early")
+    return _fallback(A, smin, cuts, _POWER_STEPS, "cap")
 
 
-def _fallback(A: np.ndarray, smin: bool, steps: int, reason: str) -> _Certified:
+def _fallback(A: np.ndarray, smin: bool, cuts, steps: int, reason: str) -> _Certified:
     s_min, _, hs = _extremes(A)
-    return _Certified(s_min if smin else hs, steps, reason)
+    hits = int(sum(s_min <= c for c in cuts) if smin else sum(hs >= c for c in cuts))
+    return _Certified(hits, steps, reason)
 
 
 def hs_inverse(B) -> float:

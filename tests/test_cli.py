@@ -265,6 +265,14 @@ class TestDispatch:
         assert "0.1420609375" in out
         assert "0.4" in out
 
+    def test_alphaeta_demo_runs_the_cube_by_default(self, capsys):
+        argv = ["alphaeta-demo", "--n", "4", "--k", "10", "--atoms", "40"]
+        assert cli.parse_and_dispatch(argv) == 0
+        out = capsys.readouterr().out
+        assert "0.1420609375" in out and "verdict: ok" in out
+        assert cli.parse_and_dispatch(argv[:1] + ["--cube"] + argv[1:]) == 0
+        assert capsys.readouterr().out == out
+
     def test_graph_decompose(self, tmp_path, capsys):
         graph_file = tmp_path / "star.txt"
         graph_file.write_text("2 3\n2 4\n2 5\n")

@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import sminlab.experiments as ex
 from sminlab import linalg
 from sminlab.errors import InvalidInputError
 from sminlab.linalg import singular_data
-from sminlab.samplers import RowDistribution, ShiftSpec
+from sminlab.samplers import RowDistribution, SeedSpec, ShiftSpec, sample_matrix
 
 
 def make_config(**overrides):
@@ -215,30 +216,73 @@ class TestEstimateTail:
         assert est.points == []
 
     def test_hs_statistics_consistent_with_singular_data(self):
-        # one realization, all three scaled statistics against singular_data
-        cfg = make_config(trials=1, t_grid=(1.0,))
-        from sminlab.samplers import SeedSpec, sample_matrix
-
-        B = sample_matrix(cfg.dist, cfg.n, SeedSpec(cfg.master_seed, 0))
+        # one realization, all three scaled statistics against singular_data,
+        # on grids placed around the value each of them should have
+        B = sample_matrix(RowDistribution("gaussian"), 10, SeedSpec(101, 0))
         sd = singular_data(B)
-        v_smin = ex._trial_value(cfg, np.zeros((10, 10)), 0)
-        assert v_smin == pytest.approx(sd.s_min * math.sqrt(10), rel=1e-12)
-        cfg_hs = make_config(trials=1, t_grid=(1.0,), statistic=ex.Statistic.hs_scaled_sqrt())
-        v_hs = ex._trial_value(cfg_hs, np.zeros((10, 10)), 0)
-        assert v_hs == pytest.approx(sd.hs_inverse / math.sqrt(10), rel=1e-12)
+        for kind, value in (
+            ("smin_scaled", sd.s_min * math.sqrt(10)),
+            ("hs_scaled_sqrt", sd.hs_inverse / math.sqrt(10)),
+            ("hs_scaled_n", sd.hs_inverse / 10),
+        ):
+            grid = tuple(value * f for f in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0))
+            cfg = make_config(trials=1, t_grid=grid, statistic=ex.Statistic(kind))
+            assert ex._trial_hits(cfg, np.zeros((10, 10)), 0) == 2
+            hits = [p.hits for p in ex.estimate_tail(cfg, workers=1).points]
+            assert hits == ([0, 0, 1, 1] if kind == "smin_scaled" else [1, 1, 0, 0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("c", [1e200, 1e-200])
     @pytest.mark.parametrize("kind", ["hs_scaled_sqrt", "hs_scaled_n"])
     def test_hs_statistics_at_extreme_scales(self, monkeypatch, kind, c):
-        cfg = make_config(trials=3, statistic=ex.Statistic(kind))
+        # a grid around the values of three trials, then the same trials
+        # times c against that grid divided by c
+        unit = math.sqrt(10) if kind == "hs_scaled_sqrt" else 10
+        gaussian = RowDistribution("gaussian")
+        draws = [sample_matrix(gaussian, 10, SeedSpec(101, idx)) for idx in range(3)]
+        values = [singular_data(B).hs_inverse / unit for B in draws]
+        grid = tuple(sorted(v * f for v in values for f in (1.0 - 1e-6, 1.0 + 1e-6)))
+        cfg = make_config(trials=3, t_grid=grid, statistic=ex.Statistic(kind))
         shift = np.zeros((10, 10))
-        expected = [ex._trial_value(cfg, shift, idx) / c for idx in range(3)]
+        expected = [sum(v >= t for t in grid) for v in values]
+        assert [ex._trial_hits(cfg, shift, idx) for idx in range(3)] == expected
+        scaled = replace(cfg, t_grid=tuple(t / c for t in grid))
         sample = ex.sample_matrix
         monkeypatch.setattr(ex, "sample_matrix", lambda *args: c * sample(*args))
-        got = [ex._trial_value(cfg, shift, idx) for idx in range(3)]
-        assert all(math.isfinite(v) and v > 0.0 for v in got)
-        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert [ex._trial_hits(scaled, shift, idx) for idx in range(3)] == expected
+
+    def test_clustered_shift_trials_take_no_svd(self, monkeypatch):
+        # criterion 03's shape and grid: s_min * sqrt(n) is about 860, so the
+        # bracket before the first power step places every trial on the grid
+        n = 100
+        cfg = ex.ExperimentConfig(
+            RowDistribution("uniform_entry"), ShiftSpec.scaled_identity(10.0 * math.sqrt(n)), n,
+            200, tuple(np.linspace(0.05, 0.5, 10)), 33,
+        )
+
+        def no_svd(A):
+            raise AssertionError("SVD fallback taken")
+
+        monkeypatch.setattr(linalg, "_extremes", no_svd)
+        assert [p.hits for p in ex.estimate_tail(cfg, workers=1).points] == [0] * 10
+
+    def test_gaussian_svd_fallbacks_stay_rare(self, monkeypatch):
+        # criterion 02's shape and grid at 200 trials: 0 fallbacks at this
+        # seed, 1 in 1600 trials over eight seeds, 1 in criterion 02's 5000
+        cfg = ex.ExperimentConfig(
+            RowDistribution("gaussian"), ShiftSpec.zero(), 200, 200,
+            tuple(np.linspace(0.05, 0.5, 10)), 20260810,
+        )
+        calls = []
+        extremes = linalg._extremes
+
+        def counting(A):
+            calls.append(1)
+            return extremes(A)
+
+        monkeypatch.setattr(linalg, "_extremes", counting)
+        ex.estimate_tail(cfg, workers=1)
+        assert len(calls) <= 2
 
     def test_scaling_identity_cross_check(self):
         B = np.random.default_rng(8).standard_normal((7, 7))
@@ -399,7 +443,7 @@ class TestMapTrials:
         both_started = threading.Barrier(2, timeout=30)
         short_done = threading.Event()
         seen = []
-        trial_value = ex._trial_value
+        trial_hits = ex._trial_hits
 
         def kernel(config, shift_matrix, idx):
             if idx == 0:
@@ -407,9 +451,9 @@ class TestMapTrials:
             if config is long and idx == long.trials - 1:
                 assert short_done.wait(timeout=30)
             seen.append(blas_threads(blas_at_two_threads))
-            return trial_value(config, shift_matrix, idx)
+            return trial_hits(config, shift_matrix, idx)
 
-        monkeypatch.setattr(ex, "_trial_value", kernel)
+        monkeypatch.setattr(ex, "_trial_hits", kernel)
         hits = {}
 
         def run(cfg):
@@ -434,7 +478,7 @@ class TestMapTrials:
 
     def test_runs_unpinned_when_no_openblas_is_found(self, monkeypatch):
         cfg = make_config(trials=40)
-        expected = ex._trial_values(cfg, 2)
+        expected = ex._hits_per_trial(cfg, 2)
         report = ex.counterexample_experiment(10, 40.0, 30, 9, workers=2).to_dict()
         monkeypatch.setattr(
             linalg, "_OPENBLAS", tuple((pkg, libdir, "no-such-library-*.so", get, set_)
@@ -444,7 +488,7 @@ class TestMapTrials:
         assert lookup() == ()
         monkeypatch.setattr(linalg, "_openblas_thread_controls", lookup)
         for workers in (1, 2):
-            np.testing.assert_array_equal(ex._trial_values(cfg, workers), expected)
+            np.testing.assert_array_equal(ex._hits_per_trial(cfg, workers), expected)
             rep = ex.counterexample_experiment(10, 40.0, 30, 9, workers=workers)
             assert rep.to_dict() == report
 

@@ -698,34 +698,35 @@ def planted(s, seed=0):
 # relative distances of the cuts placed on either side of the SVD value
 CUT_OFFSETS = (0.0, 1e-14, 1e-12, 1e-10, 1e-6, 1e-2)
 
+# the criterion-02 grid of s_min * sqrt(n) and the criterion-04 grid of
+# hs_inverse / n
+CRITERION_GRIDS = (tuple(np.linspace(0.05, 0.5, 10)), (1.0, 2.0, 4.0))
+
+
+def svd_hits(B, smin, cuts):
+    """Cuts hit by the SVD value: ``s_min <= c`` or ``hs_inverse >= c``."""
+    s_min, hs = svd_statistics(B)
+    return sum(s_min <= c for c in cuts) if smin else sum(hs >= c for c in cuts)
+
 
 def assert_certified_matches_svd(B):
-    """Both statistics of ``_certified`` against the SVD: the value within
-    1e-12 relative plus the rounding margin, the same singularity decision
-    and the same side of every cut; a fallback returns ``_extremes`` bit
-    for bit."""
+    """Both statistics of ``_certified`` against the SVD: the same hit count
+    on no cuts, on cuts on either side of the SVD value and on the
+    criterion-02 and criterion-04 grids.  A cut at the ``_extremes`` value
+    itself can only be decided by a fallback, which must count that value
+    bit for bit."""
     B = np.asarray(B, dtype=float)
-    margin = rounding_margin(B)
+    n = B.shape[0]
     for pos, smin in ((0, True), (2, False)):
-        want = svd_statistics(B)[0 if smin else 1]
         ref = la._extremes(B)[pos]
-        got = la._certified(B, smin, ())
-        if got.fallback:
-            assert got.value == ref
-        else:
-            assert 0.0 < got.value < math.inf and 0.0 < want < math.inf
-            bound = margin if smin else margin * want * want
-            assert abs(got.value - want) <= 1e-12 * want + bound
-        if not 0.0 < ref < math.inf:
-            assert got.value == ref
-            continue
-        for offset in CUT_OFFSETS:
-            cuts = (ref * (1.0 - offset), ref * (1.0 + offset))
-            got = la._certified(B, smin, cuts)
-            if got.fallback:
-                assert got.value == ref
-            else:
-                assert [got.value <= c for c in cuts] == [ref <= c for c in cuts]
+        assert la._certified(B, smin, ()).hits == 0
+        got = la._certified(B, smin, (ref,))
+        assert got.fallback and got.hits == 1
+        unit = 1.0 / math.sqrt(n) if smin else n
+        cut_sets = [(ref * (1.0 - offset), ref * (1.0 + offset)) for offset in CUT_OFFSETS]
+        cut_sets += [tuple(t * unit for t in grid) for grid in CRITERION_GRIDS]
+        for cuts in cut_sets:
+            assert la._certified(B, smin, cuts).hits == svd_hits(B, smin, cuts)
 
 
 def uniform_plus_shift(rng, n):
@@ -783,13 +784,15 @@ class TestCertifiedOracle:
     def test_extreme_scales(self, c):
         rng = np.random.default_rng(21)
         for B in (rng.standard_normal((20, 20)), uniform_plus_shift(rng, 20)):
-            for smin, power in ((True, 1), (False, -1)):
-                ref = la._certified(B, smin, ())
-                cuts = (ref.value * 0.5 * c**power, ref.value * 2.0 * c**power)
-                got = la._certified(c * B, smin, cuts)
-                assert got.fallback == ref.fallback
-                assert got.value == pytest.approx(ref.value * c**power, rel=1e-12, abs=0.0)
-                assert got.value == pytest.approx(la._extremes(c * B)[0 if smin else 2], rel=1e-11, abs=0.0)
+            for smin, pos, power in ((True, 0, 1), (False, 2, -1)):
+                value = la._extremes(c * B)[pos]
+                assert value == pytest.approx(la._extremes(B)[pos] * c**power, rel=1e-12, abs=0.0)
+                for offset in (1e-6, 1e-2, 0.5):
+                    cuts = (value * (1.0 - offset), value, value * (1.0 + offset))
+                    got = la._certified(c * B, smin, cuts)
+                    assert got.hits == 2
+                    ref = la._certified(B, smin, tuple(cut / c**power for cut in cuts))
+                    assert (got.fallback == "") == (ref.fallback == "")
 
     @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 2e-12])
     def test_planted_value_at_a_grid_threshold_falls_back(self, offset):
@@ -799,14 +802,14 @@ class TestCertifiedOracle:
         s = np.concatenate([[t / math.sqrt(n) * (1.0 + offset)], np.linspace(1.0, 2.0, n - 1)])
         B = planted(s, 4)
         assert rounding_margin(B) > 3e-12 * s[0]
-        grid = np.linspace(0.05, 0.5, 10)
-        got = la._certified(B, True, [g / math.sqrt(n) for g in grid])
+        cuts = [g / math.sqrt(n) for g in np.linspace(0.05, 0.5, 10)]
+        got = la._certified(B, True, cuts)
         assert got.fallback == "cut"
-        assert got.value == la._extremes(B)[0]
+        assert got.hits == svd_hits(B, True, cuts)
         hs = la._extremes(B)[2]
         got = la._certified(B, False, [hs * (1.0 + offset)])
         assert got.fallback == "cut"
-        assert got.value == hs
+        assert got.hits == (offset <= 0.0)
 
     def test_planted_value_off_the_grid_is_certified(self):
         n, t = 20, 0.3
@@ -814,7 +817,7 @@ class TestCertifiedOracle:
             s = np.concatenate([[t / math.sqrt(n) * (1.0 + offset)], np.linspace(1.0, 2.0, n - 1)])
             got = la._certified(planted(s, 4), True, [t / math.sqrt(n)])
             assert got.fallback == "" and got.steps > 0
-            assert (got.value <= t / math.sqrt(n)) == (offset < 0)
+            assert got.hits == (offset < 0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_just_below_the_tolerance_is_singular_whatever_r_says(self, seed):
@@ -827,36 +830,58 @@ class TestCertifiedOracle:
         B = planted(s, seed)
         R = np.linalg.qr(B.T, mode="r")
         assert np.min(np.abs(np.diagonal(R))) > la.RANK_RTOL * scale
-        assert la._certified(B, True, ()) == (0.0, 1, "tolerance")
-        assert la._certified(B, False, ()) == (math.inf, 0, "tolerance")
+        # the SVD calls B singular: s_min = 0 and hs_inverse = inf hit cuts
+        # on either side of the values it would have above the tolerance
+        assert svd_statistics(B) == (0.0, math.inf)
+        hs = math.sqrt(float(np.sum(s**-2.0)))
+        for smin, value in ((True, s[-1]), (False, hs)):
+            cuts = (0.5 * value, 2.0 * value)
+            got = la._certified(B, smin, cuts)
+            assert got.hits == 2 and got.fallback == "tolerance"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity(self, n):
-        # lambda_1 = lambda_2 = 1 (n >= 2) leaves nothing to certify; n = 1 is exact
-        got = la._certified(np.eye(n), True, ())
-        assert got == (1.0, 1, "") if n == 1 else got == (1.0, 0, "early")
-        assert la._certified(np.eye(n), False, ()).value == pytest.approx(math.sqrt(n), rel=1e-15)
+        # W = I: the row norms and norm(W, 1) * norm(W, inf) bracket
+        # lambda_1 = 1 exactly before any step, though lambda_1 = lambda_2
+        # (n >= 2) leaves no Kato-Temple bound
+        assert la._certified(np.eye(n), True, (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0)) == (2, 0, "")
+        got = la._certified(np.eye(n), True, (1.0,))
+        assert got == (svd_hits(np.eye(n), True, (1.0,)), 0, "cut")
+        hs = math.sqrt(n)
+        cuts = (0.5 * hs, (1.0 - 1e-6) * hs, 2.0 * hs)
+        assert la._certified(np.eye(n), False, cuts) == (2, 0, "")
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_clustered_shift_exits_before_iterating(self, n):
+        # s_min * sqrt(n) is close to 10 n, far above the criterion-03 grid: the
+        # bracket before the first step decides every grid point
         B = uniform_plus_shift(np.random.default_rng(n), n)
-        assert la._certified(B, True, ()) == (la._extremes(B)[0], 0, "early")
-        assert la._certified(B, False, ()).fallback == ""
+        cuts = [t / math.sqrt(n) for t in np.linspace(0.05, 0.5, 10)]
+        assert la._certified(B, True, cuts) == (svd_hits(B, True, cuts), 0, "")
+        s_min = svd_statistics(B)[0]
+        cuts = (0.5 * s_min, 0.9 * s_min, 1.1 * s_min, 2.0 * s_min)
+        got = la._certified(B, True, cuts)
+        assert got.hits == svd_hits(B, True, cuts) == 2
+        assert la._certified(B, False, (n, 2.0 * n, 4.0 * n)).fallback == ""
 
     @pytest.mark.parametrize("d", [(1.0, 1.1), (1.0, 1.5), (2.0, 3.0, 5.0), (0.5, 0.9, 4.0, 4.0)])
     def test_diagonal_with_a_dominant_direction_is_certified(self, d):
-        # W = diag(1 / d): norm(W, 1) * norm(W, inf) is lambda_1 itself, above
-        # trace / 2, and the starting row is the top eigenvector
-        got = la._certified(np.diag(d), True, ())
-        assert got == (min(d), 1, "")
+        # W = diag(1 / d): norm(W, 1) * norm(W, inf) and the largest squared
+        # row norm are both lambda_1, so the bracket is exact before any step
+        B = np.diag(d)
+        s_min = min(d)
+        below = (1.0 - 1e-9) * s_min
+        for cuts in ((0.9 * s_min, 1.1 * s_min), (0.5 * s_min, below), (2.0 * s_min,)):
+            assert la._certified(B, True, cuts) == (svd_hits(B, True, cuts), 0, "")
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(2, 30),
         shape=st.sampled_from(["gaussian", "sign", "clustered", "diagonal"]),
+        offset=st.sampled_from([1e-6, 1e-2, 0.5]),
     )
-    def test_early_exit_only_when_certification_is_impossible(self, seed, n, shape):
+    def test_early_exit_only_when_certification_is_impossible(self, seed, n, shape, offset):
         rng = np.random.default_rng(seed)
         if shape == "gaussian":
             B = rng.standard_normal((n, n))
@@ -866,7 +891,12 @@ class TestCertifiedOracle:
             B = uniform_plus_shift(rng, n)
         else:
             B = np.diag(rng.uniform(1.0, 3.0, n))
-        if la._certified(B, True, ()).fallback == "early":
+        s_min = la._extremes(B)[0]
+        cuts = (s_min * (1.0 - offset), s_min * (1.0 + offset))
+        got = la._certified(B, True, cuts)
+        assert got.hits == svd_hits(B, True, cuts)
+        if got.fallback == "early":
             # lambda_1 of W^T W is 1 / s_min^2, its trace sum(sigma^-2)
             s = np.linalg.svd(B, compute_uv=False)
             assert s[-1] ** -2.0 <= 0.5 * np.sum(s**-2.0) * (1.0 + 1e-9)
+            assert got.steps == 0

@@ -328,9 +328,9 @@ def _trial_hits(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index:
         return sum(value <= t for t in config.t_grid)
     root = math.sqrt(config.n)
     if stat.kind == "smin_scaled":
-        return _certified(B, True, [t / root for t in config.t_grid]).hits
+        return _certified(B, True, config.t_grid, root).hits
     unit = root if stat.kind == "hs_scaled_sqrt" else config.n
-    return _certified(B, False, [t * unit for t in config.t_grid]).hits
+    return _certified(B, False, config.t_grid, unit).hits
 
 
 def _hits_per_trial(config: ExperimentConfig, workers: int | None) -> np.ndarray:
@@ -351,11 +351,10 @@ def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailE
     if not config.t_grid:
         return TailEstimate(config=config, points=[], wall_time=time.perf_counter() - start)
     size = len(config.t_grid)
-    counts = np.bincount(_hits_per_trial(config, workers), minlength=size + 1)
-    at_least = np.cumsum(counts[::-1])[::-1]  # [h]: trials that hit h or more points
+    h = _hits_per_trial(config, workers)
     points = []
     for j, t in enumerate(config.t_grid):
-        hits = int(at_least[size - j] if config.statistic.hit_when_below else at_least[j + 1])
+        hits = int(np.count_nonzero(h >= (size - j if config.statistic.hit_when_below else j + 1)))
         low, high = wilson_interval(hits, config.trials)
         points.append(
             GridPointEstimate(

@@ -368,11 +368,11 @@ class _Certified(NamedTuple):
     fallback: str
 
 
-def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
-    """How many values in ``cuts`` the trial ``A`` hits, ``s_min(A) <= c``
-    when ``smin``, else ``hs_inverse(A) >= c``, counted as for the value
-    :func:`_extremes` gives, from the ``A.T = Q R`` and ``W = R^-1`` of
-    :func:`_factor`.
+def _certified(A: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> _Certified:
+    """How many values in ``cuts`` the trial ``A`` hits, ``s_min(A) * unit
+    <= c`` when ``smin``, else ``hs_inverse(A) / unit >= c``, counted as
+    for the value :func:`_extremes` gives, from the ``A.T = Q R`` and ``W =
+    R^-1`` of :func:`_factor`.
 
     Only the position of the statistic among the cuts and the rank
     tolerance is certified, not its value.  ``hs_inverse`` is ``norm(W,
@@ -401,32 +401,34 @@ def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
     ``_POWER_STEPS`` steps do not decide (``"cap"``).  ``hs_inverse`` falls back with
     ``"tolerance"`` when ``1 / norm(W, 'fro')``, widened likewise, does not
     clear the tolerance, and with ``"cut"`` when its widened interval
-    contains a cut.  Every hit therefore comes out as for the SVD value.
-    ``cuts`` are in the units of the statistic; ascending cuts are hit in
-    a suffix for ``s_min`` and in a prefix for ``hs_inverse``.  Inputs are
-    not checked.
+    contains a cut.  Every hit therefore comes out as for the SVD value:
+    the cuts are moved to the units of ``A`` for the bracket, whose margin
+    covers the rounding of that move, and a fallback compares the scaled
+    SVD value with the cuts as given.  Ascending cuts are hit in a suffix
+    for ``s_min`` and in a prefix for ``hs_inverse``.  Inputs are not
+    checked.
     """
     _, e, scale, _, _, W, ok = _factor(A[None])
     if not ok[0]:
-        return _fallback(A, smin, cuts, 0, "rank")
+        return _fallback(A, smin, cuts, unit, 0, "rank")
     W, e, scale = W[0], int(e[0]), float(scale[0])
     n = W.shape[0]
     w = W.ravel(order="K")
     trace = float(w @ w)
     margin = _MARGIN * n * _EPS * math.sqrt(n) * scale
     tolerance = RANK_RTOL * scale
-    scaled = [math.ldexp(c, -e if smin else e) for c in cuts]
+    scaled = [math.ldexp(c / unit, -e) if smin else math.ldexp(c * unit, e) for c in cuts]
     if not smin:
         value = math.sqrt(trace)
         if 1.0 / value - margin <= tolerance:
-            return _fallback(A, smin, cuts, 0, "tolerance")
+            return _fallback(A, smin, cuts, unit, 0, "tolerance")
         # s_min >= 1 / value > margin: moving every singular value by at most
         # margin moves each sigma_i^-1, so hs_inverse, by a factor within
         # 1 -+ margin * value
         spread = margin * value
         low, high = value / (1.0 + spread), value / (1.0 - spread)
         if any(low <= c <= high for c in scaled):
-            return _fallback(A, smin, cuts, 0, "cut")
+            return _fallback(A, smin, cuts, unit, 0, "cut")
         return _Certified(sum(c < low for c in scaled), 0, "")
     absW = np.abs(W)
     squares = absW * absW
@@ -452,17 +454,17 @@ def _certified(A: np.ndarray, smin: bool, cuts) -> _Certified:
         # s_min of the computed W lies in [low, high], and the bracket can
         # shrink to no less than that value -+ margin
         if high - margin <= tolerance:
-            return _fallback(A, smin, cuts, steps, "tolerance")
+            return _fallback(A, smin, cuts, unit, steps, "tolerance")
         if any(high - margin <= c <= low + margin for c in scaled):
-            return _fallback(A, smin, cuts, steps, "cut")
+            return _fallback(A, smin, cuts, unit, steps, "cut")
         if not kato_temple:
-            return _fallback(A, smin, cuts, steps, "early")
-    return _fallback(A, smin, cuts, _POWER_STEPS, "cap")
+            return _fallback(A, smin, cuts, unit, steps, "early")
+    return _fallback(A, smin, cuts, unit, _POWER_STEPS, "cap")
 
 
-def _fallback(A: np.ndarray, smin: bool, cuts, steps: int, reason: str) -> _Certified:
+def _fallback(A: np.ndarray, smin: bool, cuts, unit: float, steps: int, reason: str) -> _Certified:
     s_min, _, hs = _extremes(A)
-    hits = int(sum(s_min <= c for c in cuts) if smin else sum(hs >= c for c in cuts))
+    hits = int(sum(s_min * unit <= c for c in cuts) if smin else sum(hs / unit >= c for c in cuts))
     return _Certified(hits, steps, reason)
 
 

@@ -782,17 +782,25 @@ class TestCertifiedOracle:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("c", EXTREME_SCALES)
     def test_extreme_scales(self, c):
+        # _scaled moves c * B by a power of two; the cuts must move with it.
+        # Cuts on either side of the value decide as at B, the Gaussian
+        # matrix without a fallback; a cut at the value itself falls back
         rng = np.random.default_rng(21)
-        for B in (rng.standard_normal((20, 20)), uniform_plus_shift(rng, 20)):
+        gaussian = rng.standard_normal((20, 20))
+        for B in (gaussian, uniform_plus_shift(rng, 20)):
             for smin, pos, power in ((True, 0, 1), (False, 2, -1)):
                 value = la._extremes(c * B)[pos]
                 assert value == pytest.approx(la._extremes(B)[pos] * c**power, rel=1e-12, abs=0.0)
                 for offset in (1e-6, 1e-2, 0.5):
-                    cuts = (value * (1.0 - offset), value, value * (1.0 + offset))
+                    cuts = (value * (1.0 - offset), value * (1.0 + offset))
                     got = la._certified(c * B, smin, cuts)
-                    assert got.hits == 2
                     ref = la._certified(B, smin, tuple(cut / c**power for cut in cuts))
-                    assert (got.fallback == "") == (ref.fallback == "")
+                    assert got.hits == ref.hits == 1
+                    assert got.fallback == ref.fallback
+                    if B is gaussian:
+                        assert got.fallback == ""
+                got = la._certified(c * B, smin, (value,))
+                assert got.fallback and got.hits == 1
 
     @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 2e-12])
     def test_planted_value_at_a_grid_threshold_falls_back(self, offset):
@@ -818,6 +826,26 @@ class TestCertifiedOracle:
             got = la._certified(planted(s, 4), True, [t / math.sqrt(n)])
             assert got.fallback == "" and got.steps > 0
             assert got.hits == (offset < 0)
+
+    def test_fallback_counts_in_the_units_of_the_grid(self):
+        # a fallback compares s_min * unit or hs_inverse / unit with the cut,
+        # as the SVD replay of a Monte Carlo run does; against the cut moved
+        # to the units of the matrix, a value on a grid point can land on
+        # the other side by a rounding
+        n, t = 6, 0.35
+        root = math.sqrt(n)
+        B = np.diag([t / root, 1.0, 1.25, 1.5, 1.75, 2.0])
+        s_min = la._extremes(B)[0]
+        assert (s_min * root <= t) != (s_min <= t / root)
+        assert la._certified(B, True, (t,), root) == (int(s_min * root <= t), 0, "cut")
+        split = 0
+        for a in np.linspace(0.05, 0.3, 40):
+            B = np.diag([a, 1.0, 1.25, 1.5, 1.75, 2.0])
+            hs = la._extremes(B)[2]
+            for t in (hs / root, math.nextafter(hs / root, math.inf)):
+                assert la._certified(B, False, (t,), root) == (int(hs / root >= t), 0, "cut")
+                split += (hs / root >= t) != (hs >= t * root)
+        assert split
 
     @pytest.mark.parametrize("seed", range(5))
     def test_just_below_the_tolerance_is_singular_whatever_r_says(self, seed):

@@ -7,6 +7,25 @@ produce bit-identical results.  Every Monte Carlo verb runs its trials
 through :func:`map_trials`, one thread pool whose worker count the
 ``SMINLAB_THREADS`` environment variable caps.
 
+The kernels take their trials in stacks: a contiguous range of trial
+indices whose matrices form one ``(c, n, n)`` array.  Each trial still
+draws from its own stream, straight into the stack, and a member of a
+stack gets the bits it would get alone.  One stacked factorization
+serves the certified statistics and the distance profile of a stack, one
+stacked SVD its counterexample trials.  A stack holds at most
+``STACK_ENTRIES`` (``200**2``) matrix entries, as many as one trial at
+n = 200, which stays a stack of one; n = 100 trials go up to four and
+n = 50 trials up to sixteen to a stack.  The reason is the interpreter
+lock that the trial threads share.  Every short numpy call of a trial
+needs it, and so does part of scipy's ``dtrtri`` wrapper, so per-trial
+kernels hand the lock from thread to thread many times per trial and
+two threads can be slower than one.  A numpy linalg call over a stack
+takes the lock once for the whole stack.  On a 2-vCPU Xeon with OpenBLAS
+on one thread, a probe thread stalled 7.1 ms across an 18 ms ``dtrtri``
+of n = 600 and at most 0.3 ms across ``dgeqrf`` and ``np.linalg.svd``;
+400 SVDs of n = 50 took 107 ms on one thread and 120 ms on two as single
+calls, and 98 ms and 56 ms as stacks of 25.
+
 Statistics (per realization ``B = A + M`` of dimension ``n``):
 
 * ``smin_scaled``      -- value ``s_min(B) * sqrt(n)``; a grid point
@@ -26,22 +45,24 @@ grid ascends, so the points a trial hits are the last ones of the grid
 for the statistics that hit below and the first ones for the others, and
 a grid point's count is the number of trials that hit enough points to
 reach it.  The first three statistics take their counts from the
-certified QR kernel ``linalg._certified``: one ``B^T = QR`` and
+certified QR kernel ``linalg._stack_certified``: one ``B^T = QR`` and
 triangular inverse per trial, and a bracket of ``s_min`` from norms of
 the inverse and, when they do not decide, power iteration.  Only the
 trial's position among the grid thresholds and the rank tolerance is
 certified.  A trial falls back to the SVD when its rows are dependent
 at the rank tolerance, when a threshold or the tolerance lies within
 the rounding margin of every value in the bracket, when no Kato-Temple
-bound is possible (the spectrum of ``B^-1`` has no dominant top) and
-the bracket before the first power step does not decide, or when 32
-power steps do not decide, so every hit count and singularity decision
-is the SVD's.  At the acceptance configs (5000 trials each) Gaussian
-n=200 ``smin_scaled`` falls back in one trial and decides before the
-first power step at the median (2 steps at the 99th percentile);
-uniform rows plus ``10 sqrt(n) I`` decide every ``smin_scaled`` and
-``hs_scaled_*`` trial without a power step or a fallback.  The
-counterexample verb keeps the SVD: it reads ``s_max`` as well.
+bound can form (the spectrum of ``B^-1`` has no dominant top, or the
+Rayleigh quotient rises too slowly to pass half the trace before the
+cap), or when 32 power steps do not decide, so every hit count and
+singularity decision is the SVD's.  At the acceptance configs (5000
+trials each) Gaussian n=200 ``smin_scaled`` falls back in one trial,
+after 3 steps, and decides before the first power step at the median
+(2 steps at the 99th percentile); uniform rows plus ``10 sqrt(n) I``
+decide every ``smin_scaled`` and ``hs_scaled_*`` trial without a power
+step or a fallback.  The stack's members that fall back share one
+stacked SVD.  The counterexample verb takes the SVD of every trial, one
+call per stack: it reads ``s_max`` as well.
 
 Confidence intervals are Wilson score intervals at z = 1.96, which stay
 honest for proportions near zero where all the interesting claims live.
@@ -55,7 +76,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TypeVar
@@ -63,7 +84,13 @@ from typing import TypeVar
 import numpy as np
 
 from .errors import InvalidInputError, decoding, integer, number
-from .linalg import _certified, _extremes, _single_thread_blas, row_distances
+from .linalg import (
+    _row_profile,
+    _single_thread_blas,
+    _stack_certified,
+    _stack_extremes,
+    row_distances,
+)
 from .samplers import RowDistribution, SeedSpec, ShiftSpec, build_shift, sample_matrix
 
 Z_95 = 1.96
@@ -73,6 +100,11 @@ KAPPA_CONSTANTS = (0.01, 0.1)
 STATISTIC_KINDS = ("smin_scaled", "hs_scaled_sqrt", "hs_scaled_n", "distance_profile")
 
 T = TypeVar("T")
+
+# The most matrix entries one stack of trials holds (see map_trials): those of
+# one n = 200 trial, the largest of the acceptance configs, which stays a
+# stack of one.
+STACK_ENTRIES = 200 * 200
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -291,52 +323,80 @@ def resolve_workers(workers: int | None = None) -> int:
     return count
 
 
-def map_trials(kernel: Callable[[int], T], trials: int, workers: int | None = None) -> list[T]:
-    """``[kernel(i) for i in range(trials)]`` on :func:`resolve_workers` threads.
+def map_trials(
+    kernel: Callable[[range], Sequence[T]], trials: int, n: int, workers: int | None = None
+) -> list[T]:
+    """The results of ``kernel`` for trials ``0 .. trials - 1`` of ``n x n``
+    matrices, in trial-index order, on :func:`resolve_workers` threads.
 
-    Runs serially with one worker or fewer than four trials; otherwise
-    contiguous chunks of trial indices go to a thread pool (about eight
-    chunks per worker).  Results come back in trial-index order, so a
-    kernel keyed by the trial index gives the same list for any worker
+    ``kernel(range(start, stop))`` returns one result per trial of a
+    contiguous range of trial indices, a stack.  A stack holds ``share =
+    ceil(trials / (8 * nworkers))`` trials, but no more than
+    ``STACK_ENTRIES // n**2`` and at least one, and a chunk holds the
+    fewest whole stacks that make up ``share`` trials, so that every worker
+    gets about eight chunks.  The chunks run one after another with one
+    worker or fewer than four trials, otherwise on a thread pool.  A kernel
+    keyed by the trial index therefore gives the same list for any worker
     count.  BLAS runs single-threaded for the whole map, serial or
-    parallel, and gets its previous thread count back afterwards, also
-    when a kernel raises.
+    parallel, and gets its previous thread count back afterwards, also when
+    a kernel raises.
     """
     nworkers = resolve_workers(workers)
+    share = math.ceil(trials / (nworkers * 8))
+    stack = max(1, min(share, STACK_ENTRIES // (n * n)))
+    chunk = stack * math.ceil(share / stack)
+
+    def run_chunk(start: int) -> list[T]:
+        stop = min(start + chunk, trials)
+        return [value for first in range(start, stop, stack)
+                for value in kernel(range(first, min(first + stack, stop)))]
+
     with _single_thread_blas:
         if nworkers == 1 or trials < 4:
-            return [kernel(idx) for idx in range(trials)]
-        chunk = max(1, math.ceil(trials / (nworkers * 8)))
-
-        def run_chunk(start: int) -> list[T]:
-            return [kernel(idx) for idx in range(start, min(start + chunk, trials))]
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(pool.map(run_chunk, range(0, trials, chunk)))
+            chunks = [run_chunk(start) for start in range(0, trials, chunk)]
+        else:
+            with ThreadPoolExecutor(max_workers=nworkers) as pool:
+                chunks = list(pool.map(run_chunk, range(0, trials, chunk)))
     return [value for part in chunks for value in part]
 
 
-def _trial_hits(config: ExperimentConfig, shift_matrix: np.ndarray, trial_index: int) -> int:
-    """How many grid points trial ``trial_index`` hits.  The hit points are
-    the last ones of the grid when the statistic hits below, the first
+def _sample_stack(
+    dist: RowDistribution, master_seed: int, shift_matrix: np.ndarray, trials: range
+) -> np.ndarray:
+    """The matrices ``A + shift_matrix`` of ``trials`` as one ``(len(trials),
+    n, n)`` stack, ``A`` drawn from the trial's own ``SeedSpec(master_seed,
+    idx)`` stream and added to the shift straight into the stack."""
+    n = shift_matrix.shape[0]
+    X = np.empty((len(trials), n, n))
+    for j, idx in enumerate(trials):
+        np.add(sample_matrix(dist, n, SeedSpec(master_seed, idx)), shift_matrix, out=X[j])
+    return X
+
+
+def _stack_hits(config: ExperimentConfig, shift_matrix: np.ndarray, trials: range) -> list[int]:
+    """How many grid points each trial of ``trials`` hits.  The hit points
+    are the last ones of the grid when the statistic hits below, the first
     ones otherwise, since the grid ascends."""
-    A = sample_matrix(config.dist, config.n, SeedSpec(config.master_seed, trial_index))
-    B = A + shift_matrix
-    stat = config.statistic
+    stat, n, grid = config.statistic, config.n, config.t_grid
+    if stat.kind == "distance_profile" and stat.k > n:
+        return [0] * len(trials)  # no k-th distance: the value is +inf
+    X = _sample_stack(config.dist, config.master_seed, shift_matrix, trials)
     if stat.kind == "distance_profile":
-        value = math.inf if stat.k > config.n else float(np.sort(row_distances(B))[stat.k - 1])
-        return sum(value <= t for t in config.t_grid)
-    root = math.sqrt(config.n)
+        d = _row_profile(X) if n > 1 else np.array([row_distances(B) for B in X])
+        values = np.sort(d, axis=1)[:, stat.k - 1].tolist()
+        return [sum(value <= t for t in grid) for value in values]
+    root = math.sqrt(n)
     if stat.kind == "smin_scaled":
-        return _certified(B, True, config.t_grid, root).hits
-    unit = root if stat.kind == "hs_scaled_sqrt" else config.n
-    return _certified(B, False, config.t_grid, unit).hits
+        certified = _stack_certified(X, True, grid, root)
+    else:
+        certified = _stack_certified(X, False, grid, root if stat.kind == "hs_scaled_sqrt" else n)
+    return [c.hits for c in certified]
 
 
 def _hits_per_trial(config: ExperimentConfig, workers: int | None) -> np.ndarray:
     shift_matrix = build_shift(config.shift, config.n)
-    kernel = functools.partial(_trial_hits, config, shift_matrix)
-    return np.array(map_trials(kernel, config.trials, workers), dtype=int)
+    kernel = functools.partial(_stack_hits, config, shift_matrix)
+    return np.array(map_trials(kernel, config.trials, config.n, workers), dtype=int)
 
 
 def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailEstimate:
@@ -422,18 +482,17 @@ class CounterexampleReport:
         }
 
 
-def _counterexample_trial(
-    shift_matrix: np.ndarray, master_seed: int, trial_index: int
-) -> tuple[float, float, bool]:
-    """``(s_min, s_max, corner)`` of one sign matrix plus ``shift_matrix``;
-    ``corner`` says both row sums of the bottom-right 2x2 block are zero."""
-    n = shift_matrix.shape[0]
-    B = sample_matrix(RowDistribution("bernoulli"), n, SeedSpec(master_seed, trial_index))
-    s_min, s_max, _ = _extremes(B + shift_matrix)
-    corner = (B[n - 2, n - 2] + B[n - 2, n - 1] == 0.0) and (
-        B[n - 1, n - 2] + B[n - 1, n - 1] == 0.0
-    )
-    return s_min, s_max, corner
+def _counterexample_stack(
+    shift_matrix: np.ndarray, master_seed: int, trials: range
+) -> list[tuple[float, float, bool]]:
+    """``(s_min, s_max, corner)`` of the sign matrix plus ``shift_matrix`` of
+    each trial of ``trials``; ``corner`` says both row sums of the
+    bottom-right 2x2 block of the sign matrix are zero.  The shift is zero
+    on that block, so the block is read from the stack."""
+    X = _sample_stack(RowDistribution("bernoulli"), master_seed, shift_matrix, trials)
+    s_min, s_max, _ = _stack_extremes(X)
+    corner = (X[:, -2, -2] + X[:, -2, -1] == 0.0) & (X[:, -1, -2] + X[:, -1, -1] == 0.0)
+    return list(zip(s_min.tolist(), s_max.tolist(), corner.tolist()))
 
 
 def counterexample_experiment(
@@ -450,8 +509,8 @@ def counterexample_experiment(
         raise InvalidInputError("trials must be positive")
     SeedSpec(master_seed)  # rejects a seed outside [0, 2**64) before any sampling
     shift_matrix = build_shift(ShiftSpec.counterexample(tau), n)
-    kernel = functools.partial(_counterexample_trial, shift_matrix, master_seed)
-    s_min, s_max, corner = (np.array(column) for column in zip(*map_trials(kernel, trials, workers)))
+    kernel = functools.partial(_counterexample_stack, shift_matrix, master_seed)
+    s_min, s_max, corner = (np.array(column) for column in zip(*map_trials(kernel, trials, n, workers)))
     kappa = np.full(trials, np.inf)
     nonzero = s_min > 0
     kappa[nonzero] = s_max[nonzero] / s_min[nonzero]

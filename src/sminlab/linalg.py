@@ -21,12 +21,16 @@ A family that is rank deficient at the tolerance falls back to the SVD
 primitive set by set, a row being the singleton set
 (:func:`_svd_distances`), so every operation stays well defined for
 singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
-from one SVD of the power-of-two-scaled matrix in :func:`_extremes`.
-The Monte Carlo statistics place ``s_min`` or the HS norm among their
-grid thresholds from the same QR factorization and triangular inverse
-instead (:func:`_certified`), with a certificate that every threshold
-comparison and singularity decision comes out as for the SVD, and take
-the SVD for any trial the certificate does not cover.  Every kernel
+from one SVD of the power-of-two-scaled matrix, for a whole stack in one
+call (:func:`_stack_extremes`, :func:`_extremes` for one matrix).  The
+Monte Carlo statistics place ``s_min`` or the HS norm among their grid
+thresholds from the same QR factorization and triangular inverse
+instead (:func:`_stack_certified`, :func:`_certified` for one matrix),
+with a certificate that every threshold comparison and singularity
+decision comes out as for the SVD, and take the SVD for any trial the
+certificate does not cover.  Every stacked kernel gives a member the
+bits a stack of one gives it, so stacking trials changes no count.
+Every kernel
 takes its rank scale from :func:`_scaled`, which also rescales a matrix
 whose row norms would overflow or underflow by an exact power of two.
 
@@ -63,11 +67,12 @@ from .errors import InvalidInputError
 # scale-aware threshold.
 RANK_RTOL = 1e-10
 
-# Power steps _certified may take on s_min before the trial falls back to the
-# SVD.  At criterion 02 (Gaussian n = 200, 5000 trials) the bracket before
-# the first step decides at the median and 2 steps decide at the 99th
+# Power steps _stack_certified may take on s_min before the trial falls back
+# to the SVD.  At criterion 02 (Gaussian n = 200, 5000 trials) the bracket
+# before the first step decides at the median and 2 steps decide at the 99th
 # percentile; one trial, whose two smallest singular values lie within 1.4%
-# of each other, reaches the cap.
+# of each other, falls back after 3 steps, when its Rayleigh quotient shows
+# that it cannot pass half the trace before the cap.
 _POWER_STEPS = 32
 
 # c in the rounding margin c * n * eps * norm(A) of _certified: it covers the
@@ -111,6 +116,23 @@ def _scaled(A: np.ndarray) -> tuple[np.ndarray, int, float]:
     e = math.frexp(float(np.max(np.abs(A))))[1]
     A = np.ldexp(A, -e)
     return A, e, float(np.max(np.linalg.norm(A, axis=1)))
+
+
+def _stack_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_scaled` of every member of a stack ``X`` of shape ``(N, m,
+    d)``: ``(X, e, scale)`` with ``(N,)`` arrays ``e`` and ``scale``.  The
+    scales are taken for the whole stack at once, in the order
+    :func:`_scaled` takes them for one member, and only the members outside
+    ``_SAFE_RANGE`` are rescaled, on a copy of ``X``.
+    """
+    scale = np.linalg.norm(X, axis=2).max(axis=1)
+    e = np.zeros(len(X), dtype=int)
+    wild = [k for k, s in enumerate(scale.tolist()) if not _SAFE_RANGE[0] <= s <= _SAFE_RANGE[1]]
+    if wild:
+        X = X.copy()
+        for k in wild:
+            X[k], e[k], scale[k] = _scaled(X[k])
+    return X, e, scale
 
 
 def _norm(v: np.ndarray) -> float:
@@ -217,13 +239,7 @@ def _factor(X: np.ndarray) -> _Factored:
     axis add in the same order as for one family.
     """
     N, m, d = X.shape
-    scale = np.linalg.norm(X, axis=2).max(axis=1)
-    e = np.zeros(N, dtype=int)
-    wild = [k for k, s in enumerate(scale.tolist()) if not _SAFE_RANGE[0] <= s <= _SAFE_RANGE[1]]
-    if wild:
-        X = X.copy()
-        for k in wild:
-            X[k], e[k], scale[k] = _scaled(X[k])
+    X, e, scale = _stack_scaled(X)
     if m > d:
         W = np.broadcast_to(np.eye(m), (N, m, m)).copy().transpose(0, 2, 1)
         return _Factored(X, e, scale, [None] * N, [None] * N, W, np.zeros(N, dtype=bool))
@@ -236,7 +252,8 @@ def _factor(X: np.ndarray) -> _Factored:
         Rt[k] = q[:m].T
     # R^T is lower triangular, and the transpose of a C-ordered stack has
     # Fortran-ordered members, which trtri inverts in place
-    W = np.tril(Rt).transpose(0, 2, 1)
+    np.copyto(Rt, 0.0, where=~np.tri(m, dtype=bool))
+    W = Rt.transpose(0, 2, 1)
     ok = np.abs(np.diagonal(W, axis1=1, axis2=2)).min(axis=1) > RANK_RTOL * scale
     for k, independent in enumerate(ok.tolist()):
         if independent:
@@ -255,7 +272,8 @@ def _row_profile(X: np.ndarray) -> np.ndarray:
     Inputs are not checked.
     """
     A, e, _, _, _, W, ok = _factor(X)
-    d = 1.0 / np.linalg.norm(W, axis=2)
+    # the row norms of W as np.linalg.norm takes them, squared in place
+    d = 1.0 / np.sqrt(np.square(W, out=W).sum(axis=2))
     for k, independent in enumerate(ok.tolist()):
         if not independent:
             d[k] = _svd_distances(A[k], np.arange(d.shape[1])[:, None])[0][:, 0]
@@ -341,26 +359,37 @@ def singular_values(B) -> np.ndarray:
 
 
 def _extremes(A: np.ndarray) -> tuple[float, float, float]:
-    """``(s_min, s_max, hs_inverse)`` of a square matrix from one SVD.
+    """``(s_min, s_max, hs_inverse)`` of a square matrix:
+    :func:`_stack_extremes` of a stack of one.  Inputs are not checked."""
+    s_min, s_max, hs = _stack_extremes(A[None])
+    return float(s_min[0]), float(s_max[0]), float(hs[0])
 
-    The SVD is taken of the matrix :func:`_scaled` returns and the
-    results are scaled back by the same power of two, so ``sigma ** -2``
-    neither overflows nor underflows at extreme scales; at ordinary
-    scales the matrix is used as given.  A matrix whose smallest singular
-    value is at or below the rank tolerance is singular: ``s_min`` is
-    then 0 and ``hs_inverse`` is ``+inf``.  Inputs are not checked.
+
+def _stack_extremes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s_min, s_max, hs_inverse)`` of every member of a stack ``X`` of
+    square matrices, as three ``(N,)`` arrays, from one SVD call.
+
+    The SVD of each member is taken of the matrix :func:`_stack_scaled`
+    returns for it and the results are scaled back by the same power of
+    two, so ``sigma ** -2`` neither overflows nor underflows at extreme
+    scales; at ordinary scales the member is used as given.  A member
+    whose smallest singular value is at or below the rank tolerance is
+    singular: its ``s_min`` is then 0 and its ``hs_inverse`` is ``+inf``.
+    A member gets the bits a stack of one gives it.  Inputs are not
+    checked.
     """
-    A, e, scale = _scaled(A)
-    s = np.linalg.svd(A, compute_uv=False)
-    s_max = float(np.ldexp(s[0], e))
-    if s[-1] <= RANK_RTOL * scale:
-        return 0.0, s_max, math.inf
-    return float(np.ldexp(s[-1], e)), s_max, float(np.ldexp(np.sqrt(np.sum(s**-2.0)), -e))
+    X, e, scale = _stack_scaled(X)
+    s = np.linalg.svd(X, compute_uv=False)
+    regular = s[:, -1] > RANK_RTOL * scale
+    with np.errstate(divide="ignore", over="ignore"):  # singular members are set to inf
+        hs = np.ldexp(np.sqrt(np.sum(s**-2.0, axis=1)), -e)
+    return (np.where(regular, np.ldexp(s[:, -1], e), 0.0), np.ldexp(s[:, 0], e),
+            np.where(regular, hs, math.inf))
 
 
 class _Certified(NamedTuple):
-    """Result of :func:`_certified`: how many cuts the trial hits, the power
-    steps taken, and why the trial fell back to :func:`_extremes` (``""``
+    """Result of :func:`_stack_certified` for one trial: how many cuts it
+    hits, the power steps taken, and why it fell back to the SVD (``""``
     when it did not)."""
 
     hits: int
@@ -369,10 +398,16 @@ class _Certified(NamedTuple):
 
 
 def _certified(A: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> _Certified:
-    """How many values in ``cuts`` the trial ``A`` hits, ``s_min(A) * unit
-    <= c`` when ``smin``, else ``hs_inverse(A) / unit >= c``, counted as
-    for the value :func:`_extremes` gives, from the ``A.T = Q R`` and ``W =
-    R^-1`` of :func:`_factor`.
+    """:func:`_stack_certified` of a stack of one.  Inputs are not checked."""
+    return _stack_certified(A[None], smin, cuts, unit)[0]
+
+
+def _stack_certified(X: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> list[_Certified]:
+    """How many values in ``cuts`` each trial of a stack ``X`` of square
+    matrices hits, ``s_min(A) * unit <= c`` when ``smin``, else
+    ``hs_inverse(A) / unit >= c``, counted as for the value
+    :func:`_extremes` gives, from the ``A.T = Q R`` and ``W = R^-1`` of
+    :func:`_factor`.
 
     Only the position of the statistic among the cuts and the rank
     tolerance is certified, not its value.  ``hs_inverse`` is ``norm(W,
@@ -395,58 +430,100 @@ def _certified(A: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> _Certified
     the first of these reasons that applies: the rows are dependent at the
     tolerance (``"rank"``), the bracket shows that its lower end can never
     clear the tolerance (``"tolerance"``) or that a cut lies within the
-    margin of every value in it (``"cut"``), no Kato-Temple bound is
-    possible because ``norm(W, 1) * norm(W, inf) <= trace / 2`` and the
-    bracket before the first step does not decide (``"early"``), or
-    ``_POWER_STEPS`` steps do not decide (``"cap"``).  ``hs_inverse`` falls back with
-    ``"tolerance"`` when ``1 / norm(W, 'fro')``, widened likewise, does not
-    clear the tolerance, and with ``"cut"`` when its widened interval
-    contains a cut.  Every hit therefore comes out as for the SVD value:
-    the cuts are moved to the units of ``A`` for the bracket, whose margin
-    covers the rounding of that move, and a fallback compares the scaled
-    SVD value with the cuts as given.  Ascending cuts are hit in a suffix
-    for ``s_min`` and in a prefix for ``hs_inverse``.  Inputs are not
-    checked.
+    margin of every value in it (``"cut"``), no Kato-Temple bound can form
+    (``"early"``), or ``_POWER_STEPS`` steps do not decide (``"cap"``).  No
+    Kato-Temple bound is possible at all when ``norm(W, 1) * norm(W, inf)
+    <= trace / 2``, which ends the trial before the first step; after two
+    steps, none forms before the cap when ``rho`` is at most ``trace / 2``
+    and its last rise, kept up for the steps left, would not lift it past
+    ``trace / 2`` (``rho`` has stopped rising, or rises too slowly, when
+    the two top eigenvalues nearly coincide).  ``hs_inverse`` falls back
+    with ``"tolerance"`` when ``1 / norm(W, 'fro')``, widened likewise,
+    does not clear the tolerance, and with ``"cut"`` when its widened
+    interval contains a cut.  Every hit therefore comes out as for the SVD
+    value: the cuts are moved to the units of ``A`` for the bracket, whose
+    margin covers the rounding of that move, and a fallback compares the
+    scaled SVD value with the cuts as given.  Ascending cuts are hit in a
+    suffix for ``s_min`` and in a prefix for ``hs_inverse``.
+
+    One :func:`_factor` call gives the bracket before the first power step
+    of every member at once.  Power steps run member by member, only for
+    the members that bracket does not decide, and the members that fall
+    back share one :func:`_stack_extremes` call.  A member gets the result
+    a stack of one gives it.  Inputs are not checked.
     """
-    _, e, scale, _, _, W, ok = _factor(A[None])
-    if not ok[0]:
-        return _fallback(A, smin, cuts, unit, 0, "rank")
-    W, e, scale = W[0], int(e[0]), float(scale[0])
-    n = W.shape[0]
-    w = W.ravel(order="K")
-    trace = float(w @ w)
-    margin = _MARGIN * n * _EPS * math.sqrt(n) * scale
-    tolerance = RANK_RTOL * scale
-    scaled = [math.ldexp(c / unit, -e) if smin else math.ldexp(c * unit, e) for c in cuts]
-    if not smin:
-        value = math.sqrt(trace)
-        if 1.0 / value - margin <= tolerance:
-            return _fallback(A, smin, cuts, unit, 0, "tolerance")
-        # s_min >= 1 / value > margin: moving every singular value by at most
-        # margin moves each sigma_i^-1, so hs_inverse, by a factor within
-        # 1 -+ margin * value
-        spread = margin * value
-        low, high = value / (1.0 + spread), value / (1.0 - spread)
-        if any(low <= c <= high for c in scaled):
-            return _fallback(A, smin, cuts, unit, 0, "cut")
-        return _Certified(sum(c < low for c in scaled), 0, "")
-    absW = np.abs(W)
-    squares = absW * absW
-    rows = squares.sum(axis=1)
-    top = int(np.argmax(rows))
-    lam_high = min(trace, float(absW.sum(axis=1).max()) * float(absW.sum(axis=0).max()))
-    lam_low = max(float(rows[top]), float(squares.sum(axis=0).max()))
+    f = _factor(X)
+    n = f.W.shape[1]
+    squares = np.square(f.W)
+    rows = squares.sum(axis=2)
+    traces = rows.sum(axis=1).tolist()
+    if smin:
+        absW = np.abs(f.W)
+        products = (absW.sum(axis=2).max(axis=1) * absW.sum(axis=1).max(axis=1)).tolist()
+        lam_lows = np.maximum(rows.max(axis=1), squares.sum(axis=1).max(axis=1)).tolist()
+    root = _MARGIN * n * _EPS * math.sqrt(n)
+    out = []
+    for k, (independent, e, scale) in enumerate(zip(f.ok.tolist(), f.e.tolist(), f.scale.tolist())):
+        if not independent:
+            out.append(_Certified(0, 0, "rank"))
+        elif smin:
+            scaled = [math.ldexp(c / unit, -e) for c in cuts]
+            lam_high = min(traces[k], products[k])
+            out.append(_smin_position(f.W[k], rows[k], traces[k], lam_high, lam_lows[k], scaled,
+                                      root * scale, RANK_RTOL * scale))
+        else:
+            scaled = [math.ldexp(c * unit, e) for c in cuts]
+            out.append(_hs_position(traces[k], scaled, root * scale, RANK_RTOL * scale))
+    fallen = [k for k, got in enumerate(out) if got.fallback]
+    if fallen:
+        s_min, _, hs = _stack_extremes(X[fallen])
+        for k, s, h in zip(fallen, s_min.tolist(), hs.tolist()):
+            hits = sum(s * unit <= c for c in cuts) if smin else sum(h / unit >= c for c in cuts)
+            out[k] = out[k]._replace(hits=int(hits))
+    return out
+
+
+def _hs_position(trace: float, scaled, margin: float, tolerance: float) -> _Certified:
+    """The ``hs_inverse`` position of :func:`_stack_certified` for one
+    member, ``scaled`` its cuts in the units of the member; a fallback
+    counts 0 hits."""
+    value = math.sqrt(trace)
+    if 1.0 / value - margin <= tolerance:
+        return _Certified(0, 0, "tolerance")
+    # s_min >= 1 / value > margin: moving every singular value by at most
+    # margin moves each sigma_i^-1, so hs_inverse, by a factor within
+    # 1 -+ margin * value
+    spread = margin * value
+    low, high = value / (1.0 + spread), value / (1.0 - spread)
+    if any(low <= c <= high for c in scaled):
+        return _Certified(0, 0, "cut")
+    return _Certified(sum(c < low for c in scaled), 0, "")
+
+
+def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: float, lam_low: float,
+                   scaled, margin: float, tolerance: float) -> _Certified:
+    """The ``s_min`` position of :func:`_stack_certified` for one member
+    with ``W = R^-1``, the squared row norms ``rows`` of ``W`` and the
+    bracket ``[lam_low, lam_high]`` of ``lambda_1`` before the first step;
+    ``scaled`` are its cuts in the units of the member.  A fallback counts
+    0 hits."""
     kato_temple = lam_high > trace / 2.0
-    x = W[top] / math.sqrt(float(rows[top]))
+    stalled = False
     for steps in range(_POWER_STEPS + 1):
+        if steps == 1:  # the bracket before the first step did not decide
+            top = int(np.argmax(rows))
+            x = W[top] / math.sqrt(float(rows[top]))
+            rho = 0.0
         if steps:
             y = dtrmv(W, x)
             z = dtrmv(W, y, trans=1)
-            rho = float(y @ y)
+            rho, previous = float(y @ y), rho
             lam_low = max(lam_low, rho)
             if trace - rho < rho:
                 r = z - rho * x
                 lam_high = min(lam_high, rho + float(r @ r) / (2.0 * rho - trace))
+            rise = max(rho - previous, 0.0)
+            stalled = steps > 1 and 2.0 * (rho + (_POWER_STEPS - steps) * rise) <= trace
             x = z / math.sqrt(float(z @ z))
         low, high = 1.0 / math.sqrt(lam_high), 1.0 / math.sqrt(lam_low)
         if low - margin > tolerance and not any(low - margin <= c <= high + margin for c in scaled):
@@ -454,18 +531,12 @@ def _certified(A: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> _Certified
         # s_min of the computed W lies in [low, high], and the bracket can
         # shrink to no less than that value -+ margin
         if high - margin <= tolerance:
-            return _fallback(A, smin, cuts, unit, steps, "tolerance")
+            return _Certified(0, steps, "tolerance")
         if any(high - margin <= c <= low + margin for c in scaled):
-            return _fallback(A, smin, cuts, unit, steps, "cut")
-        if not kato_temple:
-            return _fallback(A, smin, cuts, unit, steps, "early")
-    return _fallback(A, smin, cuts, unit, _POWER_STEPS, "cap")
-
-
-def _fallback(A: np.ndarray, smin: bool, cuts, unit: float, steps: int, reason: str) -> _Certified:
-    s_min, _, hs = _extremes(A)
-    hits = int(sum(s_min * unit <= c for c in cuts) if smin else sum(hs / unit >= c for c in cuts))
-    return _Certified(hits, steps, reason)
+            return _Certified(0, steps, "cut")
+        if not kato_temple or stalled:
+            return _Certified(0, steps, "early")
+    return _Certified(0, _POWER_STEPS, "cap")
 
 
 def hs_inverse(B) -> float:

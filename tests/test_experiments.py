@@ -227,7 +227,7 @@ class TestEstimateTail:
         ):
             grid = tuple(value * f for f in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0))
             cfg = make_config(trials=1, t_grid=grid, statistic=ex.Statistic(kind))
-            assert ex._trial_hits(cfg, np.zeros((10, 10)), 0) == 2
+            assert ex._stack_hits(cfg, np.zeros((10, 10)), range(1)) == [2]
             hits = [p.hits for p in ex.estimate_tail(cfg, workers=1).points]
             assert hits == ([0, 0, 1, 1] if kind == "smin_scaled" else [1, 1, 0, 0])
 
@@ -245,11 +245,11 @@ class TestEstimateTail:
         cfg = make_config(trials=3, t_grid=grid, statistic=ex.Statistic(kind))
         shift = np.zeros((10, 10))
         expected = [sum(v >= t for t in grid) for v in values]
-        assert [ex._trial_hits(cfg, shift, idx) for idx in range(3)] == expected
+        assert ex._stack_hits(cfg, shift, range(3)) == expected
         scaled = replace(cfg, t_grid=tuple(t / c for t in grid))
         sample = ex.sample_matrix
         monkeypatch.setattr(ex, "sample_matrix", lambda *args: c * sample(*args))
-        assert [ex._trial_hits(scaled, shift, idx) for idx in range(3)] == expected
+        assert ex._stack_hits(scaled, shift, range(3)) == expected
 
     def test_clustered_shift_trials_take_no_svd(self, monkeypatch):
         # criterion 03's shape and grid: s_min * sqrt(n) is about 860, so the
@@ -260,10 +260,10 @@ class TestEstimateTail:
             200, tuple(np.linspace(0.05, 0.5, 10)), 33,
         )
 
-        def no_svd(A):
+        def no_svd(X):
             raise AssertionError("SVD fallback taken")
 
-        monkeypatch.setattr(linalg, "_extremes", no_svd)
+        monkeypatch.setattr(linalg, "_stack_extremes", no_svd)
         assert [p.hits for p in ex.estimate_tail(cfg, workers=1).points] == [0] * 10
 
     def test_gaussian_svd_fallbacks_stay_rare(self, monkeypatch):
@@ -274,13 +274,13 @@ class TestEstimateTail:
             tuple(np.linspace(0.05, 0.5, 10)), 20260810,
         )
         calls = []
-        extremes = linalg._extremes
+        extremes = linalg._stack_extremes
 
-        def counting(A):
-            calls.append(1)
-            return extremes(A)
+        def counting(X):
+            calls.extend(1 for _ in X)
+            return extremes(X)
 
-        monkeypatch.setattr(linalg, "_extremes", counting)
+        monkeypatch.setattr(linalg, "_stack_extremes", counting)
         ex.estimate_tail(cfg, workers=1)
         assert len(calls) <= 2
 
@@ -371,9 +371,9 @@ class TestCounterexampleExperiment:
 
     def test_trial_kernel_pickles(self):
         shift = ex.build_shift(ShiftSpec.counterexample(40.0), 10)
-        kernel = functools.partial(ex._counterexample_trial, shift, 9)
+        kernel = functools.partial(ex._counterexample_stack, shift, 9)
         clone = pickle.loads(pickle.dumps(kernel))
-        assert clone(4) == kernel(4)
+        assert clone(range(4, 7)) == kernel(range(4, 7))
 
     def test_quick_run(self):
         rep = ex.counterexample_experiment(10, 50.0, 80, 3)
@@ -408,33 +408,53 @@ class TestMapTrials:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("trials", [1, 3, 4, 37])
     def test_results_in_trial_order(self, trials, workers):
-        assert ex.map_trials(lambda idx: (idx, idx * idx), trials, workers) == [
+        kernel = lambda stack: [(idx, idx * idx) for idx in stack]  # noqa: E731
+        assert ex.map_trials(kernel, trials, 10, workers) == [
             (idx, idx * idx) for idx in range(trials)
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 50, 100, 199, 200, 300])
+    @pytest.mark.parametrize("trials", [1, 3, 4, 37, 500])
+    def test_stacks_are_contiguous_and_capped(self, trials, n, workers):
+        # a stack holds no more entries than one n = 200 trial, and at least
+        # one trial; the stacks cover the trials in order
+        stacks = []
+        ex.map_trials(lambda stack: stacks.append(stack) or list(stack), trials, n, workers)
+        stacks.sort(key=lambda stack: stack.start)
+        assert [idx for stack in stacks for idx in stack] == list(range(trials))
+        cap = max(1, ex.STACK_ENTRIES // (n * n))
+        share = math.ceil(trials / (ex.resolve_workers(workers) * 8))
+        assert all(1 <= len(stack) <= cap for stack in stacks)
+        assert max(len(stack) for stack in stacks) == min(cap, share)
+        if n >= 200:
+            assert all(len(stack) == 1 for stack in stacks)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blas_single_threaded_inside_and_restored_after(self, blas_at_two_threads, workers):
-        seen = ex.map_trials(lambda idx: blas_threads(blas_at_two_threads), 9, workers)
+        seen = ex.map_trials(
+            lambda stack: [blas_threads(blas_at_two_threads) for _ in stack], 9, 10, workers
+        )
         assert seen == [[1, 1]] * 9
         assert blas_threads(blas_at_two_threads) == [2, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blas_restored_after_a_kernel_raises(self, blas_at_two_threads, workers):
-        def kernel(idx):
-            if idx == 5:
+        def kernel(stack):
+            if 5 in stack:
                 raise ValueError("trial 5 failed")
-            return idx
+            return list(stack)
 
         with pytest.raises(ValueError, match="trial 5"):
-            ex.map_trials(kernel, 9, workers)
+            ex.map_trials(kernel, 9, 10, workers)
         assert blas_threads(blas_at_two_threads) == [2, 2]
 
     def test_overlapping_maps_keep_blas_pinned_until_the_last_ends(
         self, blas_at_two_threads, monkeypatch
     ):
         # Two estimate_tail calls on two Python threads, three workers each
-        # (more than the cores here): both start their first trial together,
-        # and the second's last trial runs only after the first call returned.
+        # (more than the cores here): both start their first stack together,
+        # and the second's last stack runs only after the first call returned.
         short = make_config(trials=8, master_seed=1)
         long = make_config(trials=12, master_seed=2)
         expected = {
@@ -443,17 +463,17 @@ class TestMapTrials:
         both_started = threading.Barrier(2, timeout=30)
         short_done = threading.Event()
         seen = []
-        trial_hits = ex._trial_hits
+        stack_hits = ex._stack_hits
 
-        def kernel(config, shift_matrix, idx):
-            if idx == 0:
+        def kernel(config, shift_matrix, stack):
+            if 0 in stack:
                 both_started.wait()
-            if config is long and idx == long.trials - 1:
+            if config is long and long.trials - 1 in stack:
                 assert short_done.wait(timeout=30)
-            seen.append(blas_threads(blas_at_two_threads))
-            return trial_hits(config, shift_matrix, idx)
+            seen.extend(blas_threads(blas_at_two_threads) for _ in stack)
+            return stack_hits(config, shift_matrix, stack)
 
-        monkeypatch.setattr(ex, "_trial_hits", kernel)
+        monkeypatch.setattr(ex, "_stack_hits", kernel)
         hits = {}
 
         def run(cfg):
@@ -491,6 +511,55 @@ class TestMapTrials:
             np.testing.assert_array_equal(ex._hits_per_trial(cfg, workers), expected)
             rep = ex.counterexample_experiment(10, 40.0, 30, 9, workers=workers)
             assert rep.to_dict() == report
+
+
+class TestStacks:
+    """Trials stacked by map_trials against the same trials one by one."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(dist=RowDistribution("bernoulli"), n=6, t_grid=(0.0, 0.1, 0.4, 1.0)),
+            dict(
+                dist=RowDistribution("uniform_entry"),
+                shift=ShiftSpec.scaled_identity(10.0 * math.sqrt(10)),
+                t_grid=(86.0, 88.0, 90.0, 92.0),
+            ),
+            dict(t_grid=(0.5, 1.0, 2.0, 4.0), statistic=ex.Statistic.hs_scaled_sqrt()),
+            dict(t_grid=(0.3, 0.5, 1.0, 2.0), statistic=ex.Statistic.hs_scaled_n()),
+            dict(t_grid=(0.1, 0.3, 0.6, 1.0), statistic=ex.Statistic.distance_profile(2)),
+            dict(n=1, t_grid=(0.1, 0.3, 0.6, 1.0), statistic=ex.Statistic.distance_profile(1)),
+        ],
+        ids=["smin", "signs", "clustered", "hs_sqrt", "hs_n", "profile", "profile_n1"],
+    )
+    def test_hits_match_trial_by_trial(self, overrides):
+        cfg = make_config(trials=37, **overrides)
+        shift = ex.build_shift(cfg.shift, cfg.n)
+        values = []
+        for idx in range(cfg.trials):
+            B = sample_matrix(cfg.dist, cfg.n, SeedSpec(cfg.master_seed, idx)) + shift
+            s_min, _, hs = linalg._extremes(B)
+            values.append({
+                "smin_scaled": s_min * math.sqrt(cfg.n),
+                "hs_scaled_sqrt": hs / math.sqrt(cfg.n),
+                "hs_scaled_n": hs / cfg.n,
+                "distance_profile": float(np.sort(linalg.row_distances(B))[-1 if cfg.n == 1 else 1]),
+            }[cfg.statistic.kind])
+        below = cfg.statistic.hit_when_below
+        expected = [sum(v <= t if below else v >= t for v in values) for t in cfg.t_grid]
+        assert 0 < sum(expected) < cfg.trials * len(cfg.t_grid)
+        for workers in (1, 2, 3):
+            assert [p.hits for p in ex.estimate_tail(cfg, workers).points] == expected
+
+    def test_counterexample_matches_trial_by_trial(self):
+        shift = ex.build_shift(ShiftSpec.counterexample(100.0), 12)
+        trial_by_trial = [ex._counterexample_stack(shift, 3, range(idx, idx + 1))[0] for idx in range(37)]
+        assert ex._counterexample_stack(shift, 3, range(37)) == trial_by_trial
+        assert 0 < sum(corner for _, _, corner in trial_by_trial) < 37
+        report = ex.counterexample_experiment(12, 100.0, 37, 3, workers=1).to_dict()
+        for workers in (2, 3):
+            assert ex.counterexample_experiment(12, 100.0, 37, 3, workers=workers).to_dict() == report
 
 
 class TestEmitResults:

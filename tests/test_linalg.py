@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sminlab.linalg as la
 from sminlab.errors import InvalidInputError
+from sminlab.samplers import RowDistribution, SeedSpec, sample_matrix
 from sminlab.suites import invert_by_elimination
 
 RNG = np.random.default_rng(20260810)
@@ -418,6 +419,14 @@ class TestStackedKernels:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got_x, want_x)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 12, 50])
+    def test_extremes(self, n):
+        stack = mixed_stack(n, 20 * n)
+        got = np.array(la._stack_extremes(stack)).T
+        assert (got[:, 0] == 0.0).sum() >= 3  # the repeated row, zero and the singular signs
+        for member, values in zip(stack, got):
+            assert tuple(values) == la._extremes(member) == one_matrix_extremes(member)
+
     def test_members_keep_their_own_scale(self):
         stack = mixed_stack(5)
         f = la._factor(stack)
@@ -425,6 +434,17 @@ class TestStackedKernels:
             A, e, scale = la._scaled(member)
             assert (f.e[k], f.scale[k]) == (e, scale)
             np.testing.assert_array_equal(f.A[k], A)
+
+
+def one_matrix_extremes(A):
+    """``_extremes`` as it was written for one matrix before the stacked
+    kernel: the oracle of its bits."""
+    A, e, scale = la._scaled(A)
+    s = np.linalg.svd(A, compute_uv=False)
+    s_max = float(np.ldexp(s[0], e))
+    if s[-1] <= la.RANK_RTOL * scale:
+        return 0.0, s_max, math.inf
+    return float(np.ldexp(s[-1], e)), s_max, float(np.ldexp(np.sqrt(np.sum(s**-2.0)), -e))
 
 
 def per_set_oracle(A, sets, x=None):
@@ -802,6 +822,48 @@ class TestCertifiedOracle:
                 got = la._certified(c * B, smin, (value,))
                 assert got.fallback and got.hits == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_stack_matches_one_matrix(self):
+        # members decided before the first step (the clustered shift), after
+        # power steps (values 1e-8 off a grid point), by the SVD (a value on
+        # a grid point, dependent rows, zero) and at extreme scales, in the
+        # grid's units as the Monte Carlo trials use them
+        n, t = 20, 0.3
+        root = math.sqrt(n)
+        rng = np.random.default_rng(5)
+        gaussian = rng.standard_normal((n, n))
+        signs = rng.choice([-1.0, 1.0], (n, n))
+        signs[1] = -signs[0]
+        members = [uniform_plus_shift(rng, n), gaussian, signs, np.zeros((n, n))]
+        for offset in (0.0, -1e-8, 1e-8):
+            s = np.concatenate([[t / root * (1.0 + offset)], np.linspace(1.0, 2.0, n - 1)])
+            members.append(planted(s, 4))
+        members += [c * gaussian for c in EXTREME_SCALES]
+        stack = np.array(members)
+        for smin, grid, unit in ((True, CRITERION_GRIDS[0], root), (False, CRITERION_GRIDS[1], n)):
+            got = la._stack_certified(stack, smin, grid, unit)
+            assert got == [la._certified(member, smin, grid, unit) for member in stack]
+            for member, certified in zip(stack, got):
+                s_min, _, hs = la._extremes(member)
+                hits = sum(s_min * unit <= c for c in grid) if smin else sum(hs / unit >= c for c in grid)
+                assert certified.hits == hits
+        got = la._stack_certified(stack, True, CRITERION_GRIDS[0], root)
+        assert [g.fallback for g in got[2:5]] == ["rank", "rank", "cut"]
+        assert got[0] == (0, 0, "") and got[5].steps > 0 and got[6].steps > 0
+        assert not any(g.fallback for g in got[5:])
+
+    def test_nearly_coincident_top_ends_early(self):
+        # criterion 02 trial 1665: the two smallest singular values lie within
+        # 1.4% of each other, so rho rises by about 1 in 2700 per step and
+        # stays below trace / 2 for all 32 steps; at its rise after step 3 it
+        # cannot pass trace / 2 before the cap, so the trial takes the SVD then
+        n = 200
+        grid = CRITERION_GRIDS[0]
+        B = sample_matrix(RowDistribution("gaussian"), n, SeedSpec(20260810, 1665))
+        got = la._certified(B, True, grid, math.sqrt(n))
+        assert got.fallback == "early" and 2 <= got.steps < la._POWER_STEPS
+        assert got.hits == svd_hits(B, True, [t / math.sqrt(n) for t in grid]) == 5
+
     @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 2e-12])
     def test_planted_value_at_a_grid_threshold_falls_back(self, offset):
         # s_min * sqrt(n) on the grid point t = 0.3 of the criterion-02 grid,
@@ -923,8 +985,11 @@ class TestCertifiedOracle:
         cuts = (s_min * (1.0 - offset), s_min * (1.0 + offset))
         got = la._certified(B, True, cuts)
         assert got.hits == svd_hits(B, True, cuts)
-        if got.fallback == "early":
+        if got.fallback == "early" and got.steps == 0:
             # lambda_1 of W^T W is 1 / s_min^2, its trace sum(sigma^-2)
             s = np.linalg.svd(B, compute_uv=False)
             assert s[-1] ** -2.0 <= 0.5 * np.sum(s**-2.0) * (1.0 + 1e-9)
-            assert got.steps == 0
+        elif got.fallback == "early":
+            # rho needs a last rise, so two steps, to tell it cannot pass
+            # trace / 2 before the cap
+            assert 2 <= got.steps < la._POWER_STEPS

@@ -18,8 +18,10 @@ Each kind of distance a call needs comes from one factorization of its
 matrix: the complement distances of all the triples of a comparison
 graph and of all the r-subsets of :func:`q_sets` from one batched
 ``sminlab.linalg._set_distances`` call, and the distances of a pivot
-vector family, or of the full rows, from one QR profile.
-:func:`classify_lambda` needs both kinds, so it factors ``A + M`` twice.
+vector family, or of the full rows, from one QR profile.  The offset
+graph takes its triples from one factorization of ``A + M`` with row
+``i`` replaced by ``M[i]``, so :func:`classify_lambda` factors ``A + M``
+for its row distances and that matrix for its graph.
 The pivot check, :func:`q_sets` and the comparison graphs are thin
 per-call wrappers over stacked cores (``_pivot_indices``, ``_q_masks``,
 ``_comparison_graphs``) that the verification suites call with every
@@ -251,16 +253,15 @@ def _triples(n: int, i: int) -> np.ndarray:
     return np.sort(np.column_stack([np.full(len(pairs), i), pairs]), axis=1)
 
 
-def _compared(n: int, sets: np.ndarray, d: np.ndarray, i: int, lhs=None) -> Graph:
+def _compared(n: int, sets: np.ndarray, d: np.ndarray, i: int, offset: float = 0.0) -> Graph:
     """Comparison graph of vertex ``i`` from the distances ``d`` of the
     ascending triples ``sets`` (those without ``i`` are skipped): pair ``(j,
-    k)`` is an edge iff ``lhs`` of its triple, by default the distance of
-    row ``i``, is at least the distances of rows ``j`` and ``k``."""
+    k)`` is an edge iff the distance of row ``i`` of its triple plus
+    ``offset`` is at least the distances of rows ``j`` and ``k``."""
     at_i = sets == i
     rows = at_i.any(axis=1)
     sets, d, at_i = sets[rows], d[rows], at_i[rows]
-    lhs = d[at_i] if lhs is None else lhs[rows]
-    keep = lhs >= np.where(at_i, -np.inf, d).max(axis=1)
+    keep = d[at_i] + offset >= np.where(at_i, -np.inf, d).max(axis=1)
     pairs = sets[~at_i].reshape(-1, 2)
     return Graph(n, frozenset(map(tuple, pairs[keep].tolist())))
 
@@ -319,15 +320,22 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     the larger of the distances of rows ``j`` and ``k`` of ``A + M`` to
     ``H``, where ``H`` is the span of the rows of ``A + M`` outside
     ``{i, j, k}``.
+
+    ``H`` leaves out row ``i``, so every distance comes from one
+    factorization of ``A + M`` with row ``i`` replaced by ``M[i]``
+    (:func:`sminlab.linalg._set_distances`).  When that matrix is rank
+    deficient at the tolerance, as at ``M[i] = 0``, every triple takes its
+    own SVD.
     """
     A2 = as_matrix(A)
     M2 = as_matrix(M)
     if A2.shape != M2.shape:
         raise InvalidInputError(f"shape mismatch: A is {A2.shape}, M is {M2.shape}")
     _graph_input(M2, i)
-    sets = _triples(A2.shape[0], i)
-    d, d_x = _set_distances((A2 + M2)[None], sets, M2[i][None])
-    return _compared(A2.shape[0], sets, d[0], i, d_x[0] + offset)
+    B = A2 + M2
+    B[i] = M2[i]
+    sets = _triples(B.shape[0], i)
+    return _compared(B.shape[0], sets, _set_distances(B[None], sets)[0], i, offset)
 
 
 def low_value_count(B, L: int, N: int) -> int:

@@ -35,6 +35,14 @@ def decoding(what: str):
         raise InvalidInputError(f"{what}: {exc}") from exc
 
 
+def known_keys(d, keys, what: str) -> None:
+    """Reject a document ``d`` with a key outside ``keys`` as
+    :class:`InvalidInputError`."""
+    unknown = sorted(set(d.keys()) - set(keys))
+    if unknown:
+        raise InvalidInputError(f"{what}: unknown keys {unknown}")
+
+
 def integer(value) -> int:
     """``value`` as an int; booleans, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, Integral):

@@ -51,18 +51,16 @@ the inverse and, when they do not decide, power iteration.  Only the
 trial's position among the grid thresholds and the rank tolerance is
 certified.  A trial falls back to the SVD when its rows are dependent
 at the rank tolerance, when a threshold or the tolerance lies within
-the rounding margin of every value in the bracket, when no Kato-Temple
-bound can form (the spectrum of ``B^-1`` has no dominant top, or the
-Rayleigh quotient rises too slowly to pass half the trace before the
-cap), or when 32 power steps do not decide, so every hit count and
-singularity decision is the SVD's.  At the acceptance configs (5000
-trials each) Gaussian n=200 ``smin_scaled`` falls back in one trial,
-after 3 steps, and decides before the first power step at the median
-(2 steps at the 99th percentile); uniform rows plus ``10 sqrt(n) I``
-decide every ``smin_scaled`` and ``hs_scaled_*`` trial without a power
-step or a fallback.  The stack's members that fall back share one
-stacked SVD.  The counterexample verb takes the SVD of every trial, one
-call per stack: it reads ``s_max`` as well.
+the rounding margin of every value in the bracket, or when 8 power steps
+do not decide (the top eigenvalue of ``B^-T B^-1`` is about half its
+trace), so every hit count and singularity decision is the SVD's.  At the
+acceptance configs (5000 trials each) Gaussian n=200 ``smin_scaled``
+falls back in one trial, at the step cap, and decides before the first
+power step at the median (2 steps at the 99th percentile); uniform rows
+plus ``10 sqrt(n) I`` decide every ``smin_scaled`` and ``hs_scaled_*``
+trial without a power step or a fallback.  The stack's members that
+fall back share one stacked SVD.  The counterexample verb takes the SVD
+of every trial, one call per stack: it reads ``s_max`` as well.
 
 Confidence intervals are Wilson score intervals at z = 1.96, which stay
 honest for proportions near zero where all the interesting claims live.
@@ -78,12 +76,12 @@ import os
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TypeVar
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding, integer, number
+from .errors import InvalidInputError, decoding, integer, known_keys, number
 from .linalg import (
     _row_profile,
     _single_thread_blas,
@@ -183,6 +181,7 @@ class Statistic:
     @classmethod
     def from_dict(cls, d: dict) -> "Statistic":
         with decoding("statistic"):
+            known_keys(d, [f.name for f in fields(cls)], "statistic")
             k, a = d.get("k"), d.get("a")
             return cls(
                 kind=d["kind"],
@@ -232,6 +231,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         with decoding("experiment config"):
+            known_keys(d, [f.name for f in fields(cls)], "experiment config")
             return cls(
                 dist=RowDistribution.from_dict(d["dist"]),
                 shift=ShiftSpec.from_dict(d["shift"]),
@@ -273,17 +273,7 @@ class TailEstimate:
         return {
             "config": self.config.to_dict(),
             "wall_time": self.wall_time,
-            "points": [
-                {
-                    "t": p.t,
-                    "hits": p.hits,
-                    "trials": p.trials,
-                    "p_hat": p.p_hat,
-                    "ci_low": p.ci_low,
-                    "ci_high": p.ci_high,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
 
     def to_json(self) -> str:
@@ -292,6 +282,7 @@ class TailEstimate:
     @classmethod
     def from_dict(cls, d: dict) -> "TailEstimate":
         with decoding("tail estimate"):
+            known_keys(d, [f.name for f in fields(cls)], "tail estimate")
             return cls(
                 config=ExperimentConfig.from_dict(d["config"]),
                 points=[GridPointEstimate(**p) for p in d["points"]],

@@ -13,8 +13,10 @@ orthogonalizing that set with the rank-revealing SVD.  The full profile
 ``row_distances`` uses the duality instead: one QR factorization and a
 triangular inverse give every row at once.  Distances to the span of the
 rows outside an index set use it too, for a whole stack of sets from one
-factorization (:func:`_set_distances`).  Both take that factorization
-from :func:`_factor`, which factors a stack of matrices of one shape, one
+factorization (:func:`_set_distances`); the span leaves out the rows of
+the set, so another vector is measured against it by putting the vector
+in place of a row of the set.  Both take that factorization from
+:func:`_factor`, which factors a stack of matrices of one shape, one
 LAPACK call and one rank test per member, a single matrix being a stack
 of one; the lemma suites hand it every instance of one shape at once.
 A family that is rank deficient at the tolerance falls back to the SVD
@@ -28,11 +30,13 @@ thresholds from the same QR factorization and triangular inverse
 instead (:func:`_stack_certified`, :func:`_certified` for one matrix),
 with a certificate that every threshold comparison and singularity
 decision comes out as for the SVD, and take the SVD for any trial the
-certificate does not cover.  Every stacked kernel gives a member the
-bits a stack of one gives it, so stacking trials changes no count.
-Every kernel
-takes its rank scale from :func:`_scaled`, which also rescales a matrix
-whose row norms would overflow or underflow by an exact power of two.
+certificate does not cover: its rows are dependent at the tolerance, the
+tolerance or a threshold lies within the rounding margin of every value
+the bracket allows, or ``_POWER_STEPS`` (8) power steps do not decide.
+Every stacked kernel gives a member the bits a stack of one gives it, so
+stacking trials changes no count.  Every kernel takes its rank scale
+from :func:`_scaled`, which also rescales a matrix whose row norms would
+overflow or underflow by an exact power of two.
 
 BLAS thread counts are process-wide.  ``_single_thread_blas`` runs the
 OpenBLAS copies bundled with numpy and scipy on one thread, then restores
@@ -57,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri
+from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from .errors import InvalidInputError
 
@@ -68,12 +72,12 @@ from .errors import InvalidInputError
 RANK_RTOL = 1e-10
 
 # Power steps _stack_certified may take on s_min before the trial falls back
-# to the SVD.  At criterion 02 (Gaussian n = 200, 5000 trials) the bracket
-# before the first step decides at the median and 2 steps decide at the 99th
-# percentile; one trial, whose two smallest singular values lie within 1.4%
-# of each other, falls back after 3 steps, when its Rayleigh quotient shows
-# that it cannot pass half the trace before the cap.
-_POWER_STEPS = 32
+# to the SVD.  On 20 000 Gaussian n = 200 trials on the criterion-02 grid
+# (seeds 20260810, 7, 11 and 12345), the kernel decided 15538, 4141 and 304
+# trials after 0, 1 and 2 steps and 13 after 3 to 8; 4 reach the cap.  A step
+# costs about 1% of a trial's QR and triangular inverse at n = 200 (12 us
+# against 1.4 ms on a 2-vCPU Xeon), so running to the cap costs little.
+_POWER_STEPS = 8
 
 # c in the rounding margin c * n * eps * norm(A) of _certified: it covers the
 # backward errors of the QR factorization, the triangular inverse and the
@@ -218,8 +222,6 @@ class _Factored(NamedTuple):
     A: np.ndarray  # (N, m, d): each family times its own 2**-e
     e: np.ndarray  # (N,) exponents of :func:`_scaled`
     scale: np.ndarray  # (N,) largest row norm of each member of A
-    qr: list  # geqrf output of A[k].T per member, None when m > d
-    tau: list
     W: np.ndarray  # (N, m, m): R^-1 where ok[k], else the identity; members Fortran-ordered
     ok: np.ndarray  # (N,) whether the rows of the member are independent
 
@@ -229,27 +231,23 @@ def _factor(X: np.ndarray) -> _Factored:
     family is a stack of one.
 
     Each member gets its own :func:`_scaled` exponent, its own LAPACK
-    ``geqrf`` of ``A[k].T = Q R`` and, when every ``|R_jj|`` exceeds
-    ``RANK_RTOL`` times its scale, its own ``W[k] = R^-1`` from ``trtri``.
-    ``ok[k]`` is false, and ``W[k]`` is the identity, when ``m > d`` (then
-    ``qr[k]`` and ``tau[k]`` are ``None``) or some ``|R_jj|`` is at or
-    below the tolerance, that is when the rows are linearly dependent at
-    the tolerance.  The members of ``W`` are Fortran-ordered, as the
-    ``trtri`` output for one family is, so row norms taken along its last
-    axis add in the same order as for one family.
+    ``geqrf`` of ``A[k].T = Q R``, of which only ``R`` is kept, and, when
+    every ``|R_jj|`` exceeds ``RANK_RTOL`` times its scale, its own ``W[k]
+    = R^-1`` from ``trtri``.  ``ok[k]`` is false, and ``W[k]`` is the
+    identity, when ``m > d`` or some ``|R_jj|`` is at or below the
+    tolerance, that is when the rows are linearly dependent at the
+    tolerance.  The members of ``W`` are Fortran-ordered, as the ``trtri``
+    output for one family is, so row norms taken along its last axis add
+    in the same order as for one family.
     """
     N, m, d = X.shape
     X, e, scale = _stack_scaled(X)
     if m > d:
         W = np.broadcast_to(np.eye(m), (N, m, m)).copy().transpose(0, 2, 1)
-        return _Factored(X, e, scale, [None] * N, [None] * N, W, np.zeros(N, dtype=bool))
-    qr, tau = [], []
+        return _Factored(X, e, scale, W, np.zeros(N, dtype=bool))
     Rt = np.empty((N, m, m))
     for k in range(N):
-        q, t = dgeqrf(X[k].T)[:2]
-        qr.append(q)
-        tau.append(t)
-        Rt[k] = q[:m].T
+        Rt[k] = dgeqrf(X[k].T)[0][:m].T
     # R^T is lower triangular, and the transpose of a C-ordered stack has
     # Fortran-ordered members, which trtri inverts in place
     np.copyto(Rt, 0.0, where=~np.tri(m, dtype=bool))
@@ -260,7 +258,7 @@ def _factor(X: np.ndarray) -> _Factored:
             dtrtri(W[k], overwrite_c=1)  # in place: W[k] is Fortran-ordered
         else:
             W[k] = np.eye(m)
-    return _Factored(X, e, scale, qr, tau, W, ok)
+    return _Factored(X, e, scale, W, ok)
 
 
 def _row_profile(X: np.ndarray) -> np.ndarray:
@@ -271,16 +269,16 @@ def _row_profile(X: np.ndarray) -> np.ndarray:
     :func:`_svd_distances` with one singleton set per row for the others.
     Inputs are not checked.
     """
-    A, e, _, _, _, W, ok = _factor(X)
+    A, e, _, W, ok = _factor(X)
     # the row norms of W as np.linalg.norm takes them, squared in place
     d = 1.0 / np.sqrt(np.square(W, out=W).sum(axis=2))
     for k, independent in enumerate(ok.tolist()):
         if not independent:
-            d[k] = _svd_distances(A[k], np.arange(d.shape[1])[:, None])[0][:, 0]
+            d[k] = _svd_distances(A[k], np.arange(d.shape[1])[:, None])[:, 0]
     return np.ldexp(d, e[:, None]) if e.any() else d
 
 
-def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None):
+def _set_distances(A: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Complement distances of a stack of index sets, one factorization per
     matrix of a stack.
 
@@ -288,55 +286,40 @@ def _set_distances(A: np.ndarray, sets: np.ndarray, x: np.ndarray | None = None)
     ``sets`` is an integer array of shape ``(S, k)`` whose rows are
     strictly ascending row indices; entry ``[j, s, p]`` of the result is
     the distance of row ``sets[s, p]`` of ``A[j]`` to the span of the rows
-    of ``A[j]`` outside ``sets[s]``.  With vectors ``x`` of shape ``(N,
-    n)``, the ``(N, S)`` distances of ``x[j]`` to the same spans are
-    returned as well.
+    of ``A[j]`` outside ``sets[s]``.  That span does not depend on the rows
+    of the set, so the distance of another vector to it is that of a row
+    of the set replaced by the vector.
 
     By duality the orthogonal complement of that span is spanned by
     columns ``S`` of ``A^-1 = Q R^-T`` (``A.T = Q R``), that is by ``Q``
-    times ``P_S = (R^-1)[S, :].T``.  One batched QR ``P_S = U_S T_S`` then
-    gives the distance of row ``m`` as the norm of its row of ``T_S^-1``,
-    and that of ``x`` as ``norm(U_S.T Q.T x)``.  Every set of a matrix that
-    is rank deficient at the tolerance falls back to
-    :func:`_svd_distances`.  Inputs are not checked.
+    times ``P_S = (R^-1)[S, :].T``.  One batched QR ``P_S = U_S T_S``, of
+    which only ``T_S`` is formed, then gives the distance of row ``m`` as
+    the norm of its row of ``T_S^-1``.  Every set of a matrix that is rank
+    deficient at the tolerance falls back to :func:`_svd_distances`.
+    Inputs are not checked.
     """
     f = _factor(A)
-    N, n = f.W.shape[:2]
-    d = np.empty((N,) + sets.shape)
-    d_x = None if x is None else np.empty((N, sets.shape[0]))
+    d = np.empty((len(A),) + sets.shape)
     independent = f.ok.nonzero()[0]
     if independent.size:
         P = f.W[independent][:, sets].swapaxes(-1, -2)
-        if x is None:
-            T = np.linalg.qr(P, mode="r")
-        else:
-            U, T = np.linalg.qr(P)
-            for j, k in enumerate(independent):
-                xv, ex, _ = _scaled(x[k][None, :])
-                y = dormqr("L", "T", f.qr[k], f.tau[k], xv.T, n)[0][:, 0]
-                d_x[k] = np.ldexp(np.linalg.norm(U[j].transpose(0, 2, 1) @ y, axis=1), ex)
-        d[independent] = np.linalg.norm(np.linalg.inv(T), axis=-1)
+        d[independent] = np.linalg.norm(np.linalg.inv(np.linalg.qr(P, mode="r")), axis=-1)
     for k in (~f.ok).nonzero()[0]:
-        d[k], dx = _svd_distances(f.A[k], sets, None if x is None else x[k])
-        if x is not None:
-            d_x[k] = dx
-    d = np.ldexp(d, f.e[:, None, None])
-    return d if x is None else (d, d_x)
+        d[k] = _svd_distances(f.A[k], sets)
+    return np.ldexp(d, f.e[:, None, None])
 
 
-def _svd_distances(A: np.ndarray, sets, x: np.ndarray | None = None):
-    """``(d, d_x)``, the complement distances of :func:`_set_distances`
-    set by set: one :func:`span_basis` of the rows of ``A`` outside each
-    set, those rows taken in ascending order, against which the rows of
-    the set and ``x`` are measured with :func:`residual_norm`.  ``d_x`` is
-    ``None`` without ``x``.  The SVD path of the rank-deficient families of
-    :func:`_row_profile` and :func:`_set_distances`; inputs are not
-    checked.
+def _svd_distances(A: np.ndarray, sets) -> np.ndarray:
+    """The complement distances of :func:`_set_distances` set by set: one
+    :func:`span_basis` of the rows of ``A`` outside each set, those rows
+    taken in ascending order, against which the rows of the set are
+    measured with :func:`residual_norm`.  The SVD path of the
+    rank-deficient families of :func:`_row_profile` and
+    :func:`_set_distances`; inputs are not checked.
     """
     everything = np.arange(A.shape[0])
     bases = [span_basis(A[np.setdiff1d(everything, S)]) for S in sets]
-    d = np.array([[residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
-    return d, None if x is None else np.array([residual_norm(x, basis) for basis in bases])
+    return np.array([[residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
 
 
 def dist_to_complement(B, i: int, S) -> float:
@@ -430,21 +413,17 @@ def _stack_certified(X: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> list
     the first of these reasons that applies: the rows are dependent at the
     tolerance (``"rank"``), the bracket shows that its lower end can never
     clear the tolerance (``"tolerance"``) or that a cut lies within the
-    margin of every value in it (``"cut"``), no Kato-Temple bound can form
-    (``"early"``), or ``_POWER_STEPS`` steps do not decide (``"cap"``).  No
-    Kato-Temple bound is possible at all when ``norm(W, 1) * norm(W, inf)
-    <= trace / 2``, which ends the trial before the first step; after two
-    steps, none forms before the cap when ``rho`` is at most ``trace / 2``
-    and its last rise, kept up for the steps left, would not lift it past
-    ``trace / 2`` (``rho`` has stopped rising, or rises too slowly, when
-    the two top eigenvalues nearly coincide).  ``hs_inverse`` falls back
-    with ``"tolerance"`` when ``1 / norm(W, 'fro')``, widened likewise,
-    does not clear the tolerance, and with ``"cut"`` when its widened
-    interval contains a cut.  Every hit therefore comes out as for the SVD
-    value: the cuts are moved to the units of ``A`` for the bracket, whose
-    margin covers the rounding of that move, and a fallback compares the
-    scaled SVD value with the cuts as given.  Ascending cuts are hit in a
-    suffix for ``s_min`` and in a prefix for ``hs_inverse``.
+    margin of every value in it (``"cut"``), or ``_POWER_STEPS`` steps do
+    not decide (``"cap"``), as when ``lambda_1`` is about half the trace,
+    so that ``rho`` passes ``trace / 2`` late or never.
+    ``hs_inverse`` falls back with ``"tolerance"`` when ``1 / norm(W,
+    'fro')``, widened likewise, does not clear the tolerance, and with
+    ``"cut"`` when its widened interval contains a cut.  Every hit
+    therefore comes out as for the SVD value: the cuts are moved to the
+    units of ``A`` for the bracket, whose margin covers the rounding of
+    that move, and a fallback compares the scaled SVD value with the cuts
+    as given.  Ascending cuts are hit in a suffix for ``s_min`` and in a
+    prefix for ``hs_inverse``.
 
     One :func:`_factor` call gives the bracket before the first power step
     of every member at once.  Power steps run member by member, only for
@@ -507,23 +486,18 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
     bracket ``[lam_low, lam_high]`` of ``lambda_1`` before the first step;
     ``scaled`` are its cuts in the units of the member.  A fallback counts
     0 hits."""
-    kato_temple = lam_high > trace / 2.0
-    stalled = False
     for steps in range(_POWER_STEPS + 1):
         if steps == 1:  # the bracket before the first step did not decide
             top = int(np.argmax(rows))
             x = W[top] / math.sqrt(float(rows[top]))
-            rho = 0.0
         if steps:
             y = dtrmv(W, x)
             z = dtrmv(W, y, trans=1)
-            rho, previous = float(y @ y), rho
+            rho = float(y @ y)
             lam_low = max(lam_low, rho)
             if trace - rho < rho:
                 r = z - rho * x
                 lam_high = min(lam_high, rho + float(r @ r) / (2.0 * rho - trace))
-            rise = max(rho - previous, 0.0)
-            stalled = steps > 1 and 2.0 * (rho + (_POWER_STEPS - steps) * rise) <= trace
             x = z / math.sqrt(float(z @ z))
         low, high = 1.0 / math.sqrt(lam_high), 1.0 / math.sqrt(lam_low)
         if low - margin > tolerance and not any(low - margin <= c <= high + margin for c in scaled):
@@ -534,8 +508,6 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
             return _Certified(0, steps, "tolerance")
         if any(high - margin <= c <= low + margin for c in scaled):
             return _Certified(0, steps, "cut")
-        if not kato_temple or stalled:
-            return _Certified(0, steps, "early")
     return _Certified(0, _POWER_STEPS, "cap")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding, number
+from .errors import InvalidInputError, decoding, known_keys, number
 
 KINDS = (
     "gaussian",
@@ -92,9 +92,7 @@ class RowDistribution:
     @classmethod
     def from_dict(cls, d: dict) -> "RowDistribution":
         with decoding("row distribution"):
-            unknown = sorted(set(d.keys()) - {"kind"})
-            if unknown:
-                raise InvalidInputError(f"row distribution: unknown keys {unknown}")
+            known_keys(d, ("kind",), "row distribution")
             return cls(kind=d["kind"])
 
 
@@ -126,6 +124,16 @@ def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:
         radii = math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n)
         return directions * radii[:, None]
     raise InvalidInputError(f"unknown distribution kind {dist.kind!r}")
+
+
+# The document keys of each shift kind besides "kind".
+_SHIFT_KEYS = {
+    "zero": (),
+    "scaled_identity": ("tau",),
+    "diagonal": ("values",),
+    "explicit": ("entries",),
+    "counterexample": ("tau",),
+}
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,9 @@ class ShiftSpec:
     def from_dict(cls, d: dict) -> "ShiftSpec":
         with decoding("shift"):
             kind = d["kind"]
+            if kind not in _SHIFT_KEYS:
+                raise InvalidInputError(f"unknown shift kind {kind!r}")
+            known_keys(d, ("kind",) + _SHIFT_KEYS[kind], "shift")
             if kind == "zero":
                 return cls.zero()
             if kind == "scaled_identity":
@@ -198,9 +209,7 @@ class ShiftSpec:
                 return cls.diagonal(number(v) for v in d["values"])
             if kind == "explicit":
                 return cls.explicit([[number(v) for v in row] for row in d["entries"]])
-            if kind == "counterexample":
-                return cls.counterexample(number(d["tau"]))
-            raise InvalidInputError(f"unknown shift kind {kind!r}")
+            return cls.counterexample(number(d["tau"]))
 
 
 def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:

@@ -116,6 +116,8 @@ class TestDispatch:
             '{"dist": {"kind": "gaussian"}, "shift": {"kind": "zero"}, "n": "five", '
             '"trials": 10, "t_grid": [0.1], "master_seed": 1, "statistic": {"kind": "smin_scaled"}}',
             '{"n": 5',
+            '{"dist": {"kind": "gaussian"}, "shift": {"kind": "zero"}, "n": 5, "trails": 10, '
+            '"trials": 10, "t_grid": [0.1], "master_seed": 1, "statistic": {"kind": "smin_scaled"}}',
         ],
     )
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text):

@@ -635,6 +635,80 @@ class TestOneFactorizationOracle:
         assert comb.q_sets(B, *args) == oracle_q_sets(B, *args)
 
 
+# as in test_linalg: scales whose row norms leave _SAFE_RANGE
+EXTREME_SCALES = (1e200, 1e-200, 2.0**600, 2.0**-600)
+
+
+def shifted_rows(A, M, i):
+    """``A + M`` with row ``i`` replaced by ``M[i]``: the matrix whose
+    triples ``build_graph_G_tilde`` measures."""
+    B = A + M
+    B[i] = M[i]
+    return B
+
+
+class TestGraphTildeOracle:
+    """The offset graph, read from one factorization of ``A + M`` with row
+    ``i`` replaced by ``M[i]``, against the per-triple SVD oracle where that
+    matrix or ``A + M`` is singular or nearly so."""
+
+    OFFSETS = (0.0, 0.3, 1.0)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_zero_row_of_the_shift(self, n):
+        rng = np.random.default_rng(40 + n)
+        A, M = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        for i in range(n):
+            Mi = M.copy()
+            Mi[i] = 0.0
+            assert not la._factor(shifted_rows(A, Mi, i)[None]).ok[0]
+            for offset in self.OFFSETS:
+                assert comb.build_graph_G_tilde(A, Mi, i, offset) == oracle_graph_G_tilde(A, Mi, i, offset)
+
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shift_row_at_the_rank_tolerance(self, factor, seed):
+        # row 0 of the factored matrix comes first, so its |R_00| is norm(M[0])
+        n, i = 6, 0
+        rng = np.random.default_rng(seed)
+        A, M = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        A[i] = -M[i]  # keeps the largest row norm of the factored matrix fixed
+        scale = float(np.max(np.linalg.norm(A + M, axis=1)))
+        M[i] *= factor * la.RANK_RTOL * scale / np.linalg.norm(M[i])
+        A[i] = rng.standard_normal(n)
+        assert la._factor(shifted_rows(A, M, i)[None]).ok[0] == (factor > 1.0)
+        for offset in self.OFFSETS:
+            assert comb.build_graph_G_tilde(A, M, i, offset) == oracle_graph_G_tilde(A, M, i, offset)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_sum_with_a_regular_factored_matrix(self, seed):
+        n = 6
+        rng = np.random.default_rng(50 + seed)
+        A, M = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        for i in range(n):
+            Ai = A.copy()
+            Ai[i] = (A + M)[(i + 1) % n] - M[i]  # row i of A + M repeats the next row
+            assert not la._factor((Ai + M)[None]).ok[0]
+            assert la._factor(shifted_rows(Ai, M, i)[None]).ok[0]
+            for offset in self.OFFSETS:
+                assert comb.build_graph_G_tilde(Ai, M, i, offset) == oracle_graph_G_tilde(Ai, M, i, offset)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", EXTREME_SCALES)
+    def test_extreme_scales(self, c):
+        n = 7
+        rng = np.random.default_rng(60)
+        A, M = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        zero_row = M.copy()
+        zero_row[2] = 0.0
+        for shift in (M, zero_row):
+            for i in range(n):
+                for offset in self.OFFSETS:
+                    g = comb.build_graph_G_tilde(A, shift, i, offset)
+                    assert g == oracle_graph_G_tilde(A, shift, i, offset)
+                    assert comb.build_graph_G_tilde(c * A, c * shift, i, c * offset) == g
+
+
 def test_triple_property_on_sign_matrices():
     # exact ties are common here; each triple is measured in ascending order
     # by one kernel, so the three graphs still compare the same numbers

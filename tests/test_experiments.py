@@ -1,5 +1,6 @@
 import csv
 import functools
+import json
 import math
 import pickle
 import sys
@@ -161,6 +162,20 @@ class TestExperimentConfig:
     )
     def test_wrong_type_rejected(self, overrides):
         with pytest.raises(InvalidInputError):
+            ex.ExperimentConfig.from_dict(config_dict(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trails": 50},
+            {"shift": {"kind": "zero", "tau": 3}},
+            {"shift": {"kind": "scaled_identity", "tau": 3.0, "values": [1.0]}},
+            {"statistic": {"kind": "smin_scaled", "K": 2}},
+            {"statistic": {"kind": "distance_profile", "k": 2, "a": 0.5, "b": 1.0}},
+        ],
+    )
+    def test_unknown_keys_rejected(self, overrides):
+        with pytest.raises(InvalidInputError, match="unknown keys"):
             ex.ExperimentConfig.from_dict(config_dict(**overrides))
 
     @pytest.mark.parametrize("text", ["{not json", "[]", "null", '{"n": 5}'])
@@ -603,6 +618,22 @@ class TestEmitResults:
             ex.TailEstimate.from_json('{"config": {}, "points": [], "wall_time": 0.0}')
         with pytest.raises(InvalidInputError):
             ex.TailEstimate.from_json("")
+
+    def test_unknown_estimate_key_rejected(self):
+        d = ex.estimate_tail(make_config(trials=5)).to_dict()
+        d["wall_seconds"] = 1.0
+        with pytest.raises(InvalidInputError, match="unknown keys"):
+            ex.TailEstimate.from_dict(d)
+
+    def test_json_keys_in_their_written_order(self):
+        est = ex.estimate_tail(make_config(trials=25))
+        points = [
+            {"t": p.t, "hits": p.hits, "trials": p.trials, "p_hat": p.p_hat,
+             "ci_low": p.ci_low, "ci_high": p.ci_high}
+            for p in est.points
+        ]
+        doc = {"config": est.config.to_dict(), "wall_time": est.wall_time, "points": points}
+        assert est.to_json() == json.dumps(doc, indent=2)
 
     def test_bad_format(self, tmp_path):
         est = ex.estimate_tail(make_config(t_grid=()))

@@ -362,10 +362,9 @@ def test_row_profile_fallback_is_dist_to_span(family, c):
     np.testing.assert_array_equal(la._row_profile(X[None])[0], ref)
 
 
-def set_distances(B, sets, x=None):
+def set_distances(B, sets):
     """``_set_distances`` of one matrix, a stack of one."""
-    out = la._set_distances(np.asarray(B)[None], sets, None if x is None else np.asarray(x)[None])
-    return out[0] if x is None else (out[0][0], out[1][0])
+    return la._set_distances(np.asarray(B)[None], sets)[0]
 
 
 def mixed_stack(n, seed=0):
@@ -407,17 +406,9 @@ class TestStackedKernels:
     @pytest.mark.parametrize("n, k", [(3, 3), (6, 2), (9, 3), (12, 3)])
     def test_set_distances(self, n, k):
         stack = mixed_stack(n, 10 * n + k)
-        scales = np.logspace(-250, 250, len(stack))[:, None]
-        x = np.random.default_rng(n).standard_normal((len(stack), n)) * scales
         sets = all_sets(n, k)
-        d = la._set_distances(stack, sets)
-        d_with, d_x = la._set_distances(stack, sets, x)
-        np.testing.assert_array_equal(d_with, d)
-        for member, v, got, got_x in zip(stack, x, d, d_x):
+        for member, got in zip(stack, la._set_distances(stack, sets)):
             np.testing.assert_array_equal(got, set_distances(member, sets))
-            want, want_x = set_distances(member, sets, v)
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got_x, want_x)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 12, 50])
     def test_extremes(self, n):
@@ -447,16 +438,13 @@ def one_matrix_extremes(A):
     return float(np.ldexp(s[-1], e)), s_max, float(np.ldexp(np.sqrt(np.sum(s**-2.0)), -e))
 
 
-def per_set_oracle(A, sets, x=None):
+def per_set_oracle(A, sets):
     """Complement distances set by set, each from its own SVD of the rows
     outside the set: the path every set took before the batched kernel,
     written with the public primitives only."""
     A = np.asarray(A, dtype=float)
     bases = [la.span_basis(np.delete(A, S, axis=0)) for S in sets]
-    d = np.array([[la.residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
-    if x is None:
-        return d
-    return d, np.array([la.residual_norm(x, basis) for basis in bases])
+    return np.array([[la.residual_norm(A[m], basis) for m in S] for S, basis in zip(sets, bases)])
 
 
 @contextmanager
@@ -466,9 +454,9 @@ def counting_set_fallback():
     calls = []
     primitive = la._svd_distances
 
-    def counting(A, sets, x=None):
+    def counting(A, sets):
         calls.extend(1 for _ in sets)
-        return primitive(A, sets, x)
+        return primitive(A, sets)
 
     la._svd_distances = counting
     try:
@@ -493,15 +481,12 @@ class TestSetDistancesOracle:
     def test_gaussian(self, seed, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
         rng = np.random.default_rng(seed)
-        B, x = rng.standard_normal((n, n)), rng.standard_normal(n)
+        B = rng.standard_normal((n, n))
         sets = all_sets(n, k)
         with counting_set_fallback() as calls:
-            d, dx = set_distances(B, sets, x)
+            d = set_distances(B, sets)
         assert not calls
-        ref, ref_x = per_set_oracle(B, sets, x)
-        np.testing.assert_allclose(d, ref, rtol=1e-10)
-        np.testing.assert_allclose(dx, ref_x, rtol=1e-10, atol=1e-12)
-        np.testing.assert_array_equal(set_distances(B, sets), d)
+        np.testing.assert_allclose(d, per_set_oracle(B, sets), rtol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(3, 10))
@@ -539,13 +524,10 @@ class TestSetDistancesOracle:
         low_rank = rng.standard_normal((7, 5)) @ rng.standard_normal((5, 7))
         for B in (repeated, low_rank, np.zeros((4, 4))):
             sets = all_sets(B.shape[0], 3)
-            x = rng.standard_normal(B.shape[0])
             with counting_set_fallback() as calls:
-                d, dx = set_distances(B, sets, x)
+                d = set_distances(B, sets)
             assert len(calls) == len(sets)
-            ref, ref_x = per_set_oracle(B, sets, x)
-            np.testing.assert_array_equal(d, ref)
-            np.testing.assert_array_equal(dx, ref_x)
+            np.testing.assert_array_equal(d, per_set_oracle(B, sets))
 
     @pytest.mark.parametrize("factor", [1.001, 0.999])
     def test_near_singular_at_the_tolerance(self, factor):
@@ -564,12 +546,9 @@ class TestSetDistancesOracle:
     @pytest.mark.parametrize("c", EXTREME_SCALES)
     def test_homogeneous(self, c):
         B = TestExtremeScales.B[:9, :9]
-        x = TestExtremeScales.B[9, :9]
         sets = all_sets(9, 3)
-        d, dx = set_distances(B, sets, x)
-        got, got_x = set_distances(c * B, sets, c * x)
-        np.testing.assert_allclose(got, c * d, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got_x, c * dx, rtol=1e-12, atol=0)
+        got = set_distances(c * B, sets)
+        np.testing.assert_allclose(got, c * set_distances(B, sets), rtol=1e-12, atol=0)
         singular = B.copy()
         singular[3] = singular[7]
         with counting_set_fallback() as calls:
@@ -852,16 +831,16 @@ class TestCertifiedOracle:
         assert got[0] == (0, 0, "") and got[5].steps > 0 and got[6].steps > 0
         assert not any(g.fallback for g in got[5:])
 
-    def test_nearly_coincident_top_ends_early(self):
+    def test_nearly_coincident_top_takes_the_svd_at_the_cap(self):
         # criterion 02 trial 1665: the two smallest singular values lie within
         # 1.4% of each other, so rho rises by about 1 in 2700 per step and
-        # stays below trace / 2 for all 32 steps; at its rise after step 3 it
-        # cannot pass trace / 2 before the cap, so the trial takes the SVD then
+        # stays below trace / 2, where no Kato-Temple bound forms, until the
+        # cap; the trial then takes the SVD
         n = 200
         grid = CRITERION_GRIDS[0]
         B = sample_matrix(RowDistribution("gaussian"), n, SeedSpec(20260810, 1665))
         got = la._certified(B, True, grid, math.sqrt(n))
-        assert got.fallback == "early" and 2 <= got.steps < la._POWER_STEPS
+        assert got.fallback == "cap" and got.steps == la._POWER_STEPS
         assert got.hits == svd_hits(B, True, [t / math.sqrt(n) for t in grid]) == 5
 
     @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 2e-12])
@@ -971,7 +950,7 @@ class TestCertifiedOracle:
         shape=st.sampled_from(["gaussian", "sign", "clustered", "diagonal"]),
         offset=st.sampled_from([1e-6, 1e-2, 0.5]),
     )
-    def test_early_exit_only_when_certification_is_impossible(self, seed, n, shape, offset):
+    def test_cuts_close_to_the_value_match_the_svd(self, seed, n, shape, offset):
         rng = np.random.default_rng(seed)
         if shape == "gaussian":
             B = rng.standard_normal((n, n))
@@ -983,13 +962,4 @@ class TestCertifiedOracle:
             B = np.diag(rng.uniform(1.0, 3.0, n))
         s_min = la._extremes(B)[0]
         cuts = (s_min * (1.0 - offset), s_min * (1.0 + offset))
-        got = la._certified(B, True, cuts)
-        assert got.hits == svd_hits(B, True, cuts)
-        if got.fallback == "early" and got.steps == 0:
-            # lambda_1 of W^T W is 1 / s_min^2, its trace sum(sigma^-2)
-            s = np.linalg.svd(B, compute_uv=False)
-            assert s[-1] ** -2.0 <= 0.5 * np.sum(s**-2.0) * (1.0 + 1e-9)
-        elif got.fallback == "early":
-            # rho needs a last rise, so two steps, to tell it cannot pass
-            # trace / 2 before the cap
-            assert 2 <= got.steps < la._POWER_STEPS
+        assert la._certified(B, True, cuts).hits == svd_hits(B, True, cuts)

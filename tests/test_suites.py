@@ -277,8 +277,8 @@ def fail_q_sets_of_even_n(monkeypatch):
 
 
 def fail_graphs_of_odd_n(monkeypatch):
-    def chosen(n, sets, d, i, lhs=None):
-        return combinatorics.Graph.empty(n) if n % 2 else compared(n, sets, d, i, lhs)
+    def chosen(n, sets, d, i, offset=0.0):
+        return combinatorics.Graph.empty(n) if n % 2 else compared(n, sets, d, i, offset)
 
     compared = combinatorics._compared
     monkeypatch.setattr(combinatorics, "_compared", chosen)

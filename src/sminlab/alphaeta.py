@@ -25,6 +25,9 @@ budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
 and larger requests are rejected rather than subsampled.  Section
 quantities of coordinate ``i`` are computed on the section shape, with
 ``size / shape[i]`` entries, and read only at the atoms that need them.
+Each label's table is one ``np.einsum`` over the labels viewed as
+``(before i, along i, after i)``; einsum without ``optimize`` calls no
+BLAS, so the report does not depend on the BLAS thread count.
 
 A structure keeps each assignment in the form it was given.  A constant
 class label is one integer for its coordinate, and so is a constant cell
@@ -45,14 +48,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidInputError, decoding, integer, number
-from .linalg import _single_thread_blas
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -61,12 +63,6 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 CUBE_ENUMERATION_BUDGET = 4 * 10**6
 
 _PROB_ATOL = 1e-12
-
-# Lines per section-table chunk.  OpenBLAS's dgemv sums lines four at a time
-# and the remainder one at a time, with other bits; a multiple of 64 keeps
-# every line in the group it has in one dgemv over the whole table, so the
-# chunks give that call's bits on one BLAS thread.
-_CHUNK_LINES = 4096
 
 
 class DiscreteProductSpace:
@@ -80,6 +76,14 @@ class DiscreteProductSpace:
     def __init__(self, factors, budget: int = DEFAULT_ENUMERATION_BUDGET):
         try:
             budget = integer(budget)
+            factors = [p if isinstance(p, Sized) else list(p) for p in factors]
+            # from the lengths, before any entry is read; Python integers: an
+            # int64 product wraps past 2**63
+            size = math.prod(len(p) for p in factors)
+            if size > budget:
+                raise InvalidInputError(
+                    f"product has {size} atoms, exceeding the enumeration budget {budget}"
+                )
             self.factors = [np.array([number(v) for v in p], dtype=float) for p in factors]
         except TypeError as exc:
             raise InvalidInputError(
@@ -97,12 +101,7 @@ class DiscreteProductSpace:
             if abs(float(p.sum()) - 1.0) > _PROB_ATOL:
                 raise InvalidInputError(f"factor {idx} probabilities sum to {p.sum()!r}, not 1")
         self.shape = tuple(p.size for p in self.factors)
-        # Python integers: an int64 product wraps past 2**63
-        self.size = math.prod(self.shape)
-        if self.size > budget:
-            raise InvalidInputError(
-                f"product has {self.size} atoms, exceeding the enumeration budget {budget}"
-            )
+        self.size = size
         self.budget = budget
         self._strides = tuple(math.prod(self.shape[i + 1 :]) for i in range(self.n))
 
@@ -384,20 +383,11 @@ class AlphaEtaStructure:
         """Row ``k``: for each point of the other coordinates (C order), the
         probability of the atoms labelled ``values[k]`` on the coordinate-``i``
         line through it."""
-        m = self.space.shape[i]
-        # one row per line along coordinate i, the (lines, shape[i]) layout that
-        # np.tensordot contracts: the same BLAS sums as a tensordot over axis i
-        lines = np.moveaxis(labels.reshape(self.space.shape), i, -1).reshape(-1, m)
+        shape = self.space.shape
+        # (before i, along i, after i): the lines come out in section order
+        grid = labels.reshape(math.prod(shape[:i]), shape[i], -1)
         f = self.space.factors[i]
-        table = np.empty((len(values), len(lines)))
-        start = 0
-        while start < len(lines):
-            # a one-line chunk would go to ddot, not dgemv: the last chunk takes it
-            stop = start + _CHUNK_LINES if len(lines) - start > _CHUNK_LINES + 1 else len(lines)
-            for row, value in zip(table, values):
-                row[start:stop] = np.dot(lines[start:stop] == value, f)
-            start = stop
-        return table
+        return np.array([np.einsum("ajb,j->ab", grid == value, f).reshape(-1) for value in values])
 
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
@@ -407,51 +397,51 @@ class AlphaEtaStructure:
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
         kept as a guard).  ``eta`` and the cell sections are computed on the
-        section shape, on one BLAS thread, and read at the event atoms only.
+        section shape, one BLAS-free contraction per label
+        (:meth:`_section_table`), and read at the event atoms only.
         """
-        with _single_thread_blas:
-            sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
-            rhs = float(len(self.psi) ** 2 * len(self.lam))
-            flat = np.flatnonzero(self._event_mask)
-            if not flat.size:
-                return AlphaRhoReport(
-                    lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
-                )
-            ratio_sum = np.zeros(flat.size)
-            for i in range(self.n):
-                stride = self.space._strides[i]
-                # section index of each event atom: its flat index with coordinate i dropped
-                section = flat // (stride * self.space.shape[i]) * stride + flat % stride
-                classes = self._classes[i]
-                if isinstance(classes, np.ndarray):
-                    eta_table = self._section_table(i, classes, range(len(self.psi)))
-                    # argmax with ties towards the largest index: scan reversed order
-                    eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
-                    sharp_eta = sharp_vec[eta_idx][section]
-                else:
-                    # the constant label's section is the whole line, every other one is empty
-                    sharp_eta = sharp_vec[classes]
-                if np.any(sharp_eta == 0):
-                    raise InvalidInputError(
-                        f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
-                    )
-                cells = self._cells[i]
-                if isinstance(cells, np.ndarray):
-                    cell_table = self._section_table(i, cells, range(len(self.lam)))
-                    cell_section = cell_table[cells[flat], section]
-                else:
-                    # the constant cell is the event: its table is the event mask's
-                    cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
-                ratio_sum += 1.0 / cell_section / sharp_eta
-            probs = self.space._probabilities(flat)
-            lhs = float(np.sum(probs * ratio_sum))
+        sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
+        rhs = float(len(self.psi) ** 2 * len(self.lam))
+        flat = np.flatnonzero(self._event_mask)
+        if not flat.size:
             return AlphaRhoReport(
-                lhs=lhs,
-                rhs=rhs,
-                holds=bool(lhs <= rhs + 1e-9),
-                min_ratio_sum=float(ratio_sum.min()),
-                event_probability=float(probs.sum()),
+                lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
             )
+        ratio_sum = np.zeros(flat.size)
+        for i in range(self.n):
+            stride = self.space._strides[i]
+            # section index of each event atom: its flat index with coordinate i dropped
+            section = flat // (stride * self.space.shape[i]) * stride + flat % stride
+            classes = self._classes[i]
+            if isinstance(classes, np.ndarray):
+                eta_table = self._section_table(i, classes, range(len(self.psi)))
+                # argmax with ties towards the largest index: scan reversed order
+                eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
+                sharp_eta = sharp_vec[eta_idx][section]
+            else:
+                # the constant label's section is the whole line, every other one is empty
+                sharp_eta = sharp_vec[classes]
+            if np.any(sharp_eta == 0):
+                raise InvalidInputError(
+                    f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
+                )
+            cells = self._cells[i]
+            if isinstance(cells, np.ndarray):
+                cell_table = self._section_table(i, cells, range(len(self.lam)))
+                cell_section = cell_table[cells[flat], section]
+            else:
+                # the constant cell is the event: its table is the event mask's
+                cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
+            ratio_sum += 1.0 / cell_section / sharp_eta
+        probs = self.space._probabilities(flat)
+        lhs = float(np.sum(probs * ratio_sum))
+        return AlphaRhoReport(
+            lhs=lhs,
+            rhs=rhs,
+            holds=bool(lhs <= rhs + 1e-9),
+            min_ratio_sum=float(ratio_sum.min()),
+            event_probability=float(probs.sum()),
+        )
 
     # -- serialization ----------------------------------------------------
 

@@ -40,10 +40,9 @@ overflow or underflow by an exact power of two.
 
 BLAS thread counts are process-wide.  ``_single_thread_blas`` runs the
 OpenBLAS copies bundled with numpy and scipy on one thread, then restores
-their counts.  ``experiments.map_trials`` runs under it so that trial
-workers do not compete with BLAS threads, and ``alphaeta`` runs
-``verify_alpharho`` under it because a ``dgemv`` split between threads
-sums in another order, which changes the report's last bits.
+their counts.  It serves the Monte Carlo trials only:
+``experiments.map_trials`` runs under it so that trial workers do not
+compete with BLAS threads.
 """
 
 from __future__ import annotations
@@ -574,7 +573,8 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int]
 
 
 class _SingleThreadBlas:
-    """Context manager that runs every bundled OpenBLAS on one thread.
+    """Context manager that runs every bundled OpenBLAS on one thread, for
+    the Monte Carlo trials of ``experiments.map_trials``, its only user.
 
     Trial workers already use every core, and a BLAS that starts threads
     of its own inside each of them oversubscribes the machine.  BLAS

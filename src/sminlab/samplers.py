@@ -150,6 +150,15 @@ class ShiftSpec:
     values: tuple[float, ...] | None = None
     entries: tuple[tuple[float, ...], ...] | None = None
 
+    def __post_init__(self):
+        # exactly the fields of the kind: to_dict then writes what from_dict reads
+        if not isinstance(self.kind, str) or self.kind not in _SHIFT_KEYS:
+            raise InvalidInputError(f"unknown shift kind {self.kind!r}")
+        keys = _SHIFT_KEYS[self.kind]
+        given = tuple(key for key in ("tau", "values", "entries") if getattr(self, key) is not None)
+        if given != keys:
+            raise InvalidInputError(f"a {self.kind} shift takes {list(keys)}, not {list(given)}")
+
     @classmethod
     def zero(cls) -> "ShiftSpec":
         return cls(kind="zero")
@@ -235,13 +244,12 @@ def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:
         if M.shape != (n, n):
             raise InvalidInputError(f"explicit shift has shape {M.shape}, expected {(n, n)}")
         return M
-    if spec.kind == "counterexample":
-        if n < 3:
-            raise InvalidInputError("counterexample shift needs n >= 3")
-        d = np.full(n, float(spec.tau))
-        d[-2:] = 0.0
-        return np.diag(d)
-    raise InvalidInputError(f"unknown shift kind {spec.kind!r}")
+    # the one kind left: counterexample
+    if n < 3:
+        raise InvalidInputError("counterexample shift needs n >= 3")
+    d = np.full(n, float(spec.tau))
+    d[-2:] = 0.0
+    return np.diag(d)
 
 
 def counterexample_witness(B, tau: float) -> np.ndarray:

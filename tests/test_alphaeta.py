@@ -141,22 +141,24 @@ def sharp_definitional(full, psi_label):
     return n
 
 
+def line_sums(space, i, member):
+    """Probability of ``member`` (one entry per atom) on every line along
+    coordinate ``i``, as an ``(atoms before i, atoms after i)`` array: the
+    contraction ``verify_alpharho`` sums its sections with."""
+    shape = space.shape
+    grid = member.reshape(math.prod(shape[:i]), shape[i], -1)
+    return np.einsum("ajb,j->ab", grid, space.factors[i])
+
+
 def full_space_report(full):
     """``verify_alpharho`` evaluated on the full space: every section
-    probability is broadcast back to all atoms before it is read.  BLAS
-    runs on one thread, as in ``verify_alpharho``."""
-    with linalg._single_thread_blas:
-        return _full_space_report(full)
-
-
-def _full_space_report(full):
+    probability is broadcast back to all atoms before it is read."""
     space = full.space
 
     def section_broadcast(i, member):
-        arr = member.reshape(space.shape)
-        sec = np.tensordot(arr, space.factors[i], axes=([i], [0]))
-        sec = np.expand_dims(sec, i)
-        return np.ravel(np.broadcast_to(sec, space.shape))
+        shape = space.shape
+        sec = line_sums(space, i, member).reshape(shape[:i] + (1,) + shape[i + 1 :])
+        return np.ravel(np.broadcast_to(sec, shape))
 
     def eta_indices(i):
         stacked = np.empty((len(full.psi), space.size))
@@ -381,10 +383,7 @@ class TestCompactForms:
         assert_queries_match_loops(struct, full, space.atoms())
 
     def test_tables_of_many_lines_match_full_space(self):
-        # 2 * 4096 + 1 lines along coordinate 1: the chunks are 4096 and 4097
-        # lines, never a last one of one line, for which np.dot calls ddot,
-        # whose bits differ.  One BLAS thread: a whole-table dgemv split
-        # between threads at an odd line has other bits at the split.
+        # 8193 lines along coordinate 1, read in section order
         rng = np.random.default_rng(5)
         raw = rng.random(40) + 0.1
         space = ae.DiscreteProductSpace([np.full(8193, 1 / 8193), raw / raw.sum()])
@@ -392,17 +391,16 @@ class TestCompactForms:
         event = rng.random(space.size) < 0.5
         cells = [1, rng.integers(1, 3, space.size)]
         struct, full = build((space, [1, 2], [1, 2], classes, event, cells))
-        with linalg._single_thread_blas:
-            table = struct._section_table(1, struct._cells[1], range(2))
-            for lidx in range(2):
-                member = (full.cell_idx[1] == lidx).reshape(space.shape).astype(float)
-                assert np.array_equal(table[lidx], np.tensordot(member, space.factors[1], axes=([1], [0])))
+        table = struct._section_table(1, struct._cells[1], range(2))
+        for lidx in range(2):
+            member = (full.cell_idx[1] == lidx).astype(float)
+            assert np.array_equal(table[lidx], line_sums(space, 1, member).reshape(-1))
         assert_same_report(struct.verify_alpharho(), full_space_report(full))
 
     def test_report_independent_of_the_callers_blas_threads(self, blas_at_two_threads):
-        # 10804 lines of 196 entries: on two threads OpenBLAS splits the last
-        # chunk's dgemv at a line that is not a multiple of four, and the
-        # lines at the split are summed in another order
+        # 10804 lines of 196 entries: a dgemv over this table on two OpenBLAS
+        # threads splits it at a line that is not a multiple of four, and
+        # sums the lines at the split in another order
         rng = np.random.default_rng(0)
         raw = rng.random(196) + 0.05
         space = ae.DiscreteProductSpace(
@@ -416,6 +414,20 @@ class TestCompactForms:
             at_one = struct.verify_alpharho()
         assert [get() for get, _ in blas_at_two_threads] == [2, 2]
         assert_same_report(at_two, at_one)
+
+    def test_more_coordinates_than_einsum_subscripts(self):
+        # 61 coordinates: a subscript per coordinate would exceed einsum's 52
+        rng = np.random.default_rng(61)
+        space = ae.DiscreteProductSpace([[1.0]] * 30 + [[0.25, 0.75]] + [[1.0]] * 30)
+        classes = [rng.integers(1, 4, 2) for _ in range(61)]
+        cells = [rng.integers(1, 3, 2) for _ in range(61)]
+        inputs = (space, [1, 2, 3], [1, 2], classes, np.array([True, True]), cells)
+        struct, full = build(inputs)
+        report = struct.verify_alpharho()
+        assert_same_report(report, full_space_report(full))
+        assert report.lhs == float.fromhex("0x1.625ec8f3c2f55p+1")
+        assert report.min_ratio_sum == float.fromhex("0x1.5cf5931cf5930p+1")
+        assert (report.event_probability, report.rhs, report.holds) == (1.0, 18.0, True)
 
     def test_queries_at_sampled_cube_atoms(self):
         cube, [(_, full)] = built_with_full(ae.cube_example_structure, 4, 10.0, 40)
@@ -478,6 +490,13 @@ class TestDiscreteProductSpace:
         # 2**64 and 2**63 atoms: an int64 product wraps to 0 and -2**63
         with pytest.raises(InvalidInputError, match=f"{m**n} atoms, exceeding the enumeration budget"):
             ae.DiscreteProductSpace([np.full(m, 1.0 / m)] * n)
+
+    def test_budget_is_checked_from_the_lengths_before_the_entries(self):
+        with pytest.raises(InvalidInputError, match="8 atoms, exceeding the enumeration budget 7"):
+            ae.DiscreteProductSpace([["not a number"] * 2] * 3, budget=7)
+        for factor in ([0.25, 0.75], (0.25, 0.75), np.array([0.25, 0.75]), iter([0.25, 0.75])):
+            space = ae.DiscreteProductSpace([factor, (v for v in [0.5, 0.5])], budget=4)
+            assert space.shape == (2, 2) and space.factors[0].tolist() == [0.25, 0.75]
 
     def test_size_and_strides_are_python_integers(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25] * 4, [1.0]])

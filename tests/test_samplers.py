@@ -183,6 +183,21 @@ class TestBuildShift:
         ):
             assert ShiftSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("zero", {"tau": 3.0}),
+            ("diagonal", {"values": (1.0,), "tau": 1.0}),
+            ("scaled_identity", {}),
+            ("explicit", {"values": (1.0,)}),
+            ("affine", {}),
+            (["zero"], {}),
+        ],
+    )
+    def test_constructor_takes_exactly_the_fields_of_its_kind(self, kind, fields):
+        with pytest.raises(InvalidInputError):
+            ShiftSpec(kind, **fields)
+
 
 class TestCounterexampleWitness:
     def test_all_ones(self):

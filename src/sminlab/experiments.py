@@ -17,12 +17,11 @@ stacked SVD its counterexample trials.  A stack holds at most
 n = 200, which stays a stack of one; n = 100 trials go up to four and
 n = 50 trials up to sixteen to a stack.  The reason is the interpreter
 lock that the trial threads share.  Every short numpy call of a trial
-needs it, and so does part of scipy's ``dtrtri`` wrapper, so per-trial
-kernels hand the lock from thread to thread many times per trial and
-two threads can be slower than one.  A numpy linalg call over a stack
-takes the lock once for the whole stack.  On a 2-vCPU Xeon with OpenBLAS
-on one thread, a probe thread stalled 7.1 ms across an 18 ms ``dtrtri``
-of n = 600 and at most 0.3 ms across ``dgeqrf`` and ``np.linalg.svd``;
+needs it, so per-trial kernels hand the lock from thread to thread many
+times per trial and two threads can be slower than one.  A numpy linalg
+call over a stack takes the lock once for the whole stack, and the
+LAPACK calls of ``linalg._factor`` go through ``ctypes``, which releases
+it for the whole call.  On a 2-vCPU Xeon with OpenBLAS on one thread,
 400 SVDs of n = 50 took 107 ms on one thread and 120 ms on two as single
 calls, and 98 ms and 56 ms as stacks of 25.
 
@@ -136,6 +135,9 @@ class Statistic:
                 f"unknown statistic {self.kind!r}; choose from {STATISTIC_KINDS}"
             )
         if self.kind == "distance_profile":
+            if self.k is not None:
+                with decoding("k"):
+                    object.__setattr__(self, "k", integer(self.k))
             if self.k is None or self.k < 1:
                 raise InvalidInputError("distance_profile needs a cardinality k >= 1")
             if self.a is not None and not self.a > 0:
@@ -203,6 +205,9 @@ class ExperimentConfig:
     statistic: Statistic = field(default_factory=Statistic.smin_scaled)
 
     def __post_init__(self):
+        for name in ("n", "trials", "master_seed"):
+            with decoding(name):
+                object.__setattr__(self, name, integer(getattr(self, name)))
         if self.n < 1:
             raise InvalidInputError("n must be a positive integer")
         SeedSpec(self.master_seed)  # rejects a seed outside [0, 2**64)

@@ -38,9 +38,14 @@ stacking trials changes no count.  Every kernel takes its rank scale
 from :func:`_scaled`, which also rescales a matrix whose row norms would
 overflow or underflow by an exact power of two.
 
-BLAS thread counts are process-wide.  ``_single_thread_blas`` runs the
-OpenBLAS copies bundled with numpy and scipy on one thread, then restores
-their counts.  It serves the Monte Carlo trials only:
+Every BLAS and LAPACK call goes to the one OpenBLAS that numpy bundles
+and loads (``numpy.libs/libscipy_openblas64_*.so``, numpy >= 2.0): numpy
+itself for the SVDs and products, and, through ``ctypes``, its LAPACK
+``dgeqrf`` and ``dtrtri`` for :func:`_factor`.  Importing this module
+fails with an ``ImportError`` naming the library or the symbol when they
+are missing.  BLAS thread counts are process-wide, and
+``_single_thread_blas`` runs that OpenBLAS on one thread, then restores
+its count.  It serves the Monte Carlo trials only:
 ``experiments.map_trials`` runs under it so that trial workers do not
 compete with BLAS threads.
 """
@@ -50,7 +55,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import importlib
 import math
 import os
 import threading
@@ -59,8 +63,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrmv
-from scipy.linalg.lapack import dgeqrf, dtrtri
 
 from .errors import InvalidInputError
 
@@ -244,19 +246,15 @@ def _factor(X: np.ndarray) -> _Factored:
     if m > d:
         W = np.broadcast_to(np.eye(m), (N, m, m)).copy().transpose(0, 2, 1)
         return _Factored(X, e, scale, W, np.zeros(N, dtype=bool))
-    Rt = np.empty((N, m, m))
-    for k in range(N):
-        Rt[k] = dgeqrf(X[k].T)[0][:m].T
+    Rt = _geqrf(X)
     # R^T is lower triangular, and the transpose of a C-ordered stack has
     # Fortran-ordered members, which trtri inverts in place
     np.copyto(Rt, 0.0, where=~np.tri(m, dtype=bool))
     W = Rt.transpose(0, 2, 1)
     ok = np.abs(np.diagonal(W, axis1=1, axis2=2)).min(axis=1) > RANK_RTOL * scale
-    for k, independent in enumerate(ok.tolist()):
-        if independent:
-            dtrtri(W[k], overwrite_c=1)  # in place: W[k] is Fortran-ordered
-        else:
-            W[k] = np.eye(m)
+    for k in (~ok).nonzero()[0].tolist():
+        W[k] = np.eye(m)
+    _trtri(Rt, ok.nonzero()[0].tolist())
     return _Factored(X, e, scale, W, ok)
 
 
@@ -490,8 +488,8 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
             top = int(np.argmax(rows))
             x = W[top] / math.sqrt(float(rows[top]))
         if steps:
-            y = dtrmv(W, x)
-            z = dtrmv(W, y, trans=1)
+            y = W @ x
+            z = y @ W
             rho = float(y @ y)
             lam_low = max(lam_low, rho)
             if trace - rho < rho:
@@ -541,68 +539,137 @@ def singular_data(B) -> SingularData:
     return SingularData(s_min=s_min, s_max=s_max, hs_inverse=hs, row_distances=row_distances(A))
 
 
-# The OpenBLAS copies bundled with the numpy and scipy wheels: package,
-# sibling library directory, file pattern, thread-count getter and setter.
-# numpy's serves np.linalg (the SVDs); scipy's serves scipy.linalg.lapack
-# (the QR and triangular inverse of row_distances).
-_OPENBLAS = (
-    ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "scipy.libs", "libscipy_openblas-*.so",
-     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
+def _geqrf(X: np.ndarray) -> np.ndarray:
+    """``R^T`` of ``X[k].T = Q R`` for every member of a stack ``X`` of shape
+    ``(N, m, d)``, ``m <= d``, as a C-ordered ``(N, m, m)`` stack whose
+    strictly upper triangles are left over from LAPACK ``dgeqrf``.
+
+    A member of a C-ordered copy of ``X`` is its transpose in Fortran
+    order, which ``dgeqrf`` overwrites in place with ``R`` in its upper
+    triangle, that is ``R^T`` in the lower triangle of the first ``m``
+    columns of the member.  The workspace has the size
+    :func:`_geqrf_work` gives.
+    """
+    F = np.array(X, dtype=np.float64, order="C")
+    N, m, d = F.shape
+    rows, cols, lwork, info = (ctypes.c_int64(v) for v in (d, m, _geqrf_work(d, m), 0))
+    tau, work = np.empty(m), np.empty(lwork.value)
+    # numpy's .ctypes.data costs more than a small dgeqrf: one address per array
+    base, step, tau_at, work_at = F.ctypes.data, F.strides[0], tau.ctypes.data, work.ctypes.data
+    for k in range(N):
+        _BLAS.dgeqrf(rows, cols, base + k * step, rows, tau_at, work_at, lwork, info)
+    if info.value:  # an illegal argument, the same for every member
+        raise RuntimeError(f"LAPACK dgeqrf failed on a ({d}, {m}) matrix: info {info.value}")
+    return np.ascontiguousarray(F[:, :, :m])
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """``(get, set)`` process-wide thread-count functions of every bundled
-    OpenBLAS found; empty under any other BLAS."""
-    controls = []
-    for package, libdir, pattern, getter, setter in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in sorted(glob.glob(os.path.join(site, libdir, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-                get, set_ = getattr(lib, getter), getattr(lib, setter)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
+def _geqrf_work(d: int, m: int) -> int:
+    """The workspace size LAPACK ``dgeqrf`` asks for on a ``(d, m)`` matrix,
+    from a workspace query, which reads no matrix."""
+    rows, cols, lwork, info = (ctypes.c_int64(v) for v in (d, m, -1, 0))
+    size = np.empty(1)
+    _BLAS.dgeqrf(rows, cols, None, rows, None, size.ctypes.data, lwork, info)
+    return max(int(size[0]), 1)
+
+
+def _trtri(Rt: np.ndarray, members: list[int]) -> None:
+    """LAPACK ``dtrtri`` in place on ``R = Rt[k].T``, upper triangular, for
+    each listed member ``k`` of a C-ordered stack ``Rt`` of shape ``(N, m,
+    m)``: ``Rt[k]`` is ``R`` in Fortran order."""
+    if Rt.dtype != np.float64 or not Rt.flags.c_contiguous or Rt.shape[1] != Rt.shape[2]:
+        raise ValueError(f"dtrtri needs a C-ordered float64 stack of square matrices, got "
+                         f"{Rt.dtype} of shape {Rt.shape}")
+    n, info = ctypes.c_int64(Rt.shape[1]), ctypes.c_int64()
+    base, step = Rt.ctypes.data, Rt.strides[0]
+    for k in members:
+        # the trailing 1s are the lengths of the two character arguments
+        _BLAS.dtrtri(b"U", b"N", n, base + k * step, n, info, 1, 1)
+        if info.value:
+            raise RuntimeError(f"LAPACK dtrtri failed on member {k}: info {info.value}")
+
+
+class _OpenBlas(NamedTuple):
+    """The functions of numpy's bundled OpenBLAS that this module calls."""
+
+    dgeqrf: Callable[..., None]
+    dtrtri: Callable[..., None]
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+
+
+# numpy's bundled OpenBLAS: the file pattern in the numpy.libs directory beside
+# the numpy package, and for each _OpenBlas field its symbol, return type and
+# argument types.  The build is ILP64: LAPACK integers are 64 bits, passed by
+# reference as Fortran passes them.
+_OPENBLAS_PATTERN = "libscipy_openblas64_*.so"
+_INT = ctypes.POINTER(ctypes.c_int64)
+_PTR = ctypes.c_void_p
+_OPENBLAS_SYMBOLS = (
+    ("scipy_dgeqrf_64_", None, [_INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT]),
+    ("scipy_dtrtri_64_", None,
+     [ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t]),
+    ("scipy_openblas_get_num_threads64_", ctypes.c_int, []),
+    ("scipy_openblas_set_num_threads64_", None, [ctypes.c_int]),
+)
+
+
+def _load_openblas(pattern: str) -> _OpenBlas:
+    """The :class:`_OpenBlas` functions of the library matching ``pattern``
+    in numpy's ``numpy.libs`` directory, which numpy has already loaded, so
+    this binds the same copy; ``ImportError`` naming the library or the
+    symbol when either is missing."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libdir, pattern)))
+    if not paths:
+        raise ImportError(f"sminlab needs the OpenBLAS bundled with numpy >= 2.0: "
+                          f"no {pattern} in {libdir}")
+    try:
+        lib = ctypes.CDLL(paths[0])
+    except OSError as exc:
+        raise ImportError(f"sminlab cannot load numpy's OpenBLAS {paths[0]}: {exc}") from exc
+    functions = []
+    for symbol, restype, argtypes in _OPENBLAS_SYMBOLS:
+        try:
+            function = getattr(lib, symbol)
+        except AttributeError:
+            raise ImportError(f"sminlab needs {symbol} in numpy's OpenBLAS {paths[0]}") from None
+        function.restype, function.argtypes = restype, argtypes
+        functions.append(function)
+    return _OpenBlas(*functions)
+
+
+_BLAS = _load_openblas(_OPENBLAS_PATTERN)
 
 
 class _SingleThreadBlas:
-    """Context manager that runs every bundled OpenBLAS on one thread, for
-    the Monte Carlo trials of ``experiments.map_trials``, its only user.
+    """Context manager that runs numpy's OpenBLAS on one thread, for the
+    Monte Carlo trials of ``experiments.map_trials``, its only user.
 
     Trial workers already use every core, and a BLAS that starts threads
     of its own inside each of them oversubscribes the machine.  BLAS
     thread counts are process-wide, so this state is too: overlapping
     uses (maps on several Python threads) are counted under a lock, the
-    first to enter saves the counts and the last to leave restores them.
+    first to enter saves the count and the last to leave restores it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._active = 0
-        self._saved: tuple = ()
+        self._saved = 0
 
     def __enter__(self):
         with self._lock:
             if self._active == 0:
-                self._saved = tuple((set_, get()) for get, set_ in _openblas_thread_controls())
-                for set_, _ in self._saved:
-                    set_(1)
+                self._saved = _BLAS.get_num_threads()
+                _BLAS.set_num_threads(1)
             self._active += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._active -= 1
             if self._active == 0:
-                for set_, count in self._saved:
-                    set_(count)
-                self._saved = ()
+                _BLAS.set_num_threads(self._saved)
 
 
 _single_thread_blas = _SingleThreadBlas()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding, known_keys, number
+from .errors import InvalidInputError, decoding, integer, known_keys, number
 
 KINDS = (
     "gaussian",
@@ -52,8 +52,8 @@ class SeedSpec:
     The stream is a pure function of ``(master_seed, trial_index)``:
     both integers key a Philox counter-based generator, so distinct
     trials may be sampled concurrently in any order.  Each is one 64-bit
-    word of the key and must lie in ``[0, 2**64)``, so that no two
-    distinct pairs share a stream.
+    word of the key and must be an integer in ``[0, 2**64)``, so that no
+    two distinct pairs share a stream.
     """
 
     master_seed: int
@@ -62,6 +62,12 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "trial_index"):
             value = getattr(self, name)
+            if type(value) is not int:  # a spec is made per trial: ints take no extra step
+                try:
+                    value = integer(value)
+                except TypeError as exc:
+                    raise InvalidInputError(f"{name}: {exc}") from None
+                object.__setattr__(self, name, value)
             if not 0 <= value <= _MASK64:
                 raise InvalidInputError(f"{name} must lie in [0, 2**64), got {value}")
 

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sminlab
 from sminlab import cli, combinatorics
 from sminlab import experiments as ex
 from sminlab.errors import InvalidInputError
@@ -316,3 +320,18 @@ class TestDispatch:
         )
         assert code == 2
         capsys.readouterr()
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh process: the CLI and one Monte Carlo run load no scipy module
+    script = (
+        "import sys\n"
+        "import sminlab.cli\n"
+        "assert sminlab.cli.main(['tail', '--n', '5', '--trials', '1']) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(sminlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -319,13 +319,20 @@ class TestExtremeScales:
         assert scale == float(np.max(np.linalg.norm(self.B, axis=1)))
 
 
-def old_row_distances(B):
-    """The triangular path of ``row_distances`` as first written, kept to pin
-    its arithmetic: the profile of a square matrix must not change bits."""
+def scipy_inverse_r(B):
+    """``R^-1`` of ``B.T = Q R`` from scipy's LAPACK wrappers, with their
+    default workspace: the oracle of ``_factor``, which calls the same
+    routines in numpy's OpenBLAS."""
     from scipy.linalg.lapack import dgeqrf, dtrtri
 
     R = np.triu(dgeqrf(B.T)[0])
-    return 1.0 / np.linalg.norm(dtrtri(R, overwrite_c=1)[0], axis=1)
+    return dtrtri(R, overwrite_c=1)[0]
+
+
+def old_row_distances(B):
+    """The triangular path of ``row_distances`` as first written, kept to pin
+    its arithmetic: the profile of a square matrix must not change bits."""
+    return 1.0 / np.linalg.norm(scipy_inverse_r(B), axis=1)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 100])
@@ -333,6 +340,50 @@ def test_row_distances_bits_are_pinned(n):
     for seed in range(5):
         B = np.random.default_rng(1000 * n + seed).standard_normal((n, n))
         np.testing.assert_array_equal(la.row_distances(B), old_row_distances(B))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "signs", "near_singular"])
+@pytest.mark.parametrize("n", [150, 200])
+def test_factor_matches_scipy_lapack(n, kind):
+    # Above n = 128 dgeqrf works in blocks whose width follows the workspace,
+    # which _factor sizes as LAPACK asks and scipy's wrapper to 3n, so the
+    # bits may differ: W = R^-1 must agree to within n * eps * cond(B) in
+    # the Frobenius norm (seen at most 0.17 eps * cond(B) on these inputs)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        if kind == "signs":
+            B = rng.choice([-1.0, 1.0], size=(n, n))
+        else:
+            B = rng.standard_normal((n, n))
+        if kind == "near_singular":
+            B[-1] = B[0] + 1e-6 * rng.standard_normal(n)  # cond(B) about 1e7 to 1e9
+        f = la._factor(B[None])
+        assert f.ok[0]
+        ref = scipy_inverse_r(B)
+        deviation = np.linalg.norm(f.W[0] - ref) / np.linalg.norm(ref)
+        assert deviation <= n * la._EPS * np.linalg.cond(B)
+
+
+def test_lapack_failures_raise():
+    Rt = np.tril(np.ones((2, 3, 3)))
+    Rt[1, 1, 1] = 0.0
+    with pytest.raises(RuntimeError, match="dtrtri failed on member 1: info 2"):
+        la._trtri(Rt, [0, 1])
+    with pytest.raises(ValueError, match="C-ordered float64"):
+        la._trtri(Rt.transpose(0, 2, 1), [0])
+
+
+def test_import_fails_without_numpys_openblas():
+    with pytest.raises(ImportError, match=r"no no-such-library-\*\.so in .*numpy\.libs"):
+        la._load_openblas("no-such-library-*.so")
+
+
+def test_import_fails_without_a_lapack_symbol(monkeypatch):
+    symbols = list(la._OPENBLAS_SYMBOLS)
+    symbols[1] = ("no_such_dtrtri_64_",) + symbols[1][1:]
+    monkeypatch.setattr(la, "_OPENBLAS_SYMBOLS", tuple(symbols))
+    with pytest.raises(ImportError, match=r"no_such_dtrtri_64_ in numpy's OpenBLAS .*libscipy_openblas64_"):
+        la._load_openblas(la._OPENBLAS_PATTERN)
 
 
 def fallback_families():

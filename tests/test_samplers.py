@@ -47,6 +47,17 @@ class TestSeedSpec:
         with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
             SeedSpec(*args)
 
+    @pytest.mark.parametrize("args", [(1.5,), (True,), ("3",), (1, 2.0), (1, False), (None,)])
+    def test_non_integer_keys_rejected(self, args):
+        # SeedSpec(1.5) and SeedSpec(True) would draw seed 1's stream
+        with pytest.raises(InvalidInputError, match="expected an integer"):
+            SeedSpec(*args)
+
+    def test_numpy_integer_keys_stored_as_int(self):
+        spec = SeedSpec(np.uint64(7), np.int64(3))
+        assert spec == SeedSpec(7, 3)
+        assert type(spec.master_seed) is int and type(spec.trial_index) is int
+
     def test_largest_keys_accepted(self):
         top = 2**64 - 1
         assert SeedSpec(top, top).rng().standard_normal() != SeedSpec(top, top - 1).rng().standard_normal()

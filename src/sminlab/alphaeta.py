@@ -65,6 +65,10 @@ CUBE_ENUMERATION_BUDGET = 4 * 10**6
 _PROB_ATOL = 1e-12
 
 
+def _float_vector(p) -> bool:
+    return type(p) is np.ndarray and p.dtype == np.float64 and p.ndim == 1
+
+
 class DiscreteProductSpace:
     """Finite product probability space with per-factor atom probabilities.
 
@@ -84,7 +88,11 @@ class DiscreteProductSpace:
                 raise InvalidInputError(
                     f"product has {size} atoms, exceeding the enumeration budget {budget}"
                 )
-            self.factors = [np.array([number(v) for v in p], dtype=float) for p in factors]
+            self.factors = [
+                # a float64 vector is copied whole: number() would return its entries unchanged
+                np.array(p) if _float_vector(p) else np.array([number(v) for v in p], dtype=float)
+                for p in factors
+            ]
         except TypeError as exc:
             raise InvalidInputError(
                 f"factors must be sequences of probabilities and the budget an integer: {exc}"
@@ -142,6 +150,30 @@ class DiscreteProductSpace:
         for p, stride, m in zip(self.factors, self._strides, self.shape):
             out *= p[flat // stride % m]
         return out
+
+
+def _label_codes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(labels, slots, codes)`` of a 1-D label array: its distinct labels
+    in ascending order, as ``np.unique`` gives them, the slot of each label
+    in a lookup table, and the slot of every entry, so that a table holding
+    a value per label at ``slots`` maps the entries when read at ``codes``.
+
+    Integer labels (other than ``uint64``) spanning fewer than ``flat.size
+    + 1024`` values are counted with ``np.bincount``, with the slot ``label
+    - min``; any other labels are sorted by ``np.unique``."""
+    if flat.dtype.kind == "i" or flat.dtype.kind == "u" and flat.dtype.itemsize < 8:
+        lo = int(flat.min())
+        if int(flat.max()) - lo < flat.size + 1024:
+            codes = flat.astype(np.intp, copy=False) - lo
+            slots = np.flatnonzero(np.bincount(codes))
+            return (slots + lo).astype(flat.dtype), slots, codes
+    try:
+        labels, codes = np.unique(flat, return_inverse=True)
+    except TypeError:
+        raise InvalidInputError(
+            "the labels of an assignment array cannot be ordered; give them as a mapping"
+        ) from None
+    return labels, np.arange(labels.size), codes
 
 
 @dataclass
@@ -254,14 +286,10 @@ class AlphaEtaStructure:
             raise InvalidInputError("assignment array has the wrong shape") from None
         if arr.shape not in ((N,), shape):
             raise InvalidInputError("assignment array has the wrong shape")
-        try:
-            uniq, inverse = np.unique(arr.reshape(-1), return_inverse=True)
-        except TypeError:
-            raise InvalidInputError(
-                "the labels of an assignment array cannot be ordered; give them as a mapping"
-            ) from None
-        mapped = np.array([self._label_index(v, lookup) for v in uniq], dtype=out.dtype)
-        out[where] = mapped[inverse[where]]
+        labels, slots, codes = _label_codes(arr.reshape(-1))
+        table = np.zeros(slots[-1] + 1, out.dtype)
+        table[slots] = [self._label_index(v, lookup) for v in labels]
+        out[where] = table[codes[where]]
         return out
 
     @staticmethod

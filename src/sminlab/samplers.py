@@ -45,6 +45,32 @@ _M1_DENSITY_BOUND = {
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+class _Key:
+    """Hands a Philox its 128-bit key as given.
+
+    ``Philox(key=k)`` still builds a ``SeedSequence`` from OS entropy,
+    which it then discards; a ``Philox`` built from this object reads
+    ``k`` as its key instead, with the same state, counter and draws.
+    The class becomes a numpy ``ISeedSequence`` on first use, so that
+    importing this module does not load ``numpy.random``.
+    """
+
+    registered = False
+
+    def __init__(self, key: np.ndarray):
+        if not _Key.registered:
+            from numpy.random.bit_generator import ISeedSequence
+
+            ISeedSequence.register(_Key)
+            _Key.registered = True
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # Philox asks for exactly its key: two 64-bit words
+        assert n_words == 2 and dtype is np.uint64, (n_words, dtype)
+        return self.key
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Identifies one reproducible random stream.
@@ -53,7 +79,10 @@ class SeedSpec:
     both integers key a Philox counter-based generator, so distinct
     trials may be sampled concurrently in any order.  Each is one 64-bit
     word of the key and must be an integer in ``[0, 2**64)``, so that no
-    two distinct pairs share a stream.
+    two distinct pairs share a stream.  :meth:`rng` returns a fresh
+    generator on every call, built without reading OS entropy; it draws
+    what ``Generator(Philox(key=k))`` draws for the uint64 array ``k =
+    [master_seed, trial_index]``.
     """
 
     master_seed: int
@@ -73,7 +102,7 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.trial_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 @dataclass(frozen=True)

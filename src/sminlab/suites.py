@@ -114,16 +114,18 @@ def _gauss_jordan(A: np.ndarray) -> np.ndarray:
     N, n, _ = A.shape
     aug = np.concatenate([A, np.broadcast_to(np.eye(n), A.shape)], axis=2)
     members = np.arange(N)
+    update = np.empty_like(aug)
     for col in range(n):
         pivot = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
-        top = np.take_along_axis(aug, pivot[:, None, None], axis=1)[:, 0]
+        top = aug[members, pivot]
         if (np.abs(top[:, col]) < 1e-300).any():
             raise InvalidInputError("matrix is numerically singular")
         aug[members, pivot] = aug[:, col]
-        aug[:, col] = top / top[:, col, None]
+        np.divide(top, top[:, col, None], out=aug[:, col])
         f = aug[:, :, col].copy()
         f[:, col] = 0.0
-        aug -= f[:, :, None] * aug[:, None, col]
+        np.multiply(f[:, :, None], aug[:, None, col], out=update)
+        aug -= update
     return aug[:, :, n:]
 
 
@@ -140,6 +142,48 @@ def invert_by_elimination(B: np.ndarray) -> np.ndarray:
 # -- individual suites ---------------------------------------------------
 
 
+_ATTEMPTS = 200
+
+
+def _conditioned(s_min: float, s_max: float) -> bool:
+    # condition cutoff keeps float error well below the 1e-8 assertion
+    return s_min > 1e-6 * s_max
+
+
+def _invertible_draws(instances: int, seed: int) -> list:
+    """``(kind, attempt, matrix, hs)`` of every biorthogonality instance
+    ``idx``: the first of its draws ``_derived(seed, idx, attempt)``, with
+    ``attempt`` below ``_ATTEMPTS``, that is well conditioned, and the HS
+    norm of that matrix's inverse; ``(kind, None, None, None)`` when none
+    is.  Attempt 0 of the instances of one size is checked as one stack,
+    a retry one draw at a time."""
+    kinds = [KINDS[idx % len(KINDS)] for idx in range(instances)]
+    first = [
+        sample_matrix(RowDistribution(kind), int(_rng(seed, idx).integers(2, 51)), _derived(seed, idx))
+        for idx, kind in enumerate(kinds)
+    ]
+    draws = [None] * instances
+    for group in _by_shape((idx, B.shape[0]) for idx, B in enumerate(first)).values():
+        extremes = linalg._stack_extremes(np.array([first[idx] for idx in group]))
+        for idx, s_min, s_max, hs in zip(group, *(a.tolist() for a in extremes)):
+            if _conditioned(s_min, s_max):
+                draws[idx] = (kinds[idx], 0, first[idx], hs)
+            else:
+                draws[idx] = (kinds[idx], *_redraw(kinds[idx], len(first[idx]), seed, idx))
+    return draws
+
+
+def _redraw(kind: str, n: int, seed: int, idx: int) -> tuple:
+    """``(attempt, matrix, hs)`` of the first well-conditioned retry of
+    instance ``idx``, ``(None, None, None)`` when every retry fails."""
+    for attempt in range(1, _ATTEMPTS):
+        B = sample_matrix(RowDistribution(kind), n, _derived(seed, idx, attempt))
+        s_min, s_max, hs = linalg._extremes(B)
+        if _conditioned(s_min, s_max):
+            return attempt, B, hs
+    return None, None, None
+
+
 def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     """Column norms of the inverse against reciprocal row distances.
 
@@ -150,21 +194,11 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
     """
     failures = []
     accepted = {}  # instance -> (kind, matrix, HS norm of its inverse)
-    for idx in range(instances):
-        rng = _rng(seed, idx)
-        n = int(rng.integers(2, 51))
-        kind = KINDS[idx % len(KINDS)]
-        dist = RowDistribution(kind)
-        for attempt in range(200):
-            candidate = sample_matrix(dist, n, _derived(seed, idx, attempt))
-            s_min, s_max, hs = linalg._extremes(candidate)
-            # condition cutoff keeps float error well below the 1e-8 assertion
-            if s_min > 1e-6 * s_max:
-                break
-        else:
+    for idx, (kind, attempt, B, hs) in enumerate(_invertible_draws(instances, seed)):
+        if attempt is None:
             failures.append((idx, f"instance {idx}: could not draw an invertible {kind} matrix"))
-            continue
-        accepted[idx] = (kind, candidate, hs)
+        else:
+            accepted[idx] = (kind, B, hs)
     # the matrices of one size checked as one stack
     for group in _by_shape((idx, B.shape[0]) for idx, (_, B, _) in accepted.items()).values():
         stack = np.array([accepted[idx][1] for idx in group])

@@ -498,6 +498,63 @@ class TestDiscreteProductSpace:
             space = ae.DiscreteProductSpace([factor, (v for v in [0.5, 0.5])], budget=4)
             assert space.shape == (2, 2) and space.factors[0].tolist() == [0.25, 0.75]
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([math.nan, 1.0], "factor 1 has non-finite probabilities"),
+            ([math.inf, 1.0], "factor 1 has non-finite probabilities"),
+            ([-math.inf, 1.0], "factor 1 has non-finite probabilities"),
+            ([1.0, 0.0], "factor 1 has non-positive probabilities"),
+            ([1.5, -0.5], "factor 1 has non-positive probabilities"),
+            ([0.5, 0.4], "factor 1 probabilities sum to np.float64(0.9), not 1"),
+        ],
+    )
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "float64"])
+    def test_bad_factors_give_one_message_in_every_form(self, entries, message, form):
+        # a float64 vector is checked whole, a sequence entry by entry: the same messages
+        with pytest.raises(InvalidInputError) as raised:
+            ae.DiscreteProductSpace([[0.5, 0.5], form(entries)])
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "factor, got",
+        [
+            (np.array(["0.5", "0.5"]), "np.str_('0.5')"),
+            (np.array([0.5, "x"], dtype=object), "'x'"),
+            (np.array([True, False]), "np.True_"),
+            (np.array([1 + 0j]), "np.complex128(1+0j)"),
+            (np.array([[0.5, 0.5]]), "array([0.5, 0.5])"),
+        ],
+        ids=["str", "object", "bool", "complex", "2-D"],
+    )
+    def test_non_numeric_array_factors_rejected(self, factor, got):
+        with pytest.raises(InvalidInputError) as raised:
+            ae.DiscreteProductSpace([factor])
+        assert str(raised.value) == (
+            "factors must be sequences of probabilities and the budget an integer: "
+            f"expected a number, got {got}"
+        )
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            np.array([0.25, 9.0, 0.75])[::2],
+            np.array([1, 3]) / 4,
+            np.array([0.25, 0.75], dtype=np.float32),
+            np.array([0.25, 0.75], dtype=">f8"),
+            np.array([0.25, 0.75], dtype=object),
+            [np.float64(0.25), 0.75],
+        ],
+        ids=["strided", "float64", "float32", "big-endian", "object", "list"],
+    )
+    def test_numeric_factors_are_copied_as_float64(self, factor):
+        space = ae.DiscreteProductSpace([factor])
+        (p,) = space.factors
+        assert p.dtype == np.float64 and p.dtype.isnative and p.flags.c_contiguous
+        assert p.tolist() == [0.25, 0.75]
+        factor[0] = 0.5
+        assert p.tolist() == [0.25, 0.75]
+
     def test_size_and_strides_are_python_integers(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25] * 4, [1.0]])
         assert (space.size, space._strides) == (8, (4, 1, 1))
@@ -874,6 +931,85 @@ class TestStructureValidation:
                 assert struct.class_label(i, atom) == full.psi[full.class_idx[i, flat]]
                 if full.mask[flat]:
                     assert 1.0 <= struct.alpha(i, atom) < math.inf
+
+
+def unique_label_codes(flat):
+    """``_label_codes`` with every label array sorted by ``np.unique``."""
+    labels, codes = np.unique(flat, return_inverse=True)
+    return labels, np.arange(labels.size), codes
+
+
+class TestLabelCodes:
+    LABELS = [
+        np.array([3, 7, 3, 11, 7]),
+        np.array([-2, 5, -2, 0, 5]),
+        np.array([1, 2, 2, 1], dtype=np.uint8),
+        np.array([5], dtype=np.int16),
+        np.array([-128, 127, 0], dtype=np.int8),
+        np.array([0, 2**40, 0]),
+        np.array([1, 2**64 - 1], dtype=np.uint64),
+        np.array(["b", "a", "b"]),
+    ]
+    IDS = ["gapped", "negative", "uint8", "one label", "int8 extremes", "wide span", "uint64", "str"]
+
+    @pytest.mark.parametrize("flat", LABELS, ids=IDS)
+    def test_codes_give_the_unique_labels_and_inverse(self, flat):
+        labels, slots, codes = ae._label_codes(flat)
+        want, inverse = np.unique(flat, return_inverse=True)
+        assert labels.dtype == want.dtype and np.array_equal(labels, want)
+        table = np.full(slots[-1] + 1, -1)
+        table[slots] = np.arange(labels.size)
+        assert np.array_equal(table[codes], inverse)
+
+    @staticmethod
+    def structures(monkeypatch, psi, lam, classes, cells):
+        """The structure built with counted integer labels, then with every
+        label array sorted, from arrays over a 2 x 3 space."""
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25, 0.25, 0.5]])
+        event = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+
+        def build():
+            return ae.AlphaEtaStructure(space, psi, lam, classes, event, cells)
+
+        counted = build()
+        monkeypatch.setattr(ae, "_label_codes", unique_label_codes)
+        return counted, build()
+
+    @pytest.mark.parametrize(
+        "psi, lam, dtype",
+        [
+            ([9, 4, -3, 0], [7, 2], np.int64),
+            ([0, 200, 17], [255, 1], np.uint8),
+            ([-100, 100], [-1, 1], np.int8),
+        ],
+        ids=["gapped negative", "uint8", "int8"],
+    )
+    def test_integer_labels_give_the_arrays_of_sorted_labels(self, monkeypatch, psi, lam, dtype):
+        rng = np.random.default_rng(len(psi))
+        classes = [np.array(rng.choice(psi, 6), dtype=dtype) for _ in range(2)]
+        cells = [np.array(rng.choice(lam, 6), dtype=dtype), np.full(6, lam[-1], dtype=dtype)]
+        counted, sorted_ = self.structures(monkeypatch, psi, lam, classes, cells)
+        for got, want in zip(counted._classes + counted._cells, sorted_._classes + sorted_._cells):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_same_report(counted.verify_alpharho(), sorted_.verify_alpharho())
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([1, 5, 1, 2, 9, 1]), "label np.int64(5) is not in the index list"),
+            (np.array([1, 2, 1, 2, 9, 250], dtype=np.uint8), "label np.uint8(9) is not in the index list"),
+            (np.array([-7, 1, 1, 2, -7, 1]), "label np.int64(-7) is not in the index list"),
+        ],
+        ids=["int64", "uint8", "negative"],
+    )
+    def test_missing_label_message(self, monkeypatch, labels, message):
+        raised = []
+        for codes in (ae._label_codes, unique_label_codes):
+            monkeypatch.setattr(ae, "_label_codes", codes)
+            with pytest.raises(InvalidInputError) as error:
+                self.structures(monkeypatch, [1, 2], [1], [labels, 1], [1, 1])
+            raised.append(str(error.value))
+        assert raised == [message, message]
 
 
 class TestSerialization:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import sminlab
 from sminlab.errors import InvalidInputError
 from sminlab.samplers import (
     KINDS,
@@ -13,6 +19,7 @@ from sminlab.samplers import (
     counterexample_witness,
     sample_matrix,
 )
+from sminlab.suites import _derived
 
 CONTINUOUS_KINDS = ("gaussian", "uniform_entry", "symmetric_exponential", "ball_uniform")
 
@@ -61,6 +68,85 @@ class TestSeedSpec:
     def test_largest_keys_accepted(self):
         top = 2**64 - 1
         assert SeedSpec(top, top).rng().standard_normal() != SeedSpec(top, top - 1).rng().standard_normal()
+
+
+def key_built_rng(spec: SeedSpec) -> np.random.Generator:
+    """The stream of ``spec`` as numpy builds it from a key: the contract of
+    ``SeedSpec.rng``.  The key is a uint64 array, since a list holding a
+    word of 2**63 or more is not read as two 64-bit words."""
+    key = np.array([spec.master_seed, spec.trial_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+STREAM_KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), (7, _derived(7, 12345, 3).trial_index)]
+
+DRAWS = {
+    "standard_normal": lambda g: g.standard_normal((3, 5)),
+    "integers": lambda g: g.integers(0, 2, size=17),
+    "integer": lambda g: g.integers(2, 51),
+    "random": lambda g: g.random(9),
+    "uniform": lambda g: g.uniform(-1.5, 1.5, size=9),
+    "laplace": lambda g: g.laplace(0.0, 0.5, size=9),
+    "permutation": lambda g: g.permutation(11),
+}
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("key", STREAM_KEYS, ids=["zero", "top", "derived"])
+    def test_state_equals_a_key_built_philox(self, key):
+        got = SeedSpec(*key).rng().bit_generator.state
+        want = key_built_rng(SeedSpec(*key)).bit_generator.state
+        assert got["state"]["key"].tolist() == list(key)
+        assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+        assert {k: v for k, v in got.items() if k not in ("state", "buffer")} == {
+            k: v for k, v in want.items() if k not in ("state", "buffer")
+        }
+
+    @pytest.mark.parametrize("key", STREAM_KEYS, ids=["zero", "top", "derived"])
+    def test_draws_equal_a_key_built_philox(self, key):
+        got, want = SeedSpec(*key).rng(), key_built_rng(SeedSpec(*key))
+        for name, draw in DRAWS.items():  # one after the other, on one stream
+            assert np.array_equal(draw(got), draw(want)), name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("key", STREAM_KEYS, ids=["zero", "top", "derived"])
+    def test_sample_matrix_equals_a_key_built_philox(self, monkeypatch, kind, key):
+        got = sample_matrix(RowDistribution(kind), 7, SeedSpec(*key))
+        monkeypatch.setattr(SeedSpec, "rng", key_built_rng)
+        want = sample_matrix(RowDistribution(kind), 7, SeedSpec(*key))
+        assert np.array_equal(got, want)
+
+    def test_two_live_generators_of_one_spec_are_independent(self):
+        spec = SeedSpec(5, 9)
+        first, second = spec.rng(), spec.rng()
+        assert first.bit_generator is not second.bit_generator
+        a = first.standard_normal(40)
+        b = second.standard_normal(20)  # not moved by the draws of the first
+        assert np.array_equal(b, a[:20])
+        assert np.array_equal(first.standard_normal(10), key_built_rng(spec).standard_normal(50)[40:])
+        assert np.array_equal(second.standard_normal(20), a[20:])
+
+    def test_streams_drawn_on_two_threads_equal_the_serial_draws(self):
+        specs = [SeedSpec(3, idx) for idx in range(200)] + [SeedSpec(2**64 - 1, idx) for idx in range(200)]
+        serial = [key_built_rng(spec).standard_normal(64) for spec in specs]
+        start = threading.Barrier(2, timeout=30)
+
+        def draw(half):
+            start.wait()
+            return [spec.rng().standard_normal(64) for spec in specs[half::2]]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            even, odd = pool.map(draw, (0, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(even, serial[0::2]))
+        assert all(np.array_equal(x, y) for x, y in zip(odd, serial[1::2]))
+
+    def test_importing_the_samplers_loads_no_numpy_random(self):
+        # a fresh process: numpy.random loads with the first stream, not at import
+        script = "import sys, sminlab.samplers\nassert 'numpy.random' not in sys.modules\n"
+        src = os.path.dirname(os.path.dirname(sminlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestRowDistribution:

@@ -92,6 +92,105 @@ def test_stacked_elimination_rejects_a_singular_member():
         suites._gauss_jordan(stack)
 
 
+def take_along_elimination(A):
+    """The stacked elimination in its earlier form (the pivot rows read with
+    ``take_along_axis``, a fresh array for every quotient and update): the
+    oracle of the leaner ``_gauss_jordan``, which must match it bit for bit."""
+    N, n, _ = A.shape
+    aug = np.concatenate([A, np.broadcast_to(np.eye(n), A.shape)], axis=2)
+    members = np.arange(N)
+    for col in range(n):
+        pivot = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
+        top = np.take_along_axis(aug, pivot[:, None, None], axis=1)[:, 0]
+        if (np.abs(top[:, col]) < 1e-300).any():
+            raise InvalidInputError("matrix is numerically singular")
+        aug[members, pivot] = aug[:, col]
+        aug[:, col] = top / top[:, col, None]
+        f = aug[:, :, col].copy()
+        f[:, col] = 0.0
+        aug -= f[:, :, None] * aug[:, None, col]
+    return aug[:, :, n:]
+
+
+def near_singular(n, rng):
+    """A matrix whose last row is its first plus a perturbation of relative
+    size 1e-12 (a tiny scalar at n = 1)."""
+    B = rng.standard_normal((n, n))
+    B[-1] = (B[0] if n > 1 else 0.0) + 1e-12 * rng.standard_normal(n)
+    return B
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_gauss_jordan_equals_its_earlier_form(n):
+    rng = np.random.default_rng(1000 + n)
+    for stack in (
+        rng.standard_normal((7, n, n)),
+        rng.choice([-1.0, 1.0], size=(7, n, n)),
+        np.array([near_singular(n, rng) for _ in range(7)]),
+    ):
+        try:
+            want = take_along_elimination(stack.copy())
+        except InvalidInputError:
+            continue  # a singular +-1 member: the next test's case
+        got = suites._gauss_jordan(stack)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gauss_jordan_rejects_a_singular_member_as_its_earlier_form():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4, 6, 30):
+        stack = rng.standard_normal((9, n, n))
+        stack[-1, :, n // 2] = 0.0  # a zero column stays zero under row operations
+        errors = []
+        for eliminate in (take_along_elimination, suites._gauss_jordan):
+            with pytest.raises(InvalidInputError) as raised:
+                eliminate(stack.copy())
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1] == (InvalidInputError, "matrix is numerically singular")
+
+
+def per_draw_invertible(instances, seed):
+    """The biorthogonality draws as they were taken before attempt 0 was
+    stacked: every draw checked on its own by ``linalg._extremes``."""
+    draws = []
+    for idx in range(instances):
+        n = int(SeedSpec(seed, idx).rng().integers(2, 51))
+        kind = KINDS[idx % len(KINDS)]
+        for attempt in range(200):
+            B = suites.sample_matrix(RowDistribution(kind), n, suites._derived(seed, idx, attempt))
+            s_min, s_max, hs = linalg._extremes(B)
+            if s_min > 1e-6 * s_max:
+                draws.append((kind, attempt, B, hs))
+                break
+        else:
+            draws.append((kind, None, None, None))
+    return draws
+
+
+def assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (kind, attempt, B, hs), (kind0, attempt0, B0, hs0) in zip(got, want):
+        assert (kind, attempt) == (kind0, attempt0)
+        if attempt is None:
+            assert B is None and hs is None
+        else:
+            assert B.tobytes() == B0.tobytes() and type(hs) is float and hs.hex() == hs0.hex()
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_stacked_draws_equal_the_per_draw_loop(seed):
+    got = suites._invertible_draws(150, seed)
+    assert_same_draws(got, per_draw_invertible(150, seed))
+    assert any(attempt for _, attempt, _, _ in got)  # some instance retried
+
+
+def test_stacked_draws_equal_the_per_draw_loop_when_draws_fail(monkeypatch):
+    fail_biorthogonality_of_chosen_draws(monkeypatch)
+    got = suites._invertible_draws(40, 23)
+    assert_same_draws(got, per_draw_invertible(40, 23))
+    assert sum(attempt is None for _, attempt, _, _ in got) == 13
+
+
 # -- the suites as they ran one instance at a time, through the public
 # per-call operations: the oracles of the batched suites ----------------
 

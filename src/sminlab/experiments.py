@@ -11,8 +11,9 @@ The kernels take their trials in stacks: a contiguous range of trial
 indices whose matrices form one ``(c, n, n)`` array.  Each trial still
 draws from its own stream, straight into the stack, and a member of a
 stack gets the bits it would get alone.  One stacked factorization
-serves the certified statistics and the distance profile of a stack, one
-stacked SVD its counterexample trials.  A stack holds at most
+serves the distance profile of a stack and the certified statistics of
+the trials the dominance screen leaves, one stacked SVD its
+counterexample trials.  A stack holds at most
 ``STACK_ENTRIES`` (``200**2``) matrix entries, as many as one trial at
 n = 200, which stays a stack of one; n = 100 trials go up to four and
 n = 50 trials up to sixteen to a stack.  The reason is the interpreter
@@ -44,20 +45,27 @@ grid ascends, so the points a trial hits are the last ones of the grid
 for the statistics that hit below and the first ones for the others, and
 a grid point's count is the number of trials that hit enough points to
 reach it.  The first three statistics take their counts from the
-certified QR kernel ``linalg._stack_certified``: one ``B^T = QR`` and
-triangular inverse per trial, and a bracket of ``s_min`` from norms of
-the inverse and, when they do not decide, power iteration.  Only the
-trial's position among the grid thresholds and the rank tolerance is
-certified.  A trial falls back to the SVD when its rows are dependent
-at the rank tolerance, when a threshold or the tolerance lies within
-the rounding margin of every value in the bracket, or when 8 power steps
-do not decide (the top eigenvalue of ``B^-T B^-1`` is about half its
-trace), so every hit count and singularity decision is the SVD's.  At the
-acceptance configs (5000 trials each) Gaussian n=200 ``smin_scaled``
-falls back in one trial, at the step cap, and decides before the first
-power step at the median (2 steps at the 99th percentile); uniform rows
-plus ``10 sqrt(n) I`` decide every ``smin_scaled`` and ``hs_scaled_*``
-trial without a power step or a fallback.  The stack's members that
+certified kernel ``linalg._stack_certified``.  Only the trial's position
+among the grid thresholds and the rank tolerance is certified.  A
+diagonal dominance screen goes first: Johnson's lower bound on
+``s_min`` (C. R. Johnson, Linear Algebra Appl. 112, 1989), ``min_i
+(|b_ii| - (R_i + C_i) / 2)`` from the off-diagonal absolute sums of row
+and column ``i``, less slacks for rounding, settles in ``O(n**2)`` a
+trial that hits no threshold by a wide margin.  The other trials of the
+stack take one ``B^T = QR`` and triangular inverse each, and a bracket
+of ``s_min`` from norms of the inverse and, when they do not decide,
+power iteration.  A trial falls back to the SVD when its rows are
+dependent at the rank tolerance, when a threshold or the tolerance lies
+within the rounding margin of every value in the bracket, or when 8
+power steps do not decide (the top eigenvalue of ``B^-T B^-1`` is about
+half its trace), so every hit count and singularity decision is the
+SVD's.  At the acceptance configs (5000 trials each) Gaussian n=200
+``smin_scaled`` passes no trial through the screen, falls back in one
+trial, at the step cap, and decides before the first power step at the
+median (2 steps at the 99th percentile).  With uniform rows plus ``10
+sqrt(n) I`` the screen decides 4977 ``smin_scaled`` trials (criterion
+03) and 4974 ``hs_scaled_n`` trials (criterion 04), and the QR bracket
+the rest without a power step or a fallback.  The stack's members that
 fall back share one stacked SVD.  The counterexample verb takes the SVD
 of every trial, one call per stack: it reads ``s_max`` as well.
 
@@ -302,8 +310,11 @@ class TailEstimate:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit request, capped by ``SMINLAB_THREADS`` when set."""
-    if workers is not None and workers < 1:
-        raise InvalidInputError(f"workers must be at least 1, got {workers}")
+    if workers is not None:
+        with decoding("workers"):
+            workers = integer(workers)
+        if workers < 1:
+            raise InvalidInputError(f"workers must be at least 1, got {workers}")
     count = workers if workers is not None else (os.cpu_count() or 1)
     raw = os.environ.get("SMINLAB_THREADS")
     if raw is not None:
@@ -495,6 +506,12 @@ def counterexample_experiment(
     n: int, tau: float, trials: int, master_seed: int, workers: int | None = None
 ) -> CounterexampleReport:
     """Monte Carlo study of sign matrices shifted by ``diag(tau, ..., tau, 0, 0)``."""
+    with decoding("n"):
+        n = integer(n)
+    with decoding("tau"):
+        tau = number(tau)
+    with decoding("trials"):
+        trials = integer(trials)
     if n < 8:
         raise InvalidInputError("n must be at least 8")
     if not math.isfinite(tau):
@@ -514,7 +531,7 @@ def counterexample_experiment(
     corner_smin = np.sort(s_min[corner])
     return CounterexampleReport(
         n=n,
-        tau=float(tau),
+        tau=tau,
         trials=trials,
         master_seed=master_seed,
         corner_frequency=corner_hits / trials,

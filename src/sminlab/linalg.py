@@ -26,13 +26,19 @@ singular inputs.  ``s_min``, ``s_max`` and the inverse's HS norm come
 from one SVD of the power-of-two-scaled matrix, for a whole stack in one
 call (:func:`_stack_extremes`, :func:`_extremes` for one matrix).  The
 Monte Carlo statistics place ``s_min`` or the HS norm among their grid
-thresholds from the same QR factorization and triangular inverse
-instead (:func:`_stack_certified`, :func:`_certified` for one matrix),
-with a certificate that every threshold comparison and singularity
-decision comes out as for the SVD, and take the SVD for any trial the
-certificate does not cover: its rows are dependent at the tolerance, the
-tolerance or a threshold lies within the rounding margin of every value
-the bracket allows, or ``_POWER_STEPS`` (8) power steps do not decide.
+thresholds instead (:func:`_stack_certified`, :func:`_certified` for one
+matrix), with a certificate that every threshold comparison and
+singularity decision comes out as for the SVD.  A diagonal dominance
+screen (:func:`_screened`) decides in ``O(n**2)`` the trials that
+Johnson's lower bound on ``s_min`` (C. R. Johnson, "A Gersgorin-type
+lower bound for the smallest singular value", Linear Algebra Appl. 112,
+1989), less its rounding slacks, places above every threshold
+(:func:`_dominance_bound`).  The others get a bracket from the same QR
+factorization and triangular inverse as the distances
+(:func:`_qr_certified`), and take the SVD when the certificate does not
+cover them: their rows are dependent at the tolerance, the tolerance or
+a threshold lies within the rounding margin of every value the bracket
+allows, or ``_POWER_STEPS`` (8) power steps do not decide.
 Every stacked kernel gives a member the bits a stack of one gives it, so
 stacking trials changes no count.  Every kernel takes its rank scale
 from :func:`_scaled`, which also rescales a matrix whose row norms would
@@ -64,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, decoding, integer
 
 # A direction of the spanning set is kept iff its singular value exceeds
 # RANK_RTOL times the largest row norm of the spanning set; a matrix is
@@ -85,6 +91,11 @@ _POWER_STEPS = 8
 # SVD it stands in for, and the rounding of the sums it forms.
 _MARGIN = 8.0
 _EPS = float(np.finfo(float).eps)
+
+# c in the slack c * n * eps * max_i T_i of _dominance_bound: it covers the
+# rounding of the absolute row and column sums T_i and of the subtractions
+# that follow.
+_SUM_SLACK = 2.0
 
 # Row scales and norms inside this range are used as computed: their
 # squares neither overflow nor underflow, nor do those of the distances
@@ -323,14 +334,18 @@ def dist_to_complement(B, i: int, S) -> float:
     """Distance from row ``i`` to the span of the rows outside ``S``.
 
     Requires ``i in S``; with ``S == {i}`` this is ``row_distances(B)[i]``.
+    ``i`` and the entries of ``S`` must be integers.
     """
-    sel = sorted(set(int(j) for j in S))
-    if int(i) not in sel:
+    with decoding("i"):
+        i = integer(i)
+    with decoding("S"):
+        sel = sorted(set(integer(j) for j in S))
+    if i not in sel:
         raise InvalidInputError(f"index i={i} must belong to S={sel}")
     A = as_matrix(B)
     if sel[0] < 0 or sel[-1] >= A.shape[0]:
         raise InvalidInputError(f"S={sel} out of range for n={A.shape[0]}")
-    return float(_set_distances(A[None], np.array([sel]))[0, 0, sel.index(int(i))])
+    return float(_set_distances(A[None], np.array([sel]))[0, 0, sel.index(i)])
 
 
 def singular_values(B) -> np.ndarray:
@@ -386,8 +401,113 @@ def _stack_certified(X: np.ndarray, smin: bool, cuts, unit: float = 1.0) -> list
     """How many values in ``cuts`` each trial of a stack ``X`` of square
     matrices hits, ``s_min(A) * unit <= c`` when ``smin``, else
     ``hs_inverse(A) / unit >= c``, counted as for the value
-    :func:`_extremes` gives, from the ``A.T = Q R`` and ``W = R^-1`` of
-    :func:`_factor`.
+    :func:`_extremes` gives.
+
+    The diagonal dominance screen :func:`_screened` goes first and gives
+    each member it decides ``_Certified(0, 0, "")`` without a
+    factorization.  The other members go on, as one stack, to
+    :func:`_qr_certified`.  A member gets the result a stack of one gives
+    it.  Inputs are not checked.
+    """
+    out = [_Certified(0, 0, "")] * len(X)
+    rest = (~_screened(X, smin, cuts, unit)).nonzero()[0]
+    if rest.size:
+        stack = X if rest.size == len(X) else X[rest]
+        for k, got in zip(rest.tolist(), _qr_certified(stack, smin, cuts, unit)):
+            out[k] = got
+    return out
+
+
+def _dominance_bound(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(low, scale)`` of every member ``A`` of a stack ``X`` of square
+    matrices, as two ``(N,)`` arrays: a lower bound ``low`` on ``s_min(A)``
+    and an upper bound ``scale`` on the largest row norm of ``A`` as
+    :func:`_scaled` computes it, both from absolute row and column sums.
+
+    ``low`` is Johnson's bound (C. R. Johnson, "A Gersgorin-type lower
+    bound for the smallest singular value", Linear Algebra Appl. 112,
+    1989), ``s_min(A) >= min_i (|a_ii| - (R_i + C_i) / 2)`` with ``R_i``
+    and ``C_i`` the off-diagonal absolute sums of row ``i`` and of column
+    ``i``.  It is taken as ``min_i (2 |a_ii| - T_i / 2)``, ``T_i`` the sum
+    of the absolute sums of row ``i`` and of column ``i``.  A computed sum
+    of ``n`` nonnegative terms lies within a relative ``(n - 1) eps / 2``
+    (to first order) of the exact sum, in any order of summation, so
+    ``low`` subtracts the slack ``_SUM_SLACK * n * eps * max_i T_i``, which
+    covers that error, the roundings of the subtractions here and that of
+    the margin :func:`_screened` subtracts next.  ``scale`` is the largest
+    absolute row sum ``max_i (|a_ii| + R_i)`` times ``1 + 2 n eps``: a 2-norm
+    is at most the 1-norm, and the factor covers the rounding of both.
+    Each member is reduced on its own, so it gets the bits a stack of one
+    gives it.  Inputs are not checked.
+    """
+    N, n, _ = X.shape
+    rows, sums = np.empty((N, n)), np.empty((N, n))
+    # one member at a time: a fresh stack-sized temporary costs more in page
+    # faults than the sums themselves
+    absA = np.empty((n, n))
+    for k in range(N):
+        np.abs(X[k], out=absA)
+        absA.sum(axis=1, out=rows[k])
+        absA.sum(axis=0, out=sums[k])
+    sums += rows
+    bound = (2.0 * np.abs(np.diagonal(X, axis1=1, axis2=2)) - 0.5 * sums).min(axis=1)
+    return bound - _SUM_SLACK * n * _EPS * sums.max(axis=1), rows.max(axis=1) * (1.0 + 2.0 * n * _EPS)
+
+
+def _screened(X: np.ndarray, smin: bool, cuts, unit: float) -> np.ndarray:
+    """Which members of a stack ``X`` hit none of ``cuts`` for certain, as an
+    ``(N,)`` boolean array, from :func:`_dominance_bound` in ``O(n**2)``
+    per member and without a factorization.
+
+    With ``low`` the bound less the rounding margin ``_MARGIN * n * eps *
+    sqrt(n) * scale`` of the QR bracket, every singular value the SVD of
+    :func:`_extremes` computes is at least ``low``.  A member is decided
+    when ``low`` clears the rank tolerance ``RANK_RTOL * scale``, so the
+    SVD calls it regular, and, for ``s_min``, when ``low * unit`` exceeds
+    every cut; for ``hs_inverse``, when ``sqrt(n) / low``, an upper bound
+    on ``hs_inverse`` once widened by ``1 + 4 n eps`` for the rounding of
+    the sum of ``n`` inverse squares and its square root, is below every
+    cut after division by ``unit``.  Both compare in the units of the
+    cuts, as the SVD fallback does, and rounding is monotone, so every
+    member decided here has 0 hits as for the SVD value.
+
+    An ``O(n)`` gate on ``min_i |a_ii|``, an upper bound on ``low``, runs
+    first, so a member without a dominant diagonal, such as a Gaussian
+    trial without a shift, costs no pass over its entries.  Members with
+    ``scale`` above ``_SAFE_RANGE`` or a diagonal entry below twice its
+    lower end, which :func:`_scaled` might rescale, are left undecided, as
+    is every member when ``cuts`` is empty or, for ``hs_inverse``, holds a
+    cut at or below 0.
+    """
+    N, n, _ = X.shape
+    decided = np.zeros(N, dtype=bool)
+    if not len(cuts):
+        return decided
+    if smin:
+        floor = max(cuts) / unit
+    elif min(cuts) > 0:
+        floor = math.sqrt(n) / (min(cuts) * unit)
+    else:
+        return decided
+    diagonal = np.abs(np.diagonal(X, axis1=1, axis2=2)).min(axis=1)
+    gated = (diagonal > max(floor, 2.0 * _SAFE_RANGE[0])).nonzero()[0]
+    if not gated.size:
+        return decided
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        low, scale = _dominance_bound(X if gated.size == N else X[gated])
+        low -= _MARGIN * n * _EPS * math.sqrt(n) * scale
+        ok = (scale <= _SAFE_RANGE[1]) & (low > RANK_RTOL * scale)
+        if smin:
+            ok &= low * unit > max(cuts)
+        else:
+            ok &= math.sqrt(n) / low * (1.0 + 4.0 * n * _EPS) / unit < min(cuts)
+    decided[gated[ok]] = True
+    return decided
+
+
+def _qr_certified(X: np.ndarray, smin: bool, cuts, unit: float) -> list[_Certified]:
+    """:func:`_stack_certified` of the members the screen leaves, from the
+    ``A.T = Q R`` and ``W = R^-1`` of :func:`_factor`.
 
     Only the position of the statistic among the cuts and the rank
     tolerance is certified, not its value.  ``hs_inverse`` is ``norm(W,

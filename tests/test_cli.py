@@ -335,3 +335,25 @@ def test_runtime_imports_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# CSVs of the criterion-03 and -04 shapes at 200 trials, written before the
+# dominance screen took these trials off the QR path; the CI smoke run
+# compares them with `cmp` too
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_TAILS = {
+    "tail_uniform_n100_shift_smin_seed33.csv": ["--statistic", "smin_scaled", "--seed", "33"],
+    "tail_uniform_n100_shift_hs_n_seed44.csv": ["--statistic", "hs_scaled_n", "--seed", "44",
+                                                "--t-grid", "1,2,4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TAILS))
+def test_tail_csv_matches_its_golden_bytes(tmp_path, capsys, name):
+    out = tmp_path / name
+    argv = ["tail", "--dist", "uniform_entry", "--n", "100", "--shift", "scaled-identity:100",
+            "--trials", "200", *GOLDEN_TAILS[name], "--out", str(out)]
+    assert cli.parse_and_dispatch(argv) == 0
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()

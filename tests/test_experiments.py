@@ -246,6 +246,13 @@ class TestEstimateTail:
         with pytest.raises(InvalidInputError, match="workers"):
             ex.resolve_workers(workers)
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, "2", True])
+    def test_explicit_worker_count_must_be_an_integer(self, workers):
+        with pytest.raises(InvalidInputError, match="workers: expected an integer"):
+            ex.resolve_workers(workers)
+        with pytest.raises(InvalidInputError, match="workers"):
+            ex.estimate_tail(make_config(trials=8), workers=workers)
+
     def test_empty_grid_short_circuits(self):
         est = ex.estimate_tail(make_config(t_grid=()))
         assert est.points == []
@@ -385,6 +392,25 @@ class TestCounterexampleExperiment:
             ex.counterexample_experiment(4, 100.0, 10, 0)
         with pytest.raises(InvalidInputError):
             ex.counterexample_experiment(10, 5.0, 10, 0)
+
+    @pytest.mark.parametrize(
+        "n, tau, trials, name",
+        [(8.5, 100.0, 10, "n"), (np.float64(10.0), 100.0, 10, "n"), (True, 100.0, 10, "n"),
+         (10, 100.0, 2.5, "trials"), (10, 100.0, "10", "trials"), (10, "100", 10, "tau"),
+         (10, None, 10, "tau"), (10, True, 10, "tau")],
+    )
+    def test_non_numeric_arguments_rejected_before_sampling(self, monkeypatch, n, tau, trials, name):
+        def no_sampling(*args):
+            raise AssertionError("sampled a matrix")
+
+        monkeypatch.setattr(ex, "sample_matrix", no_sampling)
+        with pytest.raises(InvalidInputError, match=f"^{name}: expected an? (integer|number)"):
+            ex.counterexample_experiment(n, tau, trials, 0)
+
+    def test_integer_tau_and_numpy_sizes_are_accepted(self):
+        rep = ex.counterexample_experiment(np.int64(10), 100, np.int32(12), 3)
+        assert rep.to_dict() == ex.counterexample_experiment(10, 100.0, 12, 3).to_dict()
+        assert type(rep.n) is int and type(rep.tau) is float and type(rep.trials) is int
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected_before_sampling(self, monkeypatch, seed):

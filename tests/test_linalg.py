@@ -1,6 +1,7 @@
 import itertools
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -628,6 +629,18 @@ class TestDistToComplement:
         with pytest.raises(InvalidInputError):
             la.dist_to_complement(np.eye(4), 0, {1, 2})
 
+    @pytest.mark.parametrize("i, S", [(0, [0, 1.5]), (1.0, [1, 2]), (True, [1]), (0, [False, 0]),
+                                      ("0", [0]), (0, ["0", 1]), (0, np.array([0.0, 1.0]))])
+    def test_rejects_non_integer_indices(self, i, S):
+        # int() would read S=[0, 1.5] as [0, 1] and True as 1
+        with pytest.raises(InvalidInputError, match="expected an integer"):
+            la.dist_to_complement(np.eye(4), i, S)
+
+    def test_numpy_integers_are_indices(self):
+        B = np.diag([1.5, 2.5, 3.5, 4.5])
+        got = la.dist_to_complement(B, np.int64(1), np.array([1, 2], dtype=np.int32))
+        assert got == la.dist_to_complement(B, 1, {1, 2})
+
     def test_matches_gram_schmidt_oracle(self):
         B = np.random.default_rng(11).standard_normal((6, 6))
         for S in ({0, 2, 4}, {1, 3, 5}, {0, 1, 2}):
@@ -1014,3 +1027,212 @@ class TestCertifiedOracle:
         s_min = la._extremes(B)[0]
         cuts = (s_min * (1.0 - offset), s_min * (1.0 + offset))
         assert la._certified(B, True, cuts).hits == svd_hits(B, True, cuts)
+
+
+def exact_johnson_bound(B):
+    """``min_i (|a_ii| - (R_i + C_i) / 2)`` of the float entries of ``B`` in
+    rational arithmetic, without rounding."""
+    F = [[Fraction(float(x)) for x in row] for row in np.asarray(B)]
+    n = len(F)
+    return min(abs(F[i][i]) - sum(abs(F[i][j]) + abs(F[j][i]) for j in range(n) if j != i) / 2
+               for i in range(n))
+
+
+def dominance_bound(B):
+    """``(low, scale)`` of :func:`linalg._dominance_bound` for one matrix."""
+    low, scale = la._dominance_bound(np.asarray(B, dtype=float)[None])
+    return float(low[0]), float(scale[0])
+
+
+def smallest_singular_value(B):
+    """The SVD's smallest singular value, not set to 0 below the tolerance."""
+    return float(np.linalg.svd(B, compute_uv=False)[-1])
+
+
+def screened(B, smin, cuts, unit=1.0):
+    return bool(la._screened(np.asarray(B, dtype=float)[None], smin, cuts, unit)[0])
+
+
+def shifted(rng, n, shape):
+    """A diagonally dominant trial: uniform, Gaussian or +-1 entries plus
+    ``10 sqrt(n) I``."""
+    if shape == "uniform":
+        return uniform_plus_shift(rng, n)
+    entries = rng.standard_normal((n, n)) if shape == "gaussian" else rng.choice([-1.0, 1.0], (n, n))
+    return entries + 10.0 * math.sqrt(n) * np.eye(n)
+
+
+def dense_column(n=101):
+    """``I`` plus a column of 0.5s: every row sum but one is 0.5, column 0
+    sums to 50, and s_min is about 0.29, below the 0.5 of row sums alone."""
+    B = np.eye(n)
+    B[:, 0] += 0.5
+    return B
+
+
+def check_bound_below_exact_johnson(seed):
+    """The computed bound never exceeds Johnson's bound in exact arithmetic;
+    without its slack it does for about half of these matrices."""
+    B = uniform_plus_shift(np.random.default_rng(seed), 8)
+    low, _ = dominance_bound(B)
+    assert Fraction(low) <= exact_johnson_bound(B)
+
+
+def check_dense_column():
+    """Johnson's bound gives nothing on ``dense_column``; a bound from row
+    sums alone would call it above 0.5 and drop a hit."""
+    B = dense_column()
+    s_min = svd_statistics(B)[0]
+    assert 0.25 < s_min < 0.35
+    assert dominance_bound(B)[0] <= s_min
+    for cuts in ((0.4,), (0.3, 0.4, 0.45)):
+        assert la._certified(B, True, cuts).hits == svd_hits(B, True, cuts) == len(cuts)
+
+
+class TestDominanceScreen:
+    """The diagonal dominance screen of ``_stack_certified`` against exact
+    arithmetic and the SVD."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bound_never_exceeds_the_exact_bound(self, seed):
+        check_bound_below_exact_johnson(seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(1, 9),
+        shape=st.sampled_from(["uniform", "gaussian", "sign"]),
+    )
+    def test_bound_and_scale_against_exact_arithmetic(self, seed, n, shape):
+        B = shifted(np.random.default_rng(seed), n, shape)
+        low, scale = dominance_bound(B)
+        assert Fraction(low) <= exact_johnson_bound(B)
+        assert scale >= float(np.max(np.linalg.norm(B, axis=1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(1, 60),
+        shape=st.sampled_from(["uniform", "gaussian", "sign", "unshifted"]),
+    )
+    def test_bound_never_exceeds_the_svd(self, seed, n, shape):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n)) if shape == "unshifted" else shifted(rng, n, shape)
+        low, _ = dominance_bound(B)
+        assert low <= smallest_singular_value(B)
+
+    def test_row_sums_alone_are_not_a_bound(self):
+        check_dense_column()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(2, 10),
+        factor=st.sampled_from([0.999, 1.001]),
+    )
+    def test_near_the_rank_tolerance(self, seed, n, factor):
+        # planted spectra around the tolerance (no bound), and diagonal ones,
+        # where the bound is within a few ulps of s_min and the screen
+        # decides the regular side only
+        assert dominance_bound(near_tolerance(np.random.default_rng(seed).standard_normal((n, n)),
+                                              factor))[0] <= 0.0
+        d = np.ones(n)
+        d[np.random.default_rng(seed).integers(n)] = factor * la.RANK_RTOL
+        B = np.diag(d)
+        assert dominance_bound(B)[0] <= smallest_singular_value(B)
+        cuts = (0.5 * la.RANK_RTOL,)
+        for smin in (True, False):
+            assert screened(B, smin, cuts if smin else (1e12,)) == (factor > 1.0)
+            assert la._certified(B, smin, cuts).hits == svd_hits(B, smin, cuts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 30))
+    def test_diagonal_bound_is_tight(self, seed, n):
+        rng = np.random.default_rng(seed)
+        B = np.diag(rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n))
+        s_min = svd_statistics(B)[0]
+        low, scale = dominance_bound(B)
+        assert s_min - 4.0 * n * la._EPS * 3.0 <= low <= s_min
+        # a cut just below s_min is decided; one planted between the bound
+        # less the margin and s_min is left to the QR path, which counts
+        # it as the SVD does
+        margin = la._MARGIN * n * la._EPS * math.sqrt(n) * scale
+        assert margin < 1e-9 * s_min
+        assert screened(B, True, ((1.0 - 1e-9) * s_min,))
+        inside = 0.5 * (low - margin + s_min)
+        assert low - margin < inside < s_min
+        assert not screened(B, True, (inside,))
+        assert la._certified(B, True, (inside,)).hits == svd_hits(B, True, (inside,)) == 0
+        # all entries of one size: sqrt(n) / s_min is hs_inverse itself
+        c = float(abs(B[0, 0]))
+        E = c * np.diag(rng.choice([-1.0, 1.0], n))
+        hs = svd_statistics(E)[1]
+        assert screened(E, False, ((1.0 + 1e-9) * hs,))
+        assert not screened(E, False, (hs,))
+        assert la._certified(E, False, (hs,)).hits == svd_hits(E, False, (hs,)) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(1, 60),
+        shape=st.sampled_from(["uniform", "gaussian", "sign"]),
+    )
+    def test_screened_members_hit_no_cut(self, seed, n, shape):
+        B = shifted(np.random.default_rng(seed), n, shape)
+        s_min, hs = svd_statistics(B)
+        for smin, grid, unit in ((True, CRITERION_GRIDS[0], math.sqrt(n)), (False, CRITERION_GRIDS[1], n),
+                                 (True, (0.5 * s_min, 0.99 * s_min), 1.0), (False, (1.01 * hs,), 1.0)):
+            hits = sum(s_min * unit <= c for c in grid) if smin else sum(hs / unit >= c for c in grid)
+            assert la._certified(B, smin, grid, unit).hits == hits
+            assert hits == 0 or not screened(B, smin, grid, unit)
+
+    def test_criterion_shapes_are_screened(self):
+        # the grids of criteria 03 and 04, which decide nearly every trial
+        rng = np.random.default_rng(3)
+        X = np.array([uniform_plus_shift(rng, 100) for _ in range(8)])
+        assert la._screened(X, True, CRITERION_GRIDS[0], 10.0).sum() >= 7
+        assert la._screened(X, False, CRITERION_GRIDS[1], 100.0).sum() >= 7
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c", EXTREME_SCALES + (1e300,))
+    def test_extreme_scales_go_to_the_qr_path(self, c):
+        B = uniform_plus_shift(np.random.default_rng(8), 20)
+        cuts = (0.05, 0.5)
+        assert screened(B, True, cuts) and screened(B, False, (1e3,))
+        assert not screened(c * B, True, [t * c for t in cuts])
+        assert not screened(c * B, False, (1e3 / c,))
+        assert la._certified(c * B, True, [t * c for t in cuts]) == (0, 0, "")
+
+    def test_empty_cuts_go_to_the_qr_path(self, monkeypatch):
+        X = np.array([uniform_plus_shift(np.random.default_rng(k), 10) for k in range(3)])
+        for smin in (True, False):
+            assert not la._screened(X, smin, (), 1.0).any()
+        monkeypatch.setattr(la, "_dominance_bound", forbidden)
+        for smin in (True, False):
+            assert la._stack_certified(X, smin, ()) == [(0, 0, "")] * 3
+
+    def test_gaussian_trials_pass_no_entry_through_the_screen(self, monkeypatch):
+        # the O(n) gate on the diagonal turns the criterion-02 shape away
+        n = 200
+        X = np.array([sample_matrix(RowDistribution("gaussian"), n, SeedSpec(20260810, k)) for k in range(3)])
+        want = la._stack_certified(X, True, CRITERION_GRIDS[0], math.sqrt(n))
+        monkeypatch.setattr(la, "_dominance_bound", forbidden)
+        assert la._stack_certified(X, True, CRITERION_GRIDS[0], math.sqrt(n)) == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_stack_of_screened_and_open_members(self):
+        n = 20
+        rng = np.random.default_rng(12)
+        members = [uniform_plus_shift(rng, n), rng.standard_normal((n, n)), uniform_plus_shift(rng, n),
+                   1e200 * uniform_plus_shift(rng, n), np.zeros((n, n)), np.diag(np.linspace(1.0, 2.0, n))]
+        stack = np.array(members)
+        for smin, grid, unit in ((True, CRITERION_GRIDS[0], math.sqrt(n)), (False, CRITERION_GRIDS[1], n)):
+            mask = la._screened(stack, smin, grid, unit)
+            assert mask.tolist() == [True, False, True, False, False, True]
+            assert mask.tolist() == [screened(B, smin, grid, unit) for B in members]
+            got = la._stack_certified(stack, smin, grid, unit)
+            assert got == [la._certified(B, smin, grid, unit) for B in members]
+
+
+def forbidden(*args):
+    raise AssertionError("the screen read every entry")

@@ -72,28 +72,31 @@ def _print_points(estimate: experiments.TailEstimate) -> None:
         print(f"{p.t:12.6g} {p.hits:8d} {p.p_hat:10.6f} {p.ci_low:10.6f} {p.ci_high:10.6f}")
 
 
-def _cmd_tail(args) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = experiments.ExperimentConfig.from_json(fh.read())
-    else:
-        config = experiments.ExperimentConfig(
-            dist=RowDistribution(args.dist),
-            shift=parse_shift(args.shift),
-            n=args.n,
-            trials=args.trials,
-            t_grid=parse_grid(args.t_grid, args.geom),
-            master_seed=args.seed,
-            statistic=experiments.Statistic(args.statistic),
-        )
+def _run_tail(args, config: experiments.ExperimentConfig, estimator=experiments.estimate_tail) -> int:
+    """Echo, estimate, print and emit: the one path of both tail verbs."""
     _echo(config.to_dict())
-    estimate = experiments.estimate_tail(config)
+    estimate = estimator(config)
     _print_points(estimate)
     print(f"wall time: {estimate.wall_time:.2f} s")
     if args.out:
         experiments.emit_results(estimate, args.out, args.format)
         print(f"wrote {args.out}")
     return 0
+
+
+def _cmd_tail(args) -> int:
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return _run_tail(args, experiments.ExperimentConfig.from_json(fh.read()))
+    return _run_tail(args, experiments.ExperimentConfig(
+        dist=RowDistribution(args.dist),
+        shift=parse_shift(args.shift),
+        n=args.n,
+        trials=args.trials,
+        t_grid=parse_grid(args.t_grid, args.geom),
+        master_seed=args.seed,
+        statistic=experiments.Statistic(args.statistic),
+    ))
 
 
 def _cmd_counterexample(args) -> int:
@@ -118,13 +121,7 @@ def _cmd_distance_profile(args) -> int:
         master_seed=args.seed,
         statistic=experiments.Statistic.distance_profile(args.k, args.a),
     )
-    _echo(config.to_dict())
-    estimate = experiments.distance_profile_tail(config)
-    _print_points(estimate)
-    if args.out:
-        experiments.emit_results(estimate, args.out, args.format)
-        print(f"wrote {args.out}")
-    return 0
+    return _run_tail(args, config, experiments.distance_profile_tail)
 
 
 def _cmd_lemma_check(args) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError
+from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError, decoding, integer
 from .linalg import _row_profile, _set_distances, as_matrix, row_distances
 
 EXACT_MODE_MAX_N = 16
@@ -178,6 +178,10 @@ def greedy_decomposition(G: Graph, i: int, depth: int, mode: str = "exact") -> G
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}")
+    with decoding("i"):
+        i = integer(i)
+    with decoding("depth"):
+        depth = integer(depth)
     if depth < 1:
         raise InvalidInputError("depth must be a positive integer")
     if not (0 <= i < G.n):

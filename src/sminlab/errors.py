@@ -23,12 +23,14 @@ class PreconditionError(InvalidInputError):
 
 @contextmanager
 def decoding(what: str):
-    """Report a missing key, a wrong type or a malformed value met while
-    decoding ``what`` as :class:`InvalidInputError`."""
+    """Report a missing key, a wrong type, a malformed value or an invalid
+    input met while decoding ``what`` as :class:`InvalidInputError` naming it."""
     try:
         yield
-    except InvalidInputError:
-        raise
+    except InvalidInputError as exc:
+        if str(exc).startswith(f"{what}:"):
+            raise
+        raise type(exc)(f"{what}: {exc}") from exc
     except KeyError as exc:
         raise InvalidInputError(f"{what}: missing key {exc.args[0]!r}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

@@ -37,8 +37,11 @@ Statistics (per realization ``B = A + M`` of dimension ``n``):
 * ``distance_profile(k, a)`` -- value is the ``k``-th smallest
   row-to-complement distance, so ``value <= a`` says at least ``k``
   rows sit within distance ``a`` of the span of the other rows.  The
-  grid supplies the thresholds; the statistic's own ``a`` serves as a
-  single-point grid for :func:`distance_profile_tail`.
+  grid supplies the thresholds; a config without one takes the
+  statistic's own ``a`` as its one-point grid, under either verb.
+
+Each spec checks and converts its fields once, when it is built, from a
+document or from Python: a string or a bool for a number is rejected.
 
 Each trial reports how many grid points it hits, not its value.  The
 grid ascends, so the points a trial hits are the last ones of the grid
@@ -83,7 +86,7 @@ import os
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import TypeVar
 
 import numpy as np
@@ -139,19 +142,17 @@ class Statistic:
 
     def __post_init__(self):
         if self.kind not in STATISTIC_KINDS:
-            raise InvalidInputError(
-                f"unknown statistic {self.kind!r}; choose from {STATISTIC_KINDS}"
-            )
-        if self.kind == "distance_profile":
-            if self.k is not None:
-                with decoding("k"):
-                    object.__setattr__(self, "k", integer(self.k))
-            if self.k is None or self.k < 1:
-                raise InvalidInputError("distance_profile needs a cardinality k >= 1")
-            if self.a is not None and not self.a > 0:
-                raise InvalidInputError("distance threshold a must be positive")
-        elif self.k is not None or self.a is not None:
+            raise InvalidInputError(f"unknown statistic {self.kind!r}; choose from {STATISTIC_KINDS}")
+        if self.kind != "distance_profile" and (self.k is not None or self.a is not None):
             raise InvalidInputError(f"statistic {self.kind!r} takes no parameters")
+        for name, read in (("k", integer), ("a", number)):
+            if getattr(self, name) is not None:
+                with decoding(name):
+                    object.__setattr__(self, name, read(getattr(self, name)))
+        if self.kind == "distance_profile" and (self.k is None or self.k < 1):
+            raise InvalidInputError("distance_profile needs a cardinality k >= 1")
+        if self.a is not None and not self.a > 0:
+            raise InvalidInputError("distance threshold a must be positive")
 
     @classmethod
     def smin_scaled(cls) -> "Statistic":
@@ -181,23 +182,17 @@ class Statistic:
         return f"distance_profile(k={self.k}{a_part})"
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.k is not None:
-            d["k"] = self.k
-        if self.a is not None:
-            d["a"] = self.a
-        return d
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Statistic":
         with decoding("statistic"):
             known_keys(d, [f.name for f in fields(cls)], "statistic")
-            k, a = d.get("k"), d.get("a")
-            return cls(
-                kind=d["kind"],
-                k=None if k is None else integer(k),
-                a=None if a is None else number(a),
-            )
+            return cls(kind=d["kind"], k=d.get("k"), a=d.get("a"))
+
+
+# The fields of an ExperimentConfig that hold a spec, and the spec's class.
+_SPEC_FIELDS = {"dist": RowDistribution, "shift": ShiftSpec, "statistic": Statistic}
 
 
 @dataclass(frozen=True)
@@ -213,6 +208,9 @@ class ExperimentConfig:
     statistic: Statistic = field(default_factory=Statistic.smin_scaled)
 
     def __post_init__(self):
+        for name, spec in _SPEC_FIELDS.items():
+            if not isinstance(getattr(self, name), spec):
+                raise InvalidInputError(f"{name} must be a {spec.__name__}, got {getattr(self, name)!r}")
         for name in ("n", "trials", "master_seed"):
             with decoding(name):
                 object.__setattr__(self, name, integer(getattr(self, name)))
@@ -221,7 +219,10 @@ class ExperimentConfig:
         SeedSpec(self.master_seed)  # rejects a seed outside [0, 2**64)
         if self.trials < 1:
             raise InvalidInputError("trials must be a positive integer")
-        grid = tuple(float(t) for t in self.t_grid)
+        with decoding("t_grid"):
+            grid = tuple(number(t) for t in self.t_grid)
+        if not grid and self.statistic.a is not None:
+            grid = (self.statistic.a,)  # the statistic's own threshold is the one-point grid
         if any(math.isnan(t) for t in grid):
             raise InvalidInputError("grid thresholds must not be NaN")
         if any(t < 0 for t in grid):
@@ -245,15 +246,10 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         with decoding("experiment config"):
             known_keys(d, [f.name for f in fields(cls)], "experiment config")
-            return cls(
-                dist=RowDistribution.from_dict(d["dist"]),
-                shift=ShiftSpec.from_dict(d["shift"]),
-                n=integer(d["n"]),
-                trials=integer(d["trials"]),
-                t_grid=tuple(number(t) for t in d["t_grid"]),
-                master_seed=integer(d["master_seed"]),
-                statistic=Statistic.from_dict(d["statistic"]),
-            )
+            doc = {f.name: d[f.name] for f in fields(cls)}
+            for name, spec in _SPEC_FIELDS.items():
+                doc[name] = spec.from_dict(doc[name])
+            return cls(**doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -273,6 +269,12 @@ class GridPointEstimate:
     ci_low: float
     ci_high: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            with decoding(f.name):
+                read = integer if f.name in ("hits", "trials") else number
+                object.__setattr__(self, f.name, read(getattr(self, f.name)))
+
 
 @dataclass
 class TailEstimate:
@@ -281,6 +283,10 @@ class TailEstimate:
     config: ExperimentConfig
     points: list[GridPointEstimate]
     wall_time: float
+
+    def __post_init__(self):
+        with decoding("wall_time"):
+            self.wall_time = number(self.wall_time)
 
     def to_dict(self) -> dict:
         return {
@@ -296,11 +302,11 @@ class TailEstimate:
     def from_dict(cls, d: dict) -> "TailEstimate":
         with decoding("tail estimate"):
             known_keys(d, [f.name for f in fields(cls)], "tail estimate")
-            return cls(
-                config=ExperimentConfig.from_dict(d["config"]),
-                points=[GridPointEstimate(**p) for p in d["points"]],
-                wall_time=number(d["wall_time"]),
-            )
+            names = [f.name for f in fields(GridPointEstimate)]
+            for p in d["points"]:
+                known_keys(p, names, "grid point")
+            points = [GridPointEstimate(**{name: p[name] for name in names}) for p in d["points"]]
+            return cls(config=ExperimentConfig.from_dict(d["config"]), points=points, wall_time=d["wall_time"])
 
     @classmethod
     def from_json(cls, text: str) -> "TailEstimate":
@@ -422,34 +428,19 @@ def estimate_tail(config: ExperimentConfig, workers: int | None = None) -> TailE
     points = []
     for j, t in enumerate(config.t_grid):
         hits = int(np.count_nonzero(h >= (size - j if config.statistic.hit_when_below else j + 1)))
-        low, high = wilson_interval(hits, config.trials)
-        points.append(
-            GridPointEstimate(
-                t=t,
-                hits=hits,
-                trials=config.trials,
-                p_hat=hits / config.trials,
-                ci_low=low,
-                ci_high=high,
-            )
-        )
+        points.append(GridPointEstimate(t, hits, config.trials, hits / config.trials,
+                                        *wilson_interval(hits, config.trials)))
     return TailEstimate(config=config, points=points, wall_time=time.perf_counter() - start)
 
 
 def distance_profile_tail(config: ExperimentConfig, workers: int | None = None) -> TailEstimate:
-    """Tail estimate for the distance-profile statistic.
-
-    Uses the config grid as the sweep of distance thresholds when one
-    is given; otherwise falls back to the single threshold carried by
-    the statistic.
-    """
-    stat = config.statistic
-    if stat.kind != "distance_profile":
+    """:func:`estimate_tail` of a distance-profile config, which must have
+    a threshold: a grid, or the statistic's ``a``, which the config makes
+    its one-point grid."""
+    if config.statistic.kind != "distance_profile":
         raise InvalidInputError("config must carry a distance_profile statistic")
     if not config.t_grid:
-        if stat.a is None:
-            raise InvalidInputError("need a t_grid or a fixed distance threshold a")
-        config = replace(config, t_grid=(stat.a,))
+        raise InvalidInputError("need a t_grid or a fixed distance threshold a")
     return estimate_tail(config, workers)
 
 

@@ -92,10 +92,8 @@ class SeedSpec:
         for name in ("master_seed", "trial_index"):
             value = getattr(self, name)
             if type(value) is not int:  # a spec is made per trial: ints take no extra step
-                try:
+                with decoding(name):
                     value = integer(value)
-                except TypeError as exc:
-                    raise InvalidInputError(f"{name}: {exc}") from None
                 object.__setattr__(self, name, value)
             if not 0 <= value <= _MASK64:
                 raise InvalidInputError(f"{name} must lie in [0, 2**64), got {value}")
@@ -161,13 +159,18 @@ def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:
     raise InvalidInputError(f"unknown distribution kind {dist.kind!r}")
 
 
-# The document keys of each shift kind besides "kind".
-_SHIFT_KEYS = {
-    "zero": (),
-    "scaled_identity": ("tau",),
-    "diagonal": ("values",),
-    "explicit": ("entries",),
-    "counterexample": ("tau",),
+def _numbers(values) -> tuple[float, ...]:
+    return tuple(number(v) for v in values)
+
+
+# The fields of each shift kind besides "kind", which are its document keys,
+# and how ShiftSpec reads them: as numbers, in tuples so that specs hash.
+_SHIFT_FIELDS = {
+    "zero": {},
+    "scaled_identity": {"tau": number},
+    "diagonal": {"values": _numbers},
+    "explicit": {"entries": lambda rows: tuple(map(_numbers, rows))},
+    "counterexample": {"tau": number},
 }
 
 
@@ -187,12 +190,17 @@ class ShiftSpec:
 
     def __post_init__(self):
         # exactly the fields of the kind: to_dict then writes what from_dict reads
-        if not isinstance(self.kind, str) or self.kind not in _SHIFT_KEYS:
+        if not isinstance(self.kind, str) or self.kind not in _SHIFT_FIELDS:
             raise InvalidInputError(f"unknown shift kind {self.kind!r}")
-        keys = _SHIFT_KEYS[self.kind]
+        keys = tuple(_SHIFT_FIELDS[self.kind])
         given = tuple(key for key in ("tau", "values", "entries") if getattr(self, key) is not None)
         if given != keys:
             raise InvalidInputError(f"a {self.kind} shift takes {list(keys)}, not {list(given)}")
+        for key, read in _SHIFT_FIELDS[self.kind].items():  # NaN and infinity pass: build_shift rejects them
+            with decoding(key):
+                object.__setattr__(self, key, read(getattr(self, key)))
+        if self.entries is not None and len({len(row) for row in self.entries}) > 1:
+            raise InvalidInputError("entries: the rows of an explicit shift differ in length")
 
     @classmethod
     def zero(cls) -> "ShiftSpec":
@@ -200,22 +208,21 @@ class ShiftSpec:
 
     @classmethod
     def scaled_identity(cls, tau: float) -> "ShiftSpec":
-        return cls(kind="scaled_identity", tau=float(tau))
+        return cls(kind="scaled_identity", tau=tau)
 
     @classmethod
     def diagonal(cls, values) -> "ShiftSpec":
-        return cls(kind="diagonal", values=tuple(float(v) for v in values))
+        return cls(kind="diagonal", values=values)
 
     @classmethod
     def explicit(cls, matrix) -> "ShiftSpec":
-        M = np.asarray(matrix, dtype=float)
-        return cls(kind="explicit", entries=tuple(tuple(row) for row in M))
+        return cls(kind="explicit", entries=matrix)
 
     @classmethod
     def counterexample(cls, tau: float) -> "ShiftSpec":
         """Diagonal ``(tau, ..., tau, 0, 0)``: the shift that defeats
         shift-independent bounds for sign matrices."""
-        return cls(kind="counterexample", tau=float(tau))
+        return cls(kind="counterexample", tau=tau)
 
     def label(self) -> str:
         if self.kind == "zero":
@@ -241,19 +248,8 @@ class ShiftSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftSpec":
         with decoding("shift"):
-            kind = d["kind"]
-            if kind not in _SHIFT_KEYS:
-                raise InvalidInputError(f"unknown shift kind {kind!r}")
-            known_keys(d, ("kind",) + _SHIFT_KEYS[kind], "shift")
-            if kind == "zero":
-                return cls.zero()
-            if kind == "scaled_identity":
-                return cls.scaled_identity(number(d["tau"]))
-            if kind == "diagonal":
-                return cls.diagonal(number(v) for v in d["values"])
-            if kind == "explicit":
-                return cls.explicit([[number(v) for v in row] for row in d["entries"]])
-            return cls.counterexample(number(d["tau"]))
+            known_keys(d, ["kind", *_SHIFT_FIELDS.get(d["kind"], ())], "shift")
+            return cls(**d)
 
 
 def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:
@@ -261,7 +257,7 @@ def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
     numbers = [spec.tau, *(spec.values or ()), *(v for row in spec.entries or () for v in row)]
-    bad = [float(v) for v in numbers if v is not None and not math.isfinite(v)]
+    bad = [v for v in numbers if v is not None and not math.isfinite(v)]
     if bad:
         raise InvalidInputError(f"{spec.kind} shift has non-finite entries {bad}")
     if spec.kind == "zero":
@@ -282,7 +278,7 @@ def build_shift(spec: ShiftSpec, n: int) -> np.ndarray:
     # the one kind left: counterexample
     if n < 3:
         raise InvalidInputError("counterexample shift needs n >= 3")
-    d = np.full(n, float(spec.tau))
+    d = np.full(n, spec.tau)
     d[-2:] = 0.0
     return np.diag(d)
 

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from . import alphaeta, combinatorics, linalg
-from .errors import InvalidInputError
+from .errors import InvalidInputError, decoding, integer
 from .samplers import KINDS, RowDistribution, SeedSpec, sample_matrix
 
 
@@ -462,6 +462,8 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> SuiteRe
     SeedSpec(seed)  # rejects a seed outside [0, 2**64) before any instance
     if instances is None:
         return runner(seed=seed)
+    with decoding("instances"):
+        instances = integer(instances)
     if instances < 1:
         raise InvalidInputError(f"instances must be at least 1, got {instances}")
     return runner(instances, seed=seed)

@@ -357,3 +357,27 @@ def test_tail_csv_matches_its_golden_bytes(tmp_path, capsys, name):
     capsys.readouterr()
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# CSVs of the criterion-12 shape at 30 trials, written by both tail verbs
+# before a config's threshold a became its one-point grid under either verb;
+# `tail --config` on the JSON config that holds a alone writes the bytes of
+# `distance-profile --a`.  The CI smoke run compares them with `cmp` too
+PROFILE = ["distance-profile", "--dist", "gaussian", "--n", "100", "--trials", "30", "--k", "8",
+           "--seed", "12"]
+PROFILE_CONFIG = os.path.join(GOLDEN_DIR, "profile_gaussian_n100_k8_a0.7_seed12.json")
+GOLDEN_PROFILES = {
+    "grid": (PROFILE + ["--t-grid", "0.35,0.7,1.4"], "profile_gaussian_n100_k8_grid_seed12.csv"),
+    "a": (PROFILE + ["--a", "0.7"], "profile_gaussian_n100_k8_a0.7_seed12.csv"),
+    "tail-config": (["tail", "--config", PROFILE_CONFIG], "profile_gaussian_n100_k8_a0.7_seed12.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PROFILES))
+def test_profile_csv_matches_its_golden_bytes(tmp_path, capsys, case):
+    argv, name = GOLDEN_PROFILES[case]
+    out = tmp_path / name
+    assert cli.parse_and_dispatch([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -189,6 +189,33 @@ class TestGreedyDecomposition:
             assert len(greedy.s_seq[1]) >= len(exact.s_seq[1])
 
 
+    @pytest.mark.parametrize("i, depth", [(0.0, 1), (np.float64(0.0), 1), ("0", 1), (0, True), (0, 2.0), (0, "2")])
+    def test_non_integer_vertex_or_depth_rejected(self, i, depth):
+        # the vertex 0.0 and depth=True were accepted, depth=2.0 raised a bare TypeError
+        name = "depth" if isinstance(i, int) else "i"
+        with pytest.raises(InvalidInputError, match=f"{name}: expected an integer"):
+            comb.greedy_decomposition(STAR, i, depth, "exact")
+
+    def test_numpy_integer_vertex_and_depth_accepted(self):
+        assert comb.greedy_decomposition(STAR, np.int64(0), np.int32(1)) == comb.greedy_decomposition(STAR, 0, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: comb.vertex_value(STAR, 0.0, 1),
+            lambda: comb.vertex_value(STAR, 0, 2.0),
+            lambda: comb.rho_set(STAR, 0, 2.5),
+            lambda: comb.check_edge_interval(STAR, 0, 2.0, 1),
+            lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 2.0),
+            lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, True),
+        ],
+        ids=["vertex_value-i", "vertex_value-L", "rho_set", "check_edge_interval", "dichotomy", "dichotomy-bool"],
+    )
+    def test_callers_reject_non_integer_arguments(self, call):
+        with pytest.raises(InvalidInputError, match="expected an integer"):
+            call()
+
+
 class TestVertexValue:
     def test_empty_graph_is_zero(self):
         assert comb.vertex_value(comb.Graph.empty(5), 0, 2) == 0.0

@@ -94,6 +94,17 @@ class TestStatistic:
         with pytest.raises(InvalidInputError):
             ex.Statistic.distance_profile(2, float("nan"))
 
+    @pytest.mark.parametrize("a", ["1", True, b"1"])
+    def test_non_numeric_distance_threshold_rejected(self, a):
+        # a="1" raised a bare TypeError and a=True was kept as True
+        with pytest.raises(InvalidInputError, match="a: expected a number"):
+            ex.Statistic("distance_profile", k=2, a=a)
+
+    def test_threshold_read_as_a_float(self):
+        stat = ex.Statistic.distance_profile(2, np.float32(0.5))
+        assert type(stat.a) is float and stat == ex.Statistic.distance_profile(2, 0.5)
+        assert type(ex.Statistic.distance_profile(2, 1).a) is float
+
 
 def config_dict(**overrides):
     d = make_config(statistic=ex.Statistic.distance_profile(3, 0.4)).to_dict()
@@ -154,6 +165,36 @@ class TestExperimentConfig:
                           statistic=ex.Statistic.distance_profile(np.int64(2)))
         assert cfg == make_config(statistic=ex.Statistic.distance_profile(2))
         assert ex.ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("grid", [("0.5",), (True,), (0.1, b"1"), "0.5", 0.5])
+    def test_non_numeric_grid_rejected(self, grid):
+        # ("0.5",) became (0.5,) and (True,) became (1.0,)
+        with pytest.raises(InvalidInputError, match="t_grid"):
+            make_config(t_grid=grid)
+
+    @pytest.mark.parametrize("name, value", [("dist", "gaussian"), ("shift", "zero"),
+                                             ("statistic", "smin_scaled"), ("dist", {"kind": "gaussian"})])
+    def test_spec_fields_must_be_specs(self, name, value):
+        # dist="gaussian" failed later with a bare AttributeError
+        with pytest.raises(InvalidInputError, match=f"{name} must be a"):
+            make_config(**{name: value})
+
+    def test_threshold_alone_is_the_one_point_grid(self):
+        cfg = make_config(t_grid=(), statistic=ex.Statistic.distance_profile(3, 0.4))
+        assert cfg.t_grid == (0.4,)
+        assert cfg.to_dict()["t_grid"] == [0.4]
+        assert ex.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ex.ExperimentConfig.from_dict(config_dict(t_grid=[])) == cfg
+        # a grid, when given, is the sweep; a is the label's
+        assert make_config(statistic=ex.Statistic.distance_profile(3, 0.4)).t_grid == (0.05, 0.1, 0.2, 0.4)
+
+    def test_document_errors_name_the_document(self):
+        with pytest.raises(InvalidInputError, match="^experiment config: n: expected an integer"):
+            ex.ExperimentConfig.from_dict(config_dict(n="10"))
+        with pytest.raises(InvalidInputError, match="^experiment config: shift: tau: expected a number"):
+            ex.ExperimentConfig.from_dict(config_dict(shift={"kind": "scaled_identity", "tau": "big"}))
+        with pytest.raises(InvalidInputError, match="^experiment config: trials must be a positive"):
+            ex.ExperimentConfig.from_json(json.dumps(config_dict(trials=0)))
 
     def test_missing_key_rejected(self):
         d = config_dict()
@@ -375,6 +416,14 @@ class TestDistanceProfile:
         est = ex.distance_profile_tail(cfg)
         hits = [p.hits for p in est.points]
         assert all(hits[i] <= hits[i + 1] for i in range(len(hits) - 1))
+
+    def test_one_threshold_gives_one_result_under_either_verb(self):
+        # estimate_tail wrote no point for a config holding only a
+        cfg = make_config(trials=30, t_grid=(), statistic=ex.Statistic.distance_profile(2, 0.5))
+        tail, profile = ex.estimate_tail(cfg), ex.distance_profile_tail(cfg)
+        assert tail.points == profile.points and len(tail.points) == 1
+        swept = ex.estimate_tail(replace(cfg, t_grid=(0.5,)))
+        assert tail.points == swept.points and tail.config == swept.config
 
     def test_requires_threshold_or_grid(self):
         cfg = make_config(trials=5, t_grid=(), statistic=ex.Statistic.distance_profile(2))
@@ -642,6 +691,22 @@ class TestEmitResults:
             ex.TailEstimate.from_json('{"config": {}, "points": [], "wall_time": 0.0}')
         with pytest.raises(InvalidInputError):
             ex.TailEstimate.from_json("")
+
+    @pytest.mark.parametrize(
+        "key, value", [("hits", "1"), ("hits", 1.0), ("trials", True), ("t", "0.05"), ("p_hat", None)]
+    )
+    def test_point_fields_read_as_numbers(self, key, value):
+        # "hits": "1" became a GridPointEstimate holding a string
+        d = ex.estimate_tail(make_config(trials=5)).to_dict()
+        d["points"][0][key] = value
+        with pytest.raises(InvalidInputError, match=f"^tail estimate: {key}: expected an? "):
+            ex.TailEstimate.from_dict(d)
+
+    def test_unknown_point_key_rejected(self):
+        d = ex.estimate_tail(make_config(trials=5)).to_dict()
+        d["points"][0]["hit"] = 1
+        with pytest.raises(InvalidInputError, match="grid point: unknown keys"):
+            ex.TailEstimate.from_dict(d)
 
     def test_unknown_estimate_key_rejected(self):
         d = ex.estimate_tail(make_config(trials=5)).to_dict()

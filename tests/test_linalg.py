@@ -972,6 +972,9 @@ class TestCertifiedOracle:
             got = la._certified(B, smin, cuts)
             assert got.hits == 2 and got.fallback == "tolerance"
 
+    def test_just_above_the_tolerance_is_certified(self):
+        check_just_above_the_tolerance()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity(self, n):
         # W = I: the row norms and norm(W, 1) * norm(W, inf) bracket
@@ -1087,6 +1090,22 @@ def check_dense_column():
     assert dominance_bound(B)[0] <= s_min
     for cuts in ((0.4,), (0.3, 0.4, 0.45)):
         assert la._certified(B, True, cuts).hits == svd_hits(B, True, cuts) == len(cuts)
+
+
+def check_just_above_the_tolerance():
+    """``s_min`` 1% above the rank tolerance, a gap far wider than the
+    rounding margin: the screen decides the diagonal matrix and the QR
+    bracket the dense one, each without the SVD, which calls both regular.
+    A tolerance stricter than the SVD's would send them to the SVD."""
+    d = np.ones(6)
+    d[-1] = 1.01 * la.RANK_RTOL
+    dense = near_tolerance(np.random.default_rng(8).standard_normal((6, 6)), 1.01)
+    for B, smin_cuts in ((np.diag(d), (0.5,)), (dense, (0.5, 2.0))):
+        s_min, hs = svd_statistics(B)
+        assert s_min > 0.0
+        for smin, cuts in ((True, tuple(c * s_min for c in smin_cuts)), (False, (0.5 * hs, 2.0 * hs))):
+            got = la._certified(B, smin, cuts)
+            assert got.fallback == "" and got.hits == svd_hits(B, smin, cuts)
 
 
 class TestDominanceScreen:

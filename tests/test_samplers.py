@@ -296,6 +296,44 @@ class TestBuildShift:
             ShiftSpec(kind, **fields)
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ShiftSpec.scaled_identity("3"),
+            lambda: ShiftSpec.scaled_identity(True),
+            lambda: ShiftSpec.counterexample(b"100"),
+            lambda: ShiftSpec.diagonal(["1", True]),
+            lambda: ShiftSpec.diagonal([1.0, True]),
+            lambda: ShiftSpec.diagonal("12"),
+            lambda: ShiftSpec.explicit([[1.0, "0"], [0.0, 1.0]]),
+            lambda: ShiftSpec.explicit(np.array([[True, False], [False, True]])),
+            lambda: ShiftSpec.explicit([1.0, 2.0]),
+        ],
+    )
+    def test_strings_and_bools_rejected_when_built(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
+
+    def test_explicit_rows_of_unequal_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="differ in length"):
+            ShiftSpec.explicit([[1.0, 2.0], [3.0]])
+        with pytest.raises(InvalidInputError, match="shift: entries: .*differ in length"):
+            ShiftSpec.from_dict({"kind": "explicit", "entries": [[1.0, 2.0], [3.0]]})
+
+    def test_fields_are_read_as_floats(self):
+        # integers and numpy scalars are numbers; the spec holds Python floats
+        # in tuples, so equal shifts compare and hash equal
+        specs = [
+            (ShiftSpec.scaled_identity(np.int64(3)), ShiftSpec.scaled_identity(3.0)),
+            (ShiftSpec.diagonal(np.arange(3)), ShiftSpec.diagonal([0.0, 1.0, 2.0])),
+            (ShiftSpec.explicit(np.eye(2, dtype=int)), ShiftSpec.explicit([[1.0, 0.0], [0.0, 1.0]])),
+        ]
+        for got, want in specs:
+            assert got == want and hash(got) == hash(want)
+        assert type(specs[0][0].tau) is float
+        assert all(type(v) is float for row in specs[2][0].entries for v in row)
+
+
 class TestCounterexampleWitness:
     def test_all_ones(self):
         X = counterexample_witness(np.ones((4, 4)), 10.0)

@@ -486,6 +486,19 @@ def test_negative_counts_are_rejected(name):
             suites.run_suite(name, instances=instances)
 
 
+@pytest.mark.parametrize("instances", [True, 2.5, 3.0, "3"])
+def test_non_integer_instance_count_is_rejected(monkeypatch, instances):
+    # True ran one instance and reported "True instances"; 2.5 raised a bare TypeError
+    monkeypatch.setitem(suites.SUITES, "pivot", None)  # no runner is reached
+    with pytest.raises(InvalidInputError, match="instances: expected an integer"):
+        suites.run_suite("pivot", instances=instances)
+
+
+def test_numpy_instance_count_is_an_int():
+    result = suites.run_suite("alpharho", instances=np.int64(3), seed=0)
+    assert result.instances == 3 and type(result.instances) is int
+
+
 def test_negative_triple_matrix_count_is_rejected():
     with pytest.raises(InvalidInputError, match="triple_matrices"):
         suites.run_low_value_suite(matrices=2, triple_matrices=-4)

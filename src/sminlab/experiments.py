@@ -9,11 +9,16 @@ through :func:`map_trials`, one thread pool whose worker count the
 
 The kernels take their trials in stacks: a contiguous range of trial
 indices whose matrices form one ``(c, n, n)`` array.  Each trial still
-draws from its own stream, straight into the stack, and a member of a
-stack gets the bits it would get alone.  One stacked factorization
-serves the distance profile of a stack and the certified statistics of
-the trials the dominance screen leaves, one stacked SVD its
-counterexample trials.  A stack holds at most
+draws from its own stream, straight into its member of the stack through
+``sample_matrix(..., out=)``, and the shift is then added in place, so a
+member holds the bits of ``sample_matrix(...) + shift``.  The gaussian,
+uniform_entry and ball_uniform laws draw in place; bernoulli writes twice
+its integer draws, a fresh integer array, into the member, and
+symmetric_exponential, whose generator call takes no ``out``, copies its
+draws in.  A member of a stack gets the bits it would get alone.  One
+stacked factorization serves the distance profile of a stack and the
+certified statistics of the trials the dominance screen leaves, one
+stacked SVD its counterexample trials.  A stack holds at most
 ``STACK_ENTRIES`` (``200**2``) matrix entries, as many as one trial at
 n = 200, which stays a stack of one; n = 100 trials go up to four and
 n = 50 trials up to sixteen to a stack.  The reason is the interpreter
@@ -378,11 +383,12 @@ def _sample_stack(
 ) -> np.ndarray:
     """The matrices ``A + shift_matrix`` of ``trials`` as one ``(len(trials),
     n, n)`` stack, ``A`` drawn from the trial's own ``SeedSpec(master_seed,
-    idx)`` stream and added to the shift straight into the stack."""
+    idx)`` stream into its member, to which the shift is added in place."""
     n = shift_matrix.shape[0]
     X = np.empty((len(trials), n, n))
     for j, idx in enumerate(trials):
-        np.add(sample_matrix(dist, n, SeedSpec(master_seed, idx)), shift_matrix, out=X[j])
+        sample_matrix(dist, n, SeedSpec(master_seed, idx), out=X[j])
+    X += shift_matrix
     return X
 
 

@@ -141,7 +141,8 @@ def _stack_scaled(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :func:`_scaled` takes them for one member, and only the members outside
     ``_SAFE_RANGE`` are rescaled, on a copy of ``X``.
     """
-    scale = np.linalg.norm(X, axis=2).max(axis=1)
+    # the bits of np.linalg.norm(X, axis=2), with one temporary where it makes two
+    scale = np.sqrt(np.add.reduce(X * X, axis=2)).max(axis=1)
     e = np.zeros(len(X), dtype=int)
     wild = [k for k, s in enumerate(scale.tolist()) if not _SAFE_RANGE[0] <= s <= _SAFE_RANGE[1]]
     if wild:
@@ -260,13 +261,21 @@ def _factor(X: np.ndarray) -> _Factored:
     Rt = _geqrf(X)
     # R^T is lower triangular, and the transpose of a C-ordered stack has
     # Fortran-ordered members, which trtri inverts in place
-    np.copyto(Rt, 0.0, where=~np.tri(m, dtype=bool))
+    np.copyto(Rt, 0.0, where=_above_diagonal(m))
     W = Rt.transpose(0, 2, 1)
     ok = np.abs(np.diagonal(W, axis1=1, axis2=2)).min(axis=1) > RANK_RTOL * scale
     for k in (~ok).nonzero()[0].tolist():
         W[k] = np.eye(m)
     _trtri(Rt, ok.nonzero()[0].tolist())
     return _Factored(X, e, scale, W, ok)
+
+
+@functools.cache
+def _above_diagonal(m: int) -> np.ndarray:
+    """The read-only ``(m, m)`` mask of the entries above the diagonal."""
+    mask = ~np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _row_profile(X: np.ndarray) -> np.ndarray:
@@ -519,7 +528,10 @@ def _qr_certified(X: np.ndarray, smin: bool, cuts, unit: float) -> list[_Certifi
     ``_MARGIN * n * eps * sqrt(n) * scale`` (``sqrt(n) * scale`` bounds
     ``norm(A, 2)``), contains no cut and its lower end is above the rank
     tolerance; on the clustered spectra of a large shift that is before
-    the first step.
+    the first step.  The norm product and the column norms are formed
+    lazily, for a member that the trace and the row norms leave undecided
+    before the first step: a narrower bracket decides every member that a
+    wider one decides, with the same hits, so this changes no result.
 
     The trial falls back to :func:`_extremes` and counts its value, for
     the first of these reasons that applies: the rows are dependent at the
@@ -537,21 +549,20 @@ def _qr_certified(X: np.ndarray, smin: bool, cuts, unit: float) -> list[_Certifi
     as given.  Ascending cuts are hit in a suffix for ``s_min`` and in a
     prefix for ``hs_inverse``.
 
-    One :func:`_factor` call gives the bracket before the first power step
-    of every member at once.  Power steps run member by member, only for
-    the members that bracket does not decide, and the members that fall
-    back share one :func:`_stack_extremes` call.  A member gets the result
-    a stack of one gives it.  Inputs are not checked.
+    One :func:`_factor` call gives the trace and the row norms of every
+    member at once.  Power steps run member by member, only for the members
+    the bracket before the first step does not decide, and the members that
+    fall back share one :func:`_stack_extremes` call.  A member gets the
+    result a stack of one gives it.  Inputs are not checked.
     """
     f = _factor(X)
     n = f.W.shape[1]
-    squares = np.square(f.W)
-    rows = squares.sum(axis=2)
+    # the squared row norms in the order np.square(W).sum(axis=2) adds them,
+    # without a stack-sized temporary
+    rows = np.einsum("kij,kij->ki", f.W, f.W)
     traces = rows.sum(axis=1).tolist()
     if smin:
-        absW = np.abs(f.W)
-        products = (absW.sum(axis=2).max(axis=1) * absW.sum(axis=1).max(axis=1)).tolist()
-        lam_lows = np.maximum(rows.max(axis=1), squares.sum(axis=1).max(axis=1)).tolist()
+        lam_lows = rows.max(axis=1).tolist()
     root = _MARGIN * n * _EPS * math.sqrt(n)
     out = []
     for k, (independent, e, scale) in enumerate(zip(f.ok.tolist(), f.e.tolist(), f.scale.tolist())):
@@ -559,8 +570,7 @@ def _qr_certified(X: np.ndarray, smin: bool, cuts, unit: float) -> list[_Certifi
             out.append(_Certified(0, 0, "rank"))
         elif smin:
             scaled = [math.ldexp(c / unit, -e) for c in cuts]
-            lam_high = min(traces[k], products[k])
-            out.append(_smin_position(f.W[k], rows[k], traces[k], lam_high, lam_lows[k], scaled,
+            out.append(_smin_position(f.W[k], rows[k], traces[k], traces[k], lam_lows[k], scaled,
                                       root * scale, RANK_RTOL * scale))
         else:
             scaled = [math.ldexp(c * unit, e) for c in cuts]
@@ -596,8 +606,16 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
     """The ``s_min`` position of :func:`_stack_certified` for one member
     with ``W = R^-1``, the squared row norms ``rows`` of ``W`` and the
     bracket ``[lam_low, lam_high]`` of ``lambda_1`` before the first step;
-    ``scaled`` are its cuts in the units of the member.  A fallback counts
-    0 hits."""
+    ``scaled`` are its cuts in the units of the member.  When that bracket
+    does not decide, it is narrowed by the largest squared column norm of
+    ``W`` and by ``norm(W, 1) * norm(W, inf)`` before the first step.  A
+    fallback counts 0 hits."""
+    hits = _smin_decided(lam_high, lam_low, scaled, margin, tolerance)
+    if hits is not None:
+        return _Certified(hits, 0, "")
+    absW = np.abs(W)
+    lam_high = min(lam_high, float(absW.sum(axis=1).max() * absW.sum(axis=0).max()))
+    lam_low = max(lam_low, float(np.square(absW, out=absW).sum(axis=0).max()))
     for steps in range(_POWER_STEPS + 1):
         if steps == 1:  # the bracket before the first step did not decide
             top = int(np.argmax(rows))
@@ -611,9 +629,10 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
                 r = z - rho * x
                 lam_high = min(lam_high, rho + float(r @ r) / (2.0 * rho - trace))
             x = z / math.sqrt(float(z @ z))
+        hits = _smin_decided(lam_high, lam_low, scaled, margin, tolerance)
+        if hits is not None:
+            return _Certified(hits, steps, "")
         low, high = 1.0 / math.sqrt(lam_high), 1.0 / math.sqrt(lam_low)
-        if low - margin > tolerance and not any(low - margin <= c <= high + margin for c in scaled):
-            return _Certified(sum(c > high for c in scaled), steps, "")
         # s_min of the computed W lies in [low, high], and the bracket can
         # shrink to no less than that value -+ margin
         if high - margin <= tolerance:
@@ -621,6 +640,16 @@ def _smin_position(W: np.ndarray, rows: np.ndarray, trace: float, lam_high: floa
         if any(high - margin <= c <= low + margin for c in scaled):
             return _Certified(0, steps, "cut")
     return _Certified(0, _POWER_STEPS, "cap")
+
+
+def _smin_decided(lam_high: float, lam_low: float, scaled, margin: float, tolerance: float) -> int | None:
+    """The cuts hit when the bracket ``[lam_low, lam_high]`` of ``lambda_1``
+    decides them, ``None`` when it does not: the ``s_min`` bracket it gives,
+    widened by ``margin``, must hold no cut and lie above ``tolerance``."""
+    low, high = 1.0 / math.sqrt(lam_high), 1.0 / math.sqrt(lam_low)
+    if low - margin > tolerance and not any(low - margin <= c <= high + margin for c in scaled):
+        return sum(c > high for c in scaled)
+    return None
 
 
 def hs_inverse(B) -> float:
@@ -667,15 +696,24 @@ def _geqrf(X: np.ndarray) -> np.ndarray:
     """
     F = np.array(X, dtype=np.float64, order="C")
     N, m, d = F.shape
+    if not F.size:
+        return F[:, :, :m]
     rows, cols, lwork, info = (ctypes.c_int64(v) for v in (d, m, _geqrf_work(d, m), 0))
+    # a workspace of this call's own, so that trial threads never share one
     tau, work = np.empty(m), np.empty(lwork.value)
-    # numpy's .ctypes.data costs more than a small dgeqrf: one address per array
-    base, step, tau_at, work_at = F.ctypes.data, F.strides[0], tau.ctypes.data, work.ctypes.data
+    base, step, tau_at, work_at = _address(F), F.strides[0], _address(tau), _address(work)
     for k in range(N):
         _BLAS.dgeqrf(rows, cols, base + k * step, rows, tau_at, work_at, lwork, info)
     if info.value:  # an illegal argument, the same for every member
         raise RuntimeError(f"LAPACK dgeqrf failed on a ({d}, {m}) matrix: info {info.value}")
     return np.ascontiguousarray(F[:, :, :m])
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the first byte of a contiguous, writable, nonempty
+    array: about a third of the cost of ``a.ctypes.data``, which costs more
+    than a small LAPACK call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 @functools.cache
@@ -695,8 +733,10 @@ def _trtri(Rt: np.ndarray, members: list[int]) -> None:
     if Rt.dtype != np.float64 or not Rt.flags.c_contiguous or Rt.shape[1] != Rt.shape[2]:
         raise ValueError(f"dtrtri needs a C-ordered float64 stack of square matrices, got "
                          f"{Rt.dtype} of shape {Rt.shape}")
+    if not members:
+        return
     n, info = ctypes.c_int64(Rt.shape[1]), ctypes.c_int64()
-    base, step = Rt.ctypes.data, Rt.strides[0]
+    base, step = _address(Rt), Rt.strides[0]
     for k in members:
         # the trailing 1s are the lengths of the two character arguments
         _BLAS.dtrtri(b"U", b"N", n, base + k * step, n, info, 1, 1)

@@ -129,7 +129,7 @@ class RowDistribution:
             return cls(kind=d["kind"])
 
 
-def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:
+def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Draw an ``n x n`` matrix with independent rows from ``dist``.
 
     gaussian: i.i.d. N(0,1) entries; bernoulli: i.i.d. fair +/-1;
@@ -138,25 +138,39 @@ def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec) -> np.ndarray:
     scaled to unit variance; ball_uniform: each row uniform on the
     centered Euclidean ball of radius sqrt(n + 2) (isotropic,
     log-concave).
+
+    The matrix is written into ``out``, a C-ordered float64 ``(n, n)``
+    array such as one member of a stack, when it is given, and into a new
+    array otherwise; either way it has the same bits and is returned.
+    Each law writes its draws in place where the generator can.
     """
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
+    if out is None:
+        out = np.empty((n, n))
+    elif out.shape != (n, n):
+        raise InvalidInputError(f"out has shape {out.shape}, expected {(n, n)}")
     rng = seed.rng()
     if dist.kind == "gaussian":
-        return rng.standard_normal((n, n))
-    if dist.kind == "bernoulli":
-        return rng.integers(0, 2, size=(n, n)).astype(float) * 2.0 - 1.0
-    if dist.kind == "uniform_entry":
+        rng.standard_normal(out=out)
+    elif dist.kind == "bernoulli":
+        np.multiply(rng.integers(0, 2, size=(n, n)), 2.0, out=out)
+        out -= 1.0
+    elif dist.kind == "uniform_entry":
+        # what Generator.uniform(-r, r) computes, -r + (2 r) * u, 2 r being exact
         r = math.sqrt(3.0)
-        return rng.uniform(-r, r, size=(n, n))
-    if dist.kind == "symmetric_exponential":
-        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, n))
-    if dist.kind == "ball_uniform":
-        g = rng.standard_normal((n, n))
-        directions = g / np.linalg.norm(g, axis=1, keepdims=True)
-        radii = math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n)
-        return directions * radii[:, None]
-    raise InvalidInputError(f"unknown distribution kind {dist.kind!r}")
+        rng.random(out=out)
+        out *= 2.0 * r
+        out += -r
+    elif dist.kind == "symmetric_exponential":
+        out[...] = rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, n))  # laplace takes no out
+    elif dist.kind == "ball_uniform":
+        rng.standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        out *= (math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n))[:, None]
+    else:
+        raise InvalidInputError(f"unknown distribution kind {dist.kind!r}")
+    return out
 
 
 def _numbers(values) -> tuple[float, ...]:

@@ -338,21 +338,25 @@ def test_runtime_imports_no_scipy():
 
 
 # CSVs of the criterion-03 and -04 shapes at 200 trials, written before the
-# dominance screen took these trials off the QR path; the CI smoke run
-# compares them with `cmp` too
+# dominance screen took these trials off the QR path, and of the criterion-02
+# shape at 200 trials, written before the trials drew into their stack; the
+# CI smoke run compares them with `cmp` too
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+UNIFORM_SHIFTED = ["--dist", "uniform_entry", "--n", "100", "--shift", "scaled-identity:100"]
 GOLDEN_TAILS = {
-    "tail_uniform_n100_shift_smin_seed33.csv": ["--statistic", "smin_scaled", "--seed", "33"],
-    "tail_uniform_n100_shift_hs_n_seed44.csv": ["--statistic", "hs_scaled_n", "--seed", "44",
-                                                "--t-grid", "1,2,4"],
+    "tail_uniform_n100_shift_smin_seed33.csv": UNIFORM_SHIFTED + ["--statistic", "smin_scaled",
+                                                                  "--seed", "33"],
+    "tail_uniform_n100_shift_hs_n_seed44.csv": UNIFORM_SHIFTED + ["--statistic", "hs_scaled_n",
+                                                                  "--seed", "44", "--t-grid", "1,2,4"],
+    "tail_gaussian_n200_smin_seed22.csv": ["--dist", "gaussian", "--n", "200", "--statistic",
+                                           "smin_scaled", "--seed", "22"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TAILS))
 def test_tail_csv_matches_its_golden_bytes(tmp_path, capsys, name):
     out = tmp_path / name
-    argv = ["tail", "--dist", "uniform_entry", "--n", "100", "--shift", "scaled-identity:100",
-            "--trials", "200", *GOLDEN_TAILS[name], "--out", str(out)]
+    argv = ["tail", "--trials", "200", *GOLDEN_TAILS[name], "--out", str(out)]
     assert cli.parse_and_dispatch(argv) == 0
     capsys.readouterr()
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
@@ -396,3 +400,23 @@ def test_alpharho_report_matches_its_golden_bytes(tmp_path, capsys):
     capsys.readouterr()
     with open(os.path.join(GOLDEN_DIR, GOLDEN_ALPHARHO), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# The counterexample report of the criterion-05 shape at 400 trials, written
+# before the trials drew their sign matrices into their stack; the CI smoke
+# run compares it with `cmp` too
+GOLDEN_COUNTEREXAMPLE = "counterexample_n50_tau2500_seed55.json"
+
+
+def check_counterexample_report_matches_its_golden_bytes(tmp_path):
+    out = tmp_path / GOLDEN_COUNTEREXAMPLE
+    argv = ["counterexample", "--n", "50", "--tau", "2500", "--trials", "400", "--seed", "55",
+            "--out", str(out)]
+    assert cli.parse_and_dispatch(argv) == 0
+    with open(os.path.join(GOLDEN_DIR, GOLDEN_COUNTEREXAMPLE), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def test_counterexample_report_matches_its_golden_bytes(tmp_path, capsys):
+    check_counterexample_report_matches_its_golden_bytes(tmp_path)
+    capsys.readouterr()

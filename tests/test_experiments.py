@@ -16,7 +16,7 @@ import sminlab.experiments as ex
 from sminlab import linalg
 from sminlab.errors import InvalidInputError
 from sminlab.linalg import singular_data
-from sminlab.samplers import RowDistribution, SeedSpec, ShiftSpec, sample_matrix
+from sminlab.samplers import KINDS, RowDistribution, SeedSpec, ShiftSpec, sample_matrix
 
 
 def make_config(**overrides):
@@ -331,7 +331,12 @@ class TestEstimateTail:
         assert ex._stack_hits(cfg, shift, range(3)) == expected
         scaled = replace(cfg, t_grid=tuple(t / c for t in grid))
         sample = ex.sample_matrix
-        monkeypatch.setattr(ex, "sample_matrix", lambda *args: c * sample(*args))
+
+        def scaled_draw(*args, out):
+            # the trials draw into their stack through sample_matrix's out
+            return np.multiply(c, sample(*args, out=out), out=out)
+
+        monkeypatch.setattr(ex, "sample_matrix", scaled_draw)
         assert ex._stack_hits(scaled, shift, range(3)) == expected
 
     def test_clustered_shift_trials_take_no_svd(self, monkeypatch):
@@ -449,7 +454,7 @@ class TestCounterexampleExperiment:
          (10, None, 10, "tau"), (10, True, 10, "tau")],
     )
     def test_non_numeric_arguments_rejected_before_sampling(self, monkeypatch, n, tau, trials, name):
-        def no_sampling(*args):
+        def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a matrix")
 
         monkeypatch.setattr(ex, "sample_matrix", no_sampling)
@@ -463,7 +468,7 @@ class TestCounterexampleExperiment:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected_before_sampling(self, monkeypatch, seed):
-        def no_sampling(*args):
+        def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a matrix")
 
         monkeypatch.setattr(ex, "sample_matrix", no_sampling)
@@ -472,7 +477,7 @@ class TestCounterexampleExperiment:
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected_before_sampling(self, monkeypatch, tau):
-        def no_sampling(*args):
+        def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a matrix")
 
         monkeypatch.setattr(ex, "sample_matrix", no_sampling)
@@ -601,8 +606,25 @@ class TestMapTrials:
         assert blas_at_two_threads() == 2
 
 
+def check_stacked_draws_are_sample_matrix_plus_shift():
+    """Every law's trials drawn into their stack by ``_sample_stack``, at
+    several sizes and a nonzero shift, bit for bit against
+    ``sample_matrix(...) + shift`` drawn one by one."""
+    for kind in KINDS:
+        dist = RowDistribution(kind)
+        for n in (1, 2, 7, 50):
+            shift = np.random.default_rng(n).standard_normal((n, n))
+            trials = range(5, 9)
+            got = ex._sample_stack(dist, 77, shift, trials)
+            want = np.array([sample_matrix(dist, n, SeedSpec(77, idx)) + shift for idx in trials])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (kind, n)
+
+
 class TestStacks:
     """Trials stacked by map_trials against the same trials one by one."""
+
+    def test_stacked_draws_are_sample_matrix_plus_shift(self):
+        check_stacked_draws_are_sample_matrix_plus_shift()
 
     @pytest.mark.parametrize(
         "overrides",

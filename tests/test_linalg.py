@@ -448,6 +448,11 @@ class TestStackedKernels:
             np.testing.assert_array_equal(d, la._row_profile(member[None])[0])
             np.testing.assert_array_equal(d, la.row_distances(member))
 
+    def test_empty_stack(self):
+        # LAPACK is not called, so no address of an empty array is taken
+        assert la._row_profile(np.empty((0, 3, 3))).shape == (0, 3)
+        assert la._qr_certified(np.empty((0, 3, 3)), True, (0.1,), 1.0) == []
+
     def test_wide_families(self):
         stack = np.random.default_rng(4).standard_normal((5, 6, 4))
         stack[2] *= 1e-200
@@ -1036,6 +1041,76 @@ class TestCertifiedOracle:
         s_min = la._extremes(B)[0]
         cuts = (s_min * (1.0 - offset), s_min * (1.0 + offset))
         assert certified(B, True, cuts).hits == svd_hits(B, True, cuts)
+
+
+def eager_qr_certified(X, smin, cuts, unit=1.0):
+    """``la._qr_certified`` with the bracket of ``lambda_1`` before the first
+    power step formed for every member at once: the trace, the largest
+    squared row or column norm and ``norm(W, 1) * norm(W, inf)``, from the
+    ``np.square(W)`` and ``np.abs(W)`` of the whole stack.  Each member is
+    then placed by ``la._smin_position`` or ``la._hs_position`` from that
+    bracket, and a fallback counts the SVD value."""
+    f = la._factor(X)
+    n = f.W.shape[1]
+    squares = np.square(f.W)
+    rows = squares.sum(axis=2)
+    traces = rows.sum(axis=1)
+    absW = np.abs(f.W)
+    products = absW.sum(axis=2).max(axis=1) * absW.sum(axis=1).max(axis=1)
+    lam_lows = np.maximum(rows.max(axis=1), squares.sum(axis=1).max(axis=1))
+    root = 8.0 * n * la._EPS * math.sqrt(n)
+    out = []
+    for k in range(len(X)):
+        margin, tolerance = root * f.scale[k], la.RANK_RTOL * f.scale[k]
+        if not f.ok[k]:
+            got = la._Certified(0, 0, "rank")
+        elif smin:
+            scaled = [math.ldexp(c / unit, -int(f.e[k])) for c in cuts]
+            got = la._smin_position(f.W[k], rows[k], float(traces[k]), float(min(traces[k], products[k])),
+                                    float(lam_lows[k]), scaled, margin, tolerance)
+        else:
+            scaled = [math.ldexp(c * unit, int(f.e[k])) for c in cuts]
+            got = la._hs_position(float(traces[k]), scaled, margin, tolerance)
+        if got.fallback:
+            s_min, hs = svd_statistics(X[k])
+            got = got._replace(hits=sum(s_min * unit <= c for c in cuts) if smin
+                               else sum(hs / unit >= c for c in cuts))
+        out.append(got)
+    return out
+
+
+def eager_bracket_stacks():
+    """Stacks of every shape the QR bracket meets: Gaussian, +-1, the
+    clustered shift, diagonal and identity, each at a few sizes."""
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 5, 12, 40):
+        yield "gaussian", rng.standard_normal((6, n, n))
+        yield "signs", rng.choice([-1.0, 1.0], (6, n, n))
+        yield "clustered", np.array([uniform_plus_shift(rng, n) for _ in range(4)])
+        yield "diagonal", np.array([np.diag(rng.uniform(0.5, 3.0, n)) for _ in range(4)])
+        yield "identity", np.broadcast_to(np.eye(n), (2, n, n)).copy()
+
+
+def check_lazy_bracket_matches_the_eager_one():
+    """``la._qr_certified``, which forms the column norms and the norm
+    product only for members the trace and the row norms leave undecided,
+    gives every member of every :func:`eager_bracket_stacks` stack the
+    ``(hits, steps, fallback)`` of :func:`eager_qr_certified`, on the
+    criterion grids and on cuts close to each member's value."""
+    for shape, X in eager_bracket_stacks():
+        n = X.shape[1]
+        root = math.sqrt(n)
+        values = [svd_statistics(B) for B in X]
+        s_cuts = sorted(v * f for v, _ in values for f in (0.999, 1.0, 1.001, 1.5))
+        h_cuts = sorted(v * f for _, v in values for f in (0.999, 1.0, 1.001))
+        for smin, cuts, unit in ((True, CRITERION_GRIDS[0], root), (True, s_cuts, 1.0),
+                                 (False, CRITERION_GRIDS[1], n), (False, h_cuts, 1.0)):
+            want = eager_qr_certified(X, smin, cuts, unit)
+            assert la._qr_certified(X, smin, cuts, unit) == want, (shape, n, smin, cuts)
+
+
+def test_lazy_bracket_matches_the_eager_one():
+    check_lazy_bracket_matches_the_eager_one()
 
 
 def exact_johnson_bound(B):

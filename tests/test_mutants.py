@@ -1,26 +1,34 @@
-"""Mutation table for the certified Monte Carlo kernel and the batched
-alpha-eta verification.
+"""Mutation table for the certified Monte Carlo kernel, the stacked
+trial draws and the batched alpha-eta verification.
 
-Each entry names a mutant of ``linalg`` or ``alphaeta``, the way to apply
-it with ``monkeypatch``, and the checks that must fail under it.  A check
-calls oracle tests of ``test_linalg`` or ``test_alphaeta``, which pass on
-the code as it is, or runs a lemma suite; the table fails when a mutant
+Each entry names a mutant of ``linalg``, ``experiments`` or ``alphaeta``,
+the way to apply it with ``monkeypatch``, and the checks that must fail
+under it.  A check calls oracle tests of ``test_linalg``,
+``test_experiments``, ``test_cli`` or ``test_alphaeta``, which pass on the
+code as it is, or runs a lemma suite; the table fails when a mutant
 survives one of its checks, so a weakened oracle shows here as well as the
 change it should catch.  Each ``linalg`` mutant changes the certified path
 alone: the SVD that the oracles and the kernel's fallback call keeps the
-true rank tolerance.  Each ``alphaeta`` mutant changes the batch alone:
-its oracle, ``verify_alpharho`` of one structure, is left as it is.
+true rank tolerance.  The ``experiments`` mutant changes the stacked draw
+alone: its oracle, ``sample_matrix`` of one trial, is left as it is.  Each
+``alphaeta`` mutant changes the batch alone: its oracle,
+``verify_alpharho`` of one structure, is left as it is.
 """
 
 import inspect
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sminlab.alphaeta as ae
+import sminlab.experiments as ex
 import sminlab.linalg as la
 import test_alphaeta as batch_oracle
+import test_cli as golden
+import test_experiments as stream_oracle
 import test_linalg as oracle
 from sminlab import suites
 
@@ -86,6 +94,21 @@ def alpharho_suite_passes():
         assert result.passed, result.messages
 
 
+def identities():
+    for n in (1, 2, 3, 5):
+        oracle.TestCertifiedOracle().test_identity(n)
+
+
+def dominant_diagonals():
+    for d in ((1.0, 1.1), (1.0, 1.5), (2.0, 3.0, 5.0), (0.5, 0.9, 4.0, 4.0)):
+        oracle.TestCertifiedOracle().test_diagonal_with_a_dominant_direction_is_certified(d)
+
+
+def counterexample_report_matches_its_golden_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        golden.check_counterexample_report_matches_its_golden_bytes(Path(tmp))
+
+
 def batch_rewritten(old, new):
     return lambda mp: mp.setattr(ae, "_verify_group", rewritten(ae._verify_group, old, new))
 
@@ -117,6 +140,23 @@ MUTANTS = {
         lambda mp: mp.setattr(la, "_smin_position", rewritten(
             la._smin_position, "lam_low = max(lam_low, rho)", "lam_low = max(lam_low, 1.01 * rho)")),
         [oracle.TestCertifiedOracle().test_planted_value_off_the_grid_is_certified],
+    ),
+    # without it the trace bounds lambda_1 from above: the identity's bracket
+    # (n >= 2) then closes at no power step, its top eigenvalue being
+    # repeated, and a dominant diagonal's only after the first
+    "norm-product bound never formed": (
+        lambda mp: mp.setattr(la, "_smin_position", rewritten(
+            la._smin_position,
+            "lam_high = min(lam_high, float(absW.sum(axis=1).max() * absW.sum(axis=0).max()))",
+            "pass")),
+        [identities, dominant_diagonals],
+    ),
+    # a zero shift leaves the criterion-02 golden as it is; the counterexample
+    # shift does not
+    "stacked draw without the shift": (
+        lambda mp: mp.setattr(ex, "_sample_stack", rewritten(ex._sample_stack, "X += shift_matrix", "pass")),
+        [stream_oracle.check_stacked_draws_are_sample_matrix_plus_shift,
+         counterexample_report_matches_its_golden_bytes],
     ),
     # the suite draws no ties: only the uniform factors of the special
     # structures tie

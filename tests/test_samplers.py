@@ -223,6 +223,41 @@ class TestSampleMatrix:
         with pytest.raises(InvalidInputError):
             sample_matrix(RowDistribution("gaussian"), 0, SeedSpec(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draws_are_the_generator_closed_forms(self, kind, n):
+        # each law's draws, written in place where the generator can, have the
+        # bits of the generator's own fresh-array forms, compared as uint64
+        rng = SeedSpec(31, n).rng()
+        r = math.sqrt(3.0)
+        if kind == "gaussian":
+            want = rng.standard_normal((n, n))
+        elif kind == "bernoulli":
+            want = rng.integers(0, 2, size=(n, n)).astype(float) * 2.0 - 1.0
+        elif kind == "uniform_entry":
+            want = rng.uniform(-r, r, size=(n, n))
+        elif kind == "symmetric_exponential":
+            want = rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, n))
+        else:
+            g = rng.standard_normal((n, n))
+            radii = math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n)
+            want = g / np.linalg.norm(g, axis=1, keepdims=True) * radii[:, None]
+        got = sample_matrix(RowDistribution(kind), n, SeedSpec(31, n))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_receives_the_draw(self, kind):
+        stack = np.full((3, 7, 7), np.nan)
+        got = sample_matrix(RowDistribution(kind), 7, SeedSpec(8, 2), out=stack[1])
+        assert got.base is stack
+        want = sample_matrix(RowDistribution(kind), 7, SeedSpec(8, 2))
+        assert np.array_equal(stack[1].view(np.uint64), want.view(np.uint64))
+        assert np.isnan(stack[[0, 2]]).all()
+
+    def test_out_of_another_shape_rejected(self):
+        with pytest.raises(InvalidInputError, match="out has shape"):
+            sample_matrix(RowDistribution("gaussian"), 3, SeedSpec(0), out=np.empty((3, 4)))
+
 
 class TestBuildShift:
     def test_counterexample_diagonal(self):

@@ -25,9 +25,10 @@ budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
 and larger requests are rejected rather than subsampled.  Section
 quantities of coordinate ``i`` are computed on the section shape, with
 ``size / shape[i]`` entries, and read only at the atoms that need them.
-Each label's table is one ``np.einsum`` over the labels viewed as
-``(before i, along i, after i)``; einsum without ``optimize`` calls no
-BLAS, so the report does not depend on the BLAS thread count.
+Each label's table adds the factor probabilities of coordinate ``i`` into
+an ``(atoms before i, atoms after i)`` accumulator in coordinate order,
+where the label matches, so every line is summed in the order the
+per-atom queries sum it, and no BLAS is called.
 
 A structure keeps each assignment in the form it was given.  A constant
 class label is one integer for its coordinate, and so is a constant cell
@@ -48,9 +49,7 @@ built: the structures with the same number of coordinates are laid end to
 end, and every section table of one coordinate is one ``np.bincount`` over
 ``(line, label)`` keys, the lines of each structure numbered after those
 of the structures before it.  Its reports are those of
-:meth:`AlphaEtaStructure.verify_alpharho`, except that a line's section is
-summed in coordinate order where einsum's SIMD kernels may sum it
-pairwise, so ``lhs`` and ``min_ratio_sum`` may differ in the last bits.
+:meth:`AlphaEtaStructure.verify_alpharho`, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ CUBE_ENUMERATION_BUDGET = 4 * 10**6
 _PROB_ATOL = 1e-12
 
 
-def _float_vector(p) -> bool:
-    return type(p) is np.ndarray and p.dtype == np.float64 and p.ndim == 1
-
-
 class DiscreteProductSpace:
     """Finite product probability space with per-factor atom probabilities.
 
@@ -99,11 +94,7 @@ class DiscreteProductSpace:
                 raise InvalidInputError(
                     f"product has {size} atoms, exceeding the enumeration budget {budget}"
                 )
-            self.factors = [
-                # a float64 vector is copied whole: number() would return its entries unchanged
-                np.array(p) if _float_vector(p) else np.array([number(v) for v in p], dtype=float)
-                for p in factors
-            ]
+            self.factors = [np.array([number(v) for v in p], dtype=float) for p in factors]
         except TypeError as exc:
             raise InvalidInputError(
                 f"factors must be sequences of probabilities and the budget an integer: {exc}"
@@ -151,8 +142,8 @@ class DiscreteProductSpace:
         return out.reshape(-1)
 
     def prob(self, atom) -> float:
-        a = np.unravel_index(self.atom_index(atom), self.shape)
-        return float(np.prod([p[v] for p, v in zip(self.factors, a)]))
+        """P(atom), with the bits of its entry in :meth:`atom_probabilities`."""
+        return float(self._probabilities(np.array([self.atom_index(atom)]))[0])
 
     def _probabilities(self, flat: np.ndarray) -> np.ndarray:
         """P(atom) at the flat indices ``flat``, multiplied from the factors
@@ -161,30 +152,6 @@ class DiscreteProductSpace:
         for p, stride, m in zip(self.factors, self._strides, self.shape):
             out *= p[flat // stride % m]
         return out
-
-
-def _label_codes(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(labels, slots, codes)`` of a 1-D label array: its distinct labels
-    in ascending order, as ``np.unique`` gives them, the slot of each label
-    in a lookup table, and the slot of every entry, so that a table holding
-    a value per label at ``slots`` maps the entries when read at ``codes``.
-
-    Integer labels (other than ``uint64``) spanning fewer than ``flat.size
-    + 1024`` values are counted with ``np.bincount``, with the slot ``label
-    - min``; any other labels are sorted by ``np.unique``."""
-    if flat.dtype.kind == "i" or flat.dtype.kind == "u" and flat.dtype.itemsize < 8:
-        lo = int(flat.min())
-        if int(flat.max()) - lo < flat.size + 1024:
-            codes = flat.astype(np.intp, copy=False) - lo
-            slots = np.flatnonzero(np.bincount(codes))
-            return (slots + lo).astype(flat.dtype), slots, codes
-    try:
-        labels, codes = np.unique(flat, return_inverse=True)
-    except TypeError:
-        raise InvalidInputError(
-            "the labels of an assignment array cannot be ordered; give them as a mapping"
-        ) from None
-    return labels, np.arange(labels.size), codes
 
 
 @dataclass
@@ -237,7 +204,6 @@ class AlphaEtaStructure:
         self._cells = [
             self._assignment(spec, self._lam_pos, self._event_mask) for spec in event_partition
         ]
-        self._sharp_cache: dict[int, int] = {}
 
     # -- normalization -------------------------------------------------
 
@@ -297,9 +263,13 @@ class AlphaEtaStructure:
             raise InvalidInputError("assignment array has the wrong shape") from None
         if arr.shape not in ((N,), shape):
             raise InvalidInputError("assignment array has the wrong shape")
-        labels, slots, codes = _label_codes(arr.reshape(-1))
-        table = np.zeros(slots[-1] + 1, out.dtype)
-        table[slots] = [self._label_index(v, lookup) for v in labels]
+        try:
+            labels, codes = np.unique(arr.reshape(-1), return_inverse=True)
+        except TypeError:
+            raise InvalidInputError(
+                "the labels of an assignment array cannot be ordered; give them as a mapping"
+            ) from None
+        table = np.array([self._label_index(v, lookup) for v in labels], out.dtype)
         out[where] = table[codes[where]]
         return out
 
@@ -345,16 +315,14 @@ class AlphaEtaStructure:
         same count at every atom, so only the per-atom ones are counted.
         """
         pidx = self._label_index(psi_label, self._psi_pos)
-        if pidx not in self._sharp_cache:
-            rows = [c for c in self._classes if isinstance(c, np.ndarray)]
-            count = sum(1 for c in self._classes if not isinstance(c, np.ndarray) and c == pidx)
-            if rows:
-                counts = np.zeros(self.space.size, dtype=np.min_scalar_type(len(rows)))
-                for row in rows:
-                    counts += row == pidx
-                count += int(counts.max())
-            self._sharp_cache[pidx] = count
-        return self._sharp_cache[pidx]
+        rows = [c for c in self._classes if isinstance(c, np.ndarray)]
+        count = sum(1 for c in self._classes if not isinstance(c, np.ndarray) and c == pidx)
+        if rows:
+            counts = np.zeros(self.space.size, dtype=np.min_scalar_type(len(rows)))
+            for row in rows:
+                counts += row == pidx
+            count += int(counts.max())
+        return count
 
     def _coordinate(self, i) -> int:
         if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < self.n:
@@ -421,12 +389,16 @@ class AlphaEtaStructure:
     def _section_table(self, i: int, labels: np.ndarray, values) -> np.ndarray:
         """Row ``k``: for each point of the other coordinates (C order), the
         probability of the atoms labelled ``values[k]`` on the coordinate-``i``
-        line through it."""
+        line through it, summed in coordinate order."""
         shape = self.space.shape
         # (before i, along i, after i): the lines come out in section order
         grid = labels.reshape(math.prod(shape[:i]), shape[i], -1)
-        f = self.space.factors[i]
-        return np.array([np.einsum("ajb,j->ab", grid == value, f).reshape(-1) for value in values])
+        table = np.zeros((len(values), grid.shape[0], grid.shape[2]))
+        for row, value in zip(table, values):
+            member = grid == value
+            for j, p in enumerate(self.space.factors[i]):
+                np.add(row, p, out=row, where=member[:, j, :])
+        return table.reshape(len(values), -1)
 
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
@@ -436,7 +408,7 @@ class AlphaEtaStructure:
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
         kept as a guard).  ``eta`` and the cell sections are computed on the
-        section shape, one BLAS-free contraction per label
+        section shape, one table per label summed in coordinate order
         (:meth:`_section_table`), and read at the event atoms only.
         """
         sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)

@@ -182,9 +182,9 @@ def _cmd_graph_decompose(args) -> int:
         vertices = ",".join(str(v + 1) for v in sorted(dec.s_seq[k])) or "-"
         print(f"step {k}: |S|={len(dec.s_seq[k])} ({vertices})  |E|={len(dec.e_seq[k])}")
     vl = combinatorics.vertex_value(G, vertex, args.depth, args.mode)
-    rho = combinatorics.rho_set(G, vertex, max(1, args.depth), args.mode)
+    rho = combinatorics.rho_set(G, vertex, args.depth, args.mode)
     print(f"vertex value (L={args.depth}): {vl:.6g}")
-    print(f"residual edge set size (L={max(1, args.depth)}): {len(rho)}")
+    print(f"residual edge set size (L={args.depth}): {len(rho)}")
     if args.out:
         doc = {
             "n": G.n,

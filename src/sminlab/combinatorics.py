@@ -37,13 +37,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError, decoding, integer
+from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError, decoding, integer, number
 from .linalg import _row_profile, _set_distances, as_matrix, row_distances
 
 EXACT_MODE_MAX_N = 16
 MODES = ("exact", "greedy")
 
 Edge = tuple[int, int]
+
+
+def _read(read, name: str, value):
+    """``read(value)`` (:func:`~sminlab.errors.integer` or
+    :func:`~sminlab.errors.number`), a bad value raising
+    :class:`InvalidInputError` that names the argument ``name``."""
+    with decoding(name):
+        return read(value)
 
 
 def _norm_edge(e) -> Edge:
@@ -178,10 +186,8 @@ def greedy_decomposition(G: Graph, i: int, depth: int, mode: str = "exact") -> G
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}")
-    with decoding("i"):
-        i = integer(i)
-    with decoding("depth"):
-        depth = integer(depth)
+    i = _read(integer, "i", i)
+    depth = _read(integer, "depth", depth)
     if depth < 1:
         raise InvalidInputError("depth must be a positive integer")
     if not (0 <= i < G.n):
@@ -227,8 +233,7 @@ def rho_set(G: Graph, i: int, L: int, mode: str = "exact") -> frozenset[Edge]:
     ``|s_seq[k] - s_seq[k-1]|``; when all increments tie (for example on
     an empty graph) this is ``e_seq[0]``.
     """
-    with decoding("L"):
-        L = integer(L)
+    L = _read(integer, "L", L)
     dec = greedy_decomposition(G, i, 4 * L, mode)
     increments = [len(dec.s_seq[k]) - len(dec.s_seq[k - 1]) for k in range(1, 4 * L + 1)]
     k0 = 1 + max(range(len(increments)), key=lambda idx: (increments[idx], -idx))
@@ -247,10 +252,8 @@ def check_edge_interval(G: Graph, i: int, k: int, ell: int) -> bool:
     """Check ``2**l |E_k| <= |E_{k-l}| <= 2**l |E_k| + 2**(l+1) n`` along
     the exact decomposition rooted at ``i``, whose minimality the bound
     relies on."""
-    with decoding("k"):
-        k = integer(k)
-    with decoding("ell"):
-        ell = integer(ell)
+    k = _read(integer, "k", k)
+    ell = _read(integer, "ell", ell)
     if not (0 < ell <= k):
         raise InvalidInputError(f"need 0 < ell <= k, got k={k}, ell={ell}")
     return _edge_interval_holds(greedy_decomposition(G, i, k).e_seq, G.n, k, ell)
@@ -286,16 +289,17 @@ def _comparison_graphs(A: np.ndarray) -> list[list[Graph]]:
     return [[_compared(n, sets, d, i) for i in range(n)] for d in table]
 
 
-def _graph_input(B, i: int) -> np.ndarray:
-    """``B`` as a checked square matrix of at least three rows, of which
-    ``i`` is one."""
+def _graph_input(B, i: int) -> tuple[np.ndarray, int]:
+    """``(A, i)``: ``B`` as a checked square matrix of at least three rows,
+    and ``i`` as the integer index of one of them."""
+    i = _read(integer, "i", i)
     A = as_matrix(B)
     n = A.shape[0]
     if n < 3:
         raise InvalidInputError("comparison graph needs n >= 3")
     if not (0 <= i < n):
         raise InvalidInputError(f"row index {i} out of range for n={n}")
-    return A
+    return A, i
 
 
 def build_graph_G(B, i: int) -> Graph:
@@ -317,7 +321,7 @@ def build_graph_G(B, i: int) -> Graph:
     produce, depends on rounding: a different but equally accurate kernel
     may break the tie the other way.
     """
-    A = _graph_input(B, i)
+    A, i = _graph_input(B, i)
     sets = _triples(A.shape[0], i)
     return _compared(A.shape[0], sets, _set_distances(A[None], sets)[0], i)
 
@@ -337,11 +341,12 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     deficient at the tolerance, as at ``M[i] = 0``, every triple takes its
     own SVD.
     """
+    offset = _read(number, "offset", offset)
     A2 = as_matrix(A)
     M2 = as_matrix(M)
     if A2.shape != M2.shape:
         raise InvalidInputError(f"shape mismatch: A is {A2.shape}, M is {M2.shape}")
-    _graph_input(M2, i)
+    _, i = _graph_input(M2, i)
     B = A2 + M2
     B[i] = M2[i]
     sets = _triples(B.shape[0], i)
@@ -351,10 +356,11 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
 def low_value_count(B, L: int, N: int) -> int:
     """Number of rows whose comparison-graph vertex value (exact mode) is
     at most ``N``."""
-    A = as_matrix(B)
+    L = _read(integer, "L", L)
+    N = _read(integer, "N", N)
     if N < 1:
         raise InvalidInputError("N must be a positive integer")
-    _graph_input(A, 0)
+    A, _ = _graph_input(B, 0)
     graphs = _comparison_graphs(A[None])[0]
     return sum(1 for i, G in enumerate(graphs) if vertex_value(G, i, L) <= N)
 
@@ -404,6 +410,8 @@ def two_graphs_dichotomy(G: Graph, G_tilde: Graph, i: int, L: int) -> DichotomyR
     hypothesis raises :class:`PreconditionError`, which is distinct from
     a report whose assertions both fail.
     """
+    i = _read(integer, "i", i)
+    L = _read(integer, "L", L)
     if G.n != G_tilde.n:
         raise InvalidInputError("graphs must share the vertex set")
     if L < 1:
@@ -461,15 +469,20 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
     ``tau * b / (2 a r)``.  The distances of every subset meeting ``I``
     come from one factorization of ``B``.
     """
+    r = _read(integer, "r", r)
+    tau = _read(number, "tau", tau)
+    a = _read(number, "a", a)
+    b = _read(number, "b", b)
+    with decoding("I"):
+        I_set = {integer(v) for v in I}
     A = as_matrix(B)
     n = A.shape[0]
     if r < 2:
         raise InvalidInputError("r must be at least 2")
     if r > n:
         raise InvalidInputError(f"r={r} exceeds n={n}")
-    if a <= 0 or b <= 0 or tau <= 0:
+    if not (a > 0 and b > 0 and tau > 0):
         raise InvalidInputError("tau, a, b must be positive")
-    I_set = set(int(v) for v in I)
     if not all(0 <= v < n for v in I_set):
         raise InvalidInputError("I must be a subset of the row indices")
     sets = np.array(list(itertools.combinations(range(n), r)))
@@ -478,17 +491,20 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
     return tuple({frozenset(S) for S in sets[q[0]].tolist()} for q in (q1, q2))
 
 
-def _pivot_family(vectors, a: float, b: float) -> np.ndarray:
-    """The checked pivot family as an ``(r, dim)`` array."""
+def _pivot_family(vectors, a: float, b: float) -> tuple[np.ndarray, float, float]:
+    """``(X, a, b)``: the checked pivot family as an ``(r, dim)`` array and
+    the bounds as floats."""
+    a = _read(number, "a", a)
+    b = _read(number, "b", b)
     xs = [np.asarray(v, dtype=float) for v in vectors]
     if len(xs) < 2:
         raise InvalidInputError("need at least two vectors")
     dim = xs[0].shape
     if any(x.shape != dim or x.ndim != 1 for x in xs):
         raise InvalidInputError("vectors must share a common dimension")
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise InvalidInputError("a and b must be positive")
-    return np.array(xs)
+    return np.array(xs), a, b
 
 
 def _hypotheses(d: np.ndarray, a, b):
@@ -534,7 +550,8 @@ def pivot_hypothesis_failure(vectors, a: float, b: float) -> str | None:
     one SVD of the other vectors per vector otherwise
     (:func:`sminlab.linalg._svd_distances`).
     """
-    d = _row_profile(_pivot_family(vectors, a, b)[None])
+    X, a, b = _pivot_family(vectors, a, b)
+    d = _row_profile(X[None])
     far, low = _hypotheses(d, np.array([a]), np.array([b]))
     d = d[0]
     if far[0]:
@@ -554,12 +571,15 @@ def pivot_index(vectors, a: float, b: float) -> int | None:
     available from that helper).  When they hold such an index exists,
     and the smallest one is returned.
     """
-    X = _pivot_family(vectors, a, b)[None]
+    X, a, b = _pivot_family(vectors, a, b)
+    X = X[None]
     return int(_pivot_indices(X, _row_profile(X), np.array([a]), np.array([b]))[0]) or None
 
 
 def mindist(B, j: int, k: int) -> float:
     """Smaller of the two full row-to-complement distances of rows ``j``, ``k``."""
+    j = _read(integer, "j", j)
+    k = _read(integer, "k", k)
     A = as_matrix(B)
     n = A.shape[0]
     if j == k:
@@ -572,6 +592,7 @@ def mindist(B, j: int, k: int) -> float:
 
 def kmax(T, k: int) -> float:
     """The ``k``-th largest element of a multiset, counting multiplicities."""
+    k = _read(integer, "k", k)
     values = sorted((float(v) for v in T), reverse=True)
     if not values:
         raise InvalidInputError("T must be non-empty")
@@ -601,17 +622,23 @@ class StructureParams:
 
 def structure_params(n: int, u: int, K1: float, t: float = 1.0) -> StructureParams:
     """Evaluate the parameter formulas for dimension ``n`` and scale index ``u``."""
+    n = _read(integer, "n", n)
+    u = _read(integer, "u", u)
+    K1 = _read(number, "K1", K1)
+    t = _read(number, "t", t)
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
-    if K1 <= 0:
-        raise InvalidInputError("K1 must be positive")
-    if t <= 0:
-        raise InvalidInputError("t must be positive")
+    # an infinite K1 makes L, a decomposition depth, infinite; an infinite t
+    # would put every distance in the cell -inf
+    if not 0 < K1 < math.inf:
+        raise InvalidInputError("K1 must be positive and finite")
+    if not 0 < t < math.inf:
+        raise InvalidInputError("t must be positive and finite")
     log_floor = int(math.floor(math.log2(n)))
     if not (0 <= u <= log_floor):
         raise InvalidInputError(f"u={u} out of range [0, {log_floor}] for n={n}")
     L = 8.0 * (log_floor + 1 - u) + 2.0 * math.log2(1.0 + K1)
-    return StructureParams(n=n, u=u, K1=float(K1), t=float(t), L=L, offset=2.0 ** (L / 192.0))
+    return StructureParams(n=n, u=u, K1=K1, t=t, L=L, offset=2.0 ** (L / 192.0))
 
 
 def _dyadic_index(value: float, t: float, L: float) -> float | int:
@@ -645,6 +672,7 @@ def classify_lambda(A, M, i: int, params: StructureParams):
     graph; it is ``-inf`` when that edge set is empty.  Cells are
     closed on the left and open on the right.
     """
+    i = _read(integer, "i", i)
     A2 = as_matrix(A)
     M2 = as_matrix(M)
     if A2.shape != M2.shape:

@@ -123,6 +123,10 @@ STACK_ENTRIES = 200 * 200
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score confidence interval for a binomial proportion at ``z =
     Z_95``."""
+    with decoding("hits"):
+        hits = integer(hits)
+    with decoding("trials"):
+        trials = integer(trials)
     if trials <= 0:
         raise InvalidInputError("trials must be positive")
     if not (0 <= hits <= trials):

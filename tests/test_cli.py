@@ -420,3 +420,17 @@ def check_counterexample_report_matches_its_golden_bytes(tmp_path):
 def test_counterexample_report_matches_its_golden_bytes(tmp_path, capsys):
     check_counterexample_report_matches_its_golden_bytes(tmp_path)
     capsys.readouterr()
+
+
+# The cube demo's report at its defaults (n=4, K=10, 40 atoms per factor),
+# written before every section line was summed in coordinate order; the CI
+# smoke run compares it with `cmp` too
+GOLDEN_CUBE = "alphaeta_cube_n4_k10_atoms40.json"
+
+
+def test_alphaeta_demo_report_matches_its_golden_bytes(tmp_path, capsys):
+    out = tmp_path / GOLDEN_CUBE
+    assert cli.parse_and_dispatch(["alphaeta-demo", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN_DIR, GOLDEN_CUBE), "rb") as fh:
+        assert out.read_bytes() == fh.read()

@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sminlab.combinatorics as comb
+import sminlab.experiments as ex
 import sminlab.linalg as la
 from sminlab.errors import InvalidInputError, PreconditionError, UnsupportedSizeError
 from sminlab.linalg import dist_to_span
 
 # star on 5 vertices: center 1, leaves 2..4, vertex 0 isolated
 STAR = comb.Graph(5, frozenset({(1, 2), (1, 3), (1, 4)}))
+
+# a well-conditioned 4 x 4 matrix for the argument checks
+B4 = np.eye(4) + 0.1 * np.arange(16.0).reshape(4, 4) / 16
 
 
 def brute_decomposition(G, i, depth):
@@ -211,10 +215,29 @@ class TestGreedyDecomposition:
             lambda: comb.check_edge_interval(STAR, 0, 2, 1.0),
             lambda: comb.check_edge_interval(STAR, 0, 2, True),
             lambda: comb.rho_set(STAR, 0, True),
+            lambda: comb.q_sets(B4, [0], 0.5, 1.0, 1.0, 2.0),
+            lambda: comb.q_sets(B4, [0.5], 0.5, 1.0, 1.0, 2),
+            lambda: comb.mindist(B4, 0.0, 1),
+            lambda: comb.kmax([3.0, 1.0, 2.0], 1.0),
+            lambda: comb.build_graph_G(B4, 1.0),
+            lambda: comb.build_graph_G(B4, True),
+            lambda: comb.build_graph_G_tilde(B4, B4, 1.0, 0.0),
+            lambda: comb.classify_lambda(B4, B4, 1.0, comb.structure_params(4, 0, 1.0)),
+            lambda: comb.low_value_count(B4, 1, 1.5),
+            lambda: comb.low_value_count(B4, 1.0, 1),
+            lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 1.5),
+            lambda: comb.structure_params(4.0, 0, 1.0),
+            lambda: comb.structure_params(4, True, 1.0),
+            lambda: ex.wilson_interval(1.5, 3),
+            lambda: ex.wilson_interval(1, 3.0),
         ],
         ids=[
             "vertex_value-i", "vertex_value-L", "rho_set", "check_edge_interval", "dichotomy",
             "dichotomy-bool", "check_edge_interval-ell", "check_edge_interval-ell-bool", "rho_set-bool",
+            "q_sets-r", "q_sets-I", "mindist", "kmax", "build_graph_G", "build_graph_G-bool",
+            "build_graph_G_tilde", "classify_lambda", "low_value_count-N", "low_value_count-L",
+            "dichotomy-L", "structure_params-n", "structure_params-u-bool", "wilson-hits",
+            "wilson-trials",
         ],
     )
     def test_callers_reject_non_integer_arguments(self, call):
@@ -228,11 +251,55 @@ class TestGreedyDecomposition:
             (lambda: comb.check_edge_interval(STAR, 0, 2, 1.0), "ell"),
             (lambda: comb.check_edge_interval(STAR, 0, 2, True), "ell"),
             (lambda: comb.rho_set(STAR, 0, True), "L"),
+            (lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 1.5), "L"),
+            (lambda: comb.q_sets(B4, [0], 0.5, 1.0, 1.0, 2.0), "r"),
+            (lambda: comb.q_sets(B4, [0.5], 0.5, 1.0, 1.0, 2), "I"),
+            (lambda: comb.mindist(B4, 0, 1.0), "k"),
+            (lambda: comb.kmax([3.0, 1.0], 1.0), "k"),
+            (lambda: comb.build_graph_G(B4, True), "i"),
+            (lambda: comb.low_value_count(B4, 1, 1.5), "N"),
+            (lambda: ex.wilson_interval(1.5, 3), "hits"),
         ],
-        ids=["edge-interval-k", "edge-interval-ell", "edge-interval-ell-bool", "rho_set-L-bool"],
+        ids=[
+            "edge-interval-k", "edge-interval-ell", "edge-interval-ell-bool", "rho_set-L-bool",
+            "dichotomy-L", "q_sets-r", "q_sets-I", "mindist-k", "kmax-k", "build_graph_G-i-bool",
+            "low_value_count-N", "wilson-hits",
+        ],
     )
     def test_integer_reads_name_the_argument(self, call, name):
         with pytest.raises(InvalidInputError, match=f"^{name}: expected an integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: comb.q_sets(B4, [0], "0.5", 1.0, 1.0, 2), "tau"),
+            (lambda: comb.q_sets(B4, [0], 0.5, True, 1.0, 2), "a"),
+            (lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, "1"), "b"),
+            (lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], None, 1.0), "a"),
+            (lambda: comb.build_graph_G_tilde(B4, B4, 1, "0"), "offset"),
+            (lambda: comb.structure_params(4, 0, "1"), "K1"),
+            (lambda: comb.structure_params(4, 0, 1.0, False), "t"),
+        ],
+        ids=["q_sets-tau", "q_sets-a", "pivot_index-b", "pivot_failure-a", "offset", "K1", "t"],
+    )
+    def test_threshold_reads_name_the_argument(self, call, name):
+        with pytest.raises(InvalidInputError, match=f"^{name}: expected a number"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: comb.q_sets(B4, [0], float("nan"), 1.0, 1.0, 2),
+            lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], float("nan"), 1.0),
+            lambda: comb.structure_params(4, 0, float("nan")),
+            lambda: comb.structure_params(4, 0, float("inf")),
+            lambda: comb.structure_params(4, 0, 1.0, float("inf")),
+        ],
+        ids=["q_sets-tau", "pivot_index-a", "structure_params-K1", "K1-inf", "t-inf"],
+    )
+    def test_nan_and_infinite_thresholds_rejected(self, call):
+        with pytest.raises(InvalidInputError, match="must be positive"):
             call()
 
 

@@ -4,8 +4,11 @@ One matrix realization per trial serves every grid point, which keeps
 hit counts monotone along the grid and reduces variance.  Trials are
 keyed by ``(master_seed, trial_index)`` so serial and parallel runs
 produce bit-identical results.  Every Monte Carlo verb runs its trials
-through :func:`map_trials`, one thread pool whose worker count the
-``SMINLAB_THREADS`` environment variable caps.
+through :func:`map_trials`, on helper threads that the calling thread
+keeps from one call to the next, as many as :func:`resolve_workers`
+allows (the ``SMINLAB_THREADS`` environment variable caps it).  The
+helpers drain the stacks of a call, each taking the next stack when it
+finishes one, while the caller only waits.
 
 The kernels take their trials in stacks: a contiguous range of trial
 indices whose matrices form one ``(c, n, n)`` array.  Each trial still
@@ -88,9 +91,10 @@ import functools
 import json
 import math
 import os
+import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from typing import TypeVar
 
@@ -118,6 +122,10 @@ T = TypeVar("T")
 # one n = 200 trial, the largest of the acceptance configs, which stays a
 # stack of one.
 STACK_ENTRIES = 200 * 200
+
+# Each calling thread's helper pool for map_trials, its size and the pid it
+# was made in.
+_pools = threading.local()
 
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -345,6 +353,21 @@ def resolve_workers(workers: int | None = None) -> int:
     return count
 
 
+def _helpers(count: int) -> ThreadPoolExecutor:
+    """The calling thread's pool of helper threads, grown to hold at least
+    ``count``.  The pool is kept per process: a forked child, whose copy of
+    the parent's pool has no threads, builds its own."""
+    pid = os.getpid()
+    if getattr(_pools, "pid", None) != pid:
+        _pools.pid, _pools.pool, _pools.size = pid, None, 0
+    if _pools.size < count:
+        if _pools.pool is not None:
+            _pools.pool.shutdown(wait=False)
+        _pools.pool = ThreadPoolExecutor(count, thread_name_prefix="sminlab-trials")
+        _pools.size = count
+    return _pools.pool
+
+
 def map_trials(
     kernel: Callable[[range], Sequence[T]], trials: int, n: int, workers: int | None = None
 ) -> list[T]:
@@ -353,33 +376,54 @@ def map_trials(
 
     ``kernel(range(start, stop))`` returns one result per trial of a
     contiguous range of trial indices, a stack.  A stack holds ``share =
-    ceil(trials / (8 * nworkers))`` trials, but no more than
-    ``STACK_ENTRIES // n**2`` and at least one, and a chunk holds the
-    fewest whole stacks that make up ``share`` trials, so that every worker
-    gets about eight chunks.  The chunks run one after another with one
-    worker or fewer than four trials, otherwise on a thread pool.  A kernel
-    keyed by the trial index therefore gives the same list for any worker
-    count.  BLAS runs single-threaded for the whole map, serial or
-    parallel, and gets its previous thread count back afterwards, also when
-    a kernel raises.
+    ceil(trials / (4 * nworkers))`` trials, but no more than
+    ``STACK_ENTRIES // n**2`` and at least one.  The calling thread keeps
+    helper threads across calls, its own and no other caller's, and
+    ``min(nworkers, stacks)`` of them drain the stacks: each takes the next
+    stack index and writes the stack's results into its slot, so a helper
+    that draws cheap stacks takes more of them.  The caller runs no trial;
+    it waits, one worker included.  A kernel keyed by the trial index
+    therefore gives the same list for any worker count.
+
+    A raising stack stops the helpers from taking further stacks, and the
+    map raises the exception of the lowest failing stack.  It returns or
+    raises only after every helper has left the map, so BLAS runs
+    single-threaded for every trial and gets its previous thread count
+    back afterwards.
     """
     nworkers = resolve_workers(workers)
-    share = math.ceil(trials / (nworkers * 8))
-    stack = max(1, min(share, STACK_ENTRIES // (n * n)))
-    chunk = stack * math.ceil(share / stack)
+    stack = max(1, min(math.ceil(trials / (4 * nworkers)), STACK_ENTRIES // (n * n)))
+    starts = range(0, trials, stack)
+    results: list[Sequence[T]] = [()] * len(starts)
+    errors: dict[int, BaseException] = {}
+    order = iter(range(len(starts)))
+    lock = threading.Lock()
+    stop = threading.Event()
 
-    def run_chunk(start: int) -> list[T]:
-        stop = min(start + chunk, trials)
-        return [value for first in range(start, stop, stack)
-                for value in kernel(range(first, min(first + stack, stop)))]
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = kernel(range(starts[i], min(starts[i] + stack, trials)))
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                    stop.set()
 
     with _single_thread_blas:
-        if nworkers == 1 or trials < 4:
-            chunks = [run_chunk(start) for start in range(0, trials, chunk)]
-        else:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                chunks = list(pool.map(run_chunk, range(0, trials, chunk)))
-    return [value for part in chunks for value in part]
+        pool = _helpers(nworkers)
+        tasks = [pool.submit(drain) for _ in range(min(nworkers, len(starts)))]
+        try:
+            wait(tasks)
+        finally:
+            stop.set()  # an interrupted caller still waits out the stacks begun
+            wait(tasks)
+    if errors:
+        raise errors[min(errors)]
+    return [value for part in results for value in part]
 
 
 def _sample_stack(

@@ -2,9 +2,11 @@ import csv
 import functools
 import json
 import math
+import multiprocessing
 import pickle
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -535,7 +537,7 @@ class TestMapTrials:
         stacks.sort(key=lambda stack: stack.start)
         assert [idx for stack in stacks for idx in stack] == list(range(trials))
         cap = max(1, ex.STACK_ENTRIES // (n * n))
-        share = math.ceil(trials / (ex.resolve_workers(workers) * 8))
+        share = math.ceil(trials / (ex.resolve_workers(workers) * 4))
         assert all(1 <= len(stack) <= cap for stack in stacks)
         assert max(len(stack) for stack in stacks) == min(cap, share)
         if n >= 200:
@@ -604,6 +606,145 @@ class TestMapTrials:
         assert hits == expected
         assert seen == [1] * (short.trials + long.trials)
         assert blas_at_two_threads() == 2
+
+    @staticmethod
+    def helpers_of(workers, maps, barrier=None):
+        """The helper threads that ran each of ``maps`` maps of 8 trials on
+        one caller; with ``barrier``, stacks 0 and 1 wait for each other."""
+        seen = [set() for _ in range(maps)]
+
+        def kernel(which, stack):
+            if barrier is not None and stack.start < 2:
+                barrier.wait()
+            seen[which].add(threading.current_thread())
+            return list(stack)
+
+        for which in range(maps):
+            assert ex.map_trials(functools.partial(kernel, which), 8, 10, workers) == list(range(8))
+        assert threading.current_thread() not in set().union(*seen)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_back_to_back_maps_reuse_their_helpers(self, workers):
+        # a fresh caller, so that its pool holds exactly ``workers`` helpers;
+        # with two, the barrier makes both of them take part in each map
+        barrier = threading.Barrier(2, timeout=30) if workers == 2 else None
+        out = []
+        caller = threading.Thread(target=lambda: out.append(self.helpers_of(workers, 2, barrier)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        first, second = out[0]
+        assert len(first) == workers
+        assert second == first
+        for helper in first:  # a caller's helpers leave with it
+            helper.join(timeout=30)
+            assert not helper.is_alive()
+
+    def test_two_callers_never_share_a_helper(self):
+        both_started = threading.Barrier(4, timeout=30)
+        helpers = {}
+
+        def run(name):
+            helpers[name] = set().union(*self.helpers_of(2, 3, both_started))
+
+        callers = [threading.Thread(target=run, args=(name,)) for name in "ab"]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        assert helpers["a"] and helpers["b"]
+        assert not helpers["a"] & helpers["b"]
+        assert not set(callers) & (helpers["a"] | helpers["b"])
+
+    def test_every_stack_runs_once_under_contention(self):
+        # four helpers on the cores here, a short switch interval and stacks
+        # of one trial: a stack taken twice or not at all shows in the counts
+        ran = []
+        out = []
+
+        def kernel(stack):
+            ran.extend(stack)
+            return list(stack)
+
+        caller = threading.Thread(target=lambda: out.append(ex.map_trials(kernel, 2000, 300, 4)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert out == [list(range(2000))]
+        assert sorted(ran) == list(range(2000))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_raises_the_lowest_failing_stack(self, workers):
+        def kernel(stack):
+            if stack.stop > 8:
+                time.sleep(0.001 * (40 - stack.start))  # later stacks fail sooner
+                raise ValueError(f"stack at {stack.start} failed")
+            return list(stack)
+
+        share = math.ceil(40 / (4 * workers))
+        with pytest.raises(ValueError, match=f"stack at {8 // share * share} failed"):
+            ex.map_trials(kernel, 40, 10, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_kernel_runs_after_a_raising_map(self, blas_at_two_threads, workers):
+        lock = threading.Lock()
+        calls = {"started": 0, "running": 0}
+        blas = []
+
+        def kernel(stack):
+            with lock:
+                calls["started"] += 1
+                calls["running"] += 1
+            try:
+                blas.append(blas_at_two_threads())
+                if 13 in stack:
+                    raise ValueError("trial 13 failed")
+                time.sleep(0.02)
+                return list(stack)
+            finally:
+                with lock:
+                    calls["running"] -= 1
+
+        with pytest.raises(ValueError, match="trial 13"):
+            ex.map_trials(kernel, 40, 10, workers)
+        started = calls["started"]
+        assert calls["running"] == 0
+        time.sleep(0.1)
+        assert calls == {"started": started, "running": 0}
+        # every stack up to the failing one ran, and the others stopped: the
+        # failing stack raises at once, the others take 20 ms, so while the
+        # failure is recorded each other helper starts at most two stacks past it
+        failing = 13 // math.ceil(40 / (4 * workers))
+        assert failing + 1 <= started <= failing + 1 + 2 * (workers - 1)
+        assert blas == [1] * started
+        assert blas_at_two_threads() == 2
+
+    def test_forked_child_builds_its_own_helpers(self):
+        cfg = make_config(trials=24, master_seed=5)
+        hits = [p.hits for p in ex.estimate_tail(cfg, workers=2).points]
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send([p.hits for p in ex.estimate_tail(cfg, workers=2).points])
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(timeout=60), "the forked child's map hung"
+            assert receive.recv() == hits
+        finally:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
 
 def check_stacked_draws_are_sample_matrix_plus_shift():

@@ -22,13 +22,7 @@ The headline inequality, checked exhaustively by
 Everything is exact finite summation; no sampling, no tolerances beyond
 float round-off.  Spaces are enumerated up to a configurable atom-count
 budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
-and larger requests are rejected rather than subsampled.  Section
-quantities of coordinate ``i`` are computed on the section shape, with
-``size / shape[i]`` entries, and read only at the atoms that need them.
-Each label's table adds the factor probabilities of coordinate ``i`` into
-an ``(atoms before i, atoms after i)`` accumulator in coordinate order,
-where the label matches, so every line is summed in the order the
-per-atom queries sum it, and no BLAS is called.
+and larger requests are rejected rather than subsampled.
 
 A structure keeps each assignment in the form it was given.  A constant
 class label is one integer for its coordinate, and so is a constant cell
@@ -38,18 +32,20 @@ in the smallest integer dtype that holds the positions, with ``-1`` for
 cells off the event.  Atom probabilities are not stored: they are gathered
 from the factors at the atoms that need them.  So the only per-atom array
 of a structure with constant assignments, such as the cube example, is its
-one-byte event mask, and :meth:`AlphaEtaStructure.verify_alpharho` needs no
-section table for a constant class (its label wins every section, since
-factor probabilities are positive) and the event mask's table for a
-constant cell.
+one-byte event mask.
 
-Many small structures with integer labels, such as the alpharho suite
-draws, are verified together by :func:`_verify_batch`, with no structure
-built: the structures with the same number of coordinates are laid end to
-end, and every section table of one coordinate is one ``np.bincount`` over
-``(line, label)`` keys, the lines of each structure numbered after those
-of the structures before it.  Its reports are those of
-:meth:`AlphaEtaStructure.verify_alpharho`, bit for bit.
+One kernel, :func:`_verify_group`, verifies structures laid end to end:
+:meth:`AlphaEtaStructure.verify_alpharho` runs it on a group of one, and
+:func:`_verify_batch` on the many small structures with integer labels of
+the alpharho suite, grouped by coordinate count, with no structure built.
+Section quantities are tables over lines along one coordinate, each one
+``np.bincount`` over ``(line, label)`` keys that adds a line's factor
+probabilities in coordinate order, as the per-atom queries do, and calls
+no BLAS.  The cell tables are summed over the event atoms alone, and only
+a per-atom class assignment needs a table over all atoms: a constant class
+label wins every section, since factor probabilities are positive.  So the
+cube is verified without an index array over its whole space.  The tests
+check the kernel against an independent evaluation on the full space.
 """
 
 from __future__ import annotations
@@ -386,20 +382,6 @@ class AlphaEtaStructure:
 
     # -- exhaustive verification ------------------------------------------
 
-    def _section_table(self, i: int, labels: np.ndarray, values) -> np.ndarray:
-        """Row ``k``: for each point of the other coordinates (C order), the
-        probability of the atoms labelled ``values[k]`` on the coordinate-``i``
-        line through it, summed in coordinate order."""
-        shape = self.space.shape
-        # (before i, along i, after i): the lines come out in section order
-        grid = labels.reshape(math.prod(shape[:i]), shape[i], -1)
-        table = np.zeros((len(values), grid.shape[0], grid.shape[2]))
-        for row, value in zip(table, values):
-            member = grid == value
-            for j, p in enumerate(self.space.factors[i]):
-                np.add(row, p, out=row, where=member[:, j, :])
-        return table.reshape(len(values), -1)
-
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
 
@@ -407,52 +389,12 @@ class AlphaEtaStructure:
         ``P(atom) * sum_i alpha / sharp(eta)``; the right-hand side is
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
-        kept as a guard).  ``eta`` and the cell sections are computed on the
-        section shape, one table per label summed in coordinate order
-        (:meth:`_section_table`), and read at the event atoms only.
+        kept as a guard).  The structure is verified as a group of one
+        (:func:`_verify_group`), from the label positions it stores.
         """
-        sharp_vec = np.array([self.sharp(label) for label in self.psi], dtype=float)
-        rhs = float(len(self.psi) ** 2 * len(self.lam))
-        flat = np.flatnonzero(self._event_mask)
-        if not flat.size:
-            return AlphaRhoReport(
-                lhs=0.0, rhs=rhs, holds=True, min_ratio_sum=math.inf, event_probability=0.0
-            )
-        ratio_sum = np.zeros(flat.size)
-        for i in range(self.n):
-            stride = self.space._strides[i]
-            # section index of each event atom: its flat index with coordinate i dropped
-            section = flat // (stride * self.space.shape[i]) * stride + flat % stride
-            classes = self._classes[i]
-            if isinstance(classes, np.ndarray):
-                eta_table = self._section_table(i, classes, range(len(self.psi)))
-                # argmax with ties towards the largest index: scan reversed order
-                eta_idx = len(self.psi) - 1 - np.argmax(eta_table[::-1], axis=0)
-                sharp_eta = sharp_vec[eta_idx][section]
-            else:
-                # the constant label's section is the whole line, every other one is empty
-                sharp_eta = sharp_vec[classes]
-            if np.any(sharp_eta == 0):
-                raise InvalidInputError(
-                    f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event"
-                )
-            cells = self._cells[i]
-            if isinstance(cells, np.ndarray):
-                cell_table = self._section_table(i, cells, range(len(self.lam)))
-                cell_section = cell_table[cells[flat], section]
-            else:
-                # the constant cell is the event: its table is the event mask's
-                cell_section = self._section_table(i, self._event_mask, (True,))[0, section]
-            ratio_sum += 1.0 / cell_section / sharp_eta
-        probs = self.space._probabilities(flat)
-        lhs = float(np.sum(probs * ratio_sum))
-        return AlphaRhoReport(
-            lhs=lhs,
-            rhs=rhs,
-            holds=bool(lhs <= rhs + 1e-9),
-            min_ratio_sum=float(ratio_sum.min()),
-            event_probability=float(probs.sum()),
-        )
+        g = _Group([0], [self.space.shape], [len(self.psi)], [len(self.lam)],
+                   self.space.factors, self._classes, self._event_mask, self._cells)
+        return _verify_group(g)[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -527,35 +469,85 @@ def _starts(counts: np.ndarray) -> np.ndarray:
 
 
 class _Group:
-    """The structures of one coordinate count laid end to end: atom ``t`` of
-    the group is flat atom ``t - start[owner[t]]`` of its member
-    ``owner[t]``.  Labels are kept as positions, ``label - 1``."""
+    """Structures with one coordinate count laid end to end: atom ``t`` of
+    the group is flat atom ``t - start[b]`` of the member ``b`` whose run
+    holds it.  Labels are 0-based positions, as a structure stores them: a
+    constant class or cell label is one integer (in a group of one
+    structure), any other assignment one position per atom, cells ``-1``
+    off the event."""
 
-    def __init__(self, structures: Sequence[_Inputs], members: list[int], lengths: list[list[int]]):
-        group = [structures[k] for k in members]
+    def __init__(self, members: list[int], shape, psi, lam, factors, classes, event, cells):
         self.members = members
-        self.n = n = len(lengths[0])
-        self.shape = np.array(lengths, dtype=np.intp).reshape(-1, n)
-        size = self.shape.prod(axis=1)
-        self.start = _starts(size)
-        self.owner = np.repeat(np.arange(len(group)), size)
-        self.psi = np.array([s.psi for s in group])
-        self.lam = np.array([s.lam for s in group])
-        self.factors = [np.concatenate([s.factors[i] for s in group]) for i in range(n)]
-        self.classes = [np.concatenate([s.classes[i] for s in group]) - 1 for i in range(n)]
-        self.cells = [np.concatenate([s.cells[i] for s in group]) - 1 for i in range(n)]
-        self.event = np.concatenate([s.event for s in group])
+        self.shape = np.array(shape, dtype=np.intp)
+        self.n = self.shape.shape[1]
+        self.size = self.shape.prod(axis=1)
+        self.start = _starts(self.size)
+        self.atoms = int(self.size.sum())
+        self.psi, self.lam = np.array(psi), np.array(lam)
+        self.factors, self.classes, self.event, self.cells = factors, classes, event, cells
+
+    @classmethod
+    def laid(cls, structures: Sequence[_Inputs], members: list[int], lengths: list[list[int]]) -> "_Group":
+        """The structures ``members`` of ``structures``, their factor lengths
+        being ``lengths``, with every label moved to its position."""
+        group = [structures[k] for k in members]
+        n = len(lengths[0])
+        per = lambda field: [np.concatenate([getattr(s, field)[i] for s in group]) for i in range(n)]
+        return cls(
+            members, lengths, [s.psi for s in group], [s.lam for s in group], per("factors"),
+            [c - 1 for c in per("classes")], np.concatenate([s.event for s in group]),
+            [c - 1 for c in per("cells")],
+        )
+
+    def owners(self, t: np.ndarray):
+        """The member of each group atom ``t``; in a group of one the scalar
+        0, which reads a per-member array without a copy per atom."""
+        return 0 if len(self.members) == 1 else np.searchsorted(self.start, t, side="right") - 1
+
+    def lines(self, i: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(line, f)`` at the group atoms ``t``: the line along coordinate
+        ``i`` through each, numbered after the lines of the members before
+        it, and its factor probability.  In a group of one, at most three
+        arrays the size of ``t`` are live beside it."""
+        b = self.owners(t)
+        m, stride = self.shape[:, i], self.shape[:, i + 1 :].prod(axis=1)
+        st, mm = stride[b], m[b]
+        line = t - self.start[b]  # the flat index in the member, made the line in place
+        at = line // st
+        at %= mm
+        at += _starts(m)[b]
+        f = self.factors[i][at]
+        np.floor_divide(line, st * mm, out=at)
+        at *= st
+        line %= st
+        line += at
+        line += _starts(self.size // m)[b]
+        return line, f
+
+    def eta(self, i: int) -> np.ndarray:
+        """The position of the class with the most probable section on every
+        line along coordinate ``i``, ties going to the latest label, from a
+        per-atom class assignment: one bincount over ``(line, label)`` keys
+        of all the atoms."""
+        P = int(self.psi.max())
+        line, f = self.lines(i, np.arange(self.atoms))
+        line *= P
+        line += self.classes[i]
+        table = np.bincount(line, f, int((self.size // self.shape[:, i]).sum()) * P).reshape(-1, P)
+        # argmax with ties towards the latest label: scan reversed order
+        return P - 1 - np.argmax(table[:, ::-1], axis=1)
 
     def suspects(self) -> list[int]:
         """Members with a class label outside ``1..psi`` or a cell label,
         on the event or off it, outside ``1..lam``."""
-        psi, lam = self.psi[self.owner], self.lam[self.owner]
-        bad = np.zeros(self.owner.size, dtype=bool)
+        owner = np.repeat(np.arange(len(self.members)), self.size)
+        psi, lam = self.psi[owner], self.lam[owner]
+        bad = np.zeros(owner.size, dtype=bool)
         for c in self.classes:
             bad |= (c < 0) | (c >= psi)
         for c in self.cells:
             bad |= (c < 0) | (c >= lam)
-        return [self.members[b] for b in np.unique(self.owner[bad]).tolist()]
+        return [self.members[b] for b in np.unique(owner[bad]).tolist()]
 
 
 def _factor_suspects(structures: Sequence[_Inputs], lengths: list[list[int]]) -> list[int]:
@@ -574,57 +566,60 @@ def _factor_suspects(structures: Sequence[_Inputs], lengths: list[list[int]]) ->
     return np.unique(np.repeat(np.arange(len(structures)), counts)[bad]).tolist()
 
 
-def _verify_group(g: _Group) -> tuple[list[AlphaRhoReport], list[tuple[int, int]]]:
-    """The report of every member of ``g``, and ``(member, i)`` for every
-    member with an event atom where ``sharp(eta(i, atom)) == 0``.
+def _verify_group(g: _Group) -> list[AlphaRhoReport]:
+    """The report of every member of ``g``; raises at the first coordinate
+    ``i`` with an event atom where ``sharp(eta(i, atom)) == 0``.
 
-    Coordinate by coordinate, every class table and every cell table of
-    the group is one ``np.bincount`` over ``(line, label)`` keys, the line
-    numbered after the lines of the members before it, weighted by the
-    factor probability, so each entry sums its line in coordinate order.
-    ``ratio`` and the probabilities are accumulated over the concatenated
-    event atoms in the order of :meth:`AlphaEtaStructure.verify_alpharho`,
-    and each member's ``lhs`` and event probability are ``np.sum`` of its
-    own run of them, as there."""
-    owner, start, shape = g.owner, g.start, g.shape
-    flat = np.arange(owner.size) - start[owner]
+    ``sharp`` counts a label's constant classes and adds the largest count,
+    over a member's atoms, of its per-atom ones.  A per-atom class
+    assignment of coordinate ``i`` gives every line its ``eta`` from a
+    table over all the atoms (:meth:`_Group.eta`); a constant class label
+    wins every section, since factor probabilities are positive.  Every
+    cell table, constant or per-atom, is one ``np.bincount`` over the
+    ``(line, label)`` keys of the event atoms alone.  Each bincount adds a
+    line's factor probabilities in coordinate order, as the per-atom
+    queries do.  The ratio sums and atom probabilities are accumulated over
+    the event atoms coordinate by coordinate, and each member's ``lhs`` and
+    event probability are ``np.sum`` of its own run of them."""
     P, L = int(g.psi.max()), int(g.lam.max())
-    # sharp per member and label, from every atom's count of coordinates per class
-    keys = np.concatenate([np.arange(owner.size) * P + c for c in g.classes])
-    counts = np.bincount(keys, minlength=owner.size * P).reshape(-1, P)
-    sharp = np.maximum.reduceat(counts, start, axis=0)
+    constant = [c for c in g.classes if not isinstance(c, np.ndarray)]
+    rows = [c for c in g.classes if isinstance(c, np.ndarray)]
+    sharp = np.array([[constant.count(p) for p in range(P)]] * len(g.members), dtype=np.intp)
+    if rows:
+        for p in range(P):
+            count = np.zeros(g.atoms, dtype=np.min_scalar_type(len(rows)))
+            for c in rows:
+                count += c == p
+            sharp[:, p] += np.maximum.reduceat(count, g.start)
     ev = np.flatnonzero(g.event)
-    ev_owner = owner[ev]
+    ev_owner = g.owners(ev)
     ratio = np.zeros(ev.size)
     probs = np.ones(ev.size)
-    degenerate = []
     for i in range(g.n):
-        m, stride = shape[:, i], shape[:, i + 1 :].prod(axis=1)
-        lines = shape[:, :i].prod(axis=1) * stride
-        st, mm = stride[owner], m[owner]
-        high = flat // st
-        # the atom's flat index with coordinate i dropped, after the members' lines before it
-        local = high // mm * st + flat - high * st
-        line = local + _starts(lines)[owner]
-        f = g.factors[i][_starts(m)[owner] + high % mm]
-        table = np.bincount(line * P + g.classes[i], f, int(lines.sum()) * P).reshape(-1, P)
-        # argmax with ties towards the latest label: scan reversed order
-        eta = P - 1 - np.argmax(table[:, ::-1], axis=1)
-        on = line[ev]
-        sharp_eta = sharp[ev_owner, eta[on]]
-        if not sharp_eta.all():
-            zero = np.unique(ev_owner[sharp_eta == 0]).tolist()
-            degenerate += [(g.members[b], i) for b in zero]
-            sharp_eta = np.maximum(sharp_eta, 1)
-        key = on * L + g.cells[i][ev]
-        cell = np.bincount(key, f[ev])
-        ratio += 1.0 / cell[key] / sharp_eta
-        probs *= f[ev]
+        line, f = g.lines(i, ev)
+        classes, cells = g.classes[i], g.cells[i]
+        # a constant class label wins every section: factor probabilities are positive
+        eta = g.eta(i)[line] if isinstance(classes, np.ndarray) else classes
+        sharp_eta = sharp[ev_owner, eta]
+        if not np.all(sharp_eta):  # a guard: eta is a label on the line, so its sharp is positive
+            raise InvalidInputError(f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event")
+        # the lines become the cell keys; each array is freed once read, so
+        # at most three of the event's size live beside ev, ratio and probs
+        probs *= f
+        line *= L
+        line += cells[ev] if isinstance(cells, np.ndarray) else cells
+        cell = np.bincount(line, f)
+        del f
+        term = 1.0 / cell[line]
+        del line
+        term /= sharp_eta
+        ratio += term
+        del term
     weighted = probs * ratio
-    # member b's event atoms are bounds[b]:bounds[b + 1] (one empty run past the last)
-    bounds = _starts(np.bincount(ev_owner, minlength=len(g.members) + 1))
+    # member b's event atoms are bounds[b]:bounds[b + 1]
+    bounds = np.searchsorted(ev, np.append(g.start, g.atoms)).tolist()
     reports = []
-    for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rhs = float(int(g.psi[b]) ** 2 * int(g.lam[b]))
         if lo == hi:
             reports.append(AlphaRhoReport(0.0, rhs, True, math.inf, 0.0))
@@ -637,19 +632,17 @@ def _verify_group(g: _Group) -> tuple[list[AlphaRhoReport], list[tuple[int, int]
             min_ratio_sum=float(ratio[lo:hi].min()),
             event_probability=float(probs[lo:hi].sum()),
         ))
-    return reports, degenerate
+    return reports
 
 
 def _verify_batch(structures: Sequence[_Inputs]) -> list[AlphaRhoReport]:
     """``s.structure().verify_alpharho()`` of every structure ``s`` of
     ``structures``, from the arrays alone: the structures of one coordinate
-    count are verified together (:func:`_verify_group`).
+    count are verified together, as one group (:func:`_verify_group`).
 
     The constructors' checks run as vectorised screens; the constructors
     themselves run only on the structures a screen flags, in instance
-    order, so a bad input raises their message.  Then a structure with
-    ``sharp(eta) == 0`` on its event raises ``verify_alpharho``'s message,
-    the first such structure in instance order."""
+    order, so a bad input raises their message."""
     lengths = [[p.size for p in s.factors] for s in structures]
     # no factor, or more atoms than the space admits: the constructors refuse it
     refused = {k for k, m in enumerate(lengths) if not m or math.prod(m) > DEFAULT_ENUMERATION_BUDGET}
@@ -657,20 +650,14 @@ def _verify_batch(structures: Sequence[_Inputs]) -> list[AlphaRhoReport]:
     for k, m in enumerate(lengths):
         if k not in refused:
             groups.setdefault(len(m), []).append(k)
-    laid = [_Group(structures, members, [lengths[k] for k in members]) for members in groups.values()]
+    laid = [_Group.laid(structures, members, [lengths[k] for k in members]) for members in groups.values()]
     suspects = refused.union(_factor_suspects(structures, lengths), *(g.suspects() for g in laid))
     for k in sorted(suspects):
         structures[k].structure()
     reports: list = [None] * len(structures)
-    degenerate = []
     for g in laid:
-        group_reports, group_degenerate = _verify_group(g)
-        for k, report in zip(g.members, group_reports):
+        for k, report in zip(g.members, _verify_group(g)):
             reports[k] = report
-        degenerate += group_degenerate
-    if degenerate:
-        i = min(degenerate)[1]
-        raise InvalidInputError(f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event")
     return reports
 
 

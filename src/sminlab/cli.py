@@ -176,6 +176,11 @@ def _cmd_graph_decompose(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
         G = combinatorics.Graph.from_edge_text(fh.read(), n=args.n)
     vertex = args.vertex - 1
+    # checked here to name the vertex as it was given, 1-indexed
+    if not 0 <= vertex < G.n:
+        raise InvalidInputError(f"vertex {args.vertex} out of range 1..{G.n}")
+    if not G.is_isolated(vertex):
+        raise InvalidInputError(f"vertex {args.vertex} must be isolated")
     _echo({"graph": args.graph, "n": G.n, "vertex": args.vertex, "depth": args.depth, "mode": args.mode})
     dec = combinatorics.greedy_decomposition(G, vertex, args.depth, args.mode)
     for k in range(args.depth + 1):

@@ -55,7 +55,10 @@ def _read(read, name: str, value):
 
 
 def _norm_edge(e) -> Edge:
-    j, k = int(e[0]), int(e[1])
+    j, k = e[0], e[1]
+    if type(j) is not int or type(k) is not int:  # a graph reads every edge: ints take no extra step
+        with decoding(f"edge {tuple(e)!r}"):
+            j, k = integer(j), integer(k)
     if j == k:
         raise InvalidInputError(f"self-loop ({j},{k}) is not allowed")
     return (j, k) if j < k else (k, j)
@@ -73,6 +76,8 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _read(integer, "vertex count", self.n))
         if self.n < 0:
             raise InvalidInputError("vertex count must be non-negative")
         normalized = frozenset(_norm_edge(e) for e in self.edges)
@@ -110,7 +115,10 @@ class Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise InvalidInputError(f"malformed edge line: {line!r}")
-            j, k = int(parts[0]) - 1, int(parts[1]) - 1
+            try:
+                j, k = int(parts[0]) - 1, int(parts[1]) - 1
+            except ValueError:
+                raise InvalidInputError(f"edge line {line!r} does not hold two integers") from None
             if j < 0 or k < 0:
                 raise InvalidInputError(f"edge line {line!r} is not 1-indexed")
             edges.append((j, k))

@@ -439,8 +439,9 @@ def run_alpharho_suite(instances: int = 500, seed: int = 0) -> SuiteResult:
     """Random discrete structures satisfy the exhaustive structure inequality.
 
     Every instance is drawn first; the structures are then verified as one
-    batch (``alphaeta._verify_batch``), which gives each the report of its
-    own ``verify_alpharho``, bit for bit."""
+    batch (``alphaeta._verify_batch``), on the kernel that ``verify_alpharho``
+    runs on a single structure, so each gets the report of its own
+    ``verify_alpharho``, bit for bit."""
     drawn = [_alpharho_inputs(seed, idx) for idx in range(instances)]
     failures = [
         (idx, f"instance {idx}: lhs {report.lhs:g} exceeds rhs {report.rhs:g} (n={len(inputs.factors)})")

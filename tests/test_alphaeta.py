@@ -136,6 +136,26 @@ def batched_with_inputs(factory, *args):
     return result, seen
 
 
+def verified_with_tables(struct):
+    """``struct.verify_alpharho()`` and the tables it summed with a weighted
+    ``np.bincount``, in the order it summed them: coordinate by coordinate,
+    the class table of a per-atom class assignment (``(line, label)``
+    entries), then the cell table (``(line, cell)`` entries, up to the last
+    one an event atom has)."""
+    tables = []
+    bincount = np.bincount
+
+    def recording(x, weights=None, minlength=0):
+        out = bincount(x, weights, minlength)
+        if weights is not None:
+            tables.append(out)
+        return out
+
+    with mock.patch.object(np, "bincount", recording):
+        report = struct.verify_alpharho()
+    return report, tables
+
+
 def sharp_full(full, pidx):
     """Largest count of coordinates whose class is ``pidx`` at one atom."""
     return int((full.class_idx == pidx).sum(axis=0).max())
@@ -344,8 +364,11 @@ class TestSectionShapeOracle:
         raw = rng.random(m) + 0.05
         space = ae.DiscreteProductSpace([np.full(400, 1 / 400), raw / raw.sum()])
         labels = rng.integers(1, 3, space.size)
-        struct = ae.AlphaEtaStructure(space, [1, 2], [1], [1, labels], np.ones(space.size, bool), [1, 1])
-        table = struct._section_table(1, struct._classes[1], range(2))
+        inputs = (space, [1, 2], [1], [1, labels], np.ones(space.size, bool), [1, 1])
+        struct, full = build(inputs)
+        report, (_, table, _) = verified_with_tables(struct)
+        assert_same_report(report, full_space_report(full))
+        table = table.reshape(-1, 2)
         f = space.factors[1].tolist()
         for pos in range(2):
             for line in range(400):
@@ -353,7 +376,7 @@ class TestSectionShapeOracle:
                 for j in range(m):
                     if labels[line * m + j] == pos + 1:
                         total += f[j]
-                assert table[pos, line] == total, (pos, line)
+                assert table[line, pos] == total, (pos, line)
 
     def test_cube_verify_stays_off_the_full_space(self):
         # three float64 arrays of the full space; the full-space evaluation
@@ -437,11 +460,13 @@ class TestCompactForms:
         event = rng.random(space.size) < 0.5
         cells = [1, rng.integers(1, 3, space.size)]
         struct, full = build((space, [1, 2], [1, 2], classes, event, cells))
-        table = struct._section_table(1, struct._cells[1], range(2))
+        report, (_, _, table) = verified_with_tables(struct)
+        assert_same_report(report, full_space_report(full))
+        padded = np.zeros(8193 * 2)
+        padded[: table.size] = table
         for lidx in range(2):
             member = (full.cell_idx[1] == lidx).astype(float)
-            assert np.array_equal(table[lidx], line_sums(space, 1, member).reshape(-1))
-        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+            assert np.array_equal(padded[lidx::2], line_sums(space, 1, member).reshape(-1))
 
     def test_report_independent_of_the_callers_blas_threads(self, blas_at_two_threads):
         # 10804 lines of 196 entries: a dgemv over this table on two OpenBLAS
@@ -488,8 +513,8 @@ class TestCompactForms:
     def test_alpharho_suite_structures_match_full_space(self):
         result, drawn = batched_with_inputs(suites.run_alpharho_suite, 100, 1111)
         assert result.instances == len(drawn) == 100
-        for inputs in drawn:
-            assert_same_report(inputs.structure().verify_alpharho(), full_space_report(inputs_full(inputs)))
+        for inputs, report in zip(drawn, ae._verify_batch(drawn)):
+            assert_same_report(report, full_space_report(inputs_full(inputs)))
 
     def test_cube_build_and_verify_bytes_per_atom(self):
         # the one-byte event mask is the cube's only per-atom array; storing
@@ -787,6 +812,20 @@ class TestVerifyAlphaRho:
             report = random_structure(seed + 400, n_max=4, atoms_max=5).verify_alpharho()
             assert report.holds, f"seed {seed}"
 
+    def test_degenerate_eta_is_refused(self, monkeypatch):
+        # eta is a label on its line, so its sharp is positive; an eta read
+        # at label 2, which no atom has, must raise rather than divide by 0
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25, 0.75]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1, 2], lam=[1], classes=[1, np.ones(4, int)],
+            event=np.ones(space.size, bool), event_partition=[1, 1],
+        )
+        assert struct.sharp(2) == 0
+        monkeypatch.setattr(ae._Group, "eta", lambda g, i: np.ones(2, int))
+        with pytest.raises(InvalidInputError) as raised:
+            struct.verify_alpharho()
+        assert str(raised.value) == "degenerate structure: sharp(eta(1, atom)) == 0 on the event"
+
     def test_probability_bound_from_min_ratio(self):
         for seed in range(20):
             struct = random_structure(seed + 500)
@@ -801,7 +840,7 @@ def assert_batch_matches_oracle(drawn):
     assert len(got) == len(drawn)
     for idx, (inputs, report) in enumerate(zip(drawn, got)):
         try:
-            assert_same_report(report, inputs.structure().verify_alpharho())
+            assert_same_report(report, full_space_report(inputs_full(inputs)))
         except AssertionError as exc:
             raise AssertionError(f"structure {idx}: {exc}") from None
 
@@ -849,8 +888,8 @@ def check_batch_on_special_structures():
 
 
 class TestBatch:
-    """``alphaeta._verify_batch`` against ``verify_alpharho``, structure by
-    structure."""
+    """``alphaeta._verify_batch`` against the full-space evaluation,
+    structure by structure."""
 
     def test_suite_structures(self):
         check_batch_on_the_suite()
@@ -863,9 +902,13 @@ class TestBatch:
         structures = [inputs.structure() for inputs in drawn]
         # eta ties: lines where two labels share the largest section probability
         ties = 0
-        for struct in structures:
-            for i in range(struct.n):
-                table = struct._section_table(i, struct._classes[i], range(len(struct.psi)))
+        for inputs in drawn:
+            full = inputs_full(inputs)
+            for i in range(full.n):
+                table = np.stack([
+                    line_sums(full.space, i, (full.class_idx[i] == pidx).astype(float)).reshape(-1)
+                    for pidx in range(len(full.psi))
+                ])
                 ties += int(np.count_nonzero((table == table.max(axis=0)).sum(axis=0) > 1))
         assert ties > 100
         assert any(1 in struct.space.shape for struct in structures)
@@ -876,7 +919,7 @@ class TestBatch:
 
     def test_one_structure_and_none(self):
         inputs = special_inputs(4, 1)
-        assert_same_report(ae._verify_batch(inputs)[0], inputs[0].structure().verify_alpharho())
+        assert_same_report(ae._verify_batch(inputs)[0], full_space_report(inputs_full(inputs[0])))
         assert ae._verify_batch([]) == []
 
     def test_equality_instances_hold_by_the_slack(self):

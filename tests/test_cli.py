@@ -304,6 +304,19 @@ class TestDispatch:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "vertex, message",
+        [("2", "vertex 2 must be isolated"), ("0", "vertex 0 out of range 1..3"),
+         ("4", "vertex 4 out of range 1..3")],
+    )
+    def test_graph_decompose_names_the_vertex_one_indexed(self, tmp_path, capsys, vertex, message):
+        # vertex 1 is isolated, vertex 2 has an edge
+        graph_file = tmp_path / "edge.txt"
+        graph_file.write_text("2 3\n")
+        code = cli.parse_and_dispatch(["graph-decompose", "--graph", str(graph_file), "--vertex", vertex])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_graph_decompose_exact_mode_past_its_size_is_usage_error(self, tmp_path, capsys):
         # a path on vertices 2..17 and the isolated root 1: 17 vertices
         graph_file = tmp_path / "path17.txt"

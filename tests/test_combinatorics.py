@@ -101,6 +101,30 @@ class TestGraph:
         g = comb.Graph.from_edge_text("1 2\n2 5\n")
         assert g.n == 5 and g.edges == frozenset({(0, 1), (1, 4)})
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4", None])
+    def test_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match="vertex count: expected an integer"):
+            comb.Graph(n, frozenset())
+
+    @pytest.mark.parametrize("edge", [(0.5, 2), (0, 2.0), (True, 2), ("0", 2), (np.float64(1), 2)])
+    def test_endpoints_must_be_integers(self, edge):
+        # int() would truncate 0.5 to the vertex 0
+        with pytest.raises(InvalidInputError, match=r"edge \(.*\): expected an integer"):
+            comb.Graph(4, frozenset({edge}))
+        with pytest.raises(InvalidInputError, match="expected an integer"):
+            comb.min_half_cover_size([edge, (1, 3)])
+
+    def test_numpy_integers_are_read_as_ints(self):
+        g = comb.Graph(np.int64(4), frozenset({(np.int64(3), np.int32(1))}))
+        assert (g.n, g.edges) == (4, frozenset({(1, 3)}))
+        assert all(type(v) is int for v in (g.n, *next(iter(g.edges))))
+
+    @pytest.mark.parametrize("line", ["1 x", "1 2.5", "x 2"])
+    def test_edge_text_endpoints_must_be_integers(self, line):
+        with pytest.raises(InvalidInputError) as raised:
+            comb.Graph.from_edge_text(f"1 2\n{line}\n")
+        assert str(raised.value) == f"edge line {line!r} does not hold two integers"
+
     def test_complete_with_exclusion(self):
         g = comb.Graph.complete(4, exclude=(0,))
         assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})

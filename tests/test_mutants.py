@@ -11,8 +11,10 @@ change it should catch.  Each ``linalg`` mutant changes the certified path
 alone: the SVD that the oracles and the kernel's fallback call keeps the
 true rank tolerance.  The ``experiments`` mutant changes the stacked draw
 alone: its oracle, ``sample_matrix`` of one trial, is left as it is.  Each
-``alphaeta`` mutant changes the batch alone: its oracle,
-``verify_alpharho`` of one structure, is left as it is.
+``alphaeta`` mutant changes the one verification kernel, which the batch
+and ``verify_alpharho`` share: its oracle, ``full_space_report`` of
+``test_alphaeta``, evaluates a structure on the full space and is left as
+it is.
 """
 
 import inspect
@@ -31,6 +33,7 @@ import test_cli as golden
 import test_experiments as stream_oracle
 import test_linalg as oracle
 from sminlab import suites
+from sminlab.errors import InvalidInputError
 
 
 def row_sums_only(X):
@@ -88,6 +91,15 @@ def planted_values_at_a_threshold():
         oracle.TestCertifiedOracle().test_planted_value_at_a_grid_threshold_falls_back(offset)
 
 
+def batch_verifies_the_suite():
+    """The batch's oracle check on the suite structures; all of them are
+    valid, so a refusal fails it as a wrong report does."""
+    try:
+        batch_oracle.check_batch_on_the_suite()
+    except InvalidInputError as exc:
+        raise AssertionError(f"a valid structure was refused: {exc}") from None
+
+
 def alpharho_suite_passes():
     for seed in (1111, 7, 2901):
         result = suites.run_alpharho_suite(500, seed)
@@ -111,6 +123,10 @@ def counterexample_report_matches_its_golden_bytes():
 
 def batch_rewritten(old, new):
     return lambda mp: mp.setattr(ae, "_verify_group", rewritten(ae._verify_group, old, new))
+
+
+def group_rewritten(method, old, new):
+    return lambda mp: mp.setattr(ae._Group, method, rewritten(getattr(ae._Group, method), old, new))
 
 
 # name -> (apply(monkeypatch), checks); each check must raise AssertionError
@@ -161,20 +177,18 @@ MUTANTS = {
     # the suite draws no ties: only the uniform factors of the special
     # structures tie
     "batch eta ties go to the earliest label": (
-        batch_rewritten("eta = P - 1 - np.argmax(table[:, ::-1], axis=1)", "eta = np.argmax(table, axis=1)"),
+        group_rewritten("eta", "return P - 1 - np.argmax(table[:, ::-1], axis=1)", "return np.argmax(table, axis=1)"),
         [batch_oracle.check_batch_on_special_structures],
     ),
     "batch sharp over the whole group": (
-        batch_rewritten(
-            "sharp = np.maximum.reduceat(counts, start, axis=0)",
-            "sharp = np.broadcast_to(counts.max(axis=0), (start.size, P))",
-        ),
+        batch_rewritten("sharp[:, p] += np.maximum.reduceat(count, g.start)", "sharp[:, p] += count.max()"),
         [batch_oracle.check_batch_on_the_suite],
     ),
-    # the member's own line number, without the lines of the members before it
-    "batch cell section read at the wrong line": (
-        batch_rewritten("1.0 / cell[key]", "1.0 / cell[local[ev] * L + g.cells[i][ev]]"),
-        [batch_oracle.check_batch_on_the_suite],
+    # the member's own line number: the members' lines share their numbers,
+    # and an eta read at a line of another member may have sharp 0
+    "batch lines numbered without the members before them": (
+        group_rewritten("lines", "line += _starts(self.size // m)[b]", "pass"),
+        [batch_verifies_the_suite],
     ),
     # the suite draws structures with lhs == rhs, which the rounding puts
     # one ulp above rhs

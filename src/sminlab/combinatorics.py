@@ -31,8 +31,10 @@ matrix are read from one table of all its triples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,10 @@ def _read(read, name: str, value):
 
 
 def _norm_edge(e) -> Edge:
-    j, k = e[0], e[1]
+    try:  # not decoding(f"edge {e!r}"), which would format every edge
+        j, k = e
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"edge {e!r}: {exc}") from None
     if type(j) is not int or type(k) is not int:  # a graph reads every edge: ints take no extra step
         with decoding(f"edge {tuple(e)!r}"):
             j, k = integer(j), integer(k)
@@ -106,7 +111,12 @@ class Graph:
 
     @classmethod
     def from_edge_text(cls, text: str, n: int | None = None) -> "Graph":
-        """Parse the 1-indexed edge-list format written by :meth:`to_edge_text`."""
+        """Parse the 1-indexed edge-list format written by :meth:`to_edge_text`.
+
+        An edge outside ``1..n`` and a self-loop are refused by the
+        endpoints as the text writes them, 1-indexed."""
+        if n is not None:
+            n = _read(integer, "vertex count", n)
         edges = []
         for line in text.splitlines():
             line = line.strip()
@@ -116,12 +126,16 @@ class Graph:
             if len(parts) != 2:
                 raise InvalidInputError(f"malformed edge line: {line!r}")
             try:
-                j, k = int(parts[0]) - 1, int(parts[1]) - 1
+                j, k = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InvalidInputError(f"edge line {line!r} does not hold two integers") from None
-            if j < 0 or k < 0:
+            if j < 1 or k < 1:
                 raise InvalidInputError(f"edge line {line!r} is not 1-indexed")
-            edges.append((j, k))
+            if j == k:
+                raise InvalidInputError(f"self-loop ({j},{k}) is not allowed")
+            if n is not None and max(j, k) > n:
+                raise InvalidInputError(f"edge ({j},{k}) out of range 1..{n}")
+            edges.append((j - 1, k - 1))
         if n is None:
             n = max((max(e) for e in edges), default=-1) + 1
         return cls(n, frozenset(edges))
@@ -156,15 +170,23 @@ def _exact_step(base: frozenset[int], edges) -> frozenset[int]:
     Exhaustive search over subsets of the incident vertices in increasing
     cardinality, each cardinality in ``itertools.combinations`` order.
     Since no candidate lies in ``base``, the first admissible subset is
-    also the lexicographic minimum of ``sorted(base | subset)``.
+    also the lexicographic minimum of ``sorted(base | subset)``.  Each
+    candidate carries a bit mask of the positions of its edges in
+    ``edges``, so a subset covers the set bits of the union of its masks.
     """
     need = (len(edges) + 1) // 2
     if need == 0:
         return base
-    candidates = sorted({v for e in edges for v in e})
+    masks: dict[int, int] = {}
+    for position, (j, k) in enumerate(edges):
+        bit = 1 << position
+        masks[j] = masks.get(j, 0) | bit
+        masks[k] = masks.get(k, 0) | bit
+    candidates = sorted(masks)
+    ordered = [masks[v] for v in candidates]
     for size in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if sum(1 for j, k in edges if j in combo or k in combo) >= need:
+        for combo, covered in zip(itertools.combinations(candidates, size), itertools.combinations(ordered, size)):
+            if functools.reduce(operator.or_, covered).bit_count() >= need:
                 return base.union(combo)
     raise AssertionError("unreachable: all incident vertices cover every edge")
 

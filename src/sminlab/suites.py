@@ -8,7 +8,10 @@ counter-based streams as the samplers, so a suite run is reproducible
 from ``(seed, instance_index)``.  Instance ``idx`` reads the stream
 ``SeedSpec(seed, idx)``; a stream an instance draws beyond its own (a
 retried matrix, the separate triple matrices of the low-value suite) is
-keyed apart from every instance stream (:func:`_derived`).  A suite
+keyed apart from every instance stream (:func:`_derived`).  A suite run
+opens its instance streams on one Philox, re-keyed per instance
+(``samplers._Streams``), which draws what a fresh ``SeedSpec.rng()``
+draws; the matrices of ``sample_matrix`` keep their own generators.  A suite
 first draws every instance, then verifies the instances of one shape as
 one stack (one stacked factorization, one stacked elimination; the
 alpharho suite lays the structures of one coordinate count end to end).  Every
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import alphaeta, combinatorics, linalg
 from .errors import InvalidInputError, decoding, integer
-from .samplers import KINDS, RowDistribution, SeedSpec, sample_matrix
+from .samplers import KINDS, RowDistribution, SeedSpec, _Streams, sample_matrix
 
 
 @dataclass
@@ -85,10 +88,6 @@ def _result(name: str, instances: int, failures) -> SuiteResult:
     return result
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return SeedSpec(seed, index).rng()
-
-
 def _derived(seed: int, idx: int, attempt: int = 0) -> SeedSpec:
     """Stream ``attempt`` (below 256) of instance ``idx`` (below 2**55),
     apart from every instance stream: the top bit of its 64-bit trial
@@ -111,10 +110,19 @@ def _by_shape(keyed) -> dict:
 def _gauss_jordan(A: np.ndarray) -> np.ndarray:
     """Inverses of a stack ``A`` of shape ``(N, n, n)`` by Gauss-Jordan
     elimination with partial pivoting, every member in step with the
-    others; raises when some member is numerically singular."""
+    others; raises when some member is numerically singular.
+
+    The elimination runs in place (Press et al., *Numerical Recipes*,
+    section 2.1): once step ``col`` has reduced column ``col`` to a unit
+    vector, that slot holds instead the inverse column of the row then at
+    position ``col``, whose identity column became live at this step.  So a
+    step updates ``n`` columns, not the ``2 n`` of ``[A | I]``; the columns
+    it skips would only take ``x - f * 0``.  At the end the slots are put
+    back in the order of each member's rows."""
     N, n, _ = A.shape
-    aug = np.concatenate([A, np.broadcast_to(np.eye(n), A.shape)], axis=2)
+    aug = A.copy()
     members = np.arange(N)
+    rows = np.broadcast_to(np.arange(n), (N, n)).copy()  # the row now at each position
     update = np.empty_like(aug)
     for col in range(n):
         pivot = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
@@ -122,12 +130,18 @@ def _gauss_jordan(A: np.ndarray) -> np.ndarray:
         if (np.abs(top[:, col]) < 1e-300).any():
             raise InvalidInputError("matrix is numerically singular")
         aug[members, pivot] = aug[:, col]
+        row = rows[members, pivot]
+        rows[members, pivot] = rows[:, col]
+        rows[:, col] = row
         np.divide(top, top[:, col, None], out=aug[:, col])
         f = aug[:, :, col].copy()
         f[:, col] = 0.0
+        # the identity column of the pivot row: 1 / pivot there, 0 elsewhere
+        aug[:, :, col] = 0.0
+        np.divide(1.0, top[:, col], out=aug[:, col, col])
         np.multiply(f[:, :, None], aug[:, None, col], out=update)
         aug -= update
-    return aug[:, :, n:]
+    return np.take_along_axis(aug, np.argsort(rows, axis=1)[:, None, :], axis=2)
 
 
 def invert_by_elimination(B: np.ndarray) -> np.ndarray:
@@ -159,8 +173,10 @@ def _invertible_draws(instances: int, seed: int) -> list:
     is.  Attempt 0 of the instances of one size is checked as one stack,
     a retry one draw at a time."""
     kinds = [KINDS[idx % len(KINDS)] for idx in range(instances)]
+    streams = _Streams()
     first = [
-        sample_matrix(RowDistribution(kind), int(_rng(seed, idx).integers(2, 51)), _derived(seed, idx))
+        sample_matrix(RowDistribution(kind), int(streams.open(SeedSpec(seed, idx)).integers(2, 51)),
+                      _derived(seed, idx))
         for idx, kind in enumerate(kinds)
     ]
     draws = [None] * instances
@@ -222,8 +238,9 @@ def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
     """Construct vector families satisfying the pivot hypotheses and
     check that a valid pivot index is always produced."""
     drawn = []
+    streams = _Streams()
     for idx in range(instances):
-        rng = _rng(seed, idx)
+        rng = streams.open(SeedSpec(seed, idx))
         r = int(rng.integers(2, 7))
         xs = rng.standard_normal((r - 1, r))
         coeffs = rng.standard_normal(r - 1) * 2.0
@@ -256,6 +273,25 @@ def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
     return _result("pivot", instances, failures)
 
 
+def _quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(d, q[m])`` for every row ``d`` of the stack ``ordered``
+    of ascending rows, bit for bit.  numpy's default (``linear``) method
+    interpolates between the order statistics at ``lo = floor(v)`` and
+    ``lo + 1``, for ``v = (n - 1) q``, by ``g = v - lo``: as ``a + (b - a)
+    g``, or as ``b - (b - a) (1 - g)`` from ``g = 0.5``.  From ``v = n - 1``
+    on, both are the last, and ``lo`` is taken as -1."""
+    n = ordered.shape[1]
+    v = (n - 1) * q
+    last = v >= n - 1
+    lo = np.where(last, -1.0, np.floor(v))
+    g = v - lo
+    lo = lo.astype(np.intp)
+    a = np.take_along_axis(ordered, lo[:, None], axis=1)[:, 0]
+    b = np.take_along_axis(ordered, np.where(last, -1, lo + 1)[:, None], axis=1)[:, 0]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+
+
 def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     """Counting bound for the two families of r-subsets.
 
@@ -265,29 +301,29 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     ``|Q1 union Q2| >= |I| * C(ceil(n/2), r-1)``.
     """
     drawn = []
+    streams = _Streams()
     for idx in range(instances):
-        rng = _rng(seed, idx)
+        rng = streams.open(SeedSpec(seed, idx))
         n = int(rng.integers(4, 11))
         r = int(rng.integers(2, 4))
         B = rng.standard_normal((n, n))
         i_count = int(rng.integers(1, n - (n + 1) // 2 + 1))
         drawn.append((n, r, B, i_count, rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)))
-    profiles = [None] * instances
-    for group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).values():
-        stack = np.array([drawn[idx][2] for idx in group])
-        for idx, d in zip(group, linalg._row_profile(stack)):
-            profiles[idx] = d
-    # the instances whose distance profile has no tie: (I, tau, a, b) each
-    qualifying = {}
-    for idx, (n, r, B, i_count, quantile, factor) in enumerate(drawn):
-        d = profiles[idx]
-        order = np.argsort(d)
-        J = order[n - (n + 1) // 2 :]
-        b = float(d[J].min())
-        I = order[:i_count]
-        a = float(d[I].max())
-        if a < b:
-            qualifying[idx] = (I, float(np.quantile(d, quantile)) * factor, a, b)
+    # (I, tau, a, b) of each instance whose profile has a < b: I holds the
+    # rows of the i_count smallest distances, the largest of them a, and b
+    # is the smallest of the ceil(n/2) largest; kept in instance order
+    found = [None] * instances
+    for n, group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).items():
+        d = linalg._row_profile(np.array([drawn[idx][2] for idx in group]))
+        order = np.argsort(d, axis=1)
+        ordered = np.take_along_axis(d, order, axis=1)
+        taus = _quantiles(ordered, np.array([drawn[idx][4] for idx in group])).tolist()
+        for row, (idx, b) in enumerate(zip(group, ordered[:, n - (n + 1) // 2].tolist())):
+            _, _, _, i_count, _, factor = drawn[idx]
+            a = float(ordered[row, i_count - 1])
+            if a < b:
+                found[idx] = (order[row, :i_count], taus[row] * factor, a, b)
+    qualifying = {idx: item for idx, item in enumerate(found) if item is not None}
     failures = []
     for (n, r), group in _by_shape((idx, drawn[idx][:2]) for idx in qualifying).items():
         sets = np.array(list(combinations(range(n), r)))
@@ -320,8 +356,9 @@ def run_edge_interval_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Two-sided halving bounds along exact decompositions, all (k, l)."""
     failures = []
     depth = 8
+    streams = _Streams()
     for idx in range(instances):
-        rng = _rng(seed, idx)
+        rng = streams.open(SeedSpec(seed, idx))
         n = int(rng.integers(4, 13))
         i = int(rng.integers(0, n))
         G = _random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
@@ -356,8 +393,9 @@ def run_low_value_suite(
         )
     failures = []
     drawn = []
+    streams = _Streams()
     for idx in range(matrices):
-        rng = _rng(seed, idx)
+        rng = streams.open(SeedSpec(seed, idx))
         n = int(rng.integers(4, 13))
         drawn.append(rng.standard_normal((n, n)))
     for idx, graphs in enumerate(_graphs_by_size(drawn)):
@@ -373,7 +411,7 @@ def run_low_value_suite(
                     )
     triples = []
     for idx in range(triple_matrices):
-        rng = _derived(seed, idx).rng()
+        rng = streams.open(_derived(seed, idx))
         n = int(rng.integers(4, 10))
         triples.append(rng.standard_normal((n, n)))
     for idx, graphs in enumerate(_graphs_by_size(triples)):
@@ -391,8 +429,9 @@ def run_low_value_suite(
 def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Graph pairs within the edge-difference hypothesis satisfy the dichotomy."""
     failures = []
+    streams = _Streams()
     for idx in range(instances):
-        rng = _rng(seed, idx)
+        rng = streams.open(SeedSpec(seed, idx))
         n = int(rng.integers(4, 13))
         L = int(rng.integers(1, 3))
         i = int(rng.integers(0, n))
@@ -417,9 +456,9 @@ def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     return _result("dichotomy", instances, failures)
 
 
-def _alpharho_inputs(seed: int, idx: int) -> alphaeta._Inputs:
-    """The random structure of alpharho instance ``idx``."""
-    rng = _rng(seed, idx)
+def _alpharho_inputs(rng: np.random.Generator) -> alphaeta._Inputs:
+    """The random structure of an alpharho instance, drawn from its stream
+    ``rng``."""
     n = int(rng.integers(1, 5))
     factors = []
     for _ in range(n):
@@ -442,7 +481,8 @@ def run_alpharho_suite(instances: int = 500, seed: int = 0) -> SuiteResult:
     batch (``alphaeta._verify_batch``), on the kernel that ``verify_alpharho``
     runs on a single structure, so each gets the report of its own
     ``verify_alpharho``, bit for bit."""
-    drawn = [_alpharho_inputs(seed, idx) for idx in range(instances)]
+    streams = _Streams()
+    drawn = [_alpharho_inputs(streams.open(SeedSpec(seed, idx))) for idx in range(instances)]
     failures = [
         (idx, f"instance {idx}: lhs {report.lhs:g} exceeds rhs {report.rhs:g} (n={len(inputs.factors)})")
         for idx, (inputs, report) in enumerate(zip(drawn, alphaeta._verify_batch(drawn)))

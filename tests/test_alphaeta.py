@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import sminlab.alphaeta as ae
 from sminlab import cli, linalg, suites
 from sminlab.errors import InvalidInputError
+from sminlab.samplers import SeedSpec
 
 
 def random_inputs(seed, n_max=3, atoms_max=3):
@@ -846,7 +847,7 @@ def assert_batch_matches_oracle(drawn):
 
 
 def suite_inputs(seed, instances=500):
-    return [suites._alpharho_inputs(seed, idx) for idx in range(instances)]
+    return [suites._alpharho_inputs(SeedSpec(seed, idx).rng()) for idx in range(instances)]
 
 
 def check_batch_on_the_suite():
@@ -1006,7 +1007,7 @@ class TestBatch:
 
         monkeypatch.setattr(ae, "_verify_batch", failing_instance_7)
         result = suites.run_alpharho_suite(20, 1111)
-        seventh = suites._alpharho_inputs(1111, 7)
+        seventh = suites._alpharho_inputs(SeedSpec(1111, 7).rng())
         rhs, n = float(seventh.psi**2 * seventh.lam), len(seventh.factors)
         assert (result.failures, result.failed_instances) == (1, [7])
         assert result.messages == [f"instance 7: lhs {2.5 * rhs:g} exceeds rhs {rhs:g} (n={n})"]

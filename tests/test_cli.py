@@ -317,6 +317,19 @@ class TestDispatch:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [("2 3\n", ["--n", "2"], "error: edge (2,3) out of range 1..2"),
+         ("1 1\n", [], "error: self-loop (1,1) is not allowed")],
+    )
+    def test_graph_decompose_names_a_bad_edge_as_written(self, tmp_path, capsys, text, n, message):
+        # both were named 0-indexed: edge (1,2), self-loop (0,0)
+        graph_file = tmp_path / "bad.txt"
+        graph_file.write_text(text)
+        code = cli.parse_and_dispatch(["graph-decompose", "--graph", str(graph_file), "--vertex", "1", *n])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_graph_decompose_exact_mode_past_its_size_is_usage_error(self, tmp_path, capsys):
         # a path on vertices 2..17 and the isolated root 1: 17 vertices
         graph_file = tmp_path / "path17.txt"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ class TestGraph:
         with pytest.raises(InvalidInputError) as raised:
             comb.Graph.from_edge_text(f"1 2\n{line}\n")
         assert str(raised.value) == f"edge line {line!r} does not hold two integers"
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((0, 1, 5), "too many values"), ((0,), "not enough values"), (5, "cannot unpack")],
+    )
+    def test_an_edge_must_be_a_pair(self, edge, message):
+        # (0, 1, 5) was read as the edge (0, 1)
+        with pytest.raises(InvalidInputError, match=rf"^edge {re.escape(repr(edge))}: {message}"):
+            comb.Graph(4, frozenset({edge}))
+        with pytest.raises(InvalidInputError, match=message):
+            comb.min_half_cover_size([(1, 3), edge])
+
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [("2 3\n", 2, "edge (2,3) out of range 1..2"), ("1 2\n4 1\n", 3, "edge (4,1) out of range 1..3"),
+         ("1 1\n", None, "self-loop (1,1) is not allowed"), ("2 3\n3 3\n", 5, "self-loop (3,3) is not allowed")],
+    )
+    def test_edge_text_names_bad_edges_as_written(self, text, n, message):
+        with pytest.raises(InvalidInputError) as raised:
+            comb.Graph.from_edge_text(text, n)
+        assert str(raised.value) == message
 
     def test_complete_with_exclusion(self):
         g = comb.Graph.complete(4, exclude=(0,))
@@ -497,6 +519,66 @@ class TestTwoGraphsDichotomy:
     )
     def test_min_half_cover_matches_brute_force(self, edges):
         assert comb.min_half_cover_size(edges) == brute_half_cover_size(edges)
+
+
+def edge_sum_step(base, edges):
+    """The exact step as it was written before its bit masks: every candidate
+    subset counts the edges it meets with a sum over all of them.  The oracle
+    of ``comb._exact_step``, which must return the same set."""
+    need = (len(edges) + 1) // 2
+    if need == 0:
+        return base
+    candidates = sorted({v for e in edges for v in e})
+    for size in range(1, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if sum(1 for j, k in edges if j in combo or k in combo) >= need:
+                return base.union(combo)
+    raise AssertionError("unreachable: all incident vertices cover every edge")
+
+
+def step_corpus(count, seed):
+    """``(base, edges)`` pairs: graphs on 2 to 12 vertices, a third of them
+    with repeated edges (as a tuple), the rest as a frozenset, and a base of
+    vertices that no edge meets."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for idx in range(count):
+        n = int(rng.integers(2, 13))
+        base = frozenset(v for v in range(n) if rng.random() < 0.2)
+        free = [v for v in range(n) if v not in base]
+        density = rng.uniform(0.1, 0.7)
+        edges = [pair for pair in itertools.combinations(free, 2) if rng.random() < density]
+        if idx % 3 == 0 and edges:
+            edges += [edges[int(p)] for p in rng.integers(0, len(edges), size=int(rng.integers(1, 6)))]
+            corpus.append((base, tuple(edges[int(p)] for p in rng.permutation(len(edges)))))
+        else:
+            corpus.append((base, frozenset(edges)))
+    return corpus
+
+
+def check_exact_step_matches_the_edge_sum_search():
+    for base, edges in step_corpus(4000, 2026):
+        assert comb._exact_step(base, edges) == edge_sum_step(base, edges), (base, edges)
+
+
+class TestExactStepOracle:
+    def test_exact_step_matches_the_edge_sum_search(self):
+        check_exact_step_matches_the_edge_sum_search()
+
+    def test_repeated_edges_count_with_their_multiplicity(self):
+        # (0, 1) three times: 5 edges, 3 to cover, and vertex 0 covers them
+        assert comb.min_half_cover_size([(0, 1), (2, 3), (0, 1), (4, 5), (1, 0)]) == 1
+        # (0, 1) twice: 4 edges, 2 to cover, and vertex 0 covers them; the 3
+        # distinct edges take two vertices
+        twice = [(2, 3), (0, 1), (4, 5), (0, 1)]
+        assert comb._exact_step(frozenset({8}), tuple(twice)) == frozenset({0, 8})
+        assert comb.min_half_cover_size(twice) == 1
+        assert comb._exact_step(frozenset({8}), frozenset(twice)) == frozenset({0, 2, 8})
+
+    def test_min_half_cover_on_repeated_edges_matches_the_oracle(self):
+        for base, edges in step_corpus(300, 7):
+            if isinstance(edges, tuple):
+                assert comb.min_half_cover_size(edges) == len(edge_sum_step(frozenset(), edges))
 
 
 class TestQSets:

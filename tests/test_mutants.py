@@ -1,11 +1,14 @@
 """Mutation table for the certified Monte Carlo kernel, the stacked
-trial draws and the batched alpha-eta verification.
+trial draws, the batched alpha-eta verification, the re-keyed suite
+streams and the exact half-cover search.
 
-Each entry names a mutant of ``linalg``, ``experiments`` or ``alphaeta``,
-the way to apply it with ``monkeypatch``, and the checks that must fail
-under it.  A check calls oracle tests of ``test_linalg``,
-``test_experiments``, ``test_cli`` or ``test_alphaeta``, which pass on the
-code as it is, or runs a lemma suite; the table fails when a mutant
+Each entry names a mutant of ``linalg``, ``experiments``, ``alphaeta``,
+``samplers`` or ``combinatorics``, the way to apply it with
+``monkeypatch``, and the checks that must fail under it.  A check calls
+oracle tests of ``test_linalg``, ``test_experiments``, ``test_cli``,
+``test_alphaeta``, ``test_samplers``, ``test_combinatorics`` or
+``test_suite_draws``, which pass on the code as it is, or runs a lemma
+suite; the table fails when a mutant
 survives one of its checks, so a weakened oracle shows here as well as the
 change it should catch.  Each ``linalg`` mutant changes the certified path
 alone: the SVD that the oracles and the kernel's fallback call keeps the
@@ -14,7 +17,10 @@ alone: its oracle, ``sample_matrix`` of one trial, is left as it is.  Each
 ``alphaeta`` mutant changes the one verification kernel, which the batch
 and ``verify_alpharho`` share: its oracle, ``full_space_report`` of
 ``test_alphaeta``, evaluates a structure on the full space and is left as
-it is.
+it is.  The ``samplers`` mutant changes the re-keyed streams alone: their
+oracle is a fresh ``SeedSpec.rng()`` per key.  The ``combinatorics``
+mutant changes the bit-mask search: its oracle is the search that counts
+the edges of each candidate set with a sum, kept in ``test_combinatorics``.
 """
 
 import inspect
@@ -26,12 +32,17 @@ import numpy as np
 import pytest
 
 import sminlab.alphaeta as ae
+import sminlab.combinatorics as comb
 import sminlab.experiments as ex
 import sminlab.linalg as la
+import sminlab.samplers as smp
 import test_alphaeta as batch_oracle
 import test_cli as golden
+import test_combinatorics as cover_oracle
 import test_experiments as stream_oracle
 import test_linalg as oracle
+import test_samplers as rekey_oracle
+import test_suite_draws as suite_golden
 from sminlab import suites
 from sminlab.errors import InvalidInputError
 
@@ -192,6 +203,26 @@ MUTANTS = {
     ),
     # the suite draws structures with lhs == rhs, which the rounding puts
     # one ulp above rhs
+    # the first bounded integer of every stream after the first would read
+    # the half word the stream before it left
+    "re-key that keeps has_uint32 from the stream before": (
+        lambda mp: mp.setattr(smp._Streams, "open", rewritten(
+            smp._Streams.open,
+            "self._bit_generator.state = self._state",
+            "before = self._bit_generator.state; "
+            "self._state['has_uint32'] = before['has_uint32']; "
+            "self._state['uinteger'] = before['uinteger']; "
+            "self._bit_generator.state = self._state")),
+        [rekey_oracle.check_reopened_streams_draw_what_fresh_ones_draw,
+         suite_golden.test_every_suite_draws_what_the_golden_file_holds],
+    ),
+    # a set covering exactly half the edges is passed over for a larger one
+    "bit-mask cover test > for >=": (
+        lambda mp: mp.setattr(comb, "_exact_step", rewritten(
+            comb._exact_step, ".bit_count() >= need", ".bit_count() > need")),
+        [cover_oracle.check_exact_step_matches_the_edge_sum_search,
+         suite_golden.test_every_suite_draws_what_the_golden_file_holds],
+    ),
     "alpharho verdict without its slack": (
         batch_rewritten("holds=lhs <= rhs + 1e-9", "holds=lhs <= rhs"),
         [alpharho_suite_passes],

@@ -15,6 +15,7 @@ from sminlab.samplers import (
     RowDistribution,
     SeedSpec,
     ShiftSpec,
+    _Streams,
     build_shift,
     counterexample_witness,
     sample_matrix,
@@ -147,6 +148,55 @@ class TestStreamContract:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+def shuffled(g):
+    x = list(range(12))
+    g.shuffle(x)
+    return x
+
+
+# every generator method the suites call on an instance stream; a bounded
+# integer below 2**32 takes half of a 64-bit word and buffers the other half
+SUITE_DRAWS = {
+    "integer": lambda g: g.integers(2, 51),
+    "integers": lambda g: g.integers(1, 4, size=5),
+    "standard_normal": lambda g: g.standard_normal((3, 4)),
+    "uniform": lambda g: g.uniform(0.1, 0.9),
+    "odd integer": lambda g: g.integers(0, 7),
+    "random": lambda g: g.random(7),
+    "uniform array": lambda g: g.uniform(-3, 0, size=3),
+    "shuffle": shuffled,
+}
+
+# instance keys, derived keys, whose trial index has its top bit set, and a
+# key opened again
+REKEYED = [(0, 0), (7, 1), (7, 2), (2**64 - 1, 5), (2**64 - 1, 2**64 - 1),
+           (7, _derived(7, 0).trial_index), (7, _derived(7, 12345, 3).trial_index),
+           (2**64 - 1, _derived(2**64 - 1, 2**55 - 1, 255).trial_index), (7, 1)]
+
+
+def check_reopened_streams_draw_what_fresh_ones_draw():
+    """One ``_Streams`` re-keyed from stream to stream, each left with a
+    32-bit half word buffered, against a fresh ``SeedSpec.rng()`` per key."""
+    streams = _Streams()
+    for key in REKEYED:
+        got, want = streams.open(SeedSpec(*key)), SeedSpec(*key).rng()
+        state, fresh = got.bit_generator.state, want.bit_generator.state
+        assert state["state"]["key"].tolist() == fresh["state"]["key"].tolist() == list(key)
+        assert state["state"]["counter"].tolist() == fresh["state"]["counter"].tolist()
+        assert {k: v for k, v in state.items() if k not in ("state", "buffer")} == {
+            k: v for k, v in fresh.items() if k not in ("state", "buffer")
+        }
+        for name, draw in SUITE_DRAWS.items():
+            assert np.array_equal(draw(got), draw(want)), (key, name)
+        if not got.bit_generator.state["has_uint32"]:
+            got.integers(0, 7)
+        assert got.bit_generator.state["has_uint32"] == 1  # the next key starts mid-word
+
+
+def test_reopened_streams_draw_what_fresh_ones_draw():
+    check_reopened_streams_draw_what_fresh_ones_draw()
 
 
 class TestRowDistribution:

@@ -149,6 +149,55 @@ def test_gauss_jordan_rejects_a_singular_member_as_its_earlier_form():
         assert errors[0] == errors[1] == (InvalidInputError, "matrix is numerically singular")
 
 
+def signed_zero_stack(rng, n):
+    """Small integer matrices, most entries zero and many pivots negative, so
+    that the elimination meets exact zeros and makes negative ones."""
+    return rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0], size=(3, n, n))
+
+
+def test_gauss_jordan_equals_its_earlier_form_to_the_byte():
+    # array_equal holds -0.0 equal to 0.0; the bytes do not
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for _ in range(600):
+        stack = signed_zero_stack(rng, int(rng.integers(2, 7)))
+        try:
+            want = take_along_elimination(stack.copy())
+        except InvalidInputError:
+            continue
+        assert suites._gauss_jordan(stack).tobytes() == want.tobytes()
+        compared += 1
+    assert compared > 150
+
+
+def test_quantiles_equal_numpy_row_by_row():
+    rng = np.random.default_rng(31)
+    for n in range(1, 12):
+        d = np.abs(rng.standard_normal((40, n)))  # a distance profile, and no -0.0, which ties with 0.0
+        d[:8] = d[:8].round(0)  # tied profiles
+        d[8] = 1.5  # every entry tied
+        q = rng.uniform(0.0, 1.0, size=40)
+        # v = (n - 1) q on an order statistic, and halfway between two
+        q[10:13] = [0.0, 1.0, 0.5]
+        if n > 2:
+            q[13:16] = [0.5 / (n - 1), 1.5 / (n - 1), (n - 1.5) / (n - 1)]
+        ordered = np.sort(d, axis=1)
+        got = suites._quantiles(ordered, q)
+        for row, quantile in enumerate(q.tolist()):
+            want = float(np.quantile(d[row], quantile))
+            assert got[row].item().hex() == want.hex(), (n, row, quantile)
+
+
+def test_quantiles_take_the_upper_form_from_one_half():
+    # at g = 0.5 numpy interpolates down from the upper order statistic,
+    # which here differs from interpolating up from the lower one
+    a, b = 0.1, 0.7
+    assert a + (b - a) * 0.5 != b - (b - a) * 0.5
+    ordered = np.array([[a, b, 1.0]])
+    got = suites._quantiles(ordered, np.array([0.25]))[0]  # v = 0.5
+    assert got == b - (b - a) * 0.5 == np.quantile(ordered[0], 0.25)
+
+
 def per_draw_invertible(instances, seed):
     """The biorthogonality draws as they were taken before attempt 0 was
     stacked: every draw checked on its own by ``linalg._extremes``."""

@@ -12,12 +12,10 @@ verification suites), :mod:`sminlab.cli` (the ``smin-lab`` command).
 
 from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError
 from .linalg import (
-    SingularData,
     dist_to_complement,
     dist_to_span,
     hs_inverse,
     row_distances,
-    singular_data,
 )
 from .samplers import (
     RowDistribution,
@@ -30,19 +28,14 @@ from .samplers import (
 from .combinatorics import (
     Graph,
     GreedyDecomposition,
-    StructureParams,
     build_graph_G,
     build_graph_G_tilde,
     check_edge_interval,
-    classify_lambda,
     greedy_decomposition,
-    kmax,
     low_value_count,
-    mindist,
     pivot_index,
     q_sets,
     rho_set,
-    structure_params,
     two_graphs_dichotomy,
     vertex_value,
 )
@@ -71,16 +64,13 @@ __all__ = [
     "RowDistribution",
     "SeedSpec",
     "ShiftSpec",
-    "SingularData",
     "Statistic",
-    "StructureParams",
     "TailEstimate",
     "UnsupportedSizeError",
     "build_graph_G",
     "build_graph_G_tilde",
     "build_shift",
     "check_edge_interval",
-    "classify_lambda",
     "counterexample_experiment",
     "counterexample_witness",
     "cube_example_structure",
@@ -91,16 +81,12 @@ __all__ = [
     "estimate_tail",
     "greedy_decomposition",
     "hs_inverse",
-    "kmax",
     "low_value_count",
-    "mindist",
     "pivot_index",
     "q_sets",
     "rho_set",
     "row_distances",
     "sample_matrix",
-    "singular_data",
-    "structure_params",
     "two_graphs_dichotomy",
     "vertex_value",
     "wilson_interval",

@@ -1,6 +1,5 @@
 """Graph and tuple machinery: half-cover decompositions, vertex values,
-residual edge sets, matrix-derived comparison graphs, and the dyadic
-event classification built on top of them.
+residual edge sets and matrix-derived comparison graphs.
 
 Vertices and matrix row indices are 0-based throughout the Python API;
 only the edge-list text format (:meth:`Graph.to_edge_text`) is 1-based.
@@ -11,17 +10,16 @@ to graphs on at most ``EXACT_MODE_MAX_N`` vertices; the same search,
 written once, gives :func:`min_half_cover_size`.  The greedy mode
 scales further but loses the minimality certificate, so the operations
 that rely on minimality (:func:`check_edge_interval`,
-:func:`low_value_count`, :func:`classify_lambda` and the dichotomy) take
-no mode and decompose exactly.
+:func:`low_value_count` and the dichotomy) take no mode and decompose
+exactly.
 
 Each kind of distance a call needs comes from one factorization of its
 matrix: the complement distances of all the triples of a comparison
 graph and of all the r-subsets of :func:`q_sets` from one batched
 ``sminlab.linalg._set_distances`` call, and the distances of a pivot
-vector family, or of the full rows, from one QR profile.  The offset
+vector family from one QR profile.  The offset
 graph takes its triples from one factorization of ``A + M`` with row
-``i`` replaced by ``M[i]``, so :func:`classify_lambda` factors ``A + M``
-for its row distances and that matrix for its graph.
+``i`` replaced by ``M[i]``.
 The pivot check, :func:`q_sets` and the comparison graphs are thin
 per-call wrappers over stacked cores (``_pivot_indices``, ``_q_masks``,
 ``_comparison_graphs``) that the verification suites call with every
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, UnsupportedSizeError, decoding, integer, number
-from .linalg import _row_profile, _set_distances, as_matrix, row_distances
+from .linalg import _row_profile, _set_distances, as_matrix
 
 EXACT_MODE_MAX_N = 16
 MODES = ("exact", "greedy")
@@ -604,121 +602,3 @@ def pivot_index(vectors, a: float, b: float) -> int | None:
     X, a, b = _pivot_family(vectors, a, b)
     X = X[None]
     return int(_pivot_indices(X, _row_profile(X), np.array([a]), np.array([b]))[0]) or None
-
-
-def mindist(B, j: int, k: int) -> float:
-    """Smaller of the two full row-to-complement distances of rows ``j``, ``k``."""
-    j = _read(integer, "j", j)
-    k = _read(integer, "k", k)
-    A = as_matrix(B)
-    n = A.shape[0]
-    if j == k:
-        raise InvalidInputError("indices must differ")
-    if not (0 <= j < n and 0 <= k < n):
-        raise InvalidInputError(f"indices ({j},{k}) out of range for n={n}")
-    d = row_distances(A)
-    return float(min(d[j], d[k]))
-
-
-def kmax(T, k: int) -> float:
-    """The ``k``-th largest element of a multiset, counting multiplicities."""
-    k = _read(integer, "k", k)
-    values = sorted((float(v) for v in T), reverse=True)
-    if not values:
-        raise InvalidInputError("T must be non-empty")
-    if not (1 <= k <= len(values)):
-        raise InvalidInputError(f"k={k} out of range for |T|={len(values)}")
-    return values[k - 1]
-
-
-@dataclass(frozen=True)
-class StructureParams:
-    """Parameter bundle for the dyadic event classification.
-
-    ``L`` and ``offset`` follow the fixed formulas
-    ``L = 8 (floor(log2 n) + 1 - u) + 2 log2(1 + K1)`` and
-    ``offset = 2**(L / 192)``; the constants ``epsilon = 1/24`` and
-    ``K2 = 2000`` enter no computation here.  ``t`` is the distance
-    threshold the dyadic intervals are measured against.
-    """
-
-    n: int
-    u: int
-    K1: float
-    t: float
-    L: float
-    offset: float
-
-
-def structure_params(n: int, u: int, K1: float, t: float = 1.0) -> StructureParams:
-    """Evaluate the parameter formulas for dimension ``n`` and scale index ``u``."""
-    n = _read(integer, "n", n)
-    u = _read(integer, "u", u)
-    K1 = _read(number, "K1", K1)
-    t = _read(number, "t", t)
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
-    # an infinite K1 makes L, a decomposition depth, infinite; an infinite t
-    # would put every distance in the cell -inf
-    if not 0 < K1 < math.inf:
-        raise InvalidInputError("K1 must be positive and finite")
-    if not 0 < t < math.inf:
-        raise InvalidInputError("t must be positive and finite")
-    log_floor = int(math.floor(math.log2(n)))
-    if not (0 <= u <= log_floor):
-        raise InvalidInputError(f"u={u} out of range [0, {log_floor}] for n={n}")
-    L = 8.0 * (log_floor + 1 - u) + 2.0 * math.log2(1.0 + K1)
-    return StructureParams(n=n, u=u, K1=K1, t=t, L=L, offset=2.0 ** (L / 192.0))
-
-
-def _dyadic_index(value: float, t: float, L: float) -> float | int:
-    """Map a distance to its dyadic cell index relative to threshold ``t``.
-
-    Integer ``lam`` means ``value in [2**lam * t, 2**(lam+1) * t)``;
-    values below ``2**(-L) t`` map to ``-inf`` and values at or above
-    ``2**(L+1) t`` map to ``+inf``; integer indices are clamped to
-    ``[-floor(L), floor(L)]``.
-    """
-    if value < 2.0 ** (-L) * t:
-        return -math.inf
-    if value >= 2.0 ** (L + 1) * t:
-        return math.inf
-    lam = math.floor(math.log2(value / t))
-    # repair floating rounding at cell boundaries
-    while 2.0**lam * t > value:
-        lam -= 1
-    while 2.0 ** (lam + 1) * t <= value:
-        lam += 1
-    bound = int(math.floor(L))
-    return max(-bound, min(bound, lam))
-
-
-def classify_lambda(A, M, i: int, params: StructureParams):
-    """Dyadic class ``(lam1, lam2)`` of row ``i`` for the pair ``(A, M)``.
-
-    ``lam1`` indexes the dyadic cell of ``dist(row i of A+M, span of the
-    other rows)``.  ``lam2`` indexes the cell of the median-rank largest
-    ``mindist`` over the residual edge set of the offset comparison
-    graph; it is ``-inf`` when that edge set is empty.  Cells are
-    closed on the left and open on the right.
-    """
-    i = _read(integer, "i", i)
-    A2 = as_matrix(A)
-    M2 = as_matrix(M)
-    if A2.shape != M2.shape:
-        raise InvalidInputError(f"shape mismatch: A is {A2.shape}, M is {M2.shape}")
-    B = A2 + M2
-    n = B.shape[0]
-    if not (0 <= i < n):
-        raise InvalidInputError(f"row index {i} out of range for n={n}")
-    full = row_distances(B)
-    lam1 = _dyadic_index(float(full[i]), params.t, params.L)
-
-    depth_L = max(1, math.ceil(params.L - 1e-9))
-    g_tilde = build_graph_G_tilde(A2, M2, i, params.offset)
-    rho = rho_set(g_tilde, i, depth_L)
-    if not rho:
-        return lam1, -math.inf
-    values = [min(full[j], full[k]) for j, k in rho]
-    med = kmax(values, math.ceil(len(values) / 2))
-    return lam1, _dyadic_index(med, params.t, params.L)

@@ -65,7 +65,6 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -659,28 +658,6 @@ def hs_inverse(B) -> float:
     singularity is decided at the rank tolerance.
     """
     return _extremes(as_matrix(B))[2]
-
-
-@dataclass
-class SingularData:
-    """Extreme singular values, inverse HS norm, and row-to-span distances.
-
-    ``s_min`` is reported as exactly 0 and ``hs_inverse`` as ``+inf``
-    when the matrix is singular at the rank tolerance, which keeps
-    Monte Carlo counting total on singular realizations.
-    """
-
-    s_min: float
-    s_max: float
-    hs_inverse: float
-    row_distances: np.ndarray
-
-
-def singular_data(B) -> SingularData:
-    """Compute :class:`SingularData` for a square matrix."""
-    A = as_matrix(B)
-    s_min, s_max, hs = _extremes(A)
-    return SingularData(s_min=s_min, s_max=s_max, hs_inverse=hs, row_distances=row_distances(A))
 
 
 def _geqrf(X: np.ndarray) -> np.ndarray:

@@ -363,6 +363,12 @@ def test_runtime_imports_no_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_public_names_resolve():
+    # a stale or repeated __all__ entry would break `from sminlab import *`
+    assert len(set(sminlab.__all__)) == len(sminlab.__all__)
+    assert [name for name in sminlab.__all__ if not hasattr(sminlab, name)] == []
+
+
 # CSVs of the criterion-03 and -04 shapes at 200 trials, written before the
 # dominance screen took these trials off the QR path, and of the criterion-02
 # shape at 200 trials, written before the trials drew into their stack; the

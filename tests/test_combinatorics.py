@@ -263,27 +263,20 @@ class TestGreedyDecomposition:
             lambda: comb.rho_set(STAR, 0, True),
             lambda: comb.q_sets(B4, [0], 0.5, 1.0, 1.0, 2.0),
             lambda: comb.q_sets(B4, [0.5], 0.5, 1.0, 1.0, 2),
-            lambda: comb.mindist(B4, 0.0, 1),
-            lambda: comb.kmax([3.0, 1.0, 2.0], 1.0),
             lambda: comb.build_graph_G(B4, 1.0),
             lambda: comb.build_graph_G(B4, True),
             lambda: comb.build_graph_G_tilde(B4, B4, 1.0, 0.0),
-            lambda: comb.classify_lambda(B4, B4, 1.0, comb.structure_params(4, 0, 1.0)),
             lambda: comb.low_value_count(B4, 1, 1.5),
             lambda: comb.low_value_count(B4, 1.0, 1),
             lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 1.5),
-            lambda: comb.structure_params(4.0, 0, 1.0),
-            lambda: comb.structure_params(4, True, 1.0),
             lambda: ex.wilson_interval(1.5, 3),
             lambda: ex.wilson_interval(1, 3.0),
         ],
         ids=[
             "vertex_value-i", "vertex_value-L", "rho_set", "check_edge_interval", "dichotomy",
             "dichotomy-bool", "check_edge_interval-ell", "check_edge_interval-ell-bool", "rho_set-bool",
-            "q_sets-r", "q_sets-I", "mindist", "kmax", "build_graph_G", "build_graph_G-bool",
-            "build_graph_G_tilde", "classify_lambda", "low_value_count-N", "low_value_count-L",
-            "dichotomy-L", "structure_params-n", "structure_params-u-bool", "wilson-hits",
-            "wilson-trials",
+            "q_sets-r", "q_sets-I", "build_graph_G", "build_graph_G-bool", "build_graph_G_tilde",
+            "low_value_count-N", "low_value_count-L", "dichotomy-L", "wilson-hits", "wilson-trials",
         ],
     )
     def test_callers_reject_non_integer_arguments(self, call):
@@ -300,16 +293,14 @@ class TestGreedyDecomposition:
             (lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 1.5), "L"),
             (lambda: comb.q_sets(B4, [0], 0.5, 1.0, 1.0, 2.0), "r"),
             (lambda: comb.q_sets(B4, [0.5], 0.5, 1.0, 1.0, 2), "I"),
-            (lambda: comb.mindist(B4, 0, 1.0), "k"),
-            (lambda: comb.kmax([3.0, 1.0], 1.0), "k"),
             (lambda: comb.build_graph_G(B4, True), "i"),
             (lambda: comb.low_value_count(B4, 1, 1.5), "N"),
             (lambda: ex.wilson_interval(1.5, 3), "hits"),
         ],
         ids=[
             "edge-interval-k", "edge-interval-ell", "edge-interval-ell-bool", "rho_set-L-bool",
-            "dichotomy-L", "q_sets-r", "q_sets-I", "mindist-k", "kmax-k", "build_graph_G-i-bool",
-            "low_value_count-N", "wilson-hits",
+            "dichotomy-L", "q_sets-r", "q_sets-I", "build_graph_G-i-bool", "low_value_count-N",
+            "wilson-hits",
         ],
     )
     def test_integer_reads_name_the_argument(self, call, name):
@@ -324,10 +315,8 @@ class TestGreedyDecomposition:
             (lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, "1"), "b"),
             (lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], None, 1.0), "a"),
             (lambda: comb.build_graph_G_tilde(B4, B4, 1, "0"), "offset"),
-            (lambda: comb.structure_params(4, 0, "1"), "K1"),
-            (lambda: comb.structure_params(4, 0, 1.0, False), "t"),
         ],
-        ids=["q_sets-tau", "q_sets-a", "pivot_index-b", "pivot_failure-a", "offset", "K1", "t"],
+        ids=["q_sets-tau", "q_sets-a", "pivot_index-b", "pivot_failure-a", "offset"],
     )
     def test_threshold_reads_name_the_argument(self, call, name):
         with pytest.raises(InvalidInputError, match=f"^{name}: expected a number"):
@@ -338,11 +327,8 @@ class TestGreedyDecomposition:
         [
             lambda: comb.q_sets(B4, [0], float("nan"), 1.0, 1.0, 2),
             lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], float("nan"), 1.0),
-            lambda: comb.structure_params(4, 0, float("nan")),
-            lambda: comb.structure_params(4, 0, float("inf")),
-            lambda: comb.structure_params(4, 0, 1.0, float("inf")),
         ],
-        ids=["q_sets-tau", "pivot_index-a", "structure_params-K1", "K1-inf", "t-inf"],
+        ids=["q_sets-tau", "pivot_index-a"],
     )
     def test_nan_and_infinite_thresholds_rejected(self, call):
         with pytest.raises(InvalidInputError, match="must be positive"):
@@ -640,44 +626,6 @@ class TestPivotIndex:
             ) * (1 - 1e-9)
 
 
-class TestMindistKmax:
-    def test_identity_mindist(self):
-        assert comb.mindist(np.eye(4), 0, 2) == pytest.approx(1.0)
-
-    def test_diagonal_mindist(self):
-        B = np.diag([2.0, 3.0, 4.0])
-        assert comb.mindist(B, 0, 1) == pytest.approx(2.0)
-        assert comb.mindist(B, 1, 2) == pytest.approx(3.0)
-
-    def test_mindist_consistent_with_row_distances(self):
-        from sminlab.linalg import row_distances
-
-        B = np.random.default_rng(4).standard_normal((6, 6))
-        d = row_distances(B)
-        for j, k in itertools.combinations(range(6), 2):
-            assert comb.mindist(B, j, k) == pytest.approx(min(d[j], d[k]), rel=1e-9)
-
-    def test_mindist_equal_indices(self):
-        with pytest.raises(InvalidInputError):
-            comb.mindist(np.eye(3), 1, 1)
-
-    def test_kmax_worked_examples(self):
-        T = [1, 1, 2, 2, 4]
-        assert comb.kmax(T, 3) == 2
-        assert comb.kmax(T, 4) == 1
-        assert comb.kmax(T, 1) == 4
-
-    def test_kmax_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            comb.kmax([1.0], 2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
-    def test_kmax_nonincreasing(self, values):
-        results = [comb.kmax(values, k) for k in range(1, len(values) + 1)]
-        assert all(results[i] >= results[i + 1] for i in range(len(results) - 1))
-
-
 class TestErrorContract:
     def test_size_and_precondition_errors_are_invalid_input(self):
         with pytest.raises(InvalidInputError) as size:
@@ -688,72 +636,6 @@ class TestErrorContract:
                 comb.Graph.complete(8, exclude=(0,)), comb.Graph.empty(8), 0, 2
             )
         assert type(precondition.value) is PreconditionError
-
-
-class TestStructureParams:
-    def test_formulas(self):
-        p = comb.structure_params(1024, 0, 1.0)
-        assert p.L == pytest.approx(90.0)
-        assert p.offset == pytest.approx(2.0 ** (90.0 / 192.0), rel=1e-12)
-        p10 = comb.structure_params(1024, 10, 1.0)
-        assert p10.L == pytest.approx(10.0)
-        assert p10.offset == pytest.approx(2.0 ** (10.0 / 192.0), rel=1e-12)
-
-    def test_u_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            comb.structure_params(8, 4, 1.0)
-
-
-def brute_dyadic(value, t, L):
-    """Direct interval membership scan, no logarithms."""
-    if value < 2.0 ** (-L) * t:
-        return -math.inf
-    if value >= 2.0 ** (L + 1) * t:
-        return math.inf
-    bound = int(math.floor(L))
-    for lam in range(-bound, bound + 1):
-        if 2.0**lam * t <= value < 2.0 ** (lam + 1) * t:
-            return lam
-    # value in a fringe cell next to an overflow boundary
-    return -bound if value < t else bound
-
-
-class TestClassifyLambda:
-    def test_boundary_and_empty_rho(self):
-        # B = A + M is diagonal (1, 40, 40, 40): row 0 sits exactly at the
-        # threshold t = 1, and the offset graph has no edges, so the
-        # second coordinate degenerates.
-        A = np.zeros((4, 4))
-        M = np.diag([1.0, 40.0, 40.0, 40.0])
-        params = comb.structure_params(4, 0, 1.0, t=1.0)
-        assert params.offset < 39.0
-        lam1, lam2 = comb.classify_lambda(A, M, 0, params)
-        assert lam1 == 0
-        assert lam2 == -math.inf
-
-    def test_matches_direct_reimplementation(self):
-        rng = np.random.default_rng(31)
-        for trial in range(6):
-            A = rng.standard_normal((8, 8))
-            M = np.diag(rng.uniform(0.5, 2.0, size=8))
-            params = comb.structure_params(8, int(rng.integers(0, 4)), 1.0, t=0.5)
-            i = int(rng.integers(0, 8))
-            lam1, lam2 = comb.classify_lambda(A, M, i, params)
-
-            B = A + M
-            idx = np.arange(8)
-            d_i = dist_to_span(B[i], B[idx != i])
-            assert lam1 == brute_dyadic(d_i, params.t, params.L)
-
-            depth = max(1, math.ceil(params.L))
-            g = comb.build_graph_G_tilde(A, M, i, params.offset)
-            rho = comb.rho_set(g, i, depth)
-            if not rho:
-                assert lam2 == -math.inf
-            else:
-                values = [comb.mindist(B, j, k) for j, k in rho]
-                med = comb.kmax(values, math.ceil(len(values) / 2))
-                assert lam2 == brute_dyadic(med, params.t, params.L)
 
 
 @settings(max_examples=40, deadline=None)

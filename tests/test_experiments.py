@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import sminlab.experiments as ex
 from sminlab import linalg
 from sminlab.errors import InvalidInputError
-from sminlab.linalg import singular_data
 from sminlab.samplers import KINDS, RowDistribution, SeedSpec, ShiftSpec, sample_matrix
 
 
@@ -300,15 +299,15 @@ class TestEstimateTail:
         est = ex.estimate_tail(make_config(t_grid=()))
         assert est.points == []
 
-    def test_hs_statistics_consistent_with_singular_data(self):
-        # one realization, all three scaled statistics against singular_data,
-        # on grids placed around the value each of them should have
+    def test_hs_statistics_consistent_with_extremes(self):
+        # one realization, all three scaled statistics against the SVD
+        # extremes, on grids placed around the value each of them should have
         B = sample_matrix(RowDistribution("gaussian"), 10, SeedSpec(101, 0))
-        sd = singular_data(B)
+        s_min, _, hs = linalg._extremes(B)
         for kind, value in (
-            ("smin_scaled", sd.s_min * math.sqrt(10)),
-            ("hs_scaled_sqrt", sd.hs_inverse / math.sqrt(10)),
-            ("hs_scaled_n", sd.hs_inverse / 10),
+            ("smin_scaled", s_min * math.sqrt(10)),
+            ("hs_scaled_sqrt", hs / math.sqrt(10)),
+            ("hs_scaled_n", hs / 10),
         ):
             grid = tuple(value * f for f in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0))
             cfg = make_config(trials=1, t_grid=grid, statistic=ex.Statistic(kind))
@@ -325,7 +324,7 @@ class TestEstimateTail:
         unit = math.sqrt(10) if kind == "hs_scaled_sqrt" else 10
         gaussian = RowDistribution("gaussian")
         draws = [sample_matrix(gaussian, 10, SeedSpec(101, idx)) for idx in range(3)]
-        values = [singular_data(B).hs_inverse / unit for B in draws]
+        values = [linalg._extremes(B)[2] / unit for B in draws]
         grid = tuple(sorted(v * f for v in values for f in (1.0 - 1e-6, 1.0 + 1e-6)))
         cfg = make_config(trials=3, t_grid=grid, statistic=ex.Statistic(kind))
         shift = np.zeros((10, 10))
@@ -376,8 +375,8 @@ class TestEstimateTail:
 
     def test_scaling_identity_cross_check(self):
         B = np.random.default_rng(8).standard_normal((7, 7))
-        assert singular_data(3.0 * B).s_min == pytest.approx(
-            3.0 * singular_data(B).s_min, rel=1e-10
+        assert linalg._extremes(3.0 * B)[0] == pytest.approx(
+            3.0 * linalg._extremes(B)[0], rel=1e-10
         )
 
 

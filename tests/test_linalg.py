@@ -302,11 +302,12 @@ class TestExtremeScales:
         )
 
     @pytest.mark.parametrize("c", EXTREME_SCALES)
-    def test_singular_data_is_homogeneous(self, c):
-        got, ref = la.singular_data(c * self.B), la.singular_data(self.B)
-        assert got.s_min == pytest.approx(c * ref.s_min, rel=1e-12, abs=0.0)
-        assert got.s_max == pytest.approx(c * ref.s_max, rel=1e-12, abs=0.0)
-        assert got.hs_inverse == pytest.approx(ref.hs_inverse / c, rel=1e-12, abs=0.0)
+    def test_extremes_are_homogeneous(self, c):
+        s_min, s_max, hs = la._extremes(c * self.B)
+        ref_min, ref_max, ref_hs = la._extremes(self.B)
+        assert s_min == pytest.approx(c * ref_min, rel=1e-12, abs=0.0)
+        assert s_max == pytest.approx(c * ref_max, rel=1e-12, abs=0.0)
+        assert hs == pytest.approx(ref_hs / c, rel=1e-12, abs=0.0)
 
     def test_zero_matrix(self):
         np.testing.assert_array_equal(la.row_distances(np.zeros((5, 5))), np.zeros(5))
@@ -670,43 +671,41 @@ class TestDistToComplement:
             assert dists[1] <= dists[2] + 1e-12
 
 
-class TestSingularData:
+class TestExtremes:
     def test_identity(self):
-        sd = la.singular_data(np.eye(7))
-        assert sd.s_min == pytest.approx(1.0)
-        assert sd.s_max == pytest.approx(1.0)
-        assert sd.hs_inverse == pytest.approx(math.sqrt(7))
+        s_min, s_max, hs = la._extremes(np.eye(7))
+        assert s_min == pytest.approx(1.0)
+        assert s_max == pytest.approx(1.0)
+        assert hs == pytest.approx(math.sqrt(7))
 
     def test_diagonal(self):
-        sd = la.singular_data(np.diag([3.0, 0.5]))
-        assert sd.s_min == pytest.approx(0.5)
-        assert sd.s_max == pytest.approx(3.0)
-        assert sd.hs_inverse == pytest.approx(math.sqrt(1.0 / 9.0 + 4.0), rel=1e-12)
+        s_min, s_max, hs = la._extremes(np.diag([3.0, 0.5]))
+        assert s_min == pytest.approx(0.5)
+        assert s_max == pytest.approx(3.0)
+        assert hs == pytest.approx(math.sqrt(1.0 / 9.0 + 4.0), rel=1e-12)
 
     def test_shear(self):
         # eigenvalues of [[1,1],[1,2]] are (3 +/- sqrt 5)/2
-        sd = la.singular_data(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert sd.s_min == pytest.approx(math.sqrt((3 - math.sqrt(5)) / 2), rel=1e-12)
-        assert sd.s_max == pytest.approx(math.sqrt((3 + math.sqrt(5)) / 2), rel=1e-12)
+        s_min, s_max, _ = la._extremes(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert s_min == pytest.approx(math.sqrt((3 - math.sqrt(5)) / 2), rel=1e-12)
+        assert s_max == pytest.approx(math.sqrt((3 + math.sqrt(5)) / 2), rel=1e-12)
 
     def test_singular_encoding(self):
         B = np.ones((3, 3))
-        sd = la.singular_data(B)
-        assert sd.s_min == 0.0
-        assert sd.hs_inverse == math.inf
+        s_min, _, hs = la._extremes(B)
+        assert s_min == 0.0
+        assert hs == math.inf
 
     def test_zero_matrix(self):
-        sd = la.singular_data(np.zeros((2, 2)))
-        assert sd.s_min == 0.0 and sd.s_max == 0.0
-        assert sd.hs_inverse == math.inf
-        np.testing.assert_allclose(sd.row_distances, 0.0)
+        s_min, s_max, hs = la._extremes(np.zeros((2, 2)))
+        assert s_min == 0.0 and s_max == 0.0
+        assert hs == math.inf
+        np.testing.assert_allclose(la.row_distances(np.zeros((2, 2))), 0.0)
 
     def test_scaling_identity(self):
         B = RNG.standard_normal((6, 6))
         for c in (0.5, 3.0):
-            assert la.singular_data(c * B).s_min == pytest.approx(
-                c * la.singular_data(B).s_min, rel=1e-10
-            )
+            assert la._extremes(c * B)[0] == pytest.approx(la._extremes(B)[0] * c, rel=1e-10)
 
 
 class TestInvariants:
@@ -720,12 +719,10 @@ class TestInvariants:
     @pytest.mark.parametrize("n", [3, 8, 20])
     def test_hs_identity_and_ordering(self, n):
         B = np.random.default_rng(100 + n).standard_normal((n, n))
-        sd = la.singular_data(B)
-        assert sd.hs_inverse**2 == pytest.approx(
-            float(np.sum(sd.row_distances**-2.0)), rel=1e-8
-        )
-        assert sd.hs_inverse >= 1.0 / sd.s_min - 1e-12
-        assert 1.0 / sd.s_min >= 1.0 / sd.s_max
+        s_min, s_max, hs = la._extremes(B)
+        assert hs**2 == pytest.approx(float(np.sum(la.row_distances(B) ** -2.0)), rel=1e-8)
+        assert hs >= 1.0 / s_min - 1e-12
+        assert 1.0 / s_min >= 1.0 / s_max
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(17)
@@ -733,10 +730,8 @@ class TestInvariants:
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         BQ = B @ Q
         np.testing.assert_allclose(la.row_distances(BQ), la.row_distances(B), rtol=1e-8)
-        a, b = la.singular_data(B), la.singular_data(BQ)
-        assert b.s_min == pytest.approx(a.s_min, rel=1e-8)
-        assert b.s_max == pytest.approx(a.s_max, rel=1e-8)
-        assert b.hs_inverse == pytest.approx(a.hs_inverse, rel=1e-8)
+        a, b = la._extremes(B), la._extremes(BQ)
+        assert b == pytest.approx(a, rel=1e-8)
 
 
 def svd_statistics(B):

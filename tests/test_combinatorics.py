@@ -271,12 +271,24 @@ class TestGreedyDecomposition:
             lambda: comb.two_graphs_dichotomy(STAR, STAR, 0, 1.5),
             lambda: ex.wilson_interval(1.5, 3),
             lambda: ex.wilson_interval(1, 3.0),
+            lambda: comb.vertex_value(STAR, 0, True),
+            lambda: comb.rho_set(STAR, 0.0, 1),
+            lambda: comb.check_edge_interval(STAR, 0.0, 2, 1),
+            lambda: comb.two_graphs_dichotomy(STAR, STAR, 0.0, 1),
+            lambda: comb.build_graph_G_tilde(B4, B4, True, 0.0),
+            lambda: comb.low_value_count(B4, True, 1),
+            lambda: comb.q_sets(B4, [0], 0.5, 1.0, 1.0, True),
+            lambda: comb.q_sets(B4, [True], 0.5, 1.0, 1.0, 2),
+            lambda: ex.wilson_interval(True, 3),
         ],
         ids=[
             "vertex_value-i", "vertex_value-L", "rho_set", "check_edge_interval", "dichotomy",
             "dichotomy-bool", "check_edge_interval-ell", "check_edge_interval-ell-bool", "rho_set-bool",
             "q_sets-r", "q_sets-I", "build_graph_G", "build_graph_G-bool", "build_graph_G_tilde",
             "low_value_count-N", "low_value_count-L", "dichotomy-L", "wilson-hits", "wilson-trials",
+            "vertex_value-L-bool", "rho_set-i", "check_edge_interval-i", "dichotomy-i",
+            "build_graph_G_tilde-bool", "low_value_count-L-bool", "q_sets-r-bool", "q_sets-I-bool",
+            "wilson-hits-bool",
         ],
     )
     def test_callers_reject_non_integer_arguments(self, call):
@@ -296,11 +308,19 @@ class TestGreedyDecomposition:
             (lambda: comb.build_graph_G(B4, True), "i"),
             (lambda: comb.low_value_count(B4, 1, 1.5), "N"),
             (lambda: ex.wilson_interval(1.5, 3), "hits"),
+            (lambda: comb.vertex_value(STAR, 0.0, 1), "i"),
+            (lambda: comb.rho_set(STAR, 0.0, 1), "i"),
+            (lambda: comb.check_edge_interval(STAR, 0.0, 2, 1), "i"),
+            (lambda: comb.two_graphs_dichotomy(STAR, STAR, 0.0, 1), "i"),
+            (lambda: comb.build_graph_G_tilde(B4, B4, 1.0, 0.0), "i"),
+            (lambda: comb.low_value_count(B4, 1.0, 1), "L"),
+            (lambda: ex.wilson_interval(1, 3.0), "trials"),
         ],
         ids=[
             "edge-interval-k", "edge-interval-ell", "edge-interval-ell-bool", "rho_set-L-bool",
             "dichotomy-L", "q_sets-r", "q_sets-I", "build_graph_G-i-bool", "low_value_count-N",
-            "wilson-hits",
+            "wilson-hits", "vertex_value-i", "rho_set-i", "edge-interval-i", "dichotomy-i",
+            "build_graph_G_tilde-i", "low_value_count-L", "wilson-trials",
         ],
     )
     def test_integer_reads_name_the_argument(self, call, name):
@@ -315,8 +335,15 @@ class TestGreedyDecomposition:
             (lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, "1"), "b"),
             (lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], None, 1.0), "a"),
             (lambda: comb.build_graph_G_tilde(B4, B4, 1, "0"), "offset"),
+            (lambda: comb.q_sets(B4, [0], 0.5, 1.0, None, 2), "b"),
+            (lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], "1", 1.0), "a"),
+            (lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], 1.0, True), "b"),
+            (lambda: comb.build_graph_G_tilde(B4, B4, 1, True), "offset"),
         ],
-        ids=["q_sets-tau", "q_sets-a", "pivot_index-b", "pivot_failure-a", "offset"],
+        ids=[
+            "q_sets-tau", "q_sets-a", "pivot_index-b", "pivot_failure-a", "offset", "q_sets-b",
+            "pivot_index-a", "pivot_failure-b", "offset-bool",
+        ],
     )
     def test_threshold_reads_name_the_argument(self, call, name):
         with pytest.raises(InvalidInputError, match=f"^{name}: expected a number"):
@@ -327,8 +354,15 @@ class TestGreedyDecomposition:
         [
             lambda: comb.q_sets(B4, [0], float("nan"), 1.0, 1.0, 2),
             lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], float("nan"), 1.0),
+            lambda: comb.q_sets(B4, [0], 0.5, float("nan"), 1.0, 2),
+            lambda: comb.q_sets(B4, [0], 0.5, 1.0, -float("inf"), 2),
+            lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, float("nan")),
+            lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], -float("inf"), 1.0),
         ],
-        ids=["q_sets-tau", "pivot_index-a"],
+        ids=[
+            "q_sets-tau", "pivot_index-a", "q_sets-a", "q_sets-b-minus-inf", "pivot_index-b",
+            "pivot_failure-a-minus-inf",
+        ],
     )
     def test_nan_and_infinite_thresholds_rejected(self, call):
         with pytest.raises(InvalidInputError, match="must be positive"):
@@ -454,6 +488,16 @@ class TestBuildGraphs:
             lhs = dist_to_span(M[i], B[keep]) + offset
             rhs = max(dist_to_span(B[j], B[keep]), dist_to_span(B[k], B[keep]))
             assert ((j, k) in g.edges) == (lhs >= rhs)
+
+    def test_tilde_offset_below_the_gap_has_no_edges(self):
+        # B = A + M is diagonal (1, 40, 40, 40): row 0 of M sits at distance
+        # 1 from every H, the other rows at 40, so an offset below 39 leaves
+        # the offset graph, and with it rho_set, empty
+        M = np.diag([1.0, 40.0, 40.0, 40.0])
+        g = comb.build_graph_G_tilde(np.zeros((4, 4)), M, 0, 38.5)
+        assert g == comb.Graph.empty(4)
+        assert comb.rho_set(g, 0, 2) == frozenset()
+        assert comb.build_graph_G_tilde(np.zeros((4, 4)), M, 0, 39.0) == comb.Graph.complete(4, exclude=(0,))
 
     def test_tilde_shape_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -44,8 +44,11 @@ probabilities in coordinate order, as the per-atom queries do, and calls
 no BLAS.  The cell tables are summed over the event atoms alone, and only
 a per-atom class assignment needs a table over all atoms: a constant class
 label wins every section, since factor probabilities are positive.  So the
-cube is verified without an index array over its whole space.  The tests
-check the kernel against an independent evaluation on the full space.
+cube is verified without an index array over its whole space, and with six
+arrays the size of its event live at once: the event atoms, their
+probabilities and ratio sums, and three work arrays, made once per call,
+that every coordinate's lines are written into.  The tests check the
+kernel against an independent evaluation on the full space.
 """
 
 from __future__ import annotations
@@ -504,24 +507,40 @@ class _Group:
         0, which reads a per-member array without a copy per atom."""
         return 0 if len(self.members) == 1 else np.searchsorted(self.start, t, side="right") - 1
 
-    def lines(self, i: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lines(self, i: int, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """``(line, f)`` at the group atoms ``t``: the line along coordinate
         ``i`` through each, numbered after the lines of the members before
-        it, and its factor probability.  In a group of one, at most three
-        arrays the size of ``t`` are live beside it."""
+        it, and its factor probability.  ``out`` is ``(line, f, scratch)``,
+        intp, float64 and intp arrays the size of ``t`` that the results and
+        the work are written into, else three new ones; in a group of one no
+        other array the size of ``t`` is made.
+
+        With ``t'`` the flat index in the member, ``st`` the stride and
+        ``mm`` the length of coordinate ``i``, and ``u = t' // st``,
+        ``q = u // mm``: the coordinate is ``u - q mm`` and the line
+        ``q st + t' % st = t' - st (u - q)``, without an integer modulo."""
+        line, f, u = out if out is not None else (
+            np.empty(t.size, np.intp), np.empty(t.size), np.empty(t.size, np.intp))
         b = self.owners(t)
         m, stride = self.shape[:, i], self.shape[:, i + 1 :].prod(axis=1)
         st, mm = stride[b], m[b]
-        line = t - self.start[b]  # the flat index in the member, made the line in place
-        at = line // st
-        at %= mm
-        at += _starts(m)[b]
-        f = self.factors[i][at]
-        np.floor_divide(line, st * mm, out=at)
-        at *= st
-        line %= st
-        line += at
-        line += _starts(self.size // m)[b]
+        several = isinstance(b, np.ndarray)  # else every start below is 0
+        if several:
+            t = t - self.start[b]
+        np.floor_divide(t, st, out=u)
+        q = np.floor_divide(u, mm, out=line)
+        u -= q
+        q *= mm - 1
+        j = np.subtract(u, q, out=q)  # u - q mm, in [0, mm)
+        if several:
+            j += _starts(m)[b]
+        # j indexes factor i of its own member: "clip" clips nothing, and
+        # unlike the default "raise" it writes straight into f
+        np.take(self.factors[i], j, out=f, mode="clip")
+        np.multiply(u, st, out=line)
+        np.subtract(t, line, out=line)
+        if several:
+            line += _starts(self.size // m)[b]
         return line, f
 
     def eta(self, i: int) -> np.ndarray:
@@ -595,27 +614,32 @@ def _verify_group(g: _Group) -> list[AlphaRhoReport]:
     ev_owner = g.owners(ev)
     ratio = np.zeros(ev.size)
     probs = np.ones(ev.size)
-    for i in range(g.n):
-        line, f = g.lines(i, ev)
+    # the work arrays of every coordinate: with ev, ratio and probs, six
+    # arrays of the event's size are live in a group of one
+    work = np.empty(ev.size, np.intp), np.empty(ev.size), np.empty(ev.size, np.intp)
+    # with no event atom every member gets the empty report below; the
+    # bincount of no keys is an int64 table, which the float gather refuses
+    for i in range(g.n) if ev.size else ():
+        line, f = g.lines(i, ev, out=work)
         classes, cells = g.classes[i], g.cells[i]
         # a constant class label wins every section: factor probabilities are positive
         eta = g.eta(i)[line] if isinstance(classes, np.ndarray) else classes
         sharp_eta = sharp[ev_owner, eta]
         if not np.all(sharp_eta):  # a guard: eta is a label on the line, so its sharp is positive
             raise InvalidInputError(f"degenerate structure: sharp(eta({i}, atom)) == 0 on the event")
-        # the lines become the cell keys; each array is freed once read, so
-        # at most three of the event's size live beside ev, ratio and probs
         probs *= f
+        # the lines become the cell keys, and f the ratio term
         line *= L
         line += cells[ev] if isinstance(cells, np.ndarray) else cells
         cell = np.bincount(line, f)
-        del f
-        term = 1.0 / cell[line]
-        del line
-        term /= sharp_eta
-        ratio += term
-        del term
-    weighted = probs * ratio
+        # the table was sized by np.bincount from these same keys, which it
+        # refuses negative: "clip" clips nothing and writes straight into f
+        np.take(cell, line, out=f, mode="clip")
+        del cell  # else it lives on beside the next coordinate's table
+        np.divide(1.0, f, out=f)
+        f /= sharp_eta
+        ratio += f
+    weighted = np.multiply(probs, ratio, out=work[1])
     # member b's event atoms are bounds[b]:bounds[b + 1]
     bounds = np.searchsorted(ev, np.append(g.start, g.atoms)).tolist()
     reports = []

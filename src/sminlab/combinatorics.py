@@ -250,6 +250,9 @@ def _vertex_values(G: Graph, i: int, depth: int, mode: str = "exact") -> list[fl
 
 def vertex_value(G: Graph, i: int, L: int, mode: str = "exact") -> float:
     """Robust size proxy ``min(max(2**(-L/2) sqrt(|E|), |S_L|), sqrt(|E|))``."""
+    L = _read(integer, "L", L)
+    if L < 1:
+        raise InvalidInputError("L must be a positive integer")
     return _vertex_values(G, i, L, mode)[-1]
 
 
@@ -370,6 +373,8 @@ def build_graph_G_tilde(A, M, i: int, offset: float) -> Graph:
     own SVD.
     """
     offset = _read(number, "offset", offset)
+    if not math.isfinite(offset):
+        raise InvalidInputError(f"offset must be finite, not {offset!r}")
     A2 = as_matrix(A)
     M2 = as_matrix(M)
     if A2.shape != M2.shape:
@@ -509,8 +514,8 @@ def q_sets(B, I, tau: float, a: float, b: float, r: int):
         raise InvalidInputError("r must be at least 2")
     if r > n:
         raise InvalidInputError(f"r={r} exceeds n={n}")
-    if not (a > 0 and b > 0 and tau > 0):
-        raise InvalidInputError("tau, a, b must be positive")
+    if not all(0 < v < math.inf for v in (tau, a, b)):
+        raise InvalidInputError("tau, a, b must be positive and finite")
     if not all(0 <= v < n for v in I_set):
         raise InvalidInputError("I must be a subset of the row indices")
     sets = np.array(list(itertools.combinations(range(n), r)))
@@ -530,8 +535,8 @@ def _pivot_family(vectors, a: float, b: float) -> tuple[np.ndarray, float, float
     dim = xs[0].shape
     if any(x.shape != dim or x.ndim != 1 for x in xs):
         raise InvalidInputError("vectors must share a common dimension")
-    if not (a > 0 and b > 0):
-        raise InvalidInputError("a and b must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise InvalidInputError("a and b must be positive and finite")
     return np.array(xs), a, b
 
 

@@ -332,14 +332,20 @@ def assert_same_report(got, want):
     assert got.rhs == want.rhs and got.holds == want.holds
 
 
+# a function, not a method, so that the mutation table runs it too: a
+# hypothesis test run from two instances fails a health check
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(structure_inputs())
+def check_verify_matches_full_space(inputs):
+    struct, full = build(inputs)
+    assert_same_report(struct.verify_alpharho(), full_space_report(full))
+
+
 class TestSectionShapeOracle:
     """The section-shape evaluation gives the full-space numbers bit for bit."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(structure_inputs())
-    def test_verify_matches_full_space(self, inputs):
-        struct, full = build(inputs)
-        assert_same_report(struct.verify_alpharho(), full_space_report(full))
+    def test_verify_matches_full_space(self):
+        check_verify_matches_full_space()
 
     def test_verify_matches_full_space_on_suite_structures(self):
         for seed in range(200):
@@ -390,6 +396,20 @@ class TestSectionShapeOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * cube.space.size
+
+    def test_cube_verify_keeps_six_event_sized_arrays(self):
+        # the event atoms, their probabilities and ratio sums, and the three
+        # work arrays every coordinate's lines are written into; a seventh
+        # float64 array of the event's size would pass 6.5 of them
+        cube = ae.cube_example_structure(4, 10.0, 40)
+        events = int(np.count_nonzero(cube._event_mask))
+        tracemalloc.start()
+        try:
+            cube.verify_alpharho()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 8 * events
 
 
 class TestCompactForms:
@@ -886,6 +906,107 @@ def special_inputs(seed, count=120):
 def check_batch_on_special_structures():
     for seed in range(3):
         assert_batch_matches_oracle(special_inputs(seed))
+
+
+def lines_by_unravel(shapes, factors, i, t):
+    """``(line, f)`` of :meth:`alphaeta._Group.lines` at the group atoms
+    ``t``, member by member with ``np.unravel_index`` and
+    ``np.ravel_multi_index``: the members ``shapes`` have the factors
+    ``factors[b]``, and member ``b``'s lines are numbered after those of
+    the members before it."""
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = np.cumsum([0] + sizes)
+    first_line = np.cumsum([0] + [size // shape[i] for size, shape in zip(sizes, shapes)])
+    line, f = np.empty(t.size, np.intp), np.empty(t.size)
+    for b, shape in enumerate(shapes):
+        at = (t >= starts[b]) & (t < starts[b + 1])
+        coords = np.unravel_index(t[at] - starts[b], shape)
+        rest = coords[:i] + coords[i + 1 :]
+        line[at] = first_line[b] + np.ravel_multi_index(rest, shape[:i] + shape[i + 1 :])
+        f[at] = factors[b][i][coords[i]]
+    return line, f
+
+
+def group_of_one(struct):
+    """The group :meth:`AlphaEtaStructure.verify_alpharho` verifies."""
+    return ae._Group([0], [struct.space.shape], [len(struct.psi)], [len(struct.lam)],
+                     struct.space.factors, struct._classes, struct._event_mask, struct._cells)
+
+
+def mixed_length_inputs(seed, lengths):
+    """Random structures with the factor lengths ``lengths``, 1 among them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in lengths:
+        factors = [(lambda raw: raw / raw.sum())(rng.random(v) + 0.05) for v in m]
+        size = math.prod(m)
+        out.append(ae._Inputs(factors, 2, 2, [rng.integers(1, 3, size) for _ in m],
+                              rng.random(size) < 0.5, [rng.integers(1, 3, size) for _ in m]))
+    return out
+
+
+class TestGroupLines:
+    """``_Group.lines``, which numbers the lines without an integer modulo,
+    against ``np.unravel_index`` / ``np.ravel_multi_index``."""
+
+    @staticmethod
+    def assert_lines(group, shapes, factors, t):
+        for i in range(group.n):
+            want = lines_by_unravel(shapes, factors, i, t)
+            out = np.empty(t.size, np.intp), np.empty(t.size), np.empty(t.size, np.intp)
+            for got in (group.lines(i, t), group.lines(i, t, out=out)):
+                assert got[0].dtype == np.intp and got[1].dtype == np.float64
+                assert np.array_equal(got[0], want[0]), i
+                assert np.array_equal(got[1], want[1]), i
+            assert got[0] is out[0] and got[1] is out[1]
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1, 3), (1, 1), (4, 3, 1, 2), (5, 1, 1, 2, 3)])
+    def test_groups_of_one(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        factors = [(lambda raw: raw / raw.sum())(rng.random(m) + 0.05) for m in shape]
+        space = ae.DiscreteProductSpace(factors)
+        struct = ae.AlphaEtaStructure(space, [1], [1], [1] * len(shape),
+                                      rng.random(space.size) < 0.5, [1] * len(shape))
+        group = group_of_one(struct)
+        everywhere = np.arange(space.size)
+        for t in (everywhere, np.flatnonzero(struct._event_mask), everywhere[::-1].copy()):
+            self.assert_lines(group, [shape], [space.factors], t)
+
+    def test_the_cube_as_a_group_of_one(self):
+        cube = ae.cube_example_structure(4, 2.0, 8)
+        self.assert_lines(group_of_one(cube), [cube.space.shape], [cube.space.factors],
+                          np.flatnonzero(cube._event_mask))
+
+    @pytest.mark.parametrize("lengths", [
+        [[2, 1, 3], [1, 1, 1], [3, 2, 1], [1, 4, 2], [2, 2, 2]],
+        [[1], [4], [1], [2], [3]],
+        [[3, 1], [1, 3], [1, 1], [2, 5]],
+    ])
+    def test_groups_of_several_with_mixed_lengths(self, lengths):
+        drawn = mixed_length_inputs(len(lengths), lengths)
+        group = ae._Group.laid(drawn, list(range(len(drawn))), lengths)
+        shapes = [tuple(m) for m in lengths]
+        factors = [inputs.factors for inputs in drawn]
+        everywhere = np.arange(group.atoms)
+        for t in (everywhere, np.flatnonzero(group.event)):
+            self.assert_lines(group, shapes, factors, t)
+        assert_batch_matches_oracle(drawn)
+
+    def test_no_atoms(self):
+        drawn = mixed_length_inputs(0, [[2, 3], [1, 2]])
+        group = ae._Group.laid(drawn, [0, 1], [[2, 3], [1, 2]])
+        self.assert_lines(group, [(2, 3), (1, 2)], [s.factors for s in drawn], np.empty(0, np.intp))
+
+    def test_event_free_structures(self):
+        # np.bincount of no keys is an int64 table, which a float gather
+        # into the ratio terms would refuse
+        drawn = mixed_length_inputs(1, [[2, 3], [3, 2], [1, 2]])
+        drawn = [inputs._replace(event=np.zeros_like(inputs.event)) for inputs in drawn]
+        empty = ae.AlphaRhoReport(0.0, 8.0, True, math.inf, 0.0)
+        assert ae._verify_batch(drawn) == [empty] * 3
+        assert ae._verify_batch(drawn[:1]) == [empty]
+        assert drawn[0].structure().verify_alpharho() == empty
+        assert_batch_matches_oracle(drawn)
 
 
 class TestBatch:

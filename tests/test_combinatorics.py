@@ -315,12 +315,15 @@ class TestGreedyDecomposition:
             (lambda: comb.build_graph_G_tilde(B4, B4, 1.0, 0.0), "i"),
             (lambda: comb.low_value_count(B4, 1.0, 1), "L"),
             (lambda: ex.wilson_interval(1, 3.0), "trials"),
+            (lambda: comb.vertex_value(STAR, 0, 2.0), "L"),
+            (lambda: comb.vertex_value(STAR, 0, True), "L"),
         ],
         ids=[
             "edge-interval-k", "edge-interval-ell", "edge-interval-ell-bool", "rho_set-L-bool",
             "dichotomy-L", "q_sets-r", "q_sets-I", "build_graph_G-i-bool", "low_value_count-N",
             "wilson-hits", "vertex_value-i", "rho_set-i", "edge-interval-i", "dichotomy-i",
-            "build_graph_G_tilde-i", "low_value_count-L", "wilson-trials",
+            "build_graph_G_tilde-i", "low_value_count-L", "wilson-trials", "vertex_value-L",
+            "vertex_value-L-bool",
         ],
     )
     def test_integer_reads_name_the_argument(self, call, name):
@@ -358,15 +361,38 @@ class TestGreedyDecomposition:
             lambda: comb.q_sets(B4, [0], 0.5, 1.0, -float("inf"), 2),
             lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, float("nan")),
             lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], -float("inf"), 1.0),
+            # an infinite bound passed the old "> 0" checks: a = inf put every
+            # set meeting I into Q2, and made the identity's pivot index 1
+            lambda: comb.q_sets(B4, [0], 0.5, float("inf"), 1.0, 2),
+            lambda: comb.q_sets(B4, [0], float("inf"), 1.0, 1.0, 2),
+            lambda: comb.q_sets(B4, [0], 0.5, 1.0, float("inf"), 2),
+            lambda: comb.q_sets(B4, [0], 0.5, -float("inf"), 1.0, 2),
+            lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], float("inf"), 1.0),
+            lambda: comb.pivot_index([[1.0, 0.0], [0.0, 1.0]], 1.0, float("inf")),
+            lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], float("inf"), 1.0),
+            lambda: comb.pivot_hypothesis_failure([[1.0, 0.0], [0.0, 1.0]], 1.0, float("nan")),
         ],
         ids=[
             "q_sets-tau", "pivot_index-a", "q_sets-a", "q_sets-b-minus-inf", "pivot_index-b",
-            "pivot_failure-a-minus-inf",
+            "pivot_failure-a-minus-inf", "q_sets-a-inf", "q_sets-tau-inf", "q_sets-b-inf",
+            "q_sets-a-minus-inf", "pivot_index-a-inf", "pivot_index-b-inf", "pivot_failure-a-inf",
+            "pivot_failure-b-nan",
         ],
     )
     def test_nan_and_infinite_thresholds_rejected(self, call):
-        with pytest.raises(InvalidInputError, match="must be positive"):
+        with pytest.raises(InvalidInputError, match="must be positive and finite"):
             call()
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_offset_rejected(self, offset):
+        # nan compared false with every distance and gave an edgeless graph
+        with pytest.raises(InvalidInputError, match="offset must be finite"):
+            comb.build_graph_G_tilde(B4, B4, 1, offset)
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_vertex_value_refuses_a_non_positive_L(self, L):
+        with pytest.raises(InvalidInputError, match="^L must be a positive integer"):
+            comb.vertex_value(STAR, 0, L)
 
 
 class TestVertexValue:

@@ -132,6 +132,20 @@ def counterexample_report_matches_its_golden_bytes():
         golden.check_counterexample_report_matches_its_golden_bytes(Path(tmp))
 
 
+def cube_report_matches_its_golden_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        golden.check_alphaeta_demo_report_matches_its_golden_bytes(Path(tmp))
+
+
+def verify_matches_full_space():
+    """The full-space oracle on drawn structures, every one valid, so a
+    refusal fails it as a wrong report does."""
+    try:
+        batch_oracle.check_verify_matches_full_space()
+    except InvalidInputError as exc:
+        raise AssertionError(f"a valid structure was refused: {exc}") from None
+
+
 def batch_rewritten(old, new):
     return lambda mp: mp.setattr(ae, "_verify_group", rewritten(ae._verify_group, old, new))
 
@@ -200,6 +214,18 @@ MUTANTS = {
     "batch lines numbered without the members before them": (
         group_rewritten("lines", "line += _starts(self.size // m)[b]", "pass"),
         [batch_verifies_the_suite],
+    ),
+    # the coordinate along a line is u - q mm: without the q (mm - 1) term
+    # it passes mm, which the gather clips to the factor's last probability;
+    # the cube's factors are uniform, so only unequal factors show it
+    "lines' coordinate without its q (mm - 1) term": (
+        group_rewritten("lines", "q *= mm - 1", "q *= 0"),
+        [verify_matches_full_space],
+    ),
+    # the lines become t' % st, the atoms before coordinate i forgotten
+    "lines without u -= q": (
+        group_rewritten("lines", "u -= q", "pass"),
+        [cube_report_matches_its_golden_bytes, verify_matches_full_space],
     ),
     # the suite draws structures with lhs == rhs, which the rounding puts
     # one ulp above rhs

@@ -24,46 +24,48 @@ float round-off.  Spaces are enumerated up to a configurable atom-count
 budget (the cube example has a fixed cap, :data:`CUBE_ENUMERATION_BUDGET`)
 and larger requests are rejected rather than subsampled.
 
-A structure keeps each assignment in the form it was given.  A constant
-class label is one integer for its coordinate, and so is a constant cell
-label, which means "this label on the event, none off it".  Any other
-assignment (an array or a mapping) is kept as one label position per atom,
-in the smallest integer dtype that holds the positions, with ``-1`` for
-cells off the event.  Atom probabilities are not stored: they are gathered
-from the factors at the atoms that need them.  So the only per-atom array
-of a structure with constant assignments, such as the cube example, is its
-one-byte event mask.
+A structure takes one input form per field.  A class or cell assignment
+is one label or one array of labels, and the event is one boolean array,
+each array of shape ``(size,)`` in the flat enumeration order or of the
+space's shape.  A constant class label is kept as one integer for its
+coordinate, and so is a constant cell label, which means "this label on
+the event, none off it".  A label array is kept as one label position per
+atom, in the smallest integer dtype that holds the positions, with ``-1``
+for cells off the event.  Atom probabilities are not stored: they are
+gathered from the factors at the atoms that need them.  So the only
+per-atom array of a structure with constant assignments, such as the cube
+example, is its one-byte event mask.
 
-One kernel, :func:`_verify_group`, verifies structures laid end to end:
-:meth:`AlphaEtaStructure.verify_alpharho` runs it on a group of one, and
-:func:`_verify_batch` on the many small structures with integer labels of
-the alpharho suite, grouped by coordinate count, with no structure built.
-Section quantities are tables over lines along one coordinate, each one
-``np.bincount`` over ``(line, label)`` keys that adds a line's factor
-probabilities in coordinate order, as the per-atom queries do, and calls
-no BLAS.  The cell tables are summed over the event atoms alone, and only
-a per-atom class assignment needs a table over all atoms: a constant class
-label wins every section, since factor probabilities are positive.  So the
-cube is verified without an index array over its whole space, and with six
-arrays the size of its event live at once: the event atoms, their
-probabilities and ratio sums, and three work arrays, made once per call,
-that every coordinate's lines are written into.  The tests check the
-kernel against an independent evaluation on the full space.
+One kernel, :func:`_verify_group`, verifies structures laid end to end,
+and every quantity a structure reports comes from it:
+:meth:`AlphaEtaStructure.verify_alpharho` runs it on a group of one, whose
+report holds the event probability, and :meth:`AlphaEtaStructure.sharp`
+reads the table of ``sharp`` it builds on that group (:func:`_sharp_table`).
+:func:`_verify_batch` runs it on the many small structures with integer
+labels of the alpharho suite, grouped by coordinate count, with no
+structure built.  Section quantities are tables over lines along one
+coordinate, each one ``np.bincount`` over ``(line, label)`` keys that adds
+a line's factor probabilities in coordinate order and calls no BLAS.  The
+cell tables are summed over the event atoms alone, and only a per-atom
+class assignment needs a table over all atoms: a constant class label wins
+every section, since factor probabilities are positive.  So the cube is
+verified without an index array over its whole space, and with six arrays
+the size of its event live at once: the event atoms, their probabilities
+and ratio sums, and three work arrays, made once per call, that every
+coordinate's lines are written into.  The tests check the kernel against
+an independent evaluation on the full space.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
-from collections.abc import Mapping, Sequence, Sized
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, decoding, integer, number
+from .errors import InvalidInputError, integer, number
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -112,45 +114,10 @@ class DiscreteProductSpace:
         self.shape = tuple(p.size for p in self.factors)
         self.size = size
         self.budget = budget
-        self._strides = tuple(math.prod(self.shape[i + 1 :]) for i in range(self.n))
 
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    def atom_index(self, atom) -> int:
-        """Flat index of ``atom``, a sequence of one integer per factor;
-        floats, strings and booleans are rejected, not converted."""
-        try:
-            a = tuple(integer(v) for v in atom)
-        except TypeError:
-            raise InvalidInputError(f"atom {atom!r} is not a sequence of integers") from None
-        if len(a) != self.n or any(not (0 <= v < m) for v, m in zip(a, self.shape)):
-            raise InvalidInputError(f"atom {atom!r} is not valid for shape {self.shape}")
-        return sum(v * stride for v, stride in zip(a, self._strides))
-
-    def atoms(self):
-        """Iterate all atoms in flat enumeration order."""
-        return itertools.product(*(range(m) for m in self.shape))
-
-    def atom_probabilities(self) -> np.ndarray:
-        """Probability of every atom, flat, in enumeration order."""
-        out = np.array(1.0)
-        for p in self.factors:
-            out = np.multiply.outer(out, p)
-        return out.reshape(-1)
-
-    def prob(self, atom) -> float:
-        """P(atom), with the bits of its entry in :meth:`atom_probabilities`."""
-        return float(self._probabilities(np.array([self.atom_index(atom)]))[0])
-
-    def _probabilities(self, flat: np.ndarray) -> np.ndarray:
-        """P(atom) at the flat indices ``flat``, multiplied from the factors
-        left to right as :meth:`atom_probabilities` does: the same bits."""
-        out = np.ones(flat.size)
-        for p, stride, m in zip(self.factors, self._strides, self.shape):
-            out *= p[flat // stride % m]
-        return out
 
 
 @dataclass
@@ -172,14 +139,13 @@ class AlphaRhoReport:
 class AlphaEtaStructure:
     """A class partition per coordinate plus an event partition per coordinate.
 
-    ``classes[i]`` and ``event_partition[i]`` may each be given as a
-    scalar label (constant assignment), a mapping from atom tuples to
-    labels, or an array of labels aligned with the flat enumeration
-    order.  ``event`` may be a set/iterable of atom tuples or a boolean
-    array; any other form, a callable among them, is an
-    :class:`InvalidInputError`.  Labels must be members of ``psi``
-    (respectively ``lam``); the position in those lists is the total
-    order used for tie-breaking.
+    ``classes[i]`` and ``event_partition[i]`` are each one label (a
+    constant assignment) or one array of labels, of shape ``(size,)`` in
+    the flat enumeration order or of the space's shape.  ``event`` is one
+    boolean array of either shape.  Any other form, a mapping, a list of
+    atoms or a callable among them, is an :class:`InvalidInputError`.
+    Labels must be members of ``psi`` (respectively ``lam``); the position
+    in those lists is the total order used for tie-breaking.
     """
 
     def __init__(self, space: DiscreteProductSpace, psi, lam, classes, event, event_partition):
@@ -216,25 +182,11 @@ class AlphaEtaStructure:
         return specs
 
     def _normalize_event(self, event) -> np.ndarray:
-        N = self.space.size
-        if isinstance(event, np.ndarray) and event.dtype == bool:
-            if event.shape not in ((N,), self.space.shape):
-                raise InvalidInputError("boolean event array has the wrong shape")
-            return event.reshape(-1).copy()
-        if isinstance(event, np.ndarray) and event.ndim != 2:
-            raise InvalidInputError(
-                "an event array must be boolean, one entry per atom, or a 2-D array of atoms"
-            )
-        try:
-            atoms = iter(event)
-        except TypeError:
-            raise InvalidInputError(
-                f"an event must be a boolean array or a collection of atoms, not {type(event).__name__}"
-            ) from None
-        mask = np.zeros(N, dtype=bool)
-        for atom in atoms:
-            mask[self.space.atom_index(atom)] = True
-        return mask
+        if not (isinstance(event, np.ndarray) and event.dtype == bool):
+            raise InvalidInputError("an event must be a boolean array, one entry per atom")
+        if event.shape not in ((self.space.size,), self.space.shape):
+            raise InvalidInputError("boolean event array has the wrong shape")
+        return event.reshape(-1).copy()
 
     def _assignment(self, spec, lookup, mask=None) -> int | np.ndarray:
         """The label position of a constant ``spec``, else the position of
@@ -249,25 +201,18 @@ class AlphaEtaStructure:
         else:
             out = np.full(N, -1, np.min_scalar_type(-len(lookup)))
             where = mask
-        if isinstance(spec, Mapping):
-            for flat in np.arange(N)[where]:
-                atom = tuple(np.unravel_index(int(flat), shape))
-                if atom not in spec:
-                    raise InvalidInputError(f"assignment is missing atom {atom}")
-                out[flat] = self._label_index(spec[atom], lookup)
-            return out
         try:
             arr = np.asarray(spec)
         except ValueError:
             raise InvalidInputError("assignment array has the wrong shape") from None
         if arr.shape not in ((N,), shape):
-            raise InvalidInputError("assignment array has the wrong shape")
+            raise InvalidInputError(
+                f"an assignment must be one label or an array of labels of shape {(N,)} or {shape}"
+            )
         try:
             labels, codes = np.unique(arr.reshape(-1), return_inverse=True)
         except TypeError:
-            raise InvalidInputError(
-                "the labels of an assignment array cannot be ordered; give them as a mapping"
-            ) from None
+            raise InvalidInputError("the labels of an assignment array cannot be ordered") from None
         table = np.array([self._label_index(v, lookup) for v in labels], out.dtype)
         out[where] = table[codes[where]]
         return out
@@ -279,111 +224,23 @@ class AlphaEtaStructure:
         except (KeyError, TypeError):
             raise InvalidInputError(f"label {label!r} is not in the index list") from None
 
-    def _class_at(self, i: int, flat):
-        """Class label positions of coordinate ``i`` at the flat indices ``flat``."""
-        c = self._classes[i]
-        return c[flat] if isinstance(c, np.ndarray) else np.full(np.shape(flat), c)
-
-    def _cell_at(self, i: int, flat):
-        """Cell label positions of coordinate ``i`` at ``flat``, -1 off the event."""
-        c = self._cells[i]
-        return c[flat] if isinstance(c, np.ndarray) else np.where(self._event_mask[flat], c, -1)
-
-    # -- basic queries ---------------------------------------------------
-
     @property
     def n(self) -> int:
         return self.space.n
 
-    def event_probability(self) -> float:
-        return float(self.space._probabilities(np.flatnonzero(self._event_mask)).sum())
-
-    def event_atoms(self):
-        """Iterate the event's atoms in enumeration order."""
-        for flat in np.nonzero(self._event_mask)[0]:
-            yield tuple(int(v) for v in np.unravel_index(int(flat), self.space.shape))
-
-    def contains(self, atom) -> bool:
-        return bool(self._event_mask[self.space.atom_index(atom)])
+    def _group(self) -> "_Group":
+        """The structure as a group of one, from the label positions it stores."""
+        return _Group([0], [self.space.shape], [len(self.psi)], [len(self.lam)],
+                      self.space.factors, self._classes, self._event_mask, self._cells)
 
     def sharp(self, psi_label) -> int:
         """Largest number of coordinates whose ``psi_label`` classes share an atom.
 
         Equals 0 when the class is empty for every coordinate, and ``n``
-        when some atom lies in all of them.  Constant coordinates add the
-        same count at every atom, so only the per-atom ones are counted.
+        when some atom lies in all of them.  It is read from the table the
+        verification kernel builds (:func:`_sharp_table`).
         """
-        pidx = self._label_index(psi_label, self._psi_pos)
-        rows = [c for c in self._classes if isinstance(c, np.ndarray)]
-        count = sum(1 for c in self._classes if not isinstance(c, np.ndarray) and c == pidx)
-        if rows:
-            counts = np.zeros(self.space.size, dtype=np.min_scalar_type(len(rows)))
-            for row in rows:
-                counts += row == pidx
-            count += int(counts.max())
-        return count
-
-    def _coordinate(self, i) -> int:
-        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < self.n:
-            raise InvalidInputError(f"coordinate {i!r} is not in 0..{self.n - 1}")
-        return int(i)
-
-    def _line(self, i, atom) -> tuple[int, int, np.ndarray]:
-        """``(i, flat, line)``: the checked coordinate, the atom's flat
-        index, and the flat indices of the ``shape[i]`` atoms that agree
-        with it off coordinate ``i``, in the order of coordinate ``i``."""
-        i = self._coordinate(i)
-        flat = self.space.atom_index(atom)
-        stride = self.space._strides[i]
-        m = self.space.shape[i]
-        base = flat - (flat // stride % m) * stride
-        return i, flat, base + np.arange(m) * stride
-
-    def _eta_section(self, i, atom) -> tuple[int, np.ndarray]:
-        """``(pos, section)``: the section probability of every ``psi``
-        label along coordinate ``i`` through ``atom`` and the position of
-        the largest, ties going to the latest label."""
-        i, _, line = self._line(i, atom)
-        section = np.bincount(
-            self._class_at(i, line), weights=self.space.factors[i], minlength=len(self.psi)
-        )
-        return len(self.psi) - 1 - int(np.argmax(section[::-1])), section
-
-    def class_label(self, i: int, atom) -> object:
-        i = self._coordinate(i)
-        return self.psi[self._class_at(i, self.space.atom_index(atom))]
-
-    def eta(self, i: int, atom):
-        """Label of the class with the most probable section along coordinate ``i``.
-
-        Ties are broken towards the label occurring latest in the
-        ``psi`` order; the result never depends on ``atom[i]``.
-        """
-        return self.psi[self._eta_section(i, atom)[0]]
-
-    def eta_section_probability(self, i: int, atom) -> float:
-        """Section probability of the class chosen by :meth:`eta` (>= 1/len(psi))."""
-        pos, section = self._eta_section(i, atom)
-        return float(section[pos])
-
-    def alpha(self, i: int, atom) -> float:
-        """Reciprocal section probability of the event cell containing ``atom``.
-
-        The section always contains the atom's own ``i``-th coordinate,
-        so the probability is positive on a discrete space.  Raises for
-        atoms outside the event.
-        """
-        i, flat, line = self._line(i, atom)
-        if not self._event_mask[flat]:
-            raise InvalidInputError(f"atom {atom!r} is not in the event")
-        cells = self._cell_at(i, line)
-        on = cells >= 0
-        section = np.bincount(
-            cells[on], weights=self.space.factors[i][on], minlength=len(self.lam)
-        )
-        return float(1.0 / section[self._cell_at(i, flat)])
-
-    # -- exhaustive verification ------------------------------------------
+        return int(_sharp_table(self._group())[0, self._label_index(psi_label, self._psi_pos)])
 
     def verify_alpharho(self) -> AlphaRhoReport:
         """Exhaustively evaluate the structure inequality.
@@ -393,50 +250,9 @@ class AlphaEtaStructure:
         ``len(psi)**2 * len(lam)``.  Raises on a degenerate
         ``sharp(eta) == 0`` (impossible when the space is non-trivial,
         kept as a guard).  The structure is verified as a group of one
-        (:func:`_verify_group`), from the label positions it stores.
+        (:func:`_verify_group`).
         """
-        g = _Group([0], [self.space.shape], [len(self.psi)], [len(self.lam)],
-                   self.space.factors, self._classes, self._event_mask, self._cells)
-        return _verify_group(g)[0]
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the structure for fixture exchange (small spaces only)."""
-        atom_key = lambda atom: ",".join(str(v) for v in atom)
-        everywhere = np.arange(self.space.size)
-        classes = []
-        cells = []
-        for i in range(self.n):
-            class_pos, cell_pos = self._class_at(i, everywhere), self._cell_at(i, everywhere)
-            cmap, emap = {}, {}
-            for flat, atom in enumerate(self.space.atoms()):
-                cmap[atom_key(atom)] = self.psi[class_pos[flat]]
-                if self._event_mask[flat]:
-                    emap[atom_key(atom)] = self.lam[cell_pos[flat]]
-            classes.append(cmap)
-            cells.append(emap)
-        doc = {
-            "factors": [p.tolist() for p in self.space.factors],
-            "budget": self.space.budget,
-            "psi": list(self.psi),
-            "lambda": list(self.lam),
-            "classes": classes,
-            "event": [list(atom) for atom in self.event_atoms()],
-            "event_partition": cells,
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlphaEtaStructure":
-        with decoding("alphaeta structure document"):
-            doc = json.loads(text)
-            space = DiscreteProductSpace(doc["factors"], budget=doc.get("budget", DEFAULT_ENUMERATION_BUDGET))
-            parse_key = lambda key: tuple(int(v) for v in key.split(","))
-            classes = [{parse_key(k): v for k, v in cmap.items()} for cmap in doc["classes"]]
-            cells = [{parse_key(k): v for k, v in emap.items()} for emap in doc["event_partition"]]
-            event = [tuple(a) for a in doc["event"]]
-            return cls(space, doc["psi"], doc["lambda"], classes, event, cells)
+        return _verify_group(self._group())[0]
 
 
 # -- many small structures, verified as one batch ------------------------------
@@ -455,13 +271,6 @@ class _Inputs(NamedTuple):
     classes: list
     event: np.ndarray
     cells: list
-
-    def structure(self) -> AlphaEtaStructure:
-        """The structure the constructors build from these inputs."""
-        return AlphaEtaStructure(
-            DiscreteProductSpace(self.factors), range(1, self.psi + 1), range(1, self.lam + 1),
-            self.classes, self.event, self.cells,
-        )
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -556,51 +365,12 @@ class _Group:
         # argmax with ties towards the latest label: scan reversed order
         return P - 1 - np.argmax(table[:, ::-1], axis=1)
 
-    def suspects(self) -> list[int]:
-        """Members with a class label outside ``1..psi`` or a cell label,
-        on the event or off it, outside ``1..lam``."""
-        owner = np.repeat(np.arange(len(self.members)), self.size)
-        psi, lam = self.psi[owner], self.lam[owner]
-        bad = np.zeros(owner.size, dtype=bool)
-        for c in self.classes:
-            bad |= (c < 0) | (c >= psi)
-        for c in self.cells:
-            bad |= (c < 0) | (c >= lam)
-        return [self.members[b] for b in np.unique(owner[bad]).tolist()]
 
-
-def _factor_suspects(structures: Sequence[_Inputs], lengths: list[list[int]]) -> list[int]:
-    """Structures with a factor that may fail the space's checks, the factor
-    lengths being ``lengths``: empty, not finite and positive, or summing to
-    1 only within half the tolerance (the screen sums in another order than
-    the check)."""
-    counts = np.array([len(m) for m in lengths])
-    sizes = np.array([v for m in lengths for v in m], dtype=np.intp)
-    if not sizes.size:
-        return []
-    probs = np.concatenate([p for s in structures for p in s.factors])
-    factor = np.repeat(np.arange(sizes.size), sizes)
-    bad = (sizes == 0) | (np.abs(np.bincount(factor, probs, sizes.size) - 1.0) > _PROB_ATOL / 2)
-    bad[factor[~(np.isfinite(probs) & (probs > 0))]] = True
-    return np.unique(np.repeat(np.arange(len(structures)), counts)[bad]).tolist()
-
-
-def _verify_group(g: _Group) -> list[AlphaRhoReport]:
-    """The report of every member of ``g``; raises at the first coordinate
-    ``i`` with an event atom where ``sharp(eta(i, atom)) == 0``.
-
-    ``sharp`` counts a label's constant classes and adds the largest count,
-    over a member's atoms, of its per-atom ones.  A per-atom class
-    assignment of coordinate ``i`` gives every line its ``eta`` from a
-    table over all the atoms (:meth:`_Group.eta`); a constant class label
-    wins every section, since factor probabilities are positive.  Every
-    cell table, constant or per-atom, is one ``np.bincount`` over the
-    ``(line, label)`` keys of the event atoms alone.  Each bincount adds a
-    line's factor probabilities in coordinate order, as the per-atom
-    queries do.  The ratio sums and atom probabilities are accumulated over
-    the event atoms coordinate by coordinate, and each member's ``lhs`` and
-    event probability are ``np.sum`` of its own run of them."""
-    P, L = int(g.psi.max()), int(g.lam.max())
+def _sharp_table(g: _Group) -> np.ndarray:
+    """``sharp`` of every member of ``g`` and every class label position, as
+    a ``(members, psi)`` table: a label's constant classes are counted, and
+    the largest count, over a member's atoms, of its per-atom ones added."""
+    P = int(g.psi.max())
     constant = [c for c in g.classes if not isinstance(c, np.ndarray)]
     rows = [c for c in g.classes if isinstance(c, np.ndarray)]
     sharp = np.array([[constant.count(p) for p in range(P)]] * len(g.members), dtype=np.intp)
@@ -610,6 +380,25 @@ def _verify_group(g: _Group) -> list[AlphaRhoReport]:
             for c in rows:
                 count += c == p
             sharp[:, p] += np.maximum.reduceat(count, g.start)
+    return sharp
+
+
+def _verify_group(g: _Group) -> list[AlphaRhoReport]:
+    """The report of every member of ``g``; raises at the first coordinate
+    ``i`` with an event atom where ``sharp(eta(i, atom)) == 0``.
+
+    ``sharp`` is read from :func:`_sharp_table`.  A per-atom class
+    assignment of coordinate ``i`` gives every line its ``eta`` from a
+    table over all the atoms (:meth:`_Group.eta`); a constant class label
+    wins every section, since factor probabilities are positive.  Every
+    cell table, constant or per-atom, is one ``np.bincount`` over the
+    ``(line, label)`` keys of the event atoms alone, which adds a line's
+    factor probabilities in coordinate order.  The ratio sums and atom
+    probabilities are accumulated over the event atoms coordinate by
+    coordinate, and each member's ``lhs`` and event probability are
+    ``np.sum`` of its own run of them."""
+    L = int(g.lam.max())
+    sharp = _sharp_table(g)
     ev = np.flatnonzero(g.event)
     ev_owner = g.owners(ev)
     ratio = np.zeros(ev.size)
@@ -660,27 +449,19 @@ def _verify_group(g: _Group) -> list[AlphaRhoReport]:
 
 
 def _verify_batch(structures: Sequence[_Inputs]) -> list[AlphaRhoReport]:
-    """``s.structure().verify_alpharho()`` of every structure ``s`` of
-    ``structures``, from the arrays alone: the structures of one coordinate
-    count are verified together, as one group (:func:`_verify_group`).
-
-    The constructors' checks run as vectorised screens; the constructors
-    themselves run only on the structures a screen flags, in instance
-    order, so a bad input raises their message."""
+    """The ``verify_alpharho`` report of the structure the constructors build
+    from each of ``structures``, from the arrays alone: the structures of one
+    coordinate count are laid end to end and verified together, as one group
+    (:func:`_verify_group`).  The inputs are not checked: the alpharho
+    suite, the one caller, draws only inputs the constructors accept."""
     lengths = [[p.size for p in s.factors] for s in structures]
-    # no factor, or more atoms than the space admits: the constructors refuse it
-    refused = {k for k, m in enumerate(lengths) if not m or math.prod(m) > DEFAULT_ENUMERATION_BUDGET}
     groups: dict[int, list[int]] = {}
     for k, m in enumerate(lengths):
-        if k not in refused:
-            groups.setdefault(len(m), []).append(k)
-    laid = [_Group.laid(structures, members, [lengths[k] for k in members]) for members in groups.values()]
-    suspects = refused.union(_factor_suspects(structures, lengths), *(g.suspects() for g in laid))
-    for k in sorted(suspects):
-        structures[k].structure()
+        groups.setdefault(len(m), []).append(k)
     reports: list = [None] * len(structures)
-    for g in laid:
-        for k, report in zip(g.members, _verify_group(g)):
+    for members in groups.values():
+        g = _Group.laid(structures, members, [lengths[k] for k in members])
+        for k, report in zip(members, _verify_group(g)):
             reports[k] = report
     return reports
 

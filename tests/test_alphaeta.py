@@ -1,8 +1,6 @@
 import itertools
-import json
 import math
 import tracemalloc
-from collections.abc import Mapping
 from typing import NamedTuple
 from unittest import mock
 
@@ -61,25 +59,25 @@ class Full(NamedTuple):
         return self.space.n
 
 
+def atom_probabilities(space):
+    """Probability of every atom, flat, in enumeration order, multiplied from
+    the factors left to right."""
+    out = np.array(1.0)
+    for p in space.factors:
+        out = np.multiply.outer(out, p)
+    return out.reshape(-1)
+
+
 def full_arrays(space, psi, lam, classes, event, event_partition):
     """The per-atom arrays of a structure, built from its constructor's
     inputs alone, so that the oracles never read the structure's storage."""
     N = space.size
-    if isinstance(event, np.ndarray) and event.dtype == bool:
-        mask = event.reshape(-1).copy()
-    else:
-        mask = np.zeros(N, dtype=bool)
-        for atom in event:
-            mask[np.ravel_multi_index(tuple(atom), space.shape)] = True
+    mask = event.reshape(-1).copy()
 
     def positions(spec, labels, where):
         labels = list(labels)
         out = np.full(N, -1, dtype=np.int16)
-        if isinstance(spec, Mapping):
-            for flat, atom in enumerate(space.atoms()):
-                if where[flat]:
-                    out[flat] = labels.index(spec[atom])
-        elif np.ndim(spec) == 0 or isinstance(spec, tuple):
+        if np.ndim(spec) == 0 or isinstance(spec, tuple):
             out[where] = labels.index(spec)
         else:
             per_atom = np.asarray(spec).reshape(-1)
@@ -90,7 +88,7 @@ def full_arrays(space, psi, lam, classes, event, event_partition):
     everywhere = np.ones(N, dtype=bool)
     class_idx = np.stack([positions(spec, psi, everywhere) for spec in classes])
     cell_idx = np.stack([positions(spec, lam, mask) for spec in event_partition])
-    return Full(space, list(psi), list(lam), class_idx, cell_idx, mask, space.atom_probabilities())
+    return Full(space, list(psi), list(lam), class_idx, cell_idx, mask, atom_probabilities(space))
 
 
 def build(inputs):
@@ -113,13 +111,23 @@ def built_with_full(factory, *args):
     return result, built
 
 
+def structure_args(inputs):
+    """The constructor arguments of the structure of ``inputs``, an
+    ``alphaeta._Inputs`` as the alpharho suite hands it to
+    ``alphaeta._verify_batch``."""
+    return (ae.DiscreteProductSpace(inputs.factors), range(1, inputs.psi + 1),
+            range(1, inputs.lam + 1), inputs.classes, inputs.event, inputs.cells)
+
+
+def inputs_structure(inputs):
+    """The structure the constructors build from ``inputs``."""
+    return ae.AlphaEtaStructure(*structure_args(inputs))
+
+
 def inputs_full(inputs):
-    """The per-atom arrays of a structure handed to ``alphaeta._verify_batch``,
-    built from its inputs alone."""
-    return full_arrays(
-        ae.DiscreteProductSpace(inputs.factors), range(1, inputs.psi + 1), range(1, inputs.lam + 1),
-        inputs.classes, inputs.event, inputs.cells,
-    )
+    """The per-atom arrays of the structure of ``inputs``, built from its
+    inputs alone."""
+    return full_arrays(*structure_args(inputs))
 
 
 def batched_with_inputs(factory, *args):
@@ -240,60 +248,6 @@ def full_space_report(full):
     )
 
 
-def _line_base(full, i, atom):
-    flat = int(np.ravel_multi_index(tuple(atom), full.space.shape))
-    stride = int(full.space._strides[i])
-    return flat, stride, flat - int(atom[i]) * stride
-
-
-def eta_loop(full, i, atom):
-    _, stride, base = _line_base(full, i, atom)
-    probs_i = full.space.factors[i]
-    section = np.zeros(len(full.psi))
-    for a in range(full.space.shape[i]):
-        section[full.class_idx[i, base + a * stride]] += probs_i[a]
-    best = 0
-    for pos in range(1, len(full.psi)):
-        if section[pos] >= section[best]:
-            best = pos
-    return full.psi[best]
-
-
-def eta_section_probability_loop(full, i, atom):
-    pidx = full.psi.index(eta_loop(full, i, atom))
-    _, stride, base = _line_base(full, i, atom)
-    total = 0.0
-    for a in range(full.space.shape[i]):
-        if full.class_idx[i, base + a * stride] == pidx:
-            total += full.space.factors[i][a]
-    return total
-
-
-def alpha_loop(full, i, atom):
-    flat, stride, base = _line_base(full, i, atom)
-    cell = full.cell_idx[i, flat]
-    total = 0.0
-    for a in range(full.space.shape[i]):
-        pos = base + a * stride
-        if full.mask[pos] and full.cell_idx[i, pos] == cell:
-            total += full.space.factors[i][a]
-    return 1.0 / total
-
-
-def assert_queries_match_loops(struct, full, atoms):
-    for atom in atoms:
-        flat = int(np.ravel_multi_index(tuple(atom), full.space.shape))
-        assert struct.contains(atom) == full.mask[flat]
-        for i in range(full.n):
-            assert struct.class_label(i, atom) == full.psi[full.class_idx[i, flat]]
-            assert struct.eta(i, atom) == eta_loop(full, i, atom)
-            assert struct.eta_section_probability(i, atom) == eta_section_probability_loop(
-                full, i, atom
-            )
-            if full.mask[flat]:
-                assert struct.alpha(i, atom) == alpha_loop(full, i, atom)
-
-
 @st.composite
 def structure_inputs(draw, n_max=3, atoms_max=4):
     """Inputs with one-atom factors, n = 1, one-label lists, unused
@@ -357,16 +311,10 @@ class TestSectionShapeOracle:
         cube, [(_, full)] = built_with_full(ae.cube_example_structure, *args)
         assert_same_report(cube.verify_alpharho(), full_space_report(full))
 
-    @settings(max_examples=100, deadline=None)
-    @given(structure_inputs())
-    def test_per_atom_queries_match_loops(self, inputs):
-        struct, full = build(inputs)
-        assert_queries_match_loops(struct, full, struct.space.atoms())
-
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_last_coordinate_lines_are_summed_in_order(self, m):
         # a contraction's vectorised kernel may add a line of the last
-        # coordinate pairwise; the per-atom queries add it in order
+        # coordinate pairwise; the kernel adds it in order
         rng = np.random.default_rng(m)
         raw = rng.random(m) + 0.05
         space = ae.DiscreteProductSpace([np.full(400, 1 / 400), raw / raw.sum()])
@@ -425,21 +373,11 @@ class TestCompactForms:
             factors.append(raw / raw.sum())
         space = ae.DiscreteProductSpace(factors)
         psi, lam = ["a", "b", "c"], [10, 20]
-        atoms = list(space.atoms())
-        classes = [
-            "b",
-            rng.choice(psi, size=space.size),
-            {atom: psi[int(rng.integers(3))] for atom in atoms},
-        ]
-        event = rng.random(space.size) < 0.6
-        cells = [
-            {atom: lam[int(rng.integers(2))] for atom in atoms},
-            20,
-            rng.choice(lam, size=space.size),
-        ]
+        classes = ["b", rng.choice(psi, size=space.size), rng.choice(psi, size=space.shape)]
+        event = rng.random(space.shape) < 0.6
+        cells = [rng.choice(lam, size=space.shape), 20, rng.choice(lam, size=space.size)]
         struct, full = build((space, psi, lam, classes, event, cells))
         assert_same_report(struct.verify_alpharho(), full_space_report(full))
-        assert_queries_match_loops(struct, full, atoms)
         for label in psi:
             assert struct.sharp(label) == sharp_definitional(full, label)
 
@@ -447,11 +385,11 @@ class TestCompactForms:
         rng = np.random.default_rng(61)
         factors = [np.full(5, 0.2), rng.random(6) + 0.1, np.full(4, 0.25)]
         space = ae.DiscreteProductSpace([p / p.sum() for p in factors])
-        event = {(0, 1, 2), (4, 1, 2), (2, 5, 0)}
+        event = np.zeros(space.shape, dtype=bool)
+        event[(0, 4, 2), (1, 1, 5), (2, 2, 0)] = True
         inputs = (space, [1, 2], [7], [2, np.ones(space.size, int), 1], event, [7, 7, 7])
         struct, full = build(inputs)
         assert_same_report(struct.verify_alpharho(), full_space_report(full))
-        assert_queries_match_loops(struct, full, space.atoms())
 
     @pytest.mark.parametrize(
         "labels, class_dtype, cell_dtype",
@@ -470,7 +408,6 @@ class TestCompactForms:
         assert [c.dtype for c in struct._classes] == [class_dtype] * 2
         assert struct._cells[0].dtype == cell_dtype
         assert_same_report(struct.verify_alpharho(), full_space_report(full))
-        assert_queries_match_loops(struct, full, space.atoms())
 
     def test_tables_of_many_lines_match_full_space(self):
         # 8193 lines along coordinate 1, read in section order
@@ -520,16 +457,6 @@ class TestCompactForms:
         assert report.lhs == float.fromhex("0x1.625ec8f3c2f55p+1")
         assert report.min_ratio_sum == float.fromhex("0x1.5cf5931cf5930p+1")
         assert (report.event_probability, report.rhs, report.holds) == (1.0, 18.0, True)
-
-    def test_queries_at_sampled_cube_atoms(self):
-        cube, [(_, full)] = built_with_full(ae.cube_example_structure, 4, 10.0, 40)
-        rng = np.random.default_rng(11)
-        flats = np.concatenate([
-            rng.choice(cube.space.size, 100, replace=False),
-            rng.choice(np.flatnonzero(full.mask), 100, replace=False),
-        ])
-        atoms = [tuple(int(v) for v in np.unravel_index(f, cube.space.shape)) for f in flats]
-        assert_queries_match_loops(cube, full, atoms)
 
     def test_alpharho_suite_structures_match_full_space(self):
         result, drawn = batched_with_inputs(suites.run_alpharho_suite, 100, 1111)
@@ -647,41 +574,10 @@ class TestDiscreteProductSpace:
         factor[0] = 0.5
         assert p.tolist() == [0.25, 0.75]
 
-    def test_size_and_strides_are_python_integers(self):
+    def test_size_is_a_python_integer(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5], [0.25] * 4, [1.0]])
-        assert (space.size, space._strides) == (8, (4, 1, 1))
-        assert all(type(v) is int for v in (space.size, *space._strides))
-
-    def test_atom_probabilities_order(self):
-        space = ae.DiscreteProductSpace([[0.25, 0.75], [0.1, 0.2, 0.7]])
-        probs = space.atom_probabilities()
-        assert probs.sum() == pytest.approx(1.0)
-        for flat, atom in enumerate(space.atoms()):
-            assert probs[flat] == pytest.approx(space.prob(atom))
-            assert space.atom_index(atom) == flat
-
-    def test_numpy_integer_coordinates(self):
-        space = ae.DiscreteProductSpace([[0.25, 0.75], [0.1, 0.2, 0.7]])
-        atom = (np.int64(1), np.int32(2))
-        assert space.atom_index(atom) == 5
-        assert space.prob(atom) == space.prob((1, 2)) == 0.75 * 0.7
-
-    @pytest.mark.parametrize(
-        "atom",
-        [(0.7, 1.9), (1.0, 0), (np.float64(1.0), 0), ("1", 0), (True, 0), (np.True_, 0), 3, None],
-    )
-    def test_non_integer_coordinates_rejected(self, atom):
-        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
-        for query in (space.atom_index, space.prob):
-            with pytest.raises(InvalidInputError, match="not a sequence of integers"):
-                query(atom)
-
-    @pytest.mark.parametrize("atom", [(-1, 0), (2, 0), (0, 2), (0, 1, 7), (1,), ()])
-    def test_out_of_shape_atoms_rejected(self, atom):
-        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
-        for query in (space.atom_index, space.prob):
-            with pytest.raises(InvalidInputError, match="not valid for shape"):
-                query(atom)
+        assert (space.shape, space.size) == ((2, 4, 1), 8)
+        assert type(space.size) is int
 
 
 class TestSharp:
@@ -708,90 +604,6 @@ class TestSharp:
                 assert struct.sharp(label) == sharp_definitional(full, label)
 
 
-class TestEta:
-    def test_single_label(self):
-        space = ae.DiscreteProductSpace([[0.3, 0.7], [0.5, 0.5]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=["only"], lam=[1], classes=["only", "only"],
-            event=np.ones(space.size, bool), event_partition=[1, 1],
-        )
-        assert struct.eta(0, (0, 1)) == "only"
-
-    def test_tie_breaks_to_largest_label(self):
-        # both classes have section probability 1/2 along either axis
-        space = ae.DiscreteProductSpace([[0.5, 0.5]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1, 2], lam=[1],
-            classes=[{(0,): 1, (1,): 2}],
-            event=np.ones(space.size, bool), event_partition=[1],
-        )
-        assert struct.eta(0, (0,)) == 2
-
-    def test_section_probability_lower_bound(self):
-        for seed in range(20):
-            struct = random_structure(seed + 100)
-            for atom in struct.space.atoms():
-                for i in range(struct.n):
-                    assert struct.eta_section_probability(i, atom) >= 1.0 / len(
-                        struct.psi
-                    ) - 1e-12
-
-    def test_independent_of_own_coordinate(self):
-        for seed in range(10):
-            struct = random_structure(seed + 200)
-            for atom in struct.space.atoms():
-                for i in range(struct.n):
-                    expected = struct.eta(i, atom)
-                    for replacement in range(struct.space.shape[i]):
-                        other = list(atom)
-                        other[i] = replacement
-                        assert struct.eta(i, tuple(other)) == expected
-
-
-class TestAlpha:
-    def test_whole_space_event(self):
-        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1], lam=[1], classes=[1, 1],
-            event=np.ones(space.size, bool), event_partition=[1, 1],
-        )
-        for atom in space.atoms():
-            for i in range(2):
-                assert struct.alpha(i, atom) == pytest.approx(1.0)
-
-    def test_single_atom_section(self):
-        space = ae.DiscreteProductSpace([[0.25, 0.75]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1], lam=[1], classes=[1],
-            event={(0,)}, event_partition=[{(0,): 1}],
-        )
-        assert struct.alpha(0, (0,)) == pytest.approx(4.0)
-
-    def test_rejects_atoms_outside_event(self):
-        space = ae.DiscreteProductSpace([[0.25, 0.75]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1], lam=[1], classes=[1],
-            event={(0,)}, event_partition=[{(0,): 1}],
-        )
-        with pytest.raises(InvalidInputError):
-            struct.alpha(0, (1,))
-
-    def test_independent_of_own_coordinate_within_cell(self):
-        for seed in range(10):
-            struct, full = build(random_inputs(seed + 300))
-            for atom in struct.event_atoms():
-                for i in range(struct.n):
-                    expected = struct.alpha(i, atom)
-                    cell = full.cell_idx[i, struct.space.atom_index(atom)]
-                    for replacement in range(struct.space.shape[i]):
-                        other = list(atom)
-                        other[i] = replacement
-                        other = tuple(other)
-                        flat = struct.space.atom_index(other)
-                        if full.mask[flat] and full.cell_idx[i, flat] == cell:
-                            assert struct.alpha(i, other) == pytest.approx(expected)
-
-
 class TestVerifyAlphaRho:
     def test_empty_event(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5]])
@@ -802,6 +614,15 @@ class TestVerifyAlphaRho:
         report = struct.verify_alpharho()
         assert report.lhs == 0.0 and report.holds
         assert report.min_ratio_sum == math.inf
+
+    def test_single_atom_section(self):
+        # the event {(0,)} is its own cell's section: alpha = 1 / 0.25
+        space = ae.DiscreteProductSpace([[0.25, 0.75]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1], lam=[1], classes=[1],
+            event=np.array([True, False]), event_partition=[np.array([1, 1])],
+        )
+        assert struct.verify_alpharho() == ae.AlphaRhoReport(1.0, 1.0, True, 4.0, 0.25)
 
     def test_saturated_structure_attains_bound(self):
         # whole-space event with one label per list: lhs == rhs == 1
@@ -814,19 +635,6 @@ class TestVerifyAlphaRho:
         assert report.rhs == 1.0
         assert report.lhs == pytest.approx(1.0, abs=1e-12)
         assert report.holds
-
-    def test_bulk_matches_per_atom_queries(self):
-        struct = random_structure(12345)
-        sharp = {label: struct.sharp(label) for label in struct.psi}
-        expected = 0.0
-        for atom in struct.event_atoms():
-            total = sum(
-                struct.alpha(i, atom) / sharp[struct.eta(i, atom)]
-                for i in range(struct.n)
-            )
-            expected += struct.space.prob(atom) * total
-        report = struct.verify_alpharho()
-        assert report.lhs == pytest.approx(expected, rel=1e-9)
 
     def test_random_structures_satisfy_inequality(self):
         for seed in range(60):
@@ -1005,7 +813,7 @@ class TestGroupLines:
         empty = ae.AlphaRhoReport(0.0, 8.0, True, math.inf, 0.0)
         assert ae._verify_batch(drawn) == [empty] * 3
         assert ae._verify_batch(drawn[:1]) == [empty]
-        assert drawn[0].structure().verify_alpharho() == empty
+        assert inputs_structure(drawn[0]).verify_alpharho() == empty
         assert_batch_matches_oracle(drawn)
 
 
@@ -1021,7 +829,7 @@ class TestBatch:
 
     def test_special_structures_reach_their_cases(self):
         drawn = [inputs for seed in range(3) for inputs in special_inputs(seed)]
-        structures = [inputs.structure() for inputs in drawn]
+        structures = [inputs_structure(inputs) for inputs in drawn]
         # eta ties: lines where two labels share the largest section probability
         ties = 0
         for inputs in drawn:
@@ -1039,6 +847,13 @@ class TestBatch:
         assert any(struct.n == 1 for struct in structures)
         assert any(0 in (struct.sharp(label) for label in struct.psi) for struct in structures)
 
+    @pytest.mark.parametrize("seed", [0, 9001])
+    def test_suite_draws_pass_the_constructors(self, seed):
+        # _verify_batch checks no input: every draw of the suite must build
+        # a structure, whose own report is the batch's
+        drawn = suite_inputs(seed, 2000)
+        assert [inputs_structure(inputs).verify_alpharho() for inputs in drawn] == ae._verify_batch(drawn)
+
     def test_one_structure_and_none(self):
         inputs = special_inputs(4, 1)
         assert_same_report(ae._verify_batch(inputs)[0], full_space_report(inputs_full(inputs[0])))
@@ -1049,74 +864,6 @@ class TestBatch:
         # the suite draws such structures
         reports = ae._verify_batch(suite_inputs(7))
         assert any(r.lhs > r.rhs and r.holds for r in reports)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("factor", np.array([0.5, np.nan])),
-            ("factor", np.array([1.5, -0.5])),
-            ("factor", np.array([0.5, 0.25])),
-            ("factor", np.array([], dtype=float)),
-            ("class", 0),
-            ("class", 4),
-            ("cell", 0),
-            ("cell", 4),
-        ],
-    )
-    def test_bad_inputs_raise_the_constructors_message(self, field, value):
-        drawn = suite_inputs(1111, 40)
-        k = 25
-        bad = drawn[k]
-        if field == "factor":
-            factors = list(bad.factors)
-            factors[-1] = value
-            size = math.prod(p.size for p in factors)
-            bad = bad._replace(
-                factors=factors, event=np.zeros(size, dtype=bool),
-                classes=[np.ones(size, dtype=int)] * len(factors),
-                cells=[np.ones(size, dtype=int)] * len(factors),
-            )
-        else:
-            name = "classes" if field == "class" else "cells"
-            arrays = [a.copy() for a in getattr(bad, name)]
-            # off the event where there is such an atom: every cell label is read
-            off = np.flatnonzero(~bad.event)
-            arrays[-1][off[0] if off.size else 0] = value
-            bad = bad._replace(**{name: arrays})
-        drawn[k] = bad
-        with pytest.raises(InvalidInputError) as want:
-            bad.structure()
-        with pytest.raises(InvalidInputError) as got:
-            ae._verify_batch(drawn)
-        assert str(got.value) == str(want.value)
-
-    @pytest.mark.parametrize("factor_first", [True, False])
-    def test_first_bad_structure_in_instance_order_is_reported(self, factor_first):
-        # a bad factor sum and bad class labels, in two groups
-        drawn = suite_inputs(1111, 40)
-        one = next(k for k, d in enumerate(drawn) if len(d.factors) == 1)
-        other = next(k for k, d in enumerate(drawn) if k > one and len(d.factors) > 1)
-        summed, labelled = (one, other) if factor_first else (other, one)
-        drawn[summed] = drawn[summed]._replace(factors=[p * 2.0 for p in drawn[summed].factors])
-        drawn[labelled] = drawn[labelled]._replace(classes=[c + 5 for c in drawn[labelled].classes])
-        match = "probabilities sum to" if factor_first else "is not in the index list"
-        with pytest.raises(InvalidInputError, match=match):
-            ae._verify_batch(drawn)
-
-    @pytest.mark.parametrize("offset, accepted", [(4e-13, True), (7e-13, True), (2e-12, False)])
-    def test_sum_tolerance_is_the_constructors(self, offset, accepted):
-        # the screen flags sums off by more than half the tolerance, and the
-        # constructor decides
-        drawn = suite_inputs(1111, 10)
-        p = drawn[3].factors[0]
-        p = p.copy()
-        p[0] += offset
-        drawn[3] = drawn[3]._replace(factors=[p, *drawn[3].factors[1:]])
-        if accepted:
-            assert_batch_matches_oracle(drawn)
-        else:
-            with pytest.raises(InvalidInputError, match="factor 0 probabilities sum to"):
-                ae._verify_batch(drawn)
 
     def test_injected_failure_is_reported_with_the_suite_message(self, monkeypatch):
         batch = ae._verify_batch
@@ -1202,30 +949,36 @@ class TestCubeExample:
         assert cli.parse_and_dispatch(argv) == 2
         assert "budget" in capsys.readouterr().err
 
-    def test_small_cube_eta(self):
-        cube = ae.cube_example_structure(4, 2.0, 8)
-        atom = (5, 5, 5, 0)  # in the event through the last coordinate
-        assert cube.contains(atom)
-        assert cube.eta(0, atom) == 1
-        assert cube.eta(3, atom) == 2
+
+SQUARE_ATOMS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestStructureValidation:
-    def test_mapping_must_cover_all_atoms(self):
-        space = ae.DiscreteProductSpace([[0.5, 0.5]])
-        with pytest.raises(InvalidInputError):
-            ae.AlphaEtaStructure(
-                space, psi=[1], lam=[1], classes=[{(0,): 1}],
-                event=np.ones(space.size, bool), event_partition=[1],
-            )
+    def test_integer_event_mask_is_not_read_as_atoms(self):
+        # the mask [[1, 1], [0, 0]] marks (0, 0) and (0, 1); read as a list
+        # of atoms it would be the event {(1, 1), (0, 0)}
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="boolean array"):
+            ae.AlphaEtaStructure(space, [1], [1], [1, 1], np.array([[1, 1], [0, 0]]), [1, 1])
 
-    def test_event_partition_must_cover_event(self):
-        space = ae.DiscreteProductSpace([[0.5, 0.5]])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("classes", [{atom: 1 for atom in SQUARE_ATOMS}, 1]),
+            ("event_partition", [1, {atom: 1 for atom in SQUARE_ATOMS}]),
+            ("event", [(0, 1), (1, 0)]),
+            ("event", {(0, 1), (1, 0)}),
+            ("event", np.array([[0, 1], [1, 0]])),
+            ("event", [True, False, False, True]),
+        ],
+        ids=["class mapping", "cell mapping", "atom list", "atom set", "atom array", "bool list"],
+    )
+    def test_one_input_form_per_field(self, field, value):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        args = dict(classes=[1, 1], event=np.ones(space.size, bool), event_partition=[1, 1])
+        args[field] = value
         with pytest.raises(InvalidInputError):
-            ae.AlphaEtaStructure(
-                space, psi=[1], lam=[1], classes=[1],
-                event=np.ones(space.size, bool), event_partition=[{(0,): 1}],
-            )
+            ae.AlphaEtaStructure(space, psi=[1], lam=[1], **args)
 
     def test_unknown_label_rejected(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5]])
@@ -1262,30 +1015,11 @@ class TestStructureValidation:
         with pytest.raises(InvalidInputError):
             ae.AlphaEtaStructure(space, psi=[1], lam=[1], **args)
 
-    def test_event_as_array_of_atoms(self):
-        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1], lam=[1], classes=[1, 1],
-            event=np.array([[0, 1], [1, 0]]), event_partition=[1, 1],
-        )
-        assert list(struct.event_atoms()) == [(0, 1), (1, 0)]
-
-    @pytest.mark.parametrize("query", ["eta", "eta_section_probability", "alpha", "class_label"])
-    @pytest.mark.parametrize("i", [2, -1, True, 0.0])
-    def test_coordinate_checked(self, query, i):
-        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
-        struct = ae.AlphaEtaStructure(
-            space, psi=[1], lam=[1], classes=[1, 1],
-            event=np.ones(space.size, bool), event_partition=[1, 1],
-        )
-        with pytest.raises(InvalidInputError, match="coordinate"):
-            getattr(struct, query)(i, (0, 1))
-
     def test_unhashable_labels_rejected(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5]])
         with pytest.raises(InvalidInputError, match="hashable"):
             ae.AlphaEtaStructure(
-                space, psi=[[1], [2]], lam=[1], classes=[{(0,): [1], (1,): [2]}],
+                space, psi=[[1], [2]], lam=[1], classes=[1],
                 event=np.ones(space.size, bool), event_partition=[1],
             )
 
@@ -1304,17 +1038,6 @@ class TestStructureValidation:
                 space, psi=[1, 2], lam=[1], classes=[np.array([1, None], dtype=object)],
                 event=np.ones(space.size, bool), event_partition=[1],
             )
-
-    def test_every_atom_in_exactly_one_class(self):
-        # partition totality: assignments are functions, so each atom gets
-        # exactly one label per coordinate, the one its input gave it, and
-        # each event atom lies in a cell of positive section probability
-        struct, full = build(random_inputs(999))
-        for flat, atom in enumerate(struct.space.atoms()):
-            for i in range(struct.n):
-                assert struct.class_label(i, atom) == full.psi[full.class_idx[i, flat]]
-                if full.mask[flat]:
-                    assert 1.0 <= struct.alpha(i, atom) < math.inf
 
 
 class TestLabelPositions:
@@ -1335,7 +1058,6 @@ class TestLabelPositions:
         cells = [np.array(rng.choice(lam, 6), dtype=dtype), np.full(6, lam[-1], dtype=dtype)]
         struct, full = build((space, psi, lam, classes, event, cells))
         assert_same_report(struct.verify_alpharho(), full_space_report(full))
-        assert_queries_match_loops(struct, full, space.atoms())
 
     @pytest.mark.parametrize(
         "labels, message",
@@ -1353,41 +1075,3 @@ class TestLabelPositions:
         with pytest.raises(InvalidInputError) as error:
             ae.AlphaEtaStructure(space, [1, 2], [1], [labels, 1], event, [1, 1])
         assert str(error.value) == message
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        struct = random_structure(777)
-        clone = ae.AlphaEtaStructure.from_json(struct.to_json())
-        assert clone.psi == struct.psi and clone.lam == struct.lam
-        assert clone.verify_alpharho().lhs == pytest.approx(
-            struct.verify_alpharho().lhs, rel=1e-12
-        )
-        for label in struct.psi:
-            assert clone.sharp(label) == struct.sharp(label)
-
-    def test_json_round_trip_of_constant_assignments(self):
-        # the document lists every atom's labels, so the clone's assignments
-        # are mappings, kept per atom, and give the constants' numbers
-        cube = ae.cube_example_structure(4, 2.0, 8)
-        text = cube.to_json()
-        clone = ae.AlphaEtaStructure.from_json(text)
-        assert all(isinstance(c, np.ndarray) for c in clone._classes + clone._cells)
-        assert clone.to_json() == text
-        assert_same_report(clone.verify_alpharho(), cube.verify_alpharho())
-        assert [clone.sharp(label) for label in cube.psi] == [2, 2]
-        assert clone.event_probability() == cube.event_probability()
-
-    @pytest.mark.parametrize(
-        "key", ["factors", "psi", "lambda", "classes", "event", "event_partition"]
-    )
-    def test_missing_key_rejected(self, key):
-        doc = json.loads(random_structure(777).to_json())
-        del doc[key]
-        with pytest.raises(InvalidInputError, match=key):
-            ae.AlphaEtaStructure.from_json(json.dumps(doc))
-
-    def test_malformed_document_rejected(self):
-        for text in ("{", "[]", '{"factors": 3}'):
-            with pytest.raises(InvalidInputError):
-                ae.AlphaEtaStructure.from_json(text)

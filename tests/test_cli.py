@@ -267,9 +267,10 @@ class TestDispatch:
             ["alphaeta-demo", "--cube", "--n", "4", "--k", "10", "--atoms", "40"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "0.1420609375" in out
-        assert "0.4" in out
+        out = capsys.readouterr().out.splitlines()
+        assert "exact P(event)        = 0.1420609375" in out
+        assert "sharp labels          = 1 -> 2, 2 -> 2" in out
+        assert "certified bound       = rhs / K = 0.4" in out
 
     def test_alphaeta_demo_runs_the_cube_by_default(self, capsys):
         argv = ["alphaeta-demo", "--n", "4", "--k", "10", "--atoms", "40"]
@@ -420,8 +421,7 @@ def test_profile_csv_matches_its_golden_bytes(tmp_path, capsys, case):
 
 
 # The alpharho suite's report at 500 instances, seed 1111, written before
-# the suite verified its structures as one batch; the CI smoke run compares
-# it with `cmp` too, at one and at two BLAS threads
+# the suite verified its structures as one batch
 GOLDEN_ALPHARHO = "lemma_alpharho_500_seed1111.json"
 
 
@@ -455,8 +455,7 @@ def test_counterexample_report_matches_its_golden_bytes(tmp_path, capsys):
 
 
 # The cube demo's report at its defaults (n=4, K=10, 40 atoms per factor),
-# written before every section line was summed in coordinate order; the CI
-# smoke run compares it with `cmp` too
+# written before every section line was summed in coordinate order
 GOLDEN_CUBE = "alphaeta_cube_n4_k10_atoms40.json"
 
 
@@ -470,3 +469,28 @@ def check_alphaeta_demo_report_matches_its_golden_bytes(tmp_path):
 def test_alphaeta_demo_report_matches_its_golden_bytes(tmp_path, capsys):
     check_alphaeta_demo_report_matches_its_golden_bytes(tmp_path)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_alphaeta_reports_match_their_golden_bytes_at_one_and_two_blas_threads(tmp_path, threads):
+    # a fresh process whose OpenBLAS starts at `threads` threads writes the
+    # cube demo's and the alpharho suite's reports: neither calls BLAS.  The
+    # reports hold the verdicts, so their bytes decide the test
+    cube, alpharho = tmp_path / GOLDEN_CUBE, tmp_path / GOLDEN_ALPHARHO
+    script = (
+        "import sys\n"
+        "from sminlab import cli, linalg\n"
+        f"assert linalg._BLAS.get_num_threads() == {threads}\n"
+        "cli.main(['alphaeta-demo', '--out', sys.argv[1]])\n"
+        "cli.main(['lemma-check', '--suite', 'alpharho', '--instances', '500', '--seed', '1111',\n"
+        "          '--out', sys.argv[2]])\n"
+    )
+    src = os.path.dirname(os.path.dirname(sminlab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(cube), str(alpharho)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for out in (cube, alpharho):
+        with open(os.path.join(GOLDEN_DIR, out.name), "rb") as fh:
+            assert out.read_bytes() == fh.read(), out.name

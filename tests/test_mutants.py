@@ -206,7 +206,8 @@ MUTANTS = {
         [batch_oracle.check_batch_on_special_structures],
     ),
     "batch sharp over the whole group": (
-        batch_rewritten("sharp[:, p] += np.maximum.reduceat(count, g.start)", "sharp[:, p] += count.max()"),
+        lambda mp: mp.setattr(ae, "_sharp_table", rewritten(
+            ae._sharp_table, "sharp[:, p] += np.maximum.reduceat(count, g.start)", "sharp[:, p] += count.max()")),
         [batch_oracle.check_batch_on_the_suite],
     ),
     # the member's own line number: the members' lines share their numbers,
@@ -227,8 +228,6 @@ MUTANTS = {
         group_rewritten("lines", "u -= q", "pass"),
         [cube_report_matches_its_golden_bytes, verify_matches_full_space],
     ),
-    # the suite draws structures with lhs == rhs, which the rounding puts
-    # one ulp above rhs
     # the first bounded integer of every stream after the first would read
     # the half word the stream before it left
     "re-key that keeps has_uint32 from the stream before": (
@@ -249,6 +248,8 @@ MUTANTS = {
         [cover_oracle.check_exact_step_matches_the_edge_sum_search,
          suite_golden.test_every_suite_draws_what_the_golden_file_holds],
     ),
+    # the suite draws structures with lhs == rhs, which the rounding puts
+    # one ulp above rhs
     "alpharho verdict without its slack": (
         batch_rewritten("holds=lhs <= rhs + 1e-9", "holds=lhs <= rhs"),
         [alpharho_suite_passes],

@@ -206,6 +206,50 @@ def line_sums(space, i, member):
     return out
 
 
+def line_atoms(shape, i):
+    """The flat atoms of every line along coordinate ``i``, one row per line
+    in the kernel's line order, each row in coordinate order."""
+    before, m = math.prod(shape[:i]), shape[i]
+    return np.arange(math.prod(shape)).reshape(before, m, -1).transpose(0, 2, 1).reshape(-1, m)
+
+
+def section_loops(full, i, member, idx, count):
+    """A ``(lines, count)`` table along coordinate ``i``: on every line, the
+    probability of the atoms of ``member`` whose position in ``idx`` is
+    ``k``, added one atom at a time in coordinate order."""
+    p = full.space.factors[i]
+    rows = line_atoms(full.space.shape, i)
+    out = np.zeros((len(rows), count))
+    for line, atoms in enumerate(rows):
+        for j, t in enumerate(atoms):
+            if member[t]:
+                out[line, idx[t]] += p[j]
+    return out
+
+
+def eta_loop(full, i):
+    """The class position whose section is largest on every line along
+    coordinate ``i``, ties going to the latest position, by a scan."""
+    everywhere = np.ones(full.space.size, dtype=bool)
+    best = []
+    for row in section_loops(full, i, everywhere, full.class_idx[i], len(full.psi)):
+        pos = 0
+        for other in range(1, len(row)):
+            if row[other] >= row[pos]:
+                pos = other
+        best.append(pos)
+    return np.array(best)
+
+
+def tie_prone_inputs(seed):
+    """``random_inputs(seed)``, its factors made uniform at even seeds, so
+    that sections tie exactly."""
+    space, *rest = random_inputs(seed)
+    if seed % 2 == 0:
+        space = ae.DiscreteProductSpace([np.full(m, 1.0 / m) for m in space.shape])
+    return (space, *rest)
+
+
 def full_space_report(full):
     """``verify_alpharho`` evaluated on the full space: every section
     probability is broadcast back to all atoms before it is read."""
@@ -604,6 +648,75 @@ class TestSharp:
                 assert struct.sharp(label) == sharp_definitional(full, label)
 
 
+class TestEta:
+    """The kernel's eta on every line, :meth:`alphaeta._Group.eta`, read on
+    the group of one that ``verify_alpharho`` verifies."""
+
+    def test_single_label(self):
+        space = ae.DiscreteProductSpace([[0.3, 0.7], [0.5, 0.5]])
+        args = (space, ["only"], [1])
+        struct = ae.AlphaEtaStructure(*args, [np.full(4, "only"), "only"], np.ones(4, bool), [1, 1])
+        assert struct._group().eta(0).tolist() == [0, 0]
+        constant = ae.AlphaEtaStructure(*args, ["only", "only"], np.ones(4, bool), [1, 1])
+        assert struct.verify_alpharho() == constant.verify_alpharho()
+
+    def test_tie_breaks_to_largest_label(self):
+        # both classes have section probability 1/2
+        space = ae.DiscreteProductSpace([[0.5, 0.5]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1, 2], lam=[1], classes=[np.array([1, 2])],
+            event=np.ones(space.size, bool), event_partition=[1],
+        )
+        assert struct._group().eta(0).tolist() == [1]
+
+    def test_section_probability_lower_bound(self):
+        # the sections of a line add up to 1, so the largest is at least 1 / len(psi)
+        for seed in range(100, 120):
+            struct, full = build(random_inputs(seed))
+            everywhere = np.ones(full.space.size, dtype=bool)
+            for i in range(struct.n):
+                eta = struct._group().eta(i)
+                table = section_loops(full, i, everywhere, full.class_idx[i], len(full.psi))
+                assert np.all(table[np.arange(eta.size), eta] >= 1.0 / len(struct.psi) - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loops(self, seed):
+        struct, full = build(tie_prone_inputs(seed))
+        for i in range(struct.n):
+            assert struct._group().eta(i).tolist() == eta_loop(full, i).tolist(), i
+
+
+class TestAlpha:
+    """The kernel's cell tables, whose entries are the reciprocals of alpha,
+    as ``verify_alpharho`` sums them."""
+
+    def test_whole_space_event(self):
+        # every line lies in its one cell: alpha is 1 on every atom
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.5, 0.5]])
+        struct = ae.AlphaEtaStructure(
+            space, psi=[1], lam=[1], classes=[1, 1],
+            event=np.ones(space.size, bool), event_partition=[np.ones(4, int), 1],
+        )
+        report, tables = verified_with_tables(struct)
+        assert [table.tolist() for table in tables] == [[1.0, 1.0], [1.0, 1.0]]
+        assert report == ae.AlphaRhoReport(1.0, 1.0, True, 1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cell_tables_match_loops(self, seed):
+        # per-atom classes: each coordinate sums its class table, then its cell table
+        struct, full = build(tie_prone_inputs(seed + 300))
+        _, tables = verified_with_tables(struct)
+        if not full.mask.any():
+            assert tables == []
+            return
+        assert len(tables) == 2 * struct.n
+        for i in range(struct.n):
+            want = section_loops(full, i, full.mask, full.cell_idx[i], len(full.lam)).reshape(-1)
+            got = tables[2 * i + 1]
+            assert got.tolist() == want[: got.size].tolist(), i
+            assert not want[got.size :].any(), i
+
+
 class TestVerifyAlphaRho:
     def test_empty_event(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5]])
@@ -854,6 +967,42 @@ class TestBatch:
         drawn = suite_inputs(seed, 2000)
         assert [inputs_structure(inputs).verify_alpharho() for inputs in drawn] == ae._verify_batch(drawn)
 
+    @pytest.mark.parametrize("offset, accepted", [(4e-13, True), (7e-13, True), (2e-12, False)])
+    def test_sum_tolerance_is_the_constructors(self, offset, accepted):
+        # the batch checks no sum: what the constructor accepts, to its
+        # tolerance, the batch verifies as the structure does
+        drawn = suite_inputs(1111, 10)
+        p = drawn[3].factors[0].copy()
+        p[0] += offset
+        drawn[3] = drawn[3]._replace(factors=[p, *drawn[3].factors[1:]])
+        if accepted:
+            assert [inputs_structure(inputs).verify_alpharho() for inputs in drawn] == ae._verify_batch(drawn)
+            assert_batch_matches_oracle(drawn)
+        else:
+            with pytest.raises(InvalidInputError, match="factor 0 probabilities sum to"):
+                inputs_structure(drawn[3])
+
+    @pytest.mark.parametrize(
+        "draw, seed",
+        [(suite_inputs, 1111), (suite_inputs, 7), (suite_inputs, 2901),
+         (special_inputs, 0), (special_inputs, 1), (special_inputs, 2)],
+        ids=["suite-1111", "suite-7", "suite-2901", "special-0", "special-1", "special-2"],
+    )
+    def test_sharp_table_of_each_group_matches_its_members(self, draw, seed):
+        # grouped as _verify_batch groups them; a label position past a
+        # member's own psi is 0
+        drawn = draw(seed, 200)
+        groups = {}
+        for k, inputs in enumerate(drawn):
+            groups.setdefault(len(inputs.factors), []).append(k)
+        for members in groups.values():
+            lengths = [[p.size for p in drawn[k].factors] for k in members]
+            table = ae._sharp_table(ae._Group.laid(drawn, members, lengths))
+            assert table.shape == (len(members), max(drawn[k].psi for k in members))
+            for k, row in zip(members, table):
+                full = inputs_full(drawn[k])
+                assert row.tolist() == [sharp_full(full, p) for p in range(table.shape[1])], k
+
     def test_one_structure_and_none(self):
         inputs = special_inputs(4, 1)
         assert_same_report(ae._verify_batch(inputs)[0], full_space_report(inputs_full(inputs[0])))
@@ -979,6 +1128,77 @@ class TestStructureValidation:
         args[field] = value
         with pytest.raises(InvalidInputError):
             ae.AlphaEtaStructure(space, psi=[1], lam=[1], **args)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("factor", np.array([0.5, np.nan]), "factor {last} has non-finite probabilities"),
+            ("factor", np.array([1.5, -0.5]), "factor {last} has non-positive probabilities"),
+            ("factor", np.array([0.5, 0.25]), "factor {last} probabilities sum to np.float64(0.75), not 1"),
+            ("factor", np.array([], dtype=float), "factor {last} must be a non-empty probability vector"),
+            ("class", 0, "label np.int64(0) is not in the index list"),
+            ("class", 4, "label np.int64(4) is not in the index list"),
+            ("cell", 0, "label np.int64(0) is not in the index list"),
+            ("cell", 4, "label np.int64(4) is not in the index list"),
+        ],
+        ids=["nan factor", "negative factor", "factor sum", "empty factor",
+             "class 0", "class 4", "cell 0", "cell 4"],
+    )
+    def test_bad_suite_inputs_are_refused_by_the_constructors(self, field, value, message):
+        # _verify_batch checks no input, so the constructors alone refuse
+        # what the suite never draws
+        bad = suite_inputs(1111, 40)[25]
+        if field == "factor":
+            factors = list(bad.factors)
+            factors[-1] = value
+            size = math.prod(p.size for p in factors)
+            bad = bad._replace(
+                factors=factors, event=np.zeros(size, dtype=bool),
+                classes=[np.ones(size, dtype=int)] * len(factors),
+                cells=[np.ones(size, dtype=int)] * len(factors),
+            )
+        else:
+            name = "classes" if field == "class" else "cells"
+            arrays = [a.copy() for a in getattr(bad, name)]
+            # off the event where there is such an atom: every cell label is read
+            off = np.flatnonzero(~bad.event)
+            arrays[-1][off[0] if off.size else 0] = value
+            bad = bad._replace(**{name: arrays})
+        with pytest.raises(InvalidInputError) as error:
+            inputs_structure(bad)
+        assert str(error.value) == message.format(last=len(bad.factors) - 1)
+
+    @pytest.mark.parametrize("field", ["classes", "event", "event_partition"])
+    def test_flat_and_shaped_arrays_give_one_report(self, field):
+        rng = np.random.default_rng(17)
+        space = ae.DiscreteProductSpace([[0.2, 0.8], [0.1, 0.3, 0.6], [0.4, 0.6]])
+        psi, lam = [1, 2, 3], [1, 2]
+        args = dict(
+            classes=[rng.choice(psi, space.size) for _ in range(3)],
+            event=rng.random(space.size) < 0.6,
+            event_partition=[rng.choice(lam, space.size) for _ in range(3)],
+        )
+        flat = ae.AlphaEtaStructure(space, psi, lam, **args)
+        value = args[field]
+        args[field] = value.reshape(space.shape) if field == "event" else [a.reshape(space.shape) for a in value]
+        shaped = ae.AlphaEtaStructure(space, psi, lam, **args)
+        assert shaped.verify_alpharho() == flat.verify_alpharho()
+        assert [shaped.sharp(label) for label in psi] == [flat.sharp(label) for label in psi]
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 2), (6, 1), (2, 3, 1)])
+    @pytest.mark.parametrize("field", ["classes", "event", "event_partition"])
+    def test_wrong_shape_arrays_rejected(self, field, shape):
+        space = ae.DiscreteProductSpace([[0.5, 0.5], [0.2, 0.3, 0.5]])
+        args = dict(classes=[1, 1], event=np.ones(space.size, bool), event_partition=[1, 1])
+        if field == "event":
+            args[field] = np.ones(shape, bool)
+            message = "boolean event array has the wrong shape"
+        else:
+            args[field] = [1, np.ones(shape, int)]
+            message = "an assignment must be one label or an array of labels of shape (6,) or (2, 3)"
+        with pytest.raises(InvalidInputError) as error:
+            ae.AlphaEtaStructure(space, psi=[1], lam=[1], **args)
+        assert str(error.value) == message
 
     def test_unknown_label_rejected(self):
         space = ae.DiscreteProductSpace([[0.5, 0.5]])

@@ -113,7 +113,6 @@ class DiscreteProductSpace:
                 raise InvalidInputError(f"factor {idx} probabilities sum to {p.sum()!r}, not 1")
         self.shape = tuple(p.size for p in self.factors)
         self.size = size
-        self.budget = budget
 
     @property
     def n(self) -> int:

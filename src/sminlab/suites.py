@@ -11,10 +11,16 @@ retried matrix, the separate triple matrices of the low-value suite) is
 keyed apart from every instance stream (:func:`_derived`).  A suite run
 opens its instance streams on one Philox, re-keyed per instance
 (``samplers._Streams``), which draws what a fresh ``SeedSpec.rng()``
-draws; the matrices of ``sample_matrix`` keep their own generators.  A suite
+draws; the matrices of ``sample_matrix`` keep their own generators.  Numbers
+of one kind that an instance draws in a row (coins, label rows, normal
+vectors) come from one generator call, which draws what the calls one at a
+time drew and leaves the stream where they left it.  A suite
 first draws every instance, then verifies the instances of one shape as
-one stack (one stacked factorization, one stacked elimination; the
-alpharho suite lays the structures of one coordinate count end to end).  Every
+one stack (one stacked factorization; the alpharho suite lays the
+structures of one coordinate count end to end, and the biorthogonality
+suite eliminates the matrices of the sizes that share ``n // 4`` as one
+stack, each padded with the identity, every inverse with the bytes that
+the stack of its own size gives it).  Every
 suite collects its failures as ``(instance, message)`` pairs in whatever
 order it verifies and hands them to :func:`_result`, which records them
 in instance order, so its result is that of verifying the instances one
@@ -117,30 +123,46 @@ def _gauss_jordan(A: np.ndarray) -> np.ndarray:
     vector, that slot holds instead the inverse column of the row then at
     position ``col``, whose identity column became live at this step.  So a
     step updates ``n`` columns, not the ``2 n`` of ``[A | I]``; the columns
-    it skips would only take ``x - f * 0``.  At the end the slots are put
-    back in the order of each member's rows."""
+    it skips would only take ``x - f * 0``.  The loop records each step's
+    pivot and pivot row and tests neither.  The singular test is taken once,
+    after the last step, on the recorded pivots: a stack with a pivot below
+    1e-300 in magnitude is refused, as an elimination that stops at that
+    pivot refuses it (the steps before it are the same, and what the steps
+    after it compute is never returned).  The row order is then replayed
+    from the recorded pivot rows, and the slots are put back in the order
+    of each member's rows."""
     N, n, _ = A.shape
     aug = A.copy()
     members = np.arange(N)
-    rows = np.broadcast_to(np.arange(n), (N, n)).copy()  # the row now at each position
+    pivot_rows = np.empty((n, N), dtype=np.intp)  # one row per step
+    pivots = np.empty((n, N))
+    f = np.empty((N, n))
     update = np.empty_like(aug)
-    for col in range(n):
-        pivot = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
-        top = aug[members, pivot]
-        if (np.abs(top[:, col]) < 1e-300).any():
-            raise InvalidInputError("matrix is numerically singular")
-        aug[members, pivot] = aug[:, col]
+    # a member's tiny pivot is divided by before the test after the loop refuses it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for col in range(n):
+            pivot = pivot_rows[col]
+            np.argmax(np.abs(aug[:, col:, col]), axis=1, out=pivot)
+            pivot += col
+            top = aug[members, pivot]
+            aug[members, pivot] = aug[:, col]
+            p = pivots[col]
+            p[:] = top[:, col]
+            np.divide(top, p[:, None], out=aug[:, col])
+            f[:] = aug[:, :, col]
+            f[:, col] = 0.0
+            # the identity column of the pivot row: 1 / pivot there, 0 elsewhere
+            aug[:, :, col] = 0.0
+            np.divide(1.0, p, out=aug[:, col, col])
+            np.multiply(f[:, :, None], aug[:, None, col], out=update)
+            aug -= update
+    if (np.abs(pivots) < 1e-300).any():
+        raise InvalidInputError("matrix is numerically singular")
+    rows = np.broadcast_to(np.arange(n), (N, n)).copy()  # the row now at each position
+    for col, pivot in enumerate(pivot_rows):
         row = rows[members, pivot]
         rows[members, pivot] = rows[:, col]
         rows[:, col] = row
-        np.divide(top, top[:, col, None], out=aug[:, col])
-        f = aug[:, :, col].copy()
-        f[:, col] = 0.0
-        # the identity column of the pivot row: 1 / pivot there, 0 elsewhere
-        aug[:, :, col] = 0.0
-        np.divide(1.0, top[:, col], out=aug[:, col, col])
-        np.multiply(f[:, :, None], aug[:, None, col], out=update)
-        aug -= update
     return np.take_along_axis(aug, np.argsort(rows, axis=1)[:, None, :], axis=2)
 
 
@@ -201,6 +223,42 @@ def _redraw(kind: str, n: int, seed: int, idx: int) -> tuple:
     return None, None, None
 
 
+# Sizes n sharing n // _BAND are eliminated as one stack.  On the 360
+# accepted matrices of seed 3001 (2-vCPU Xeon, medians of 21 calls), the
+# elimination took 34-36 ms in bands of n // 4 (about the same at n // 3
+# and n // 6, 38 ms at n // 8), 45-46 ms as one stack per size and 124 ms as
+# one stack padded to the largest size.
+_BAND = 4
+
+
+def _inverses(stacks: list) -> list:
+    """The inverses that ``_gauss_jordan`` gives the stacks ``stacks``, each
+    of one size, bit for bit, the stacks of one band eliminated together.
+    Each member is padded with the identity to the band's largest size, and
+    its inverse is the leading block of the padded one.  A member's own
+    steps leave +0.0 in its padded rows and columns (the step that subtracts
+    +0.0 times the pivot row from itself turns the row's -0.0 into +0.0),
+    so the steps after them subtract only +0.0 from its block and move none
+    of its bytes."""
+    inverses = [None] * len(stacks)
+    bands = _by_shape((pos, stack.shape[1] // _BAND) for pos, stack in enumerate(stacks))
+    for _, band in sorted(bands.items(), reverse=True):  # the largest while few inverses are held
+        sizes = np.concatenate([np.full(len(stacks[pos]), stacks[pos].shape[1]) for pos in band])
+        top = int(sizes.max())
+        padded = np.zeros((len(sizes), top, top))
+        diagonal = np.arange(top)
+        padded[:, diagonal, diagonal] = diagonal >= sizes[:, None]
+        ends = np.cumsum([len(stacks[pos]) for pos in band]).tolist()
+        for pos, start, end in zip(band, [0, *ends], ends):
+            n = stacks[pos].shape[1]
+            padded[start:end, :n, :n] = stacks[pos]
+        eliminated = _gauss_jordan(padded)
+        for pos, start, end in zip(band, [0, *ends], ends):
+            n = stacks[pos].shape[1]
+            inverses[pos] = eliminated[start:end, :n, :n].copy()
+    return inverses
+
+
 def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     """Column norms of the inverse against reciprocal row distances.
 
@@ -210,42 +268,54 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
     the distance profile, both to relative error 1e-8.
     """
     failures = []
-    accepted = {}  # instance -> (kind, matrix, HS norm of its inverse)
+    accepted = {}  # instance -> (kind, HS norm of its inverse)
+    matrices = {}
     for idx, (kind, attempt, B, hs) in enumerate(_invertible_draws(instances, seed)):
         if attempt is None:
             failures.append((idx, f"instance {idx}: could not draw an invertible {kind} matrix"))
         else:
-            accepted[idx] = (kind, B, hs)
-    # the matrices of one size checked as one stack
-    for group in _by_shape((idx, B.shape[0]) for idx, (_, B, _) in accepted.items()).values():
-        stack = np.array([accepted[idx][1] for idx in group])
-        for idx, inv, distances in zip(group, _gauss_jordan(stack), linalg._row_profile(stack)):
-            kind, _, hs = accepted[idx]
-            where = f"instance {idx} (kind={kind}, n={len(inv)})"
-            products = np.linalg.norm(inv, axis=0) * distances
-            worst = float(np.max(np.abs(products - 1.0)))
+            accepted[idx] = (kind, hs)
+            matrices[idx] = B
+    # the matrices of one size checked as one stack.  A matrix is let go once
+    # stacked: the matrices, their stacks and every inverse held at once
+    # raised the peak RSS of lemma_suites runs by about 5 MB (67.7 -> 72.5)
+    groups = list(_by_shape((idx, B.shape[0]) for idx, B in matrices.items()).values())
+    stacks = [np.array([matrices.pop(idx) for idx in group]) for group in groups]
+    for group, stack, inverses in zip(groups, stacks, _inverses(stacks)):
+        distances = linalg._row_profile(stack)
+        products = np.linalg.norm(inverses, axis=1) * distances
+        worst_errors = np.max(np.abs(products - 1.0), axis=1).tolist()
+        squares = np.sum(distances**-2.0, axis=1).tolist()
+        for idx, worst, square in zip(group, worst_errors, squares):
+            kind, hs = accepted[idx]
+            where = f"instance {idx} (kind={kind}, n={stack.shape[1]})"
             if worst > 1e-8:
                 failures.append((idx, f"{where}: biorthogonality error {worst:g}"))
                 continue
-            hs_from_distances = math.sqrt(float(np.sum(distances**-2.0)))
+            hs_from_distances = math.sqrt(square)
             rel = abs(hs**2 - hs_from_distances**2) / hs**2
             if rel > 1e-8:
                 failures.append((idx, f"{where}: HS identity error {rel:g}"))
     return _result("biorthogonality", instances, failures)
 
 
+def _pivot_family(rng: np.random.Generator) -> tuple:
+    """``(r, xs, coeffs, delta, noise)`` of a pivot instance, drawn from its
+    stream ``rng``: the family is ``x1 = coeffs . xs + delta noise`` and the
+    ``r - 1`` vectors ``xs``, in ``R^r``."""
+    r = int(rng.integers(2, 7))
+    normals = rng.standard_normal((r - 1) * (r + 1))  # the vectors, then their coefficients
+    xs = normals[: (r - 1) * r].reshape(r - 1, r)
+    coeffs = normals[(r - 1) * r :] * 2.0
+    delta = 10.0 ** rng.uniform(-3, 0)
+    return r, xs, coeffs, delta, rng.standard_normal(r)
+
+
 def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
     """Construct vector families satisfying the pivot hypotheses and
     check that a valid pivot index is always produced."""
-    drawn = []
     streams = _Streams()
-    for idx in range(instances):
-        rng = streams.open(SeedSpec(seed, idx))
-        r = int(rng.integers(2, 7))
-        xs = rng.standard_normal((r - 1, r))
-        coeffs = rng.standard_normal(r - 1) * 2.0
-        delta = 10.0 ** rng.uniform(-3, 0)
-        drawn.append((r, xs, coeffs, delta, rng.standard_normal(r)))
+    drawn = [_pivot_family(streams.open(SeedSpec(seed, idx))) for idx in range(instances)]
     failures = []
     for r, group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).items():
         _, xs, coeffs, delta, noise = map(np.array, zip(*(drawn[idx] for idx in group)))
@@ -343,13 +413,13 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
 
 
 def _random_graph_with_isolated(rng: np.random.Generator, n: int, p: float, i: int):
-    edges = set()
-    for j, k in combinations(range(n), 2):
-        if i in (j, k):
-            continue
-        if rng.random() < p:
-            edges.add((j, k))
-    return combinatorics.Graph(n, frozenset(edges))
+    """Each pair of vertices other than ``i`` an edge with probability
+    ``p``, one coin per pair in lexicographic order."""
+    pairs = [(j, k) for j, k in combinations(range(n), 2) if i not in (j, k)]
+    coins = rng.random(len(pairs)).tolist()
+    # a set frozen, as the edges were always collected: the dichotomy suite
+    # draws one coin per edge in the frozen set's iteration order
+    return combinatorics.Graph(n, frozenset({pair for pair, coin in zip(pairs, coins) if coin < p}))
 
 
 def run_edge_interval_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
@@ -426,26 +496,33 @@ def run_low_value_suite(
     return _result("low-value", matrices + triple_matrices, failures)
 
 
+def _dichotomy_pair(rng: np.random.Generator) -> tuple:
+    """``(n, L, i, G, G_tilde)`` of a dichotomy instance, drawn from its
+    stream ``rng``: ``G`` keeps each edge of ``G_tilde`` with probability 0.7
+    and adds at most ``16**-L n**2`` others, ``i`` isolated in both."""
+    n = int(rng.integers(4, 13))
+    L = int(rng.integers(1, 3))
+    i = int(rng.integers(0, n))
+    G_tilde = _random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
+    allowed = int(16.0 ** (-L) * n * n)
+    coins = rng.random(len(G_tilde.edges)).tolist()  # one per edge, in iteration order
+    kept = frozenset(e for e, coin in zip(G_tilde.edges, coins) if coin > 0.3)
+    candidates = [
+        (j, k)
+        for j, k in combinations(range(n), 2)
+        if i not in (j, k) and (j, k) not in G_tilde.edges
+    ]
+    rng.shuffle(candidates)
+    extra = frozenset(tuple(e) for e in candidates[: int(rng.integers(0, allowed + 1))])
+    return n, L, i, combinatorics.Graph(n, kept | extra), G_tilde
+
+
 def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Graph pairs within the edge-difference hypothesis satisfy the dichotomy."""
     failures = []
     streams = _Streams()
     for idx in range(instances):
-        rng = streams.open(SeedSpec(seed, idx))
-        n = int(rng.integers(4, 13))
-        L = int(rng.integers(1, 3))
-        i = int(rng.integers(0, n))
-        G_tilde = _random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
-        allowed = int(16.0 ** (-L) * n * n)
-        kept = frozenset(e for e in G_tilde.edges if rng.random() > 0.3)
-        candidates = [
-            (j, k)
-            for j, k in combinations(range(n), 2)
-            if i not in (j, k) and (j, k) not in G_tilde.edges
-        ]
-        rng.shuffle(candidates)
-        extra = frozenset(tuple(e) for e in candidates[: int(rng.integers(0, allowed + 1))])
-        G = combinatorics.Graph(n, kept | extra)
+        n, L, i, G, G_tilde = _dichotomy_pair(streams.open(SeedSpec(seed, idx)))
         report = combinatorics.two_graphs_dichotomy(G, G_tilde, i, L)
         if not report.holds:
             failures.append((
@@ -468,9 +545,9 @@ def _alpharho_inputs(rng: np.random.Generator) -> alphaeta._Inputs:
     size = math.prod(p.size for p in factors)
     psi = int(rng.integers(1, 4))
     lam = int(rng.integers(1, 4))
-    classes = [rng.integers(1, psi + 1, size=size) for _ in range(n)]
+    classes = list(rng.integers(1, psi + 1, size=(n, size)))
     event = rng.random(size) < rng.uniform(0.2, 0.8)
-    cells = [rng.integers(1, lam + 1, size=size) for _ in range(n)]
+    cells = list(rng.integers(1, lam + 1, size=(n, size)))
     return alphaeta._Inputs(factors, psi, lam, classes, event, cells)
 
 

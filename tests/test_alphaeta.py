@@ -330,9 +330,13 @@ def assert_same_report(got, want):
     assert got.rhs == want.rhs and got.holds == want.holds
 
 
-# a function, not a method, so that the mutation table runs it too: a
-# hypothesis test run from two instances fails a health check
-@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+FULL_SPACE_SETTINGS = settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+
+
+# a function, not a method, so that the mutation table runs it too (on these
+# settings without shrinking): a hypothesis test run from two instances
+# fails a health check
+@FULL_SPACE_SETTINGS
 @given(structure_inputs())
 def check_verify_matches_full_space(inputs):
     struct, full = build(inputs)

@@ -1,14 +1,15 @@
 """Mutation table for the certified Monte Carlo kernel, the stacked
 trial draws, the batched alpha-eta verification, the re-keyed suite
-streams and the exact half-cover search.
+streams, the exact half-cover search and the suites' Gauss-Jordan
+elimination.
 
 Each entry names a mutant of ``linalg``, ``experiments``, ``alphaeta``,
-``samplers`` or ``combinatorics``, the way to apply it with
+``samplers``, ``combinatorics`` or ``suites``, the way to apply it with
 ``monkeypatch``, and the checks that must fail under it.  A check calls
 oracle tests of ``test_linalg``, ``test_experiments``, ``test_cli``,
-``test_alphaeta``, ``test_samplers``, ``test_combinatorics`` or
-``test_suite_draws``, which pass on the code as it is, or runs a lemma
-suite; the table fails when a mutant
+``test_alphaeta``, ``test_samplers``, ``test_combinatorics``,
+``test_suites`` or ``test_suite_draws``, which pass on the code as it is,
+or runs a lemma suite; the table fails when a mutant
 survives one of its checks, so a weakened oracle shows here as well as the
 change it should catch.  Each ``linalg`` mutant changes the certified path
 alone: the SVD that the oracles and the kernel's fallback call keeps the
@@ -21,6 +22,9 @@ it is.  The ``samplers`` mutant changes the re-keyed streams alone: their
 oracle is a fresh ``SeedSpec.rng()`` per key.  The ``combinatorics``
 mutant changes the bit-mask search: its oracle is the search that counts
 the edges of each candidate set with a sum, kept in ``test_combinatorics``.
+Each ``suites`` mutant changes ``_gauss_jordan``: its oracles are the
+earlier form of the elimination, kept in ``test_suites``, and the
+biorthogonality suite, whose row distances come from a QR factorization.
 """
 
 import inspect
@@ -30,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
 
 import sminlab.alphaeta as ae
 import sminlab.combinatorics as comb
@@ -43,6 +48,7 @@ import test_experiments as stream_oracle
 import test_linalg as oracle
 import test_samplers as rekey_oracle
 import test_suite_draws as suite_golden
+import test_suites as elimination_oracle
 from sminlab import suites
 from sminlab.errors import InvalidInputError
 
@@ -139,11 +145,33 @@ def cube_report_matches_its_golden_bytes():
 
 def verify_matches_full_space():
     """The full-space oracle on drawn structures, every one valid, so a
-    refusal fails it as a wrong report does."""
+    refusal fails it as a wrong report does.  It runs with the oracle's
+    own settings but stops at the first failing example: shrinking it
+    would only make the kill slower."""
+    own = batch_oracle.FULL_SPACE_SETTINGS
+    first_failure = settings(own, phases=[phase for phase in own.phases if phase is not Phase.shrink])
+    check = batch_oracle.check_verify_matches_full_space.hypothesis.inner_test
     try:
-        batch_oracle.check_verify_matches_full_space()
+        first_failure(given(batch_oracle.structure_inputs())(check))()
     except InvalidInputError as exc:
         raise AssertionError(f"a valid structure was refused: {exc}") from None
+
+
+def biorthogonality_suite_passes():
+    result = suites.run_biorthogonality_suite(instances=60, seed=26)
+    assert result.passed, result.messages
+
+
+def singular_member_rejected():
+    # pytest.raises reports a missing exception as pytest's Failed, not as an AssertionError
+    try:
+        elimination_oracle.test_gauss_jordan_rejects_a_singular_member_as_its_earlier_form()
+    except pytest.fail.Exception as exc:
+        raise AssertionError(str(exc)) from None
+
+
+def elimination_rewritten(old, new):
+    return lambda mp: mp.setattr(suites, "_gauss_jordan", rewritten(suites._gauss_jordan, old, new))
 
 
 def batch_rewritten(old, new):
@@ -253,6 +281,16 @@ MUTANTS = {
     "alpharho verdict without its slack": (
         batch_rewritten("holds=lhs <= rhs + 1e-9", "holds=lhs <= rhs"),
         [alpharho_suite_passes],
+    ),
+    # the inverse column of the pivot row starts at p, not 1 / p
+    "elimination's inverse slot gets the pivot": (
+        elimination_rewritten("np.divide(1.0, p, out=aug[:, col, col])", "aug[:, col, col] = p"),
+        [biorthogonality_suite_passes],
+    ),
+    # a singular member's pivots go unread: its inverse is inf and nan
+    "elimination without its singular test": (
+        elimination_rewritten("if (np.abs(pivots) < 1e-300).any():", "if False:"),
+        [singular_member_rejected],
     ),
 }
 

@@ -96,8 +96,9 @@ def _structures(digest, result, structures):
         digest.add(report.lhs.hex(), report.min_ratio_sum.hex(), report.event_probability.hex())
 
 
-def _inverses(digest, result, A):
-    digest.add(A, result)
+def _inverses(digest, result, stacks):
+    for A, inverses in zip(stacks, result):
+        digest.add(A, inverses)
 
 
 # suite -> (keyword arguments, seams)
@@ -119,7 +120,7 @@ PLAN = {
         [
             (linalg, "_stack_extremes", _matrices),
             (linalg, "_extremes", _matrices),
-            (suites, "_gauss_jordan", _inverses),
+            (suites, "_inverses", _inverses),
         ],
     ),
 }

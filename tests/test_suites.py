@@ -1,11 +1,12 @@
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sminlab import combinatorics, linalg, suites
+from sminlab import alphaeta, combinatorics, linalg, suites
 from sminlab.errors import InvalidInputError
 from sminlab.samplers import KINDS, RowDistribution, SeedSpec
 
@@ -149,6 +150,15 @@ def test_gauss_jordan_rejects_a_singular_member_as_its_earlier_form():
         assert errors[0] == errors[1] == (InvalidInputError, "matrix is numerically singular")
 
 
+def test_a_singular_member_is_refused_without_warnings():
+    # the loop divides by a tiny or zero pivot before the singular test refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for B in ([[1e-310]], [[1e-305, 0.0], [0.0, 1.0]], np.ones((3, 3)), [[0.0, 1.0], [0.0, 2.0]]):
+            with pytest.raises(InvalidInputError, match="singular"):
+                suites.invert_by_elimination(np.array(B))
+
+
 def signed_zero_stack(rng, n):
     """Small integer matrices, most entries zero and many pivots negative, so
     that the elimination meets exact zeros and makes negative ones."""
@@ -168,6 +178,58 @@ def test_gauss_jordan_equals_its_earlier_form_to_the_byte():
         assert suites._gauss_jordan(stack).tobytes() == want.tobytes()
         compared += 1
     assert compared > 150
+
+
+def band_members(rng, n):
+    """Members of size ``n`` for a band: accepted signed-zero members, then
+    a graded one and two at extreme scales."""
+    candidates = signed_zero_stack(rng, n)
+    members = []
+    for B in candidates:
+        try:
+            suites._gauss_jordan(B[None])
+        except InvalidInputError:
+            continue
+        members.append(B)
+    members += [
+        rng.standard_normal((n, n)) * np.logspace(-6, 6, n)[:, None],
+        2.0**600 * rng.standard_normal((n, n)),
+        1e-200 * rng.standard_normal((n, n)),
+    ]
+    return np.array(members)
+
+
+def test_banded_inverses_equal_per_size_stacks_to_the_byte():
+    # a member padded to its band's largest size keeps the bytes that the
+    # stack of its own size gives it; the sparse integer members meet exact
+    # zeros of both signs
+    rng = np.random.default_rng(3030)
+    signed_zero_members = shared_bands = 0
+    for _ in range(300):
+        sizes = rng.choice(np.arange(2, 14), size=int(rng.integers(1, 7)), replace=False).tolist()
+        stacks = [band_members(rng, n) for n in sizes]
+        got = suites._inverses(stacks)
+        for stack, inverses in zip(stacks, got):
+            want = suites._gauss_jordan(stack)
+            assert inverses.dtype == want.dtype and inverses.shape == want.shape
+            assert inverses.tobytes() == want.tobytes()
+            signed_zero_members += len(stack) - 3
+        bands = Counter(n // suites._BAND for n in sizes)
+        shared_bands += sum(count > 1 for count in bands.values())
+    assert signed_zero_members > 2000 and shared_bands > 200
+
+
+def test_a_band_with_a_singular_member_is_refused_as_its_stack():
+    rng = np.random.default_rng(31)
+    for sizes in ([5, 7, 4], [2, 3], [13, 12], [9]):
+        stacks = [rng.standard_normal((4, n, n)) for n in sizes]
+        stacks[-1][2, :, 1] = 0.0  # a zero column stays zero under row operations
+        errors = []
+        for eliminate in (lambda: suites._gauss_jordan(stacks[-1]), lambda: suites._inverses(stacks)):
+            with pytest.raises(InvalidInputError) as raised:
+                eliminate()
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1] == (InvalidInputError, "matrix is numerically singular")
 
 
 def test_quantiles_equal_numpy_row_by_row():
@@ -238,6 +300,109 @@ def test_stacked_draws_equal_the_per_draw_loop_when_draws_fail(monkeypatch):
     got = suites._invertible_draws(40, 23)
     assert_same_draws(got, per_draw_invertible(40, 23))
     assert sum(attempt is None for _, attempt, _, _ in got) == 13
+
+
+# -- the instance draws as they were taken, one generator call per coin,
+# row or vector family: the oracles of the merged calls ------------------
+
+
+def per_coin_graph(rng, n, p, i):
+    edges = set()
+    for j, k in combinations(range(n), 2):
+        if i in (j, k):
+            continue
+        if rng.random() < p:
+            edges.add((j, k))
+    return combinatorics.Graph(n, frozenset(edges))
+
+
+def graph_draw(make):
+    """A draw of ``make(rng, n, p, i)`` with the edge-interval suite's ``n``,
+    ``i`` and ``p``."""
+    def draw(rng):
+        n = int(rng.integers(4, 13))
+        i = int(rng.integers(0, n))
+        return make(rng, n, rng.uniform(0.1, 0.6), i)
+
+    return draw
+
+
+def per_call_dichotomy_pair(rng):
+    n = int(rng.integers(4, 13))
+    L = int(rng.integers(1, 3))
+    i = int(rng.integers(0, n))
+    G_tilde = per_coin_graph(rng, n, rng.uniform(0.1, 0.6), i)
+    allowed = int(16.0 ** (-L) * n * n)
+    kept = frozenset(e for e in G_tilde.edges if rng.random() > 0.3)
+    candidates = [
+        (j, k)
+        for j, k in combinations(range(n), 2)
+        if i not in (j, k) and (j, k) not in G_tilde.edges
+    ]
+    rng.shuffle(candidates)
+    extra = frozenset(tuple(e) for e in candidates[: int(rng.integers(0, allowed + 1))])
+    return n, L, i, combinatorics.Graph(n, kept | extra), G_tilde
+
+
+def per_row_alpharho_inputs(rng):
+    n = int(rng.integers(1, 5))
+    factors = []
+    for _ in range(n):
+        m = int(rng.integers(1, 6))
+        raw = rng.random(m) + 0.05
+        factors.append(raw / raw.sum())
+    size = math.prod(p.size for p in factors)
+    psi = int(rng.integers(1, 4))
+    lam = int(rng.integers(1, 4))
+    classes = [rng.integers(1, psi + 1, size=size) for _ in range(n)]
+    event = rng.random(size) < rng.uniform(0.2, 0.8)
+    cells = [rng.integers(1, lam + 1, size=size) for _ in range(n)]
+    return alphaeta._Inputs(factors, psi, lam, classes, event, cells)
+
+
+def per_call_pivot_family(rng):
+    r = int(rng.integers(2, 7))
+    xs = rng.standard_normal((r - 1, r))
+    coeffs = rng.standard_normal(r - 1) * 2.0
+    delta = 10.0 ** rng.uniform(-3, 0)
+    return r, xs, coeffs, delta, rng.standard_normal(r)
+
+
+def assert_same_draw(got, want):
+    """Arrays equal with their dtype and shape, graphs by vertex count and
+    edge set, sequences item by item, everything else by ``==``."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+    elif isinstance(want, combinatorics.Graph):
+        assert (got.n, got.edges) == (want.n, want.edges)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for item, item0 in zip(got, want):
+            assert_same_draw(item, item0)
+    else:
+        assert got == want
+
+
+# form -> (the suite's draw, its per-call oracle), each drawing one instance
+DRAW_FORMS = {
+    "edge coins": (graph_draw(suites._random_graph_with_isolated), graph_draw(per_coin_graph)),
+    "kept-edge coins": (suites._dichotomy_pair, per_call_dichotomy_pair),
+    "alpharho label rows": (suites._alpharho_inputs, per_row_alpharho_inputs),
+    "pivot vectors and coefficients": (suites._pivot_family, per_call_pivot_family),
+}
+
+
+@pytest.mark.parametrize("form", sorted(DRAW_FORMS))
+def test_merged_draws_equal_their_per_call_forms(form):
+    draw, per_call = DRAW_FORMS[form]
+    for idx in range(2000):
+        rng, rng0 = SeedSpec(7, idx).rng(), SeedSpec(7, idx).rng()
+        assert_same_draw(draw(rng), per_call(rng0))
+        # the merged call leaves the stream where the separate calls left it:
+        # the next 32-bit draw reads any half word they left buffered
+        assert rng.integers(0, 2**32) == rng0.integers(0, 2**32)
+        assert rng.random() == rng0.random()
 
 
 # -- the suites as they ran one instance at a time, through the public

@@ -13,7 +13,8 @@ finishes one, while the caller only waits.
 The kernels take their trials in stacks: a contiguous range of trial
 indices whose matrices form one ``(c, n, n)`` array.  Each trial still
 draws from its own stream, straight into its member of the stack through
-``sample_matrix(..., out=)``, and the shift is then added in place, so a
+``sample_matrix(..., out=)``, which opens the stream on the thread's one
+re-keyed Philox, and the shift is then added in place, so a
 member holds the bits of ``sample_matrix(...) + shift``.  The gaussian,
 uniform_entry and ball_uniform laws draw in place; bernoulli writes twice
 its integer draws, a fresh integer array, into the member, and
@@ -431,7 +432,9 @@ def _sample_stack(
 ) -> np.ndarray:
     """The matrices ``A + shift_matrix`` of ``trials`` as one ``(len(trials),
     n, n)`` stack, ``A`` drawn from the trial's own ``SeedSpec(master_seed,
-    idx)`` stream into its member, to which the shift is added in place."""
+    idx)`` stream into its member, to which the shift is added in place.
+    ``sample_matrix`` opens each stream by re-keying the calling thread's
+    one Philox, so the trials of a helper thread build no generator."""
     n = shift_matrix.shape[0]
     X = np.empty((len(trials), n, n))
     for j, idx in enumerate(trials):

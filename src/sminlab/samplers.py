@@ -5,6 +5,11 @@ covariance), except the Bernoulli kind whose entries are fair +/-1
 signs.  Sampling is keyed by a counter-based Philox generator so that
 the matrix for a given ``(master_seed, trial_index)`` pair is a pure
 function of those two integers, independent of thread scheduling.
+A Philox stream is its key and nothing else (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011), so a run of streams
+re-keys one generator (``_Streams``) instead of building one per stream,
+and each stream still draws what ``Generator(Philox(key=[master_seed,
+trial_index]))`` draws.
 
 One-dimensional marginal density bounds, where they exist in closed
 form:
@@ -22,6 +27,7 @@ object.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +112,18 @@ class SeedSpec:
 class _Streams:
     """Many streams read one after another on one generator.
 
-    :meth:`open` re-keys a single Philox to the key of a :class:`SeedSpec`,
-    with counter 0 and empty buffers (``buffer_pos`` 4, ``has_uint32`` and
-    ``uinteger`` 0), which is the state ``spec.rng()`` starts in; so it
-    draws what ``spec.rng()`` draws, at about a third of the cost of
-    building a generator.  Each :meth:`open` ends the stream opened before
-    it.  A caller makes one for a run of streams, so importing this module
+    :meth:`open` re-keys a single Philox to the key ``[master_seed,
+    trial_index]``, with counter 0 and empty buffers (``buffer_pos`` 4,
+    ``has_uint32`` and ``uinteger`` 0), which is the state
+    ``SeedSpec(master_seed, trial_index).rng()`` starts in; so it draws what
+    ``Generator(Philox(key=[master_seed, trial_index]))`` draws, at about a
+    tenth of the cost of building that generator.  The state it writes holds
+    Python lists, which the Philox reads a word at a time faster than numpy
+    arrays.  Each key word is an integer in ``[0, 2**64)``, which ``open``
+    does not check: the Philox refuses a negative or wider one, and callers
+    check their seed once, with :class:`SeedSpec`.  Each :meth:`open` ends
+    the stream opened before it.  A caller makes one for a run of streams,
+    and :func:`sample_matrix` keeps one per thread, so importing this module
     still loads no ``numpy.random``.
     """
 
@@ -120,21 +132,33 @@ class _Streams:
     def __init__(self):
         self._generator = SeedSpec(0).rng()
         self._bit_generator = self._generator.bit_generator
-        self._key = np.zeros(2, dtype=np.uint64)
+        self._key = [0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def open(self, spec: SeedSpec) -> np.random.Generator:
-        self._key[0] = spec.master_seed
-        self._key[1] = spec.trial_index
+    def open(self, master_seed: int, trial_index: int) -> np.random.Generator:
+        self._key[0] = master_seed
+        self._key[1] = trial_index
         self._bit_generator.state = self._state
         return self._generator
+
+
+# Each thread's _Streams for sample_matrix, made by the thread's first draw.
+_threads = threading.local()
+
+
+def _thread_streams() -> _Streams:
+    try:
+        return _threads.streams
+    except AttributeError:
+        _threads.streams = _Streams()
+        return _threads.streams
 
 
 @dataclass(frozen=True)
@@ -176,7 +200,10 @@ def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec, out: np.ndarray
     The matrix is written into ``out``, a C-ordered float64 ``(n, n)``
     array such as one member of a stack, when it is given, and into a new
     array otherwise; either way it has the same bits and is returned.
-    Each law writes its draws in place where the generator can.
+    Each law writes its draws in place where the generator can.  The
+    stream of ``seed`` is opened on the calling thread's own
+    :class:`_Streams`, so it draws what ``seed.rng()`` draws without
+    building a generator.
     """
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
@@ -184,7 +211,7 @@ def sample_matrix(dist: RowDistribution, n: int, seed: SeedSpec, out: np.ndarray
         out = np.empty((n, n))
     elif out.shape != (n, n):
         raise InvalidInputError(f"out has shape {out.shape}, expected {(n, n)}")
-    rng = seed.rng()
+    rng = _thread_streams().open(seed.master_seed, seed.trial_index)
     if dist.kind == "gaussian":
         rng.standard_normal(out=out)
     elif dist.kind == "bernoulli":

@@ -9,13 +9,16 @@ from ``(seed, instance_index)``.  Instance ``idx`` reads the stream
 ``SeedSpec(seed, idx)``; a stream an instance draws beyond its own (a
 retried matrix, the separate triple matrices of the low-value suite) is
 keyed apart from every instance stream (:func:`_derived`).  A suite run
-opens its instance streams on one Philox, re-keyed per instance
-(``samplers._Streams``), which draws what a fresh ``SeedSpec.rng()``
-draws; the matrices of ``sample_matrix`` keep their own generators.  Numbers
-of one kind that an instance draws in a row (coins, label rows, normal
-vectors) come from one generator call, which draws what the calls one at a
-time drew and leaves the stream where they left it.  A suite
-first draws every instance, then verifies the instances of one shape as
+opens each stream by its two key words, ``(seed, trial index)``, on one
+Philox re-keyed per stream (``samplers._Streams``), which draws what a
+fresh ``SeedSpec.rng()`` draws; ``sample_matrix`` opens its streams the
+same way, on the calling thread's own Philox.  Numbers of one kind that an
+instance draws in a row (coins, label rows, normal vectors) come from one
+generator call, which draws what the calls one at a time drew and leaves
+the stream where they left it.  A suite first draws every instance, the
+pivot and q-sets suites straight into the stack of the instance's shape
+(the biorthogonality suite draws every size first, then the first matrices
+of one size into their stack), then verifies the instances of one shape as
 one stack (one stacked factorization; the alpharho suite lays the
 structures of one coordinate count end to end, and the biorthogonality
 suite eliminates the matrices of the sizes that share ``n // 4`` as one
@@ -94,14 +97,48 @@ def _result(name: str, instances: int, failures) -> SuiteResult:
     return result
 
 
-def _derived(seed: int, idx: int, attempt: int = 0) -> SeedSpec:
-    """Stream ``attempt`` (below 256) of instance ``idx`` (below 2**55),
-    apart from every instance stream: the top bit of its 64-bit trial
-    index is set, and no instance index of a run of fewer than 2**55
-    instances reaches it."""
+def _derived(idx: int, attempt: int = 0) -> int:
+    """The trial index of stream ``attempt`` (below 256) of instance ``idx``
+    (below 2**55), apart from every instance stream: its top bit is set, and
+    no instance index of a run of fewer than 2**55 instances reaches it."""
     if not (0 <= idx < 2**55 and 0 <= attempt < 256):
         raise InvalidInputError(f"derived stream ({idx}, {attempt}) outside [0, 2**55) x [0, 256)")
-    return SeedSpec(seed, 1 << 63 | idx << 8 | attempt)
+    return 1 << 63 | idx << 8 | attempt
+
+
+def _streams(seed: int) -> _Streams:
+    """The generator of a run's streams, once ``seed`` is checked as a
+    :class:`SeedSpec` checks it."""
+    SeedSpec(seed)
+    return _Streams()
+
+
+class _ShapeStacks:
+    """The draws of a run's instances, written straight into one stack per
+    shape.
+
+    :meth:`row` hands instance ``idx`` the next row of the stack of its
+    shape; the stacks keep the order in which their shapes first appear
+    (``members``), and each stack the order of its instances.  A stack is
+    allocated, uninitialized, for as many rows as the run has instances, so
+    that no draw is copied into it later; the pages of the rows never handed
+    out are never touched, so they hold no resident memory."""
+
+    def __init__(self, capacity: int):
+        self._capacity = capacity
+        self._stacks: dict = {}
+        self.members: dict = {}  # shape -> instance indices, in row order
+
+    def row(self, shape: tuple, idx: int) -> np.ndarray:
+        members = self.members.get(shape)
+        if members is None:
+            members = self.members[shape] = []
+            self._stacks[shape] = np.empty((self._capacity, *shape))
+        members.append(idx)
+        return self._stacks[shape][len(members) - 1]
+
+    def stack(self, shape: tuple) -> np.ndarray:
+        return self._stacks[shape][: len(self.members[shape])]
 
 
 def _by_shape(keyed) -> dict:
@@ -187,40 +224,50 @@ def _conditioned(s_min: float, s_max: float) -> bool:
     return s_min > 1e-6 * s_max
 
 
-def _invertible_draws(instances: int, seed: int) -> list:
-    """``(kind, attempt, matrix, hs)`` of every biorthogonality instance
-    ``idx``: the first of its draws ``_derived(seed, idx, attempt)``, with
-    ``attempt`` below ``_ATTEMPTS``, that is well conditioned, and the HS
-    norm of that matrix's inverse; ``(kind, None, None, None)`` when none
-    is.  Attempt 0 of the instances of one size is checked as one stack,
-    a retry one draw at a time."""
+def _invertible_draws(instances: int, seed: int) -> tuple[list, list]:
+    """The well-conditioned biorthogonality draws, as stacks of one size, and
+    the instances that have none.  Instance ``idx`` draws its size from its
+    own stream and its matrix from ``_derived(idx, attempt)``, taking the
+    first ``attempt`` below ``_ATTEMPTS`` whose draw is well conditioned.
+    Attempt 0 of the instances of one size is drawn straight into their
+    stack and checked as one stack, a retry one draw at a time, into the
+    retried instance's row.  A stack is ``(group, stack, hs)``: its
+    instances, their matrices and the HS norms of their inverses; the stacks
+    come in the order of their first instances."""
     kinds = [KINDS[idx % len(KINDS)] for idx in range(instances)]
-    streams = _Streams()
-    first = [
-        sample_matrix(RowDistribution(kind), int(streams.open(SeedSpec(seed, idx)).integers(2, 51)),
-                      _derived(seed, idx))
-        for idx, kind in enumerate(kinds)
-    ]
-    draws = [None] * instances
-    for group in _by_shape((idx, B.shape[0]) for idx, B in enumerate(first)).values():
-        extremes = linalg._stack_extremes(np.array([first[idx] for idx in group]))
-        for idx, s_min, s_max, hs in zip(group, *(a.tolist() for a in extremes)):
-            if _conditioned(s_min, s_max):
-                draws[idx] = (kinds[idx], 0, first[idx], hs)
-            else:
-                draws[idx] = (kinds[idx], *_redraw(kinds[idx], len(first[idx]), seed, idx))
-    return draws
+    streams = _streams(seed)
+    sizes = [(idx, int(streams.open(seed, idx).integers(2, 51))) for idx in range(instances)]
+    stacks, failed = [], []
+    for n, group in _by_shape(sizes).items():
+        stack = np.empty((len(group), n, n))
+        for idx, B in zip(group, stack):
+            sample_matrix(RowDistribution(kinds[idx]), n, SeedSpec(seed, _derived(idx)), out=B)
+        kept, norms = [], []
+        extremes = linalg._stack_extremes(stack)
+        for row, (idx, s_min, s_max, hs) in enumerate(zip(group, *(a.tolist() for a in extremes))):
+            if not _conditioned(s_min, s_max):
+                hs = _redraw(kinds[idx], seed, idx, stack[row])
+                if hs is None:
+                    failed.append(idx)
+                    continue
+            kept.append(row)
+            norms.append(hs)
+        if kept:
+            members = [group[row] for row in kept]
+            stacks.append((members, stack if len(kept) == len(group) else stack[kept], norms))
+    stacks.sort(key=lambda item: item[0][0])
+    return stacks, failed
 
 
-def _redraw(kind: str, n: int, seed: int, idx: int) -> tuple:
-    """``(attempt, matrix, hs)`` of the first well-conditioned retry of
-    instance ``idx``, ``(None, None, None)`` when every retry fails."""
+def _redraw(kind: str, seed: int, idx: int, out: np.ndarray) -> float | None:
+    """The HS norm of the inverse of the first well-conditioned retry of
+    instance ``idx``, drawn into ``out``; ``None`` when every retry fails."""
     for attempt in range(1, _ATTEMPTS):
-        B = sample_matrix(RowDistribution(kind), n, _derived(seed, idx, attempt))
+        B = sample_matrix(RowDistribution(kind), len(out), SeedSpec(seed, _derived(idx, attempt)), out=out)
         s_min, s_max, hs = linalg._extremes(B)
         if _conditioned(s_min, s_max):
-            return attempt, B, hs
-    return None, None, None
+            return hs
+    return None
 
 
 # Sizes n sharing n // _BAND are eliminated as one stack.  On the 360
@@ -267,28 +314,19 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
     ``i`` and the induced identity between the inverse's HS norm and
     the distance profile, both to relative error 1e-8.
     """
-    failures = []
-    accepted = {}  # instance -> (kind, HS norm of its inverse)
-    matrices = {}
-    for idx, (kind, attempt, B, hs) in enumerate(_invertible_draws(instances, seed)):
-        if attempt is None:
-            failures.append((idx, f"instance {idx}: could not draw an invertible {kind} matrix"))
-        else:
-            accepted[idx] = (kind, hs)
-            matrices[idx] = B
-    # the matrices of one size checked as one stack.  A matrix is let go once
-    # stacked: the matrices, their stacks and every inverse held at once
-    # raised the peak RSS of lemma_suites runs by about 5 MB (67.7 -> 72.5)
-    groups = list(_by_shape((idx, B.shape[0]) for idx, B in matrices.items()).values())
-    stacks = [np.array([matrices.pop(idx) for idx in group]) for group in groups]
-    for group, stack, inverses in zip(groups, stacks, _inverses(stacks)):
+    stacks, failed = _invertible_draws(instances, seed)
+    failures = [
+        (idx, f"instance {idx}: could not draw an invertible {KINDS[idx % len(KINDS)]} matrix")
+        for idx in failed
+    ]
+    inverses = _inverses([stack for _, stack, _ in stacks])
+    for (group, stack, norms), inverse in zip(stacks, inverses):
         distances = linalg._row_profile(stack)
-        products = np.linalg.norm(inverses, axis=1) * distances
+        products = np.linalg.norm(inverse, axis=1) * distances
         worst_errors = np.max(np.abs(products - 1.0), axis=1).tolist()
         squares = np.sum(distances**-2.0, axis=1).tolist()
-        for idx, worst, square in zip(group, worst_errors, squares):
-            kind, hs = accepted[idx]
-            where = f"instance {idx} (kind={kind}, n={stack.shape[1]})"
+        for idx, hs, worst, square in zip(group, norms, worst_errors, squares):
+            where = f"instance {idx} (kind={KINDS[idx % len(KINDS)]}, n={stack.shape[1]})"
             if worst > 1e-8:
                 failures.append((idx, f"{where}: biorthogonality error {worst:g}"))
                 continue
@@ -299,26 +337,33 @@ def run_biorthogonality_suite(instances: int = 1000, seed: int = 0) -> SuiteResu
     return _result("biorthogonality", instances, failures)
 
 
-def _pivot_family(rng: np.random.Generator) -> tuple:
-    """``(r, xs, coeffs, delta, noise)`` of a pivot instance, drawn from its
-    stream ``rng``: the family is ``x1 = coeffs . xs + delta noise`` and the
-    ``r - 1`` vectors ``xs``, in ``R^r``."""
+def _pivot_family(rng: np.random.Generator, stacks: _ShapeStacks, idx: int) -> None:
+    """Draw the family of pivot instance ``idx`` from its stream ``rng`` into
+    its row of ``stacks``, of shape ``(r + 1, r)``: the ``r - 1`` vectors
+    ``xs`` in ``R^r``, then the normals whose doubles are their coefficients
+    ``coeffs``, and ``delta``, then the noise.  The family is the vectors
+    ``xs`` and ``x1 = coeffs . xs + delta noise``."""
     r = int(rng.integers(2, 7))
-    normals = rng.standard_normal((r - 1) * (r + 1))  # the vectors, then their coefficients
-    xs = normals[: (r - 1) * r].reshape(r - 1, r)
-    coeffs = normals[(r - 1) * r :] * 2.0
-    delta = 10.0 ** rng.uniform(-3, 0)
-    return r, xs, coeffs, delta, rng.standard_normal(r)
+    family = stacks.row((r + 1, r), idx).reshape(-1)
+    rng.standard_normal(out=family[: r * r - 1])  # the vectors, then their coefficients
+    family[r * r - 1] = 10.0 ** rng.uniform(-3, 0)
+    rng.standard_normal(out=family[r * r :])
 
 
 def run_pivot_suite(instances: int = 10_000, seed: int = 0) -> SuiteResult:
     """Construct vector families satisfying the pivot hypotheses and
     check that a valid pivot index is always produced."""
-    streams = _Streams()
-    drawn = [_pivot_family(streams.open(SeedSpec(seed, idx))) for idx in range(instances)]
+    streams = _streams(seed)
+    stacks = _ShapeStacks(instances)
+    for idx in range(instances):
+        _pivot_family(streams.open(seed, idx), stacks, idx)
     failures = []
-    for r, group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).items():
-        _, xs, coeffs, delta, noise = map(np.array, zip(*(drawn[idx] for idx in group)))
+    for shape, group in stacks.members.items():
+        r = shape[1]
+        families = stacks.stack(shape)
+        xs, noise = families[:, : r - 1], families[:, r]
+        coeffs = families[:, r - 1, : r - 1] * 2.0
+        delta = families[:, r - 1, r - 1]
         x1 = 0
         for j in range(r - 1):
             x1 = x1 + coeffs[:, j, None] * xs[:, j]
@@ -371,40 +416,42 @@ def run_q_sets_suite(instances: int = 1000, seed: int = 0) -> SuiteResult:
     ``|Q1 union Q2| >= |I| * C(ceil(n/2), r-1)``.
     """
     drawn = []
-    streams = _Streams()
+    streams = _streams(seed)
+    stacks = _ShapeStacks(instances)
     for idx in range(instances):
-        rng = streams.open(SeedSpec(seed, idx))
+        rng = streams.open(seed, idx)
         n = int(rng.integers(4, 11))
         r = int(rng.integers(2, 4))
-        B = rng.standard_normal((n, n))
+        rng.standard_normal(out=stacks.row((n, n), idx))
         i_count = int(rng.integers(1, n - (n + 1) // 2 + 1))
-        drawn.append((n, r, B, i_count, rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)))
-    # (I, tau, a, b) of each instance whose profile has a < b: I holds the
-    # rows of the i_count smallest distances, the largest of them a, and b
-    # is the smallest of the ceil(n/2) largest; kept in instance order
+        drawn.append((n, r, i_count, rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0)))
+    # (row, I, tau, a, b) of each instance whose profile has a < b: its row
+    # in the stack of its n, I the rows of the i_count smallest distances,
+    # the largest of them a, and b the smallest of the ceil(n/2) largest;
+    # kept in instance order
     found = [None] * instances
-    for n, group in _by_shape((idx, item[0]) for idx, item in enumerate(drawn)).items():
-        d = linalg._row_profile(np.array([drawn[idx][2] for idx in group]))
+    for (n, _), group in stacks.members.items():
+        d = linalg._row_profile(stacks.stack((n, n)))
         order = np.argsort(d, axis=1)
         ordered = np.take_along_axis(d, order, axis=1)
-        taus = _quantiles(ordered, np.array([drawn[idx][4] for idx in group])).tolist()
+        taus = _quantiles(ordered, np.array([drawn[idx][3] for idx in group])).tolist()
         for row, (idx, b) in enumerate(zip(group, ordered[:, n - (n + 1) // 2].tolist())):
-            _, _, _, i_count, _, factor = drawn[idx]
+            _, _, i_count, _, factor = drawn[idx]
             a = float(ordered[row, i_count - 1])
             if a < b:
-                found[idx] = (order[row, :i_count], taus[row] * factor, a, b)
+                found[idx] = (row, order[row, :i_count], taus[row] * factor, a, b)
     qualifying = {idx: item for idx, item in enumerate(found) if item is not None}
     failures = []
     for (n, r), group in _by_shape((idx, drawn[idx][:2]) for idx in qualifying).items():
         sets = np.array(list(combinations(range(n), r)))
         in_I = np.zeros((len(group), n), dtype=bool)
         for row, idx in enumerate(group):
-            in_I[row, qualifying[idx][0]] = True
-        tau, a, b = (np.array([qualifying[idx][j] for idx in group]) for j in (1, 2, 3))
-        stack = np.array([drawn[idx][2] for idx in group])
+            in_I[row, qualifying[idx][1]] = True
+        rows, tau, a, b = (np.array([qualifying[idx][j] for idx in group]) for j in (0, 2, 3, 4))
+        stack = stacks.stack((n, n))[rows]
         q1, q2 = combinatorics._q_masks(stack, sets, in_I[:, sets], tau, tau * b / (2.0 * a * r))
         for idx, union in zip(group, (q1 | q2).sum(axis=1).tolist()):
-            lower = drawn[idx][3] * math.comb((n + 1) // 2, r - 1)
+            lower = drawn[idx][2] * math.comb((n + 1) // 2, r - 1)
             if union < lower:
                 failures.append(
                     (idx, f"instance {idx}: |Q1 u Q2| = {union} < {lower} (n={n}, r={r})")
@@ -426,9 +473,9 @@ def run_edge_interval_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Two-sided halving bounds along exact decompositions, all (k, l)."""
     failures = []
     depth = 8
-    streams = _Streams()
+    streams = _streams(seed)
     for idx in range(instances):
-        rng = streams.open(SeedSpec(seed, idx))
+        rng = streams.open(seed, idx)
         n = int(rng.integers(4, 13))
         i = int(rng.integers(0, n))
         G = _random_graph_with_isolated(rng, n, rng.uniform(0.1, 0.6), i)
@@ -463,9 +510,9 @@ def run_low_value_suite(
         )
     failures = []
     drawn = []
-    streams = _Streams()
+    streams = _streams(seed)
     for idx in range(matrices):
-        rng = streams.open(SeedSpec(seed, idx))
+        rng = streams.open(seed, idx)
         n = int(rng.integers(4, 13))
         drawn.append(rng.standard_normal((n, n)))
     for idx, graphs in enumerate(_graphs_by_size(drawn)):
@@ -481,7 +528,7 @@ def run_low_value_suite(
                     )
     triples = []
     for idx in range(triple_matrices):
-        rng = streams.open(_derived(seed, idx))
+        rng = streams.open(seed, _derived(idx))
         n = int(rng.integers(4, 10))
         triples.append(rng.standard_normal((n, n)))
     for idx, graphs in enumerate(_graphs_by_size(triples)):
@@ -520,9 +567,9 @@ def _dichotomy_pair(rng: np.random.Generator) -> tuple:
 def run_dichotomy_suite(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Graph pairs within the edge-difference hypothesis satisfy the dichotomy."""
     failures = []
-    streams = _Streams()
+    streams = _streams(seed)
     for idx in range(instances):
-        n, L, i, G, G_tilde = _dichotomy_pair(streams.open(SeedSpec(seed, idx)))
+        n, L, i, G, G_tilde = _dichotomy_pair(streams.open(seed, idx))
         report = combinatorics.two_graphs_dichotomy(G, G_tilde, i, L)
         if not report.holds:
             failures.append((
@@ -558,8 +605,8 @@ def run_alpharho_suite(instances: int = 500, seed: int = 0) -> SuiteResult:
     batch (``alphaeta._verify_batch``), on the kernel that ``verify_alpharho``
     runs on a single structure, so each gets the report of its own
     ``verify_alpharho``, bit for bit."""
-    streams = _Streams()
-    drawn = [_alpharho_inputs(streams.open(SeedSpec(seed, idx))) for idx in range(instances)]
+    streams = _streams(seed)
+    drawn = [_alpharho_inputs(streams.open(seed, idx)) for idx in range(instances)]
     failures = [
         (idx, f"instance {idx}: lhs {report.lhs:g} exceeds rhs {report.rhs:g} (n={len(inputs.factors)})")
         for idx, (inputs, report) in enumerate(zip(drawn, alphaeta._verify_batch(drawn)))
@@ -584,7 +631,6 @@ def run_suite(name: str, instances: int | None = None, seed: int = 0) -> SuiteRe
     if name not in SUITES:
         raise InvalidInputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     runner = SUITES[name]
-    SeedSpec(seed)  # rejects a seed outside [0, 2**64) before any instance
     if instances is None:
         return runner(seed=seed)
     with decoding("instances"):

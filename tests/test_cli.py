@@ -420,6 +420,36 @@ def test_profile_csv_matches_its_golden_bytes(tmp_path, capsys, case):
         assert out.read_bytes() == fh.read()
 
 
+# The criterion-02 and both criterion-12 CSVs again, each written by the
+# console command in a fresh process under SMINLAB_THREADS=1: one helper
+# thread draws every trial, on the one generator it re-keys per trial
+ONE_WORKER = {
+    "tail_gaussian_n200_smin_seed22.csv": ["tail", "--trials", "200",
+                                           *GOLDEN_TAILS["tail_gaussian_n200_smin_seed22.csv"]],
+    "profile_gaussian_n100_k8_grid_seed12.csv": GOLDEN_PROFILES["grid"][0],
+    "profile_gaussian_n100_k8_a0.7_seed12.csv": GOLDEN_PROFILES["a"][0],
+}
+
+
+def test_one_worker_csvs_match_their_golden_bytes(tmp_path):
+    script = (
+        "import sys\n"
+        "from sminlab import cli, experiments\n"
+        "assert experiments.resolve_workers() == 1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sminlab.__file__))
+    env = dict(os.environ, SMINLAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, argv in ONE_WORKER.items():
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+            assert out.read_bytes() == fh.read(), name
+
+
 # The alpharho suite's report at 500 instances, seed 1111, written before
 # the suite verified its structures as one batch
 GOLDEN_ALPHARHO = "lemma_alpharho_500_seed1111.json"

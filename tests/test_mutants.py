@@ -257,16 +257,20 @@ MUTANTS = {
         [cube_report_matches_its_golden_bytes, verify_matches_full_space],
     ),
     # the first bounded integer of every stream after the first would read
-    # the half word the stream before it left
+    # the half word the stream before it left; the mutant writes a copy of the
+    # state, so the generator that sample_matrix keeps per thread draws
+    # truly again once the mutant is gone
     "re-key that keeps has_uint32 from the stream before": (
         lambda mp: mp.setattr(smp._Streams, "open", rewritten(
             smp._Streams.open,
             "self._bit_generator.state = self._state",
             "before = self._bit_generator.state; "
-            "self._state['has_uint32'] = before['has_uint32']; "
-            "self._state['uinteger'] = before['uinteger']; "
-            "self._bit_generator.state = self._state")),
+            "self._bit_generator.state = dict(self._state, has_uint32=before['has_uint32'], "
+            "uinteger=before['uinteger'])")),
         [rekey_oracle.check_reopened_streams_draw_what_fresh_ones_draw,
+         lambda: rekey_oracle.check_reopened_streams_draw_what_fresh_ones_draw(
+             rekey_oracle.REOPENED["reopened after a buffered half word"]),
+         rekey_oracle.test_a_helper_threads_matrix_stream_draws_what_a_fresh_generator_draws,
          suite_golden.test_every_suite_draws_what_the_golden_file_holds],
     ),
     # a set covering exactly half the edges is passed over for a larger one

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sminlab
+from sminlab import samplers
 from sminlab.errors import InvalidInputError
 from sminlab.samplers import (
     KINDS,
@@ -79,7 +80,7 @@ def key_built_rng(spec: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-STREAM_KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), (7, _derived(7, 12345, 3).trial_index)]
+STREAM_KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), (7, _derived(12345, 3))]
 
 DRAWS = {
     "standard_normal": lambda g: g.standard_normal((3, 5)),
@@ -113,7 +114,12 @@ class TestStreamContract:
     @pytest.mark.parametrize("key", STREAM_KEYS, ids=["zero", "top", "derived"])
     def test_sample_matrix_equals_a_key_built_philox(self, monkeypatch, kind, key):
         got = sample_matrix(RowDistribution(kind), 7, SeedSpec(*key))
-        monkeypatch.setattr(SeedSpec, "rng", key_built_rng)
+
+        class KeyBuilt:
+            def open(self, master_seed, trial_index):
+                return key_built_rng(SeedSpec(master_seed, trial_index))
+
+        monkeypatch.setattr(samplers, "_thread_streams", KeyBuilt)
         want = sample_matrix(RowDistribution(kind), 7, SeedSpec(*key))
         assert np.array_equal(got, want)
 
@@ -172,16 +178,15 @@ SUITE_DRAWS = {
 # instance keys, derived keys, whose trial index has its top bit set, and a
 # key opened again
 REKEYED = [(0, 0), (7, 1), (7, 2), (2**64 - 1, 5), (2**64 - 1, 2**64 - 1),
-           (7, _derived(7, 0).trial_index), (7, _derived(7, 12345, 3).trial_index),
-           (2**64 - 1, _derived(2**64 - 1, 2**55 - 1, 255).trial_index), (7, 1)]
+           (7, _derived(0)), (7, _derived(12345, 3)), (2**64 - 1, _derived(2**55 - 1, 255)), (7, 1)]
 
 
-def check_reopened_streams_draw_what_fresh_ones_draw():
+def check_reopened_streams_draw_what_fresh_ones_draw(keys=REKEYED):
     """One ``_Streams`` re-keyed from stream to stream, each left with a
     32-bit half word buffered, against a fresh ``SeedSpec.rng()`` per key."""
     streams = _Streams()
-    for key in REKEYED:
-        got, want = streams.open(SeedSpec(*key)), SeedSpec(*key).rng()
+    for key in keys:
+        got, want = streams.open(*key), SeedSpec(*key).rng()
         state, fresh = got.bit_generator.state, want.bit_generator.state
         assert state["state"]["key"].tolist() == fresh["state"]["key"].tolist() == list(key)
         assert state["state"]["counter"].tolist() == fresh["state"]["counter"].tolist()
@@ -195,8 +200,44 @@ def check_reopened_streams_draw_what_fresh_ones_draw():
         assert got.bit_generator.state["has_uint32"] == 1  # the next key starts mid-word
 
 
+# the first and last key words, derived keys written out, and a key opened
+# again after its stream left a half word buffered
+REOPENED = {
+    "zero and top words": [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0)],
+    "derived key": [(2**64 - 1, 1 << 63 | 12345 << 8 | 3), (5, 1 << 63 | (2**55 - 1) << 8 | 255)],
+    "reopened after a buffered half word": [(3, 4), (3, 4), (3, 5)],
+}
+
+
 def test_reopened_streams_draw_what_fresh_ones_draw():
-    check_reopened_streams_draw_what_fresh_ones_draw()
+    assert _derived(12345, 3) == 1 << 63 | 12345 << 8 | 3
+    for keys in (REKEYED, *REOPENED.values()):
+        check_reopened_streams_draw_what_fresh_ones_draw(keys)
+
+
+def test_a_helper_threads_matrix_stream_draws_what_a_fresh_generator_draws():
+    # sample_matrix opens its stream on the calling thread's own generator;
+    # a sign matrix of odd size leaves a half word buffered on it
+    keys = [(11, idx) for idx in range(6)] + [(2**64 - 1, _derived(3, 2))]
+    start = threading.Barrier(2, timeout=30)
+
+    def draw(kinds):
+        start.wait()
+        got = []
+        for kind in kinds:
+            for key in keys:
+                B = sample_matrix(RowDistribution(kind), 3, SeedSpec(*key))
+                got.append((B, samplers._thread_streams()))
+        return got
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(draw, (KINDS, KINDS[::-1])))
+    for kinds, got in zip((KINDS, KINDS[::-1]), runs):
+        want = [sample_matrix_by_hand(kind, SeedSpec(*key).rng()) for kind in kinds for key in keys]
+        assert all(B.tobytes() == W.tobytes() for (B, _), W in zip(got, want))
+        assert len({id(streams) for _, streams in got}) == 1  # one generator per thread
+    assert runs[0][0][1] is not runs[1][0][1]
+    assert samplers._thread_streams() not in {runs[0][0][1], runs[1][0][1]}
 
 
 class TestRowDistribution:
@@ -230,6 +271,23 @@ class TestRowDistribution:
     def test_unknown_keys_rejected(self, extra):
         with pytest.raises(InvalidInputError, match="unknown keys"):
             RowDistribution.from_dict({"kind": "gaussian", **extra})
+
+
+def sample_matrix_by_hand(kind, rng, n=3):
+    """The ``n x n`` matrix of law ``kind`` in the generator's own
+    fresh-array forms, drawn from ``rng``."""
+    r = math.sqrt(3.0)
+    if kind == "gaussian":
+        return rng.standard_normal((n, n))
+    if kind == "bernoulli":
+        return rng.integers(0, 2, size=(n, n)).astype(float) * 2.0 - 1.0
+    if kind == "uniform_entry":
+        return rng.uniform(-r, r, size=(n, n))
+    if kind == "symmetric_exponential":
+        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, n))
+    g = rng.standard_normal((n, n))
+    radii = math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n)
+    return g / np.linalg.norm(g, axis=1, keepdims=True) * radii[:, None]
 
 
 class TestSampleMatrix:
@@ -278,20 +336,7 @@ class TestSampleMatrix:
     def test_draws_are_the_generator_closed_forms(self, kind, n):
         # each law's draws, written in place where the generator can, have the
         # bits of the generator's own fresh-array forms, compared as uint64
-        rng = SeedSpec(31, n).rng()
-        r = math.sqrt(3.0)
-        if kind == "gaussian":
-            want = rng.standard_normal((n, n))
-        elif kind == "bernoulli":
-            want = rng.integers(0, 2, size=(n, n)).astype(float) * 2.0 - 1.0
-        elif kind == "uniform_entry":
-            want = rng.uniform(-r, r, size=(n, n))
-        elif kind == "symmetric_exponential":
-            want = rng.laplace(0.0, 1.0 / math.sqrt(2.0), size=(n, n))
-        else:
-            g = rng.standard_normal((n, n))
-            radii = math.sqrt(n + 2.0) * rng.random(n) ** (1.0 / n)
-            want = g / np.linalg.norm(g, axis=1, keepdims=True) * radii[:, None]
+        want = sample_matrix_by_hand(kind, SeedSpec(31, n).rng(), n)
         got = sample_matrix(RowDistribution(kind), n, SeedSpec(31, n))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

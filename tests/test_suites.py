@@ -8,6 +8,7 @@ import pytest
 
 from sminlab import alphaeta, combinatorics, linalg, suites
 from sminlab.errors import InvalidInputError
+from sminlab import samplers
 from sminlab.samplers import KINDS, RowDistribution, SeedSpec
 
 
@@ -165,19 +166,26 @@ def signed_zero_stack(rng, n):
     return rng.choice([-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 3.0], size=(3, n, n))
 
 
-def test_gauss_jordan_equals_its_earlier_form_to_the_byte():
-    # array_equal holds -0.0 equal to 0.0; the bytes do not
+def test_sparse_integer_inverses_equal_the_earlier_form_and_hold_no_negative_zero():
+    # the inputs hold zeros of both signs and negative pivots, and the
+    # inverses many exact zeros; each inverse slot starts at +0.0 or 1 / pivot
+    # and then only takes x - f * y, and the pivot row's -0.0 turns into +0.0
+    # at its own step, so no zero of the output is -0.0 and its bytes compare
+    # as its values do
     rng = np.random.default_rng(2026)
-    compared = 0
+    compared = zeros = 0
     for _ in range(600):
         stack = signed_zero_stack(rng, int(rng.integers(2, 7)))
         try:
             want = take_along_elimination(stack.copy())
         except InvalidInputError:
             continue
-        assert suites._gauss_jordan(stack).tobytes() == want.tobytes()
+        got = suites._gauss_jordan(stack)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
         compared += 1
-    assert compared > 150
+        zeros += int(np.count_nonzero(got == 0.0))
+    assert compared > 150 and zeros > 1000
 
 
 def band_members(rng, n):
@@ -268,7 +276,7 @@ def per_draw_invertible(instances, seed):
         n = int(SeedSpec(seed, idx).rng().integers(2, 51))
         kind = KINDS[idx % len(KINDS)]
         for attempt in range(200):
-            B = suites.sample_matrix(RowDistribution(kind), n, suites._derived(seed, idx, attempt))
+            B = suites.sample_matrix(RowDistribution(kind), n, SeedSpec(seed, suites._derived(idx, attempt)))
             s_min, s_max, hs = linalg._extremes(B)
             if s_min > 1e-6 * s_max:
                 draws.append((kind, attempt, B, hs))
@@ -279,27 +287,33 @@ def per_draw_invertible(instances, seed):
 
 
 def assert_same_draws(got, want):
-    assert len(got) == len(want)
-    for (kind, attempt, B, hs), (kind0, attempt0, B0, hs0) in zip(got, want):
-        assert (kind, attempt) == (kind0, attempt0)
-        if attempt is None:
-            assert B is None and hs is None
-        else:
+    """The stacks and failed instances ``got`` of ``_invertible_draws`` hold
+    the matrices and HS norms of the per-draw loop's draws ``want``, the
+    stacks of one size each and in the order of their first instances."""
+    stacks, failed = got
+    assert sorted(failed) == [idx for idx, (_, attempt, _, _) in enumerate(want) if attempt is None]
+    groups = [group for group, _, _ in stacks]
+    assert sorted(idx for group in groups for idx in group) == sorted(set(range(len(want))) - set(failed))
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+    for group, stack, norms in stacks:
+        assert len({want[idx][2].shape for idx in group}) == 1 and stack.shape[0] == len(group) == len(norms)
+        for idx, B, hs in zip(group, stack, norms):
+            _, _, B0, hs0 = want[idx]
             assert B.tobytes() == B0.tobytes() and type(hs) is float and hs.hex() == hs0.hex()
 
 
 @pytest.mark.parametrize("seed", [3, 2**64 - 1])
 def test_stacked_draws_equal_the_per_draw_loop(seed):
-    got = suites._invertible_draws(150, seed)
-    assert_same_draws(got, per_draw_invertible(150, seed))
-    assert any(attempt for _, attempt, _, _ in got)  # some instance retried
+    want = per_draw_invertible(150, seed)
+    assert_same_draws(suites._invertible_draws(150, seed), want)
+    assert any(attempt for _, attempt, _, _ in want)  # some instance retried
 
 
 def test_stacked_draws_equal_the_per_draw_loop_when_draws_fail(monkeypatch):
     fail_biorthogonality_of_chosen_draws(monkeypatch)
     got = suites._invertible_draws(40, 23)
     assert_same_draws(got, per_draw_invertible(40, 23))
-    assert sum(attempt is None for _, attempt, _, _ in got) == 13
+    assert len(got[1]) == 13
 
 
 # -- the instance draws as they were taken, one generator call per coin,
@@ -360,6 +374,17 @@ def per_row_alpharho_inputs(rng):
     return alphaeta._Inputs(factors, psi, lam, classes, event, cells)
 
 
+def stacked_pivot_family(rng):
+    """``(r, xs, coeffs, delta, noise)`` read back from the row that
+    ``suites._pivot_family`` draws."""
+    stacks = suites._ShapeStacks(1)
+    suites._pivot_family(rng, stacks, 0)
+    [shape] = stacks.members
+    family = stacks.stack(shape)[0]
+    r = shape[1]
+    return r, family[: r - 1], family[r - 1, : r - 1] * 2.0, family[r - 1, r - 1].item(), family[r]
+
+
 def per_call_pivot_family(rng):
     r = int(rng.integers(2, 7))
     xs = rng.standard_normal((r - 1, r))
@@ -389,7 +414,7 @@ DRAW_FORMS = {
     "edge coins": (graph_draw(suites._random_graph_with_isolated), graph_draw(per_coin_graph)),
     "kept-edge coins": (suites._dichotomy_pair, per_call_dichotomy_pair),
     "alpharho label rows": (suites._alpharho_inputs, per_row_alpharho_inputs),
-    "pivot vectors and coefficients": (suites._pivot_family, per_call_pivot_family),
+    "pivot vectors and coefficients": (stacked_pivot_family, per_call_pivot_family),
 }
 
 
@@ -496,7 +521,7 @@ def oracle_low_value(matrices, seed, triple_matrices):
                         f"matrix {idx}: {count} low-value rows exceeds 16N={16 * N} (L={L}, N={N})",
                     )
     for idx in range(triple_matrices):
-        rng = suites._derived(seed, idx).rng()
+        rng = SeedSpec(seed, suites._derived(idx)).rng()
         n = int(rng.integers(4, 10))
         B = rng.standard_normal((n, n))
         graphs = [combinatorics.build_graph_G(B, i) for i in range(n)]
@@ -521,7 +546,7 @@ def oracle_biorthogonality(instances, seed):
         kind = KINDS[idx % len(KINDS)]
         B = None
         for attempt in range(200):
-            candidate = suites.sample_matrix(RowDistribution(kind), n, suites._derived(seed, idx, attempt))
+            candidate = suites.sample_matrix(RowDistribution(kind), n, SeedSpec(seed, suites._derived(idx, attempt)))
             s_min, s_max, hs = linalg._extremes(candidate)
             if s_min > 1e-6 * s_max:
                 B = candidate
@@ -609,9 +634,11 @@ def fail_edge_interval_of_even_n(monkeypatch):
 def fail_biorthogonality_of_chosen_draws(monkeypatch):
     # instances 1, 4, 7, ... draw only singular matrices; rows of sizes
     # divisible by 4 get distances 1.5 times too large
-    def sample(dist, n, spec):
-        B = draw(dist, n, spec)
-        return 0.0 * B if (spec.trial_index >> 8) % 3 == 1 else B
+    def sample(dist, n, spec, out=None):
+        B = draw(dist, n, spec, out)
+        if (spec.trial_index >> 8) % 3 == 1:
+            B *= 0.0
+        return B
 
     def profile(X):
         d = row_profile(X)
@@ -719,15 +746,16 @@ def test_negative_triple_matrix_count_is_rejected():
 
 
 def recorded_keys(monkeypatch, run) -> list[int]:
-    """Trial indices of every stream a suite run opens, in order."""
+    """Trial indices of every stream a suite run opens, in order: on the
+    run's own generator and on the one ``sample_matrix`` keeps per thread."""
     keys = []
 
-    class Recording(SeedSpec):
-        def __post_init__(self):
-            super().__post_init__()
-            keys.append(self.trial_index)
+    def recording(self, master_seed, trial_index):
+        keys.append(trial_index)
+        return opened(self, master_seed, trial_index)
 
-    monkeypatch.setattr(suites, "SeedSpec", Recording)
+    opened = samplers._Streams.open
+    monkeypatch.setattr(samplers._Streams, "open", recording)
     run()
     return keys
 
@@ -763,15 +791,15 @@ def test_derived_streams_never_meet_an_instance_stream(monkeypatch, run, count):
 
 
 def test_derived_keys_are_a_function_of_the_instance():
-    assert suites._derived(9, 4, 2) == suites._derived(9, 4, 2)
-    keys = {suites._derived(9, idx, attempt).trial_index for idx in range(50) for attempt in range(200)}
+    assert suites._derived(4, 2) == suites._derived(4, 2) == 1 << 63 | 4 << 8 | 2
+    keys = {suites._derived(idx, attempt) for idx in range(50) for attempt in range(200)}
     assert len(keys) == 50 * 200
 
 
 @pytest.mark.parametrize("idx, attempt", [(2**55, 0), (0, 256), (-1, 0), (3, -1)])
 def test_derived_streams_outside_their_range_are_rejected(idx, attempt):
     with pytest.raises(InvalidInputError, match="derived stream"):
-        suites._derived(9, idx, attempt)
+        suites._derived(idx, attempt)
 
 
 def test_run_suite_rejects_a_seed_beyond_64_bits():
